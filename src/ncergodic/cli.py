@@ -361,8 +361,8 @@ def run_converge(config, jobs):
         rng = stream(seed, "element", seed_idx)
         x = element_from_spec(algebra, section["element"], rng)
         report = trajectory(channel, x, horizon, norms)
-        au = au_witness(channel, x, eps, horizon)
-        bau = bau_witness(channel, x, eps, horizon)
+        au = au_witness(channel, x, eps, horizon, limit=report.limit)
+        bau = bau_witness(channel, x, eps, horizon, limit=report.limit)
         rows = []
         for i, n in enumerate(report.schedule):
             row = _base(config, algebra, channel.kind) + [seed_idx, n]
@@ -371,6 +371,7 @@ def run_converge(config, jobs):
         cell_summary = {
             "cell": seed_idx,
             "spectral_gap": channel.spectral_gap(),
+            "fixed_space_dim": channel.eigenspace_dim(),
             "au": {"trace_defect": au.trace_defect,
                    "final_profile": au.final_value,
                    "profile": au.profile},

@@ -215,17 +215,20 @@ def _deviation_witness(channel, x, eps, horizon, mode, beta=None,
 
 
 def au_witness(channel: Channel, x: Operator, eps: float,
-               horizon: int) -> ConvergenceWitness:
+               horizon: int, limit=None) -> ConvergenceWitness:
     """One-sided almost-uniform witness: tau(e_perp) <= eps and the
     profile n -> sup of ||(x_hat - M_m(x)) e|| over scheduled m beyond
-    max(n, horizon/2)."""
-    return _deviation_witness(channel, x, eps, horizon, "one_sided")
+    max(n, horizon/2).  `limit` is x_hat when the caller already has it;
+    otherwise it is computed with `fixed_point`."""
+    return _deviation_witness(channel, x, eps, horizon, "one_sided",
+                              reference=limit)
 
 
 def bau_witness(channel: Channel, x: Operator, eps: float,
-                horizon: int) -> ConvergenceWitness:
+                horizon: int, limit=None) -> ConvergenceWitness:
     """Two-sided variant of au_witness (compressions e (.) e)."""
-    return _deviation_witness(channel, x, eps, horizon, "two_sided")
+    return _deviation_witness(channel, x, eps, horizon, "two_sided",
+                              reference=limit)
 
 
 # ---------------------------------------------------------------------

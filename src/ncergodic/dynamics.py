@@ -1,12 +1,13 @@
 """Dunford-Schwartz maps on block algebras: construction, verification,
 ergodic averages and exact Cesaro limits.
 
-A channel is stored as a dense superoperator on the vectorized algebra;
-constructors attach Kraus data where the map is completely positive by
-build.  A channel is DS+ when it is positive, subunital and
-trace-nonincreasing on positives; for positive maps subunitality already
-gives the uniform-norm contraction, and trace-nonincreasing is
-equivalent to subunitality of the trace adjoint.
+A channel is stored as a dense superoperator on the vectorized algebra,
+whose spectrum it computes once and caches for the spectral gap and the
+exact Cesaro limits; constructors attach Kraus data where the map is
+completely positive by build.  A channel is DS+ when it is positive,
+subunital and trace-nonincreasing on positives; for positive maps
+subunitality already gives the uniform-norm contraction, and
+trace-nonincreasing is equivalent to subunitality of the trace adjoint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraSpec, Operator
 from .errors import ChannelConstructionError, SemisimplicityError
@@ -35,10 +35,10 @@ class Channel:
     a verification report from scratch at any time.
     """
 
-    __slots__ = ("algebra", "superop", "kraus", "kind",
-                 "positivity_evidence", "verified_positive",
-                 "verified_subunital", "verified_trace_nonincreasing",
-                 "norm_contraction_certified", "_adjoint_superop")
+    __slots__ = ("algebra", "superop", "kraus", "kind", "positivity_evidence",
+                 "verified_positive", "verified_subunital",
+                 "verified_trace_nonincreasing", "norm_contraction_certified",
+                 "_adjoint_superop", "_eigenvalues")
 
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
                  kind="custom", positivity_evidence="none",
@@ -57,6 +57,7 @@ class Channel:
             "kraus" if self.kraus else positivity_evidence)
         self.norm_contraction_certified = norm_contraction_certified
         self._adjoint_superop = None
+        self._eigenvalues = None
         self.verified_positive = False
         self.verified_subunital = False
         self.verified_trace_nonincreasing = False
@@ -99,13 +100,24 @@ class Channel:
         return self.is_ds_plus or (self.norm_contraction_certified
                                    and self.verified_subunital)
 
+    def eigenvalues(self) -> np.ndarray:
+        """Superoperator spectrum, computed once, cached read-only."""
+        if self._eigenvalues is None:
+            eigs = np.linalg.eigvals(self.superop)
+            eigs.flags.writeable = False
+            self._eigenvalues = eigs
+        return self._eigenvalues
+
+    def eigenspace_dim(self, phase=1.0, cluster_tol=EIG_CLUSTER_TOL) -> int:
+        """Eigenvalues of phase*T within cluster_tol of 1 (dim Fix(T))."""
+        return int(np.count_nonzero(
+            np.abs(phase * self.eigenvalues() - 1.0) <= cluster_tol))
+
     def spectral_gap(self, cluster_tol=EIG_CLUSTER_TOL) -> float:
-        """1 minus the largest eigenvalue modulus outside the cluster at 1."""
-        eigs = np.linalg.eigvals(self.superop)
-        outside = eigs[np.abs(eigs - 1.0) > cluster_tol]
-        if outside.size == 0:
-            return 1.0
-        return float(1.0 - np.max(np.abs(outside)))
+        """1 minus the largest cached |eigenvalue| outside the cluster at 1."""
+        eigs = self.eigenvalues()
+        outside = np.abs(eigs[np.abs(eigs - 1.0) > cluster_tol])
+        return float(1.0 - outside.max()) if outside.size else 1.0
 
     def __repr__(self):
         return f"Channel(kind={self.kind!r}, dims={self.algebra.dims})"
@@ -539,8 +551,7 @@ def cesaro_channel(channel: Channel, n: int, tol=None) -> Channel:
         power = channel.superop @ power
         acc += power
     evidence = ("structural" if channel.verified_positive else "none")
-    kraus = None
-    return Channel(channel.algebra, acc / (n + 1), kraus=kraus,
+    return Channel(channel.algebra, acc / (n + 1),
                    kind=f"cesaro-{channel.kind}",
                    positivity_evidence=evidence, tol=tol)
 
@@ -570,55 +581,44 @@ def shifted_cesaro_channels(channel: Channel, beta, n: int, tol=None):
 # Exact Cesaro limits.
 # ---------------------------------------------------------------------
 
-def _peripheral_projection(superop, cluster_tol):
-    """Spectral projection of the superoperator at eigenvalue 1 via a
-    sorted Schur form; raises if the cluster has a nilpotent part."""
-    t, z, sdim = scipy.linalg.schur(
-        superop, output="complex",
-        sort=lambda lam: abs(lam - 1.0) <= cluster_tol)
-    n = superop.shape[0]
-    if sdim == 0:
-        return np.zeros((n, n), dtype=complex)
-    t11 = t[:sdim, :sdim]
-    nilpotent = t11 - np.diag(np.diag(t11))
-    if np.linalg.norm(nilpotent, 2) > cluster_tol:
-        raise SemisimplicityError(
-            "eigenvalue cluster at 1 is not semisimple; "
-            "the input is not power-bounded (run verify_ds first)")
-    if sdim == n:
-        return np.eye(n, dtype=complex)
-    t12 = t[:sdim, sdim:]
-    t22 = t[sdim:, sdim:]
-    # Invariant-subspace split: solve T11 X - X T22 = T12, then the
-    # spectral projection is Z [[I, X], [0, 0]] Z*.
-    x = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    block = np.zeros((n, n), dtype=complex)
-    block[:sdim, :sdim] = np.eye(sdim)
-    block[:sdim, sdim:] = x
-    return z @ block @ z.conj().T
+def _peripheral_projection(channel, x, phase, cluster_tol) -> Operator:
+    """Component of x at eigenvalue 1 of phase*T: D^-1 V (U*V)^-1 U* D x,
+    V and U the last k right/left singular vectors of D(phase*T - I)D^-1
+    for k cached eigenvalues in the cluster and D = diag(sqrt w).  A
+    Jordan part shrinks the kernel or makes U*V singular, and raises."""
+    k = channel.eigenspace_dim(phase, cluster_tol)
+    if k == 0:
+        return channel.algebra.zero()
+    scale = np.sqrt(_weight_vector(channel.algebra))
+    scaled = phase * channel.superop * np.outer(scale, 1.0 / scale)
+    u, s, vh = np.linalg.svd(scaled - np.eye(scale.size))
+    left, right = u[:, -k:], vh[-k:].conj().T
+    overlap = left.conj().T @ right
+    if s[-k]**2 > cluster_tol or np.linalg.cond(overlap)**2 * cluster_tol > 1:
+        raise SemisimplicityError("peripheral eigenvalue cluster is not "
+                                  "semisimple; the map is not power-bounded")
+    coeffs = np.linalg.solve(overlap, left.conj().T @ (scale * x.vec()))
+    return Operator.from_vec(channel.algebra, (right @ coeffs) / scale)
 
 
 def fixed_point(channel: Channel, x: Operator,
                 cluster_tol=EIG_CLUSTER_TOL) -> Operator:
-    """Exact Cesaro limit of M_n(x): the eigenvalue-1 component of x.
-
-    Requires a power-bounded channel (e.g. verified DS+), for which the
-    peripheral spectrum is semisimple; returns 0 when 1 is not an
-    eigenvalue.
-    """
-    proj = _peripheral_projection(channel.superop, cluster_tol)
-    return Operator.from_vec(channel.algebra, proj @ x.vec())
+    """Exact Cesaro limit of M_n(x): the eigenvalue-1 component of x, 0
+    when the cached spectrum misses 1.  A DS map contracts L_1 and L_inf,
+    so by Riesz-Thorin L_2(tau): then Fix(T) = Fix(T*), U*V is unitary
+    and V (U*V)^-1 U* is the tau-orthogonal projection.  A nilpotent part
+    at 1 (not power-bounded) raises SemisimplicityError."""
+    return _peripheral_projection(channel, x, 1.0, cluster_tol)
 
 
 def rotated_fixed_point(channel: Channel, x: Operator, phase,
                         cluster_tol=EIG_CLUSTER_TOL) -> Operator:
-    """Eigenvalue-conj(phase) component of x: the Cesaro limit of the
-    phase-twisted averages (1/(n+1)) sum phase^k T^k(x)."""
+    """Cesaro limit of the phase-twisted averages (1/(n+1)) sum phase^k
+    T^k(x): `fixed_point` of phase*T, the eigenvalue-conj(phase) part."""
     phase = complex(phase)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise ValueError("phase must be unimodular")
-    proj = _peripheral_projection(phase * channel.superop, cluster_tol)
-    return Operator.from_vec(channel.algebra, proj @ x.vec())
+    return _peripheral_projection(channel, x, phase, cluster_tol)
 
 
 # ---------------------------------------------------------------------

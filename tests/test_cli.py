@@ -1,0 +1,65 @@
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from ncergodic import cli, convergence
+from ncergodic.algebra import AlgebraSpec
+from ncergodic.dynamics import channel_from_spec
+from ncergodic.rng import derive_seed
+
+FIXTURES = Path(cli.__file__).parent / "fixtures"
+
+
+def run_cli(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(args))
+
+
+def converge(config_path, out, jobs=1):
+    code = run_cli("converge", "--config", str(config_path), "--out",
+                   str(out), "--jobs", str(jobs))
+    return code, out / "converge.csv", out / "converge.json"
+
+
+class TestConvergeContract:
+    def test_fixture_runs_and_reports_spectrum(self, tmp_path):
+        path = FIXTURES / "m2_unitary.json"
+        code, _, json_path = converge(path, tmp_path)
+        assert code == 0
+        cell = json.loads(json_path.read_text())["summary"]["cells"][0]
+        config = json.loads(path.read_text())
+        channel = channel_from_spec(
+            AlgebraSpec.from_json(config["algebra"]), config["channel"],
+            run_seed=derive_seed(config["seed"], "cell", 0))
+        assert cell["spectral_gap"] == channel.spectral_gap()
+        # conjugation by diag(1, -1): the diagonal is fixed
+        assert cell["fixed_space_dim"] == channel.eigenspace_dim() == 2
+
+    def test_output_independent_of_jobs(self, tmp_path):
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config["converge"]["num_seeds"] = 2
+        path = tmp_path / "two_seeds.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for jobs in (1, 2):
+            code, csv_path, json_path = converge(path, tmp_path / f"j{jobs}",
+                                                 jobs)
+            assert code == 0
+            outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()[1:]
+        assert {row.split(",")[7] for row in rows} == {"0", "1"}
+
+    def test_one_limit_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        fixed_point = convergence.fixed_point
+
+        def counting_fixed_point(channel, x, *args):
+            calls.append(x)
+            return fixed_point(channel, x, *args)
+
+        monkeypatch.setattr(convergence, "fixed_point", counting_fixed_point)
+        code, _, _ = converge(FIXTURES / "m2_unitary.json", tmp_path)
+        assert code == 0
+        assert len(calls) == 1

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergodic.algebra import AlgebraSpec, Operator
 from ncergodic.dynamics import (Channel, cesaro_channel, channel_from_spec,
@@ -21,6 +24,9 @@ from ncergodic.weights import WeightSequence
 M2 = AlgebraSpec(((2, 1.0),))
 M4 = AlgebraSpec(((4, 1.0),))
 DIAG2 = AlgebraSpec(((1, 1.0), (1, 1.0)))
+MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
+CYCLE6 = AlgebraSpec(((1, 1.0),) * 6)
+PHASES = (1.0, -1.0, 1j, -1j, np.exp(2j * np.pi / 6))
 
 
 def mat(entries, algebra=M2):
@@ -344,3 +350,141 @@ class TestChannelSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ChannelConstructionError):
             channel_from_spec(M2, {"kind": "warp"})
+
+
+def schur_projection(superop, cluster_tol=1e-8):
+    """Reference spectral projection at eigenvalue 1 from a sorted Schur
+    form and a Sylvester solve (dense n x n result)."""
+    t, z, sdim = scipy.linalg.schur(
+        superop, output="complex",
+        sort=lambda lam: abs(lam - 1.0) <= cluster_tol)
+    n = superop.shape[0]
+    if sdim == 0:
+        return np.zeros((n, n), dtype=complex)
+    if sdim == n:
+        return np.eye(n, dtype=complex)
+    x = scipy.linalg.solve_sylvester(t[:sdim, :sdim], -t[sdim:, sdim:],
+                                     t[:sdim, sdim:])
+    block = np.zeros((n, n), dtype=complex)
+    block[:sdim, :sdim] = np.eye(sdim)
+    block[:sdim, sdim:] = x
+    return z @ block @ z.conj().T
+
+
+def oracle_channels():
+    """Six channels from each of five families, with peripheral
+    eigenvalues at the roots of unity in PHASES."""
+    rng = stream(90, "oracle")
+    shift = np.roll(np.eye(6), 1, axis=0)
+    out = []
+    for i in range(6):
+        out.append(random_kraus_channel(MULTI, 3, rng, margin=0.0))
+        out.append(random_unitary_mixture(MULTI, 2, rng))
+        out.append(pinching(MULTI, rng.integers(0, 3, size=6)))
+        angles = 2 * np.pi / 12 * rng.integers(0, 12, size=6)
+        out.append(unitary_conjugation(MULTI.diagonal(np.exp(1j * angles))))
+        out.append(substochastic(
+            CYCLE6, np.linalg.matrix_power(shift, i + 1) if i < 5
+            else 0.5 * (np.eye(6) + shift)))
+    return out
+
+
+class TestPeripheralProjection:
+    def test_matches_schur_oracle(self):
+        rng = stream(91, "oracle")
+        covered = set()
+        for ch in oracle_channels():
+            for phase in PHASES:
+                x = random_operator(ch.algebra, rng)
+                proj = schur_projection(complex(phase) * ch.superop)
+                expected = proj @ x.vec()
+                got = rotated_fixed_point(ch, x, phase).vec()
+                assert np.max(np.abs(got - expected)) <= 1e-12
+                if np.any(proj):
+                    covered.add((ch.kind, phase))
+        # every phase is a peripheral eigenvalue of some channel; the
+        # random Kraus family (spectral radius < 1) covers the empty cluster
+        assert {phase for _, phase in covered} == set(PHASES)
+        assert {kind for kind, _ in covered} == {
+            "convex", "pinching", "unitary", "substochastic"}
+
+    @pytest.mark.parametrize("algebra", [M4, MULTI])
+    def test_limit_commutes_with_kraus_operators(self, algebra):
+        # Arias-Gheondea-Gudder: for unital trace-preserving Kraus maps
+        # Fix(T) is the commutant of {a_k, a_k*}.
+        rng = stream(92, "agg", algebra.dims)
+        for _ in range(3):
+            ch = random_unitary_mixture(algebra, 3, rng)
+            x_hat = fixed_point(ch, random_operator(algebra, rng))
+            assert x_hat.uniform_norm() > 1e-3
+            assert ch.apply(x_hat).allclose(x_hat, tol=1e-10)
+            for a in ch.kraus:
+                for b in (a, a.adjoint()):
+                    assert (x_hat @ b - b @ x_hat).uniform_norm() < 1e-10
+
+    def test_oblique_idempotent_takes_same_path(self):
+        # an uncertified, non-normal map with a semisimple cluster at 1:
+        # the limit is the oblique projection itself, not an orthogonal one
+        rng = stream(96, "oblique")
+        n = MULTI.vec_dim
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        proj = s @ np.diag([1.0] * 3 + [0.0] * (n - 3)) @ np.linalg.inv(s)
+        ch = Channel(MULTI, proj, kind="oblique", verify=False)
+        x = random_operator(MULTI, rng)
+        got = fixed_point(ch, x).vec()
+        assert np.allclose(got, proj @ x.vec(), atol=1e-10)
+        assert np.allclose(got, schur_projection(proj) @ x.vec(), atol=1e-10)
+
+    def test_jordan_block_at_minus_one(self):
+        bad = -np.eye(4, dtype=complex)
+        bad[0, 1] = 1.0
+        ch = Channel(M2, bad, kind="jordan", verify=False)
+        with pytest.raises(SemisimplicityError):
+            rotated_fixed_point(ch, M2.identity(), -1)
+        assert fixed_point(ch, M2.identity()).uniform_norm() == 0.0
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        ch = random_unitary_mixture(MULTI, 2, stream(93, "cache"))
+        x = random_operator(MULTI, stream(94, "cache"))
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting_eigvals(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Schur form computed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+        fixed_point(ch, x)
+        for phase in PHASES[1:]:
+            rotated_fixed_point(ch, x, phase)
+        ch.spectral_gap()
+        assert calls == [(MULTI.vec_dim, MULTI.vec_dim)]
+
+    def test_cached_spectrum_is_read_only(self):
+        ch = random_kraus_channel(M2, 2, stream(95, "cache"))
+        eigs = ch.eigenvalues()
+        assert not eigs.flags.writeable
+        with pytest.raises(ValueError):
+            eigs[0] = 0.0
+        assert ch.eigenvalues() is eigs
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31),
+           blocks=st.sampled_from([((2, 1.0), (1, 0.5)),
+                                   ((3, 1.0), (2, 0.25), (1, 3.0)),
+                                   ((2, 2.0), (2, 0.5))]),
+           family=st.sampled_from(["kraus", "unitary-mixture"]))
+    def test_limit_is_fixed_and_idempotent(self, seed, blocks, family):
+        algebra = AlgebraSpec(blocks)
+        rng = stream(seed, "property", family)
+        if family == "kraus":
+            ch = random_kraus_channel(algebra, 3, rng, margin=0.0)
+        else:
+            ch = random_unitary_mixture(algebra, 2, rng)
+        x_hat = fixed_point(ch, random_operator(algebra, rng))
+        assert ch.apply(x_hat).allclose(x_hat, tol=1e-9)
+        assert fixed_point(ch, x_hat).allclose(x_hat, tol=1e-9)
