@@ -3,20 +3,18 @@ finite tracial matrix algebras."""
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraSpec, Operator, Projection, adjoint,
-                      compressed_norm, hermitian_decompose, one_sided_norm,
-                      trace, uniform_norm)
+from .algebra import (AlgebraSpec, Operator, Projection, compressed_norm,
+                      hermitian_decompose, one_sided_norm)
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, mean_ergodic_check,
                           trajectory)
 from .dynamics import (Channel, channel_from_spec, compose, convex_combine,
-                       ergodic_average, ergodic_averages, fixed_point,
+                       ergodic_averages, fixed_point,
                        identity_channel, kraus_channel, linear_combine,
                        pinching, random_kraus_channel, random_substochastic,
                        random_unitary_mixture, rotated_fixed_point,
                        scale_channel, schur_multiplier, substochastic,
-                       unitary_conjugation, verify_ds, weighted_average,
-                       weighted_averages)
+                       unitary_conjugation, verify_ds)
 from .funcspace import StepFunction, boyd_estimate, dilation, rearrangement
 from .maximal import (WitnessReport, WitnessSearchFailure, check_witness,
                       hopf_witness_commutative, is_found, kadison_check,

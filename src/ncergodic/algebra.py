@@ -243,34 +243,6 @@ class Operator:
         return f"Operator(dims={self.algebra.dims})"
 
 
-# ---------------------------------------------------------------------
-# Free-function views of the *-algebra operations.
-# ---------------------------------------------------------------------
-
-def trace(x: Operator) -> complex:
-    return x.trace()
-
-
-def adjoint(x: Operator) -> Operator:
-    return x.adjoint()
-
-
-def add(x: Operator, y: Operator) -> Operator:
-    return x + y
-
-
-def mul(x: Operator, y: Operator) -> Operator:
-    return x @ y
-
-
-def scale(c, x: Operator) -> Operator:
-    return x * c
-
-
-def uniform_norm(x: Operator) -> float:
-    return x.uniform_norm()
-
-
 def hermitian_decompose(x: Operator, tol=None):
     """Split x into four positive operators with
     x = (x1 - x2) + i(x3 - x4).

@@ -28,11 +28,11 @@ from . import __version__
 from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, trajectory)
-from .dynamics import Channel, channel_from_spec, verify_ds
+from .dynamics import CHANNEL_KINDS, channel_from_spec, verify_ds
 from .errors import ConfigError
 from .funcspace import boyd_estimate, dilation_norm_estimate
-from .maximal import (check_witness, is_found, lp_witness,
-                      one_sided_witness, weighted_witness,
+from .maximal import (check_witness, hopf_witness_commutative, is_found,
+                      lp_witness, one_sided_witness, weighted_witness,
                       yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
                       singular_function, submajorizes)
@@ -53,10 +53,7 @@ _CHANNEL_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["identity", "unitary", "pinching", "schur",
-                          "substochastic", "kraus", "random-kraus",
-                          "unitary-mixture", "random-substochastic",
-                          "convex", "compose", "scaled"]},
+        "kind": {"enum": list(CHANNEL_KINDS)},
         "seed": {"type": "integer"},
     },
 }
@@ -261,7 +258,7 @@ def run_verify_channel(config, jobs):
 
 _CERTIFY_BUILDERS = {
     "yeadon": lambda ch, x, p, beta, eps, n: yeadon_witness_search(ch, x, eps, n),
-    "hopf": None,  # handled separately (needs the commutative constructor)
+    "hopf": lambda ch, x, p, beta, eps, n: hopf_witness_commutative(ch, x, eps, n),
     "lp": lambda ch, x, p, beta, eps, n: lp_witness(ch, x, p, eps, n),
     "weighted": lambda ch, x, p, beta, eps, n: weighted_witness(ch, x, p, beta, eps, n),
     "one-sided": lambda ch, x, p, beta, eps, n: one_sided_witness(ch, x, p, beta, eps, n),
@@ -269,8 +266,6 @@ _CERTIFY_BUILDERS = {
 
 
 def _certify_cell(config, algebra, cell):
-    from .maximal import hopf_witness_commutative
-
     method, p, eps, seed_idx = cell
     seed = config["seed"]
     horizon = config["horizon"]
@@ -284,10 +279,7 @@ def _certify_cell(config, algebra, cell):
     x = element_from_spec(algebra, spec, rng)
     beta = _weights_from(section.get("weights"))
 
-    if method == "hopf":
-        result = hopf_witness_commutative(channel, x, eps, horizon)
-    else:
-        result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
+    result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
 
     if is_found(result):
         recheck = check_witness(channel, x, result.projection, horizon,
@@ -361,8 +353,8 @@ def run_converge(config, jobs):
         rng = stream(seed, "element", seed_idx)
         x = element_from_spec(algebra, section["element"], rng)
         report = trajectory(channel, x, horizon, norms)
-        au = au_witness(channel, x, eps, horizon, limit=report.limit)
-        bau = bau_witness(channel, x, eps, horizon, limit=report.limit)
+        au = au_witness(channel, x, eps, horizon, report=report)
+        bau = bau_witness(channel, x, eps, horizon, report=report)
         rows = []
         for i, n in enumerate(report.schedule):
             row = _base(config, algebra, channel.kind) + [seed_idx, n]

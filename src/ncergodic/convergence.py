@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Operator, Projection, compressed_norm, one_sided_norm
 from .dynamics import (Channel, ergodic_averages, fixed_point,
-                       rotated_fixed_point, weighted_averages)
+                       rotated_fixed_point)
 from .errors import UnsupportedNormError
+from .maximal import peel
 from .ncnorms import lorentz_norm, lp_norm, measure_distance, projection_lorentz_norm
 from .util import dyadic_schedule
 
@@ -89,14 +88,25 @@ class NormSpec:
         return cls(data["kind"], data.get("p"), data.get("q"))
 
 
+def _sampled_averages(channel: Channel, x: Operator, horizon: int,
+                      beta=None) -> dict:
+    """{n: M_{beta,n}(x)} for n in the dyadic schedule of the horizon, in
+    schedule order, from a single pass of `ergodic_averages`."""
+    wanted = set(dyadic_schedule(horizon))
+    return {n: avg for n, avg in ergodic_averages(channel, x, horizon, beta)
+            if n in wanted}
+
+
 @dataclass
 class TrajectoryReport:
-    """Residuals ||x_hat - M_n(x)|| along the dyadic schedule."""
+    """Residuals ||x_hat - M_n(x)|| along the dyadic schedule, with the
+    sampled averages they were measured on."""
 
     limit: Operator
     schedule: list
     residuals: dict   # norm label -> list of floats
     horizon: int
+    averages: dict    # n -> M_n(x) for n in schedule
 
     def final(self, label) -> float:
         return self.residuals[label][-1]
@@ -109,16 +119,12 @@ def trajectory(channel: Channel, x: Operator, horizon: int,
     The limit is computed spectrally, then every requested gauge is
     evaluated at n in {1, 2, 4, ..., horizon}.
     """
-    norms = list(norms)
     x_hat = fixed_point(channel, x)
-    schedule = dyadic_schedule(horizon)
-    wanted = set(schedule)
-    residuals = {spec.label: [] for spec in norms}
-    for n, avg in ergodic_averages(channel, x, n_max=horizon):
-        if n in wanted:
-            for spec in norms:
-                residuals[spec.label].append(spec.distance(x_hat, avg))
-    return TrajectoryReport(x_hat, schedule, residuals, horizon)
+    averages = _sampled_averages(channel, x, horizon)
+    schedule = list(averages)
+    residuals = {spec.label: [spec.distance(x_hat, averages[n])
+                              for n in schedule] for spec in norms}
+    return TrajectoryReport(x_hat, schedule, residuals, horizon, averages)
 
 
 # ---------------------------------------------------------------------
@@ -147,64 +153,16 @@ def _compressed_value(op, e, mode):
             else compressed_norm(op, e))
 
 
-def _peel_on_deviations(algebra, deviations, budget, mode):
-    """Spend up to `budget` of trace removing the directions on which
-    the tail deviations stay largest."""
-    bases = [np.eye(d, dtype=complex) for d in algebra.dims]
-    weights = algebra.weights
-    defect = 0.0
-    while True:
-        e = Projection.from_basis(algebra, bases)
-        worst_value, worst = -np.inf, None
-        for dev in deviations:
-            for i in range(algebra.num_blocks):
-                basis = bases[i]
-                if basis.shape[1] == 0:
-                    continue
-                if mode == "one_sided":
-                    block = dev.block(i) @ basis
-                    gram = block.conj().T @ block
-                    lam, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-                    value = float(np.sqrt(max(lam[-1], 0.0)))
-                else:
-                    comp = basis.conj().T @ dev.block(i) @ basis
-                    _, s, vh = np.linalg.svd(comp)
-                    value, vecs = float(s[0]), vh.conj().T[:, ::-1]
-                if value > worst_value:
-                    worst_value = value
-                    worst = (i, vecs[:, -1])
-        if worst is None or worst_value <= PEEL_FLOOR:
-            return e, defect
-        i, direction = worst
-        if defect + weights[i] > budget:
-            return e, defect
-        basis = bases[i]
-        r = basis.shape[1]
-        comp_proj = np.eye(r, dtype=complex) - np.outer(direction,
-                                                        direction.conj())
-        _, vecs = np.linalg.eigh(comp_proj)
-        bases[i] = basis @ vecs[:, 1:]
-        defect += weights[i]
-
-
-def _deviation_witness(channel, x, eps, horizon, mode, beta=None,
-                       reference=None):
+def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
+    """Peel the tail deviations limit - M_n, n >= horizon/2, with a trace
+    budget of eps, then profile the compressed deviations."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     schedule = dyadic_schedule(horizon)
-    wanted = set(schedule)
-    if reference is None:
-        reference = fixed_point(channel, x)
-    iterator = (ergodic_averages(channel, x, n_max=horizon) if beta is None
-                else weighted_averages(channel, x, beta, horizon))
-    deviations = {}
-    for n, avg in iterator:
-        if n in wanted:
-            deviations[n] = reference - avg
-
+    deviations = {n: limit - averages[n] for n in schedule}
     tail_start = horizon // 2
     tail = [deviations[n] for n in schedule if n >= tail_start]
-    e, defect = _peel_on_deviations(channel.algebra, tail, eps, mode)
+    e, defect = peel(algebra, tail, PEEL_FLOOR, eps, mode)
 
     profile = []
     for n in schedule:
@@ -215,20 +173,24 @@ def _deviation_witness(channel, x, eps, horizon, mode, beta=None,
 
 
 def au_witness(channel: Channel, x: Operator, eps: float,
-               horizon: int, limit=None) -> ConvergenceWitness:
+               horizon: int, report=None) -> ConvergenceWitness:
     """One-sided almost-uniform witness: tau(e_perp) <= eps and the
     profile n -> sup of ||(x_hat - M_m(x)) e|| over scheduled m beyond
-    max(n, horizon/2).  `limit` is x_hat when the caller already has it;
-    otherwise it is computed with `fixed_point`."""
-    return _deviation_witness(channel, x, eps, horizon, "one_sided",
-                              reference=limit)
+    max(n, horizon/2).  `report` is the `trajectory` of (channel, x,
+    horizon) when the caller already has one; otherwise it is computed."""
+    if report is None:
+        report = trajectory(channel, x, horizon, ())
+    return _deviation_witness(channel.algebra, eps, horizon, "one_sided",
+                              report.limit, report.averages)
 
 
 def bau_witness(channel: Channel, x: Operator, eps: float,
-                horizon: int, limit=None) -> ConvergenceWitness:
+                horizon: int, report=None) -> ConvergenceWitness:
     """Two-sided variant of au_witness (compressions e (.) e)."""
-    return _deviation_witness(channel, x, eps, horizon, "two_sided",
-                              reference=limit)
+    if report is None:
+        report = trajectory(channel, x, horizon, ())
+    return _deviation_witness(channel.algebra, eps, horizon, "two_sided",
+                              report.limit, report.averages)
 
 
 # ---------------------------------------------------------------------
@@ -286,12 +248,9 @@ def mean_ergodic_check(channel: Channel, x: Operator, norm: NormSpec,
         raise UnsupportedNormError("mean convergence needs a norm, not the "
                                    "measure metric")
     x_hat = fixed_point(channel, x)
-    schedule = dyadic_schedule(horizon)
-    wanted = set(schedule)
-    residuals = []
-    for n, avg in ergodic_averages(channel, x, n_max=horizon):
-        if n in wanted:
-            residuals.append(norm.distance(x_hat, avg))
+    averages = _sampled_averages(channel, x, horizon)
+    schedule = list(averages)
+    residuals = [norm.distance(x_hat, avg) for avg in averages.values()]
     quarter_index = max(len(residuals) - 3, 0)
     reference = residuals[quarter_index]
     final = residuals[-1]
@@ -336,16 +295,14 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
         if z != 0:
             limit = limit + rotated_fixed_point(channel, x, lam) * z
 
-    schedule = dyadic_schedule(horizon)
-    wanted = set(schedule)
+    averages = _sampled_averages(channel, x, horizon, beta)
+    schedule = list(averages)
     residuals = {spec.label: [] for spec in norms}
     cauchy = {spec.label: [] for spec in norms}
     cauchy["measure"] = []
     previous = None
     measure = NormSpec.measure()
-    for n, avg in weighted_averages(channel, x, beta, horizon):
-        if n not in wanted:
-            continue
+    for avg in averages.values():
         for spec in norms:
             residuals[spec.label].append(spec.distance(limit, avg))
         if previous is not None:
@@ -354,7 +311,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
             cauchy["measure"].append(measure.distance(previous, avg))
         previous = avg
 
-    witness = _deviation_witness(channel, x, witness_eps, horizon,
-                                 "two_sided", beta=beta, reference=limit)
+    witness = _deviation_witness(channel.algebra, witness_eps, horizon,
+                                 "two_sided", limit, averages)
     return BesicovitchReport(limit, True, schedule, residuals, cauchy,
                              witness, certificate.certified)

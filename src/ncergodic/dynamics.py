@@ -1,6 +1,10 @@
 """Dunford-Schwartz maps on block algebras: construction, verification,
 ergodic averages and exact Cesaro limits.
 
+One recurrence, `ergodic_averages`, yields the plain averages M_n and
+the Besicovitch-weighted averages M_{beta,n} alike (the plain ones are
+beta = 1).
+
 A channel is stored as a dense superoperator on the vectorized algebra,
 whose spectrum it computes once and caches for the spectral gap and the
 exact Cesaro limits; constructors attach Kraus data where the map is
@@ -474,107 +478,30 @@ def random_substochastic(algebra: AlgebraSpec, rng, slack=0.05) -> Channel:
 # Averages.
 # ---------------------------------------------------------------------
 
-def ergodic_averages(channel: Channel, x: Operator, n_max=None):
-    """Yield (n, M_n(x)) incrementally: one channel application per step."""
+def ergodic_averages(channel: Channel, x: Operator, n_max: int, beta=None):
+    """Yield (n, M_{beta,n}(x)) for n = 0..n_max, one channel application
+    per step, where M_{beta,n}(x) = (1/(n+1)) sum_{k<=n} beta_k T^k(x).
+
+    beta=None gives the plain averages M_n (beta = 1) without a per-step
+    multiply.  A negative n_max, or a beta whose values exceed its
+    declared bound on the window, raises ValueError.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    values = None
+    if beta is not None:
+        values = beta.values(n_max)
+        if np.max(np.abs(values)) > beta.bound + 1e-12:
+            raise ValueError("weight bound violated on the requested window")
     current = x
-    running = x
-    n = 0
-    while True:
-        yield n, running * (1.0 / (n + 1))
-        if n_max is not None and n >= n_max:
-            return
-        current = channel.apply(current)
-        running = running + current
-        n += 1
-
-
-def ergodic_average(channel: Channel, x: Operator, n: int) -> Operator:
-    """M_n(x) = (1/(n+1)) sum_{k<=n} T^k(x)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for m, avg in ergodic_averages(channel, x, n_max=n):
-        if m == n:
-            return avg
-
-
-def weighted_averages(channel: Channel, x: Operator, beta, n_max):
-    """Yield (n, M_{beta,n}(x)) for n = 0..n_max."""
-    values = beta.values(n_max)
-    if np.max(np.abs(values)) > beta.bound + 1e-12:
-        raise ValueError("weight bound violated on the requested window")
-    current = x
-    running = x * values[0]
+    running = x if values is None else x * values[0]
     for n in range(n_max + 1):
         yield n, running * (1.0 / (n + 1))
         if n == n_max:
             return
         current = channel.apply(current)
-        running = running + current * values[n + 1]
-
-
-def weighted_average(channel: Channel, x: Operator, beta, n: int) -> Operator:
-    for m, avg in weighted_averages(channel, x, beta, n):
-        if m == n:
-            return avg
-
-
-def shifted_average_parts(channel: Channel, x: Operator, beta, n: int):
-    """The two non-negatively weighted averages whose combination
-    reconstructs M_{beta,n}.
-
-    Returns (real_part, imag_part, plain) with coefficients
-    Re(beta_k) + C and Im(beta_k) + C, so that
-    M_{beta,n} = real_part + i*imag_part - C(1+i) plain.
-    """
-    values = beta.values(n)
-    c = beta.bound
-    current = x
-    run_r = x * (values[0].real + c)
-    run_i = x * (values[0].imag + c)
-    run_p = x
-    for k in range(1, n + 1):
-        current = channel.apply(current)
-        run_r = run_r + current * (values[k].real + c)
-        run_i = run_i + current * (values[k].imag + c)
-        run_p = run_p + current
-    scale = 1.0 / (n + 1)
-    return run_r * scale, run_i * scale, run_p * scale
-
-
-def cesaro_channel(channel: Channel, n: int, tol=None) -> Channel:
-    """M_n as a channel: average of the first n+1 superoperator powers."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc = np.eye(channel.algebra.vec_dim, dtype=complex)
-    power = np.eye(channel.algebra.vec_dim, dtype=complex)
-    for _ in range(n):
-        power = channel.superop @ power
-        acc += power
-    evidence = ("structural" if channel.verified_positive else "none")
-    return Channel(channel.algebra, acc / (n + 1),
-                   kind=f"cesaro-{channel.kind}",
-                   positivity_evidence=evidence, tol=tol)
-
-
-def shifted_cesaro_channels(channel: Channel, beta, n: int, tol=None):
-    """Channels for the Re/Im shifted weighted averages (coefficients
-    Re(beta_k)+C and Im(beta_k)+C, both in [0, 2C])."""
-    values = beta.values(n)
-    c = beta.bound
-    dim = channel.algebra.vec_dim
-    acc_r = np.zeros((dim, dim), dtype=complex)
-    acc_i = np.zeros((dim, dim), dtype=complex)
-    power = np.eye(dim, dtype=complex)
-    for k in range(n + 1):
-        if k:
-            power = channel.superop @ power
-        acc_r += (values[k].real + c) * power
-        acc_i += (values[k].imag + c) * power
-    evidence = "structural" if channel.verified_positive else "none"
-    make = lambda acc, tag: Channel(
-        channel.algebra, acc / (n + 1), kind=f"{tag}-shifted-{channel.kind}",
-        positivity_evidence=evidence, tol=tol)
-    return make(acc_r, "re"), make(acc_i, "im")
+        running = running + (current if values is None
+                             else current * values[n + 1])
 
 
 # ---------------------------------------------------------------------
@@ -624,6 +551,12 @@ def rotated_fixed_point(channel: Channel, x: Operator, phase,
 # ---------------------------------------------------------------------
 # JSON channel specifications (CLI and config files).
 # ---------------------------------------------------------------------
+
+# The "kind" values `channel_from_spec` accepts; the CLI schema reads them.
+CHANNEL_KINDS = ("identity", "unitary", "pinching", "schur", "substochastic",
+                 "kraus", "random-kraus", "unitary-mixture",
+                 "random-substochastic", "convex", "compose", "scaled")
+
 
 def channel_from_spec(algebra: AlgebraSpec, spec, run_seed=0) -> Channel:
     """Build a channel from its JSON description.

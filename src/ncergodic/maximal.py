@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import (Operator, Projection, compressed_norm,
                       hermitian_decompose, one_sided_norm, require_hermitian)
-from .dynamics import Channel, ergodic_averages, weighted_averages
+from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
 from .spectral import (eigh, positive_power, projection_meet_all,
@@ -120,12 +120,8 @@ def measure_compressions(channel: Channel, x: Operator, e: Projection,
                          horizon: int, mode="two_sided", beta=None) -> float:
     """sup over n <= horizon of the compressed average norm, recomputed
     from scratch with one channel application per step."""
-    if beta is None:
-        iterator = ergodic_averages(channel, x, n_max=horizon)
-    else:
-        iterator = weighted_averages(channel, x, beta, horizon)
     best = 0.0
-    for _, avg in iterator:
+    for _, avg in ergodic_averages(channel, x, horizon, beta):
         if mode == "two_sided":
             best = max(best, compressed_norm(avg, e))
         elif mode == "one_sided":
@@ -206,10 +202,6 @@ def kadison_check(channel: Channel, x: Operator,
 # Weak (1,1) witnesses.
 # ---------------------------------------------------------------------
 
-def _plain_trajectory(channel, x, horizon):
-    return [avg for _, avg in ergodic_averages(channel, x, n_max=horizon)]
-
-
 def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
                              horizon: int, tol=None) -> WitnessReport:
     """Constructive witness on a diagonal algebra.
@@ -226,12 +218,8 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
     if not x.is_positive(tol):
         raise NotPositiveError("hopf witness requires x >= 0")
 
-    running_max = np.full(channel.algebra.num_blocks, -np.inf)
-    for _, avg in ergodic_averages(channel, x, n_max=horizon):
-        diag = np.array([b[0, 0].real for b in avg.blocks])
-        running_max = np.maximum(running_max, diag)
-    mask = (running_max <= eps).astype(float)
-    e = Projection.from_indicator(channel.algebra, mask)
+    trajectory = [avg for _, avg in ergodic_averages(channel, x, horizon)]
+    e = _strategy_hopf_abelian(channel, x, trajectory, eps, None)
     trace_budget = lp_norm(x, 1) / eps
     return _finalize(channel, x, e, horizon, trace_budget, eps,
                      "hopf", "two_sided", None, eps, 1.0, 1.0)
@@ -321,36 +309,52 @@ def _strategy_level_set(channel, x, trajectory, level, budget):
     return best
 
 
-def _strategy_peel(channel, x, trajectory, level, budget):
-    """Greedy peeling: repeatedly remove the top spectral direction of
-    the worst compressed average until the sup drops below the level or
-    the trace budget is exhausted.  Terminates because each step removes
-    at least the smallest block weight of trace."""
-    algebra = channel.algebra
+def peel(algebra, ops, level, budget, mode):
+    """Greedy peeling: repeatedly remove the top direction of the worst
+    compressed block among `ops` until its value drops to `level` or the
+    next removal would push the killed trace past `budget`.
+
+    `mode` sets the value of a compressed block c = e a e: the top
+    eigenvalue of its Hermitian part ("hermitian"), its norm
+    ("two_sided"), or ||a e|| = sqrt(lambda_max(c_1* c_1)) with
+    c_1 = a e ("one_sided").  Ties go to the first operator, then the
+    first block.  Returns (projection, killed trace); the projection is
+    the best infeasible candidate when the budget stops the loop.
+    Terminates because each step removes at least the smallest block
+    weight of trace.
+    """
+    if mode not in ("hermitian", "two_sided", "one_sided"):
+        raise ValueError(f"unknown mode {mode!r}")
     bases = [np.eye(d, dtype=complex) for d in algebra.dims]
     weights = algebra.weights
     defect = 0.0
-
-    def current_projection():
-        return Projection.from_basis(algebra, bases)
-
     while True:
         worst_value, worst = -np.inf, None
-        for a in trajectory:
-            for i in range(algebra.num_blocks):
-                basis = bases[i]
+        for op in ops:
+            for i, basis in enumerate(bases):
                 if basis.shape[1] == 0:
                     continue
-                comp = basis.conj().T @ a.block(i) @ basis
-                lam, vecs = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-                if lam[-1] > worst_value:
-                    worst_value = float(lam[-1])
-                    worst = (i, vecs[:, -1])
-        if worst_value <= level:
-            return current_projection()
+                if mode == "one_sided":
+                    block = op.block(i) @ basis
+                    gram = block.conj().T @ block
+                    lam, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+                    value = float(np.sqrt(max(lam[-1], 0.0)))
+                    direction = vecs[:, -1]
+                elif mode == "two_sided":
+                    comp = basis.conj().T @ op.block(i) @ basis
+                    _, s, vh = np.linalg.svd(comp)
+                    value, direction = float(s[0]), vh[0].conj()
+                else:
+                    comp = basis.conj().T @ op.block(i) @ basis
+                    lam, vecs = np.linalg.eigh((comp + comp.conj().T) / 2.0)
+                    value, direction = float(lam[-1]), vecs[:, -1]
+                if value > worst_value:
+                    worst_value, worst = value, (i, direction)
+        if worst is None or worst_value <= level:
+            break
         i, direction = worst
         if defect + weights[i] > budget:
-            return current_projection()  # best infeasible candidate
+            break
         # orthonormal complement of the offending direction inside block i
         basis = bases[i]
         r = basis.shape[1]
@@ -359,6 +363,11 @@ def _strategy_peel(channel, x, trajectory, level, budget):
         _, vecs = np.linalg.eigh(proj)
         bases[i] = basis @ vecs[:, 1:]
         defect += weights[i]
+    return Projection.from_basis(algebra, bases), defect
+
+
+def _strategy_peel(channel, x, trajectory, level, budget):
+    return peel(channel.algebra, trajectory, level, budget, "hermitian")[0]
 
 
 _STRATEGY_TABLE = {
@@ -386,7 +395,7 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps: float,
     if not x.is_positive(tol):
         raise NotPositiveError("yeadon witness requires x >= 0")
     trace_budget = lp_norm(x, 1) / eps
-    trajectory = _plain_trajectory(channel, x, horizon)
+    trajectory = [avg for _, avg in ergodic_averages(channel, x, horizon)]
 
     best_candidate = None
     for name in strategies:

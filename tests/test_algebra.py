@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ncergodic.algebra import (AlgebraSpec, Operator, Projection, adjoint,
-                               hermitian_decompose, trace, uniform_norm)
+from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
+                               hermitian_decompose)
 from ncergodic.errors import (AlgebraMismatchError,
                               ProjectionCertificateError)
 from ncergodic.ncnorms import lp_norm
@@ -37,28 +37,28 @@ class TestAlgebraSpec:
 
 class TestTrace:
     def test_identity_m2(self):
-        assert trace(M2.identity()) == pytest.approx(2.0)
+        assert M2.identity().trace() == pytest.approx(2.0)
 
     def test_weighted_identity(self):
-        assert trace(WEIGHTED.identity()) == pytest.approx(2.0)
+        assert WEIGHTED.identity().trace() == pytest.approx(2.0)
 
     def test_traceless_nilpotent(self):
         x = op([np.array([[0, 1], [0, 0]])])
-        assert trace(x) == pytest.approx(0.0)
+        assert x.trace() == pytest.approx(0.0)
 
     def test_linear(self):
         rng = stream(3, "trace")
         x = random_operator(M2, rng)
         y = random_operator(M2, rng)
-        lhs = trace(x * 2.5 + y * (1 - 2j))
-        rhs = 2.5 * trace(x) + (1 - 2j) * trace(y)
+        lhs = (x * 2.5 + y * (1 - 2j)).trace()
+        rhs = 2.5 * x.trace() + (1 - 2j) * y.trace()
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_positive_on_squares(self):
         rng = stream(4, "trace")
         for _ in range(20):
             x = random_operator(WEIGHTED, rng)
-            val = trace(x.adjoint() @ x)
+            val = (x.adjoint() @ x).trace()
             assert val.imag == pytest.approx(0.0, abs=1e-12)
             assert val.real >= -1e-12
 
@@ -68,13 +68,14 @@ class TestTrace:
         for _ in range(20):
             x = random_operator(alg, rng)
             y = random_operator(alg, rng)
-            assert trace(x @ y) == pytest.approx(trace(y @ x), abs=1e-12)
+            assert (x @ y).trace() == pytest.approx((y @ x).trace(),
+                                                    abs=1e-12)
 
     def test_faithful(self):
         rng = stream(6, "trace")
         for _ in range(10):
             x = random_operator(WEIGHTED, rng)
-            if abs(trace(x.adjoint() @ x)) < 1e-18:
+            if abs((x.adjoint() @ x).trace()) < 1e-18:
                 assert x.uniform_norm() < 1e-9
 
     def test_shape_mismatch(self):
@@ -87,7 +88,7 @@ class TestTrace:
 class TestStarAlgebra:
     def test_adjoint_example(self):
         x = op([np.array([[0, 1], [0, 0]])])
-        assert np.allclose(adjoint(x).block(0), [[0, 0], [1, 0]])
+        assert np.allclose(x.adjoint().block(0), [[0, 0], [1, 0]])
 
     def test_identity_neutral(self):
         rng = stream(7, "star")
@@ -106,8 +107,8 @@ class TestStarAlgebra:
     def test_trace_of_adjoint(self):
         rng = stream(9, "star")
         x = random_operator(M2, rng)
-        assert trace(x.adjoint()) == pytest.approx(np.conj(trace(x)),
-                                                   abs=1e-12)
+        assert x.adjoint().trace() == pytest.approx(np.conj(x.trace()),
+                                                    abs=1e-12)
 
     def test_blocks_are_immutable(self):
         x = M2.identity()
@@ -162,10 +163,10 @@ class TestHermitianDecompose:
 
 class TestUniformNorm:
     def test_identity(self):
-        assert uniform_norm(M2.identity()) == pytest.approx(1.0)
+        assert M2.identity().uniform_norm() == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert uniform_norm(op([np.diag([3.0, 1.0]).astype(complex)])) == \
+        assert op([np.diag([3.0, 1.0]).astype(complex)]).uniform_norm() == \
             pytest.approx(3.0)
 
     def test_submultiplicative_and_cstar(self):
@@ -173,10 +174,10 @@ class TestUniformNorm:
         for _ in range(10):
             x = random_operator(M2, rng)
             y = random_operator(M2, rng)
-            assert uniform_norm(x @ y) <= \
-                uniform_norm(x) * uniform_norm(y) + 1e-10
-            assert uniform_norm(x.adjoint() @ x) == \
-                pytest.approx(uniform_norm(x) ** 2, rel=1e-10)
+            assert (x @ y).uniform_norm() <= \
+                x.uniform_norm() * y.uniform_norm() + 1e-10
+            assert (x.adjoint() @ x).uniform_norm() == \
+                pytest.approx(x.uniform_norm() ** 2, rel=1e-10)
 
 
 class TestOperatorSerialization:

@@ -1,14 +1,40 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from ncergodic import cli, convergence
 from ncergodic.algebra import AlgebraSpec
-from ncergodic.dynamics import channel_from_spec
+from ncergodic.dynamics import CHANNEL_KINDS, channel_from_spec
 from ncergodic.rng import derive_seed
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
+
+# One small spec per channel kind, all on the two-atom diagonal algebra
+# (substochastic kinds need a diagonal algebra).
+DIAG2 = AlgebraSpec(((1, 1.0), (1, 1.0)))
+IDENTITY_2 = {"blocks": [[[1, 0]], [[1, 0]]]}
+MINIMAL_SPECS = {
+    "identity": {"kind": "identity"},
+    "unitary": {"kind": "unitary", "seed": 1},
+    "pinching": {"kind": "pinching", "labels": [0, 1]},
+    "schur": {"kind": "schur", "matrices": IDENTITY_2},
+    "substochastic": {"kind": "substochastic",
+                      "matrix": [[0.0, 0.5], [0.5, 0.0]]},
+    "kraus": {"kind": "kraus", "operators": [IDENTITY_2]},
+    "random-kraus": {"kind": "random-kraus"},
+    "unitary-mixture": {"kind": "unitary-mixture"},
+    "random-substochastic": {"kind": "random-substochastic"},
+    "convex": {"kind": "convex", "children": [{"kind": "identity"}],
+               "probabilities": [1.0]},
+    "compose": {"kind": "compose",
+                "children": [{"kind": "identity"}, {"kind": "identity"}]},
+    "scaled": {"kind": "scaled", "child": {"kind": "identity"},
+               "factor": [0.5, 0.0]},
+}
 
 
 def run_cli(*args):
@@ -63,3 +89,33 @@ class TestConvergeContract:
         code, _, _ = converge(FIXTURES / "m2_unitary.json", tmp_path)
         assert code == 0
         assert len(calls) == 1
+
+
+class TestChannelKinds:
+    def test_every_kind_builds_and_unknown_kind_exits_1(self, tmp_path):
+        assert set(MINIMAL_SPECS) == set(CHANNEL_KINDS)
+        for kind in CHANNEL_KINDS:
+            channel = channel_from_spec(DIAG2, MINIMAL_SPECS[kind], run_seed=3)
+            assert channel.is_ds_plus, kind
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config["channel"] = {"kind": "warp"}
+        path = tmp_path / "warp.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code, _, _ = converge(path, tmp_path / "out")
+        assert code == 1
+        assert "does not validate" in err.getvalue()
+
+
+class TestRuntimeImports:
+    def test_runtime_never_imports_scipy(self):
+        # scipy is a test extra only; importing it costs start-up time
+        # and resident memory on every CLI run
+        code = ("import sys, ncergodic, ncergodic.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        src = Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncergodic.algebra import AlgebraSpec, Operator
-from ncergodic.dynamics import (Channel, cesaro_channel, channel_from_spec,
-                                compose, convex_combine, ergodic_average,
-                                ergodic_averages, fixed_point,
-                                identity_channel, kraus_channel,
+from ncergodic.dynamics import (Channel, channel_from_spec, compose,
+                                convex_combine, ergodic_averages,
+                                fixed_point, identity_channel, kraus_channel,
                                 linear_combine, pinching,
                                 random_kraus_channel, random_substochastic,
                                 random_unitary_mixture, rotated_fixed_point,
                                 scale_channel, schur_multiplier,
-                                shifted_average_parts, substochastic,
-                                unitary_conjugation, verify_ds,
-                                weighted_average, weighted_averages)
+                                substochastic, unitary_conjugation,
+                                verify_ds)
 from ncergodic.errors import ChannelConstructionError, SemisimplicityError
 from ncergodic.ncnorms import lorentz_norm, lp_norm
 from ncergodic.rng import random_operator, random_unitary_operator, stream
@@ -31,6 +29,13 @@ PHASES = (1.0, -1.0, 1j, -1j, np.exp(2j * np.pi / 6))
 
 def mat(entries, algebra=M2):
     return Operator(algebra, [np.array(entries, dtype=complex)])
+
+
+def average(ch, x, n, beta=None):
+    """M_{beta,n}(x): the last value `ergodic_averages` yields."""
+    for _, avg in ergodic_averages(ch, x, n, beta):
+        pass
+    return avg
 
 
 class TestVerifyDS:
@@ -121,20 +126,27 @@ class TestErgodicAverage:
     def test_identity_channel(self):
         rng = stream(74, "avg")
         x = random_operator(M2, rng)
-        assert ergodic_average(identity_channel(M2), x, 17).allclose(x)
+        assert average(identity_channel(M2), x, 17).allclose(x)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            average(identity_channel(M2), M2.identity(), -1)
 
     def test_alternating_sign_example(self):
         ch = unitary_conjugation(mat([[1, 0], [0, -1]]))
         x = mat([[0, 1], [1, 0]])
-        assert ergodic_average(ch, x, 1).uniform_norm() < 1e-14
-        assert ergodic_average(ch, x, 2).allclose(x * (1 / 3), tol=1e-12)
+        assert average(ch, x, 1).uniform_norm() < 1e-14
+        assert average(ch, x, 2).allclose(x * (1 / 3), tol=1e-12)
 
     def test_iterator_matches_direct(self):
+        # against (1/(n+1)) sum_k S^k vec(x) with S the superoperator
         rng = stream(75, "avg")
         ch = random_kraus_channel(M4, 3, rng)
         x = random_operator(M4, rng)
-        for n, avg in ergodic_averages(ch, x, n_max=5):
-            assert avg.allclose(ergodic_average(ch, x, n), tol=1e-12)
+        for n, avg in ergodic_averages(ch, x, 5):
+            direct = sum(np.linalg.matrix_power(ch.superop, k) @ x.vec()
+                         for k in range(n + 1)) / (n + 1)
+            assert avg.allclose(Operator.from_vec(M4, direct), tol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
     def test_lp_contraction(self, p):
@@ -144,13 +156,13 @@ class TestErgodicAverage:
             x = random_operator(M4, rng)
             bound = lp_norm(x, p)
             for n in (1, 4, 16):
-                assert lp_norm(ergodic_average(ch, x, n), p) <= bound + 1e-9
+                assert lp_norm(average(ch, x, n), p) <= bound + 1e-9
 
     def test_positivity_preserved(self):
         rng = stream(77, "avg")
         ch = random_kraus_channel(M4, 2, rng)
         x = random_operator(M4, rng, kind="positive")
-        assert ergodic_average(ch, x, 9).is_positive()
+        assert average(ch, x, 9).is_positive()
 
     def test_commutative_embedding(self):
         # diagonal algebra: channel equals classical matrix-vector iteration
@@ -162,10 +174,10 @@ class TestErgodicAverage:
         x = alg.diagonal(v)
         acc = v.copy()
         current = v.copy()
-        for n in range(1, 9):
-            current = p @ current
-            acc += current
-            avg = ergodic_average(ch, x, n)
+        for n, avg in ergodic_averages(ch, x, 8):
+            if n:
+                current = p @ current
+                acc += current
             got = np.array([b[0, 0].real for b in avg.blocks])
             assert np.allclose(got, acc / (n + 1), atol=1e-12)
 
@@ -176,8 +188,8 @@ class TestWeightedAverage:
         ch = random_kraus_channel(M2, 2, rng)
         x = random_operator(M2, rng)
         beta = WeightSequence.constant(1.0)
-        assert weighted_average(ch, x, beta, 7).allclose(
-            ergodic_average(ch, x, 7), tol=1e-12)
+        assert average(ch, x, 7, beta).allclose(average(ch, x, 7),
+                                                tol=1e-12)
 
     def test_alternating_identity_closed_form(self):
         ch = identity_channel(M2)
@@ -185,22 +197,26 @@ class TestWeightedAverage:
         x = random_operator(M2, rng)
         beta = WeightSequence.periodic([1.0, -1.0])
         for n in (2, 6, 10):
-            assert weighted_average(ch, x, beta, n).allclose(
-                x * (1.0 / (n + 1)), tol=1e-12)
+            assert average(ch, x, n, beta).allclose(x * (1.0 / (n + 1)),
+                                                    tol=1e-12)
         for n in (1, 5, 9):
-            assert weighted_average(ch, x, beta, n).uniform_norm() < 1e-13
+            assert average(ch, x, n, beta).uniform_norm() < 1e-13
 
     def test_shift_decomposition_identity(self):
+        # M_beta = M_{Re beta + C} + i M_{Im beta + C} - C(1+i) M
         rng = stream(81, "wavg")
         ch = random_kraus_channel(M4, 3, rng)
         x = random_operator(M4, rng)
-        beta = WeightSequence.periodic([1.0, 1j, -1.0, -1j])
+        period = [1.0, 1j, -1.0, -1j]
+        beta = WeightSequence.periodic(period)
         c = beta.bound
+        re_shift = WeightSequence.periodic([v.real + c for v in period])
+        im_shift = WeightSequence.periodic([v.imag + c for v in period])
         for n in (3, 9):
-            m_r, m_i, m_plain = shifted_average_parts(ch, x, beta, n)
-            rebuilt = m_r + m_i * 1j - m_plain * (c * (1 + 1j))
-            assert rebuilt.allclose(weighted_average(ch, x, beta, n),
-                                    tol=1e-10)
+            rebuilt = (average(ch, x, n, re_shift)
+                       + average(ch, x, n, im_shift) * 1j
+                       - average(ch, x, n) * (c * (1 + 1j)))
+            assert rebuilt.allclose(average(ch, x, n, beta), tol=1e-10)
 
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
     def test_lorentz_bound_6c(self, p, q):
@@ -212,7 +228,7 @@ class TestWeightedAverage:
             x = random_operator(M4, rng)
             bound = 6 * c * lorentz_norm(x, p, q)
             for n in (1, 8, 32):
-                assert lorentz_norm(weighted_average(ch, x, beta, n),
+                assert lorentz_norm(average(ch, x, n, beta),
                                     p, q) <= bound + 1e-9
 
     def test_bound_violation_rejected(self):
@@ -220,29 +236,22 @@ class TestWeightedAverage:
         beta.bound = 2.0  # tamper: declared bound below actual values
         ch = identity_channel(M2)
         with pytest.raises(ValueError):
-            weighted_average(ch, M2.identity(), beta, 4)
+            average(ch, M2.identity(), 4, beta)
 
 
 class TestAveragedChannels:
-    def test_cesaro_channel_is_ds(self):
-        rng = stream(83, "cesaro")
-        ch = random_kraus_channel(M4, 3, rng)
-        for n in (1, 5, 17):
-            avg_ch = cesaro_channel(ch, n)
-            assert verify_ds(avg_ch).is_ds_plus
-            x = random_operator(M4, rng)
-            assert avg_ch.apply(x).allclose(ergodic_average(ch, x, n),
-                                            tol=1e-10)
-
     def test_shifted_channels_subunital_after_scaling(self):
-        from ncergodic.dynamics import shifted_cesaro_channels
+        # the shifted coefficients lie in [0, 2C], so ||M_{Re beta+C,n}(1)||
+        # and ||M_{Im beta+C,n}(1)|| stay <= 2C for a subunital channel
         rng = stream(84, "cesaro")
         ch = random_kraus_channel(M4, 2, rng)
-        beta = WeightSequence.periodic([1.0, -1j])
-        re_ch, im_ch = shifted_cesaro_channels(ch, beta, 6)
-        for part in (re_ch, im_ch):
-            scaled = scale_channel(part, 1.0 / (2 * beta.bound))
-            assert verify_ds(scaled).subunital
+        period = [1.0, -1j]
+        c = WeightSequence.periodic(period).bound
+        for part in (lambda v: v.real, lambda v: v.imag):
+            shifted = WeightSequence.periodic([part(v) + c for v in period])
+            for n in (1, 6, 17):
+                value = average(ch, M4.identity(), n, shifted).uniform_norm()
+                assert value <= 2 * c + 1e-12
 
 
 class TestFixedPoint:
@@ -278,7 +287,7 @@ class TestFixedPoint:
         x = random_operator(M4, rng)
         x_hat = fixed_point(ch, x)
         res = [(x_hat - avg).uniform_norm()
-               for n, avg in ergodic_averages(ch, x, n_max=512)
+               for n, avg in ergodic_averages(ch, x, 512)
                if n in (64, 512)]
         assert res[1] < res[0]
         assert res[1] < 0.05 * x.uniform_norm()
@@ -313,7 +322,7 @@ class TestRateAndSpectrum:
         x = mat([[0.3, 1], [1, -0.2]])
         x_hat = fixed_point(ch, x)
         values = [(n + 1) * (x_hat - avg).uniform_norm()
-                  for n, avg in ergodic_averages(ch, x, n_max=128)]
+                  for n, avg in ergodic_averages(ch, x, 128)]
         assert max(values) <= 2.0 * x.uniform_norm() + 1e-9
 
     def test_gap_of_strict_contraction(self):

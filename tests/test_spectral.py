@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncergodic.algebra import AlgebraSpec, Operator, Projection, trace
+from ncergodic.algebra import AlgebraSpec, Operator, Projection
 from ncergodic.errors import NotHermitianError, NotPositiveError
 from ncergodic.rng import random_operator, random_projection, stream
 from ncergodic.spectral import (abs_value, eigh, positive_power,
@@ -86,8 +86,8 @@ class TestAbsValue:
         for _ in range(10):
             x = random_operator(MIXED, rng)
             ax = abs_value(x)
-            assert trace(ax @ ax) == pytest.approx(
-                trace(x.adjoint() @ x), abs=1e-10)
+            assert (ax @ ax).trace() == pytest.approx(
+                (x.adjoint() @ x).trace(), abs=1e-10)
             assert ax.uniform_norm() == pytest.approx(x.uniform_norm(),
                                                       abs=1e-10)
             assert ax.is_positive()
@@ -113,7 +113,7 @@ class TestSpectralProjection:
             eps = 0.5
             e = spectral_projection(x, eps, None, closed_lower=False)
             positive_part = eigh(x).apply(lambda t: max(t, 0.0))
-            assert e.trace() <= trace(positive_part).real / eps + 1e-10
+            assert e.trace() <= positive_part.trace().real / eps + 1e-10
 
     def test_complementary_intervals(self):
         rng = stream(26, "proj")
