@@ -72,6 +72,13 @@ class AlgebraSpec:
             pos += d * d
         return offs
 
+    def block_stacks(self, vecs):
+        """Per-block views, each shaped (m, d_i, d_i), of m vectorized
+        operators stacked as the rows of an (m, vec_dim) array."""
+        vecs = np.asarray(vecs)
+        return tuple(vecs[:, off:off + d * d].reshape(-1, d, d)
+                     for off, d in zip(self.block_offsets(), self.dims))
+
     def identity(self) -> "Operator":
         return Operator(self, [np.eye(d, dtype=complex) for d in self.dims])
 
@@ -356,27 +363,32 @@ class Projection:
         return self.rank() == sum(self.algebra.dims)
 
 
-def compressed_norm(x: Operator, e: Projection) -> float:
-    """||e x e|| computed on the range of e (exactly zero for e = 0)."""
+def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
+    """max over a stack of operators a of ||e a e|| ("two_sided") or
+    ||a e|| ("one_sided"), computed on the range of e with one batched
+    SVD per block; `stacks` holds one (m, d_i, d_i) array per block (see
+    `AlgebraSpec.block_stacks`).  Exactly zero for e = 0."""
+    if mode not in ("two_sided", "one_sided"):
+        raise ValueError(f"unknown mode {mode!r}")
     best = 0.0
-    for i in range(x.algebra.num_blocks):
+    for i, stack in enumerate(stacks):
         basis = e.block_basis(i)
-        if basis.shape[1] == 0:
+        if basis.shape[1] == 0 or len(stack) == 0:
             continue
-        c = basis.conj().T @ x.block(i) @ basis
-        best = max(best, float(np.linalg.norm(c, 2)))
+        c = (basis.conj().T @ stack @ basis if mode == "two_sided"
+             else stack @ basis)
+        best = max(best, float(np.linalg.svd(c, compute_uv=False)[:, 0].max()))
     return best
+
+
+def compressed_norm(x: Operator, e: Projection) -> float:
+    """||e x e||: `compressed_sup` of the stack of one."""
+    return compressed_sup([b[None] for b in x.blocks], e)
 
 
 def one_sided_norm(x: Operator, e: Projection) -> float:
-    """||x e|| via the compressed column space of e."""
-    best = 0.0
-    for i in range(x.algebra.num_blocks):
-        basis = e.block_basis(i)
-        if basis.shape[1] == 0:
-            continue
-        best = max(best, float(np.linalg.norm(x.block(i) @ basis, 2)))
-    return best
+    """||x e||: `compressed_sup` of the stack of one."""
+    return compressed_sup([b[None] for b in x.blocks], e, "one_sided")
 
 
 def require_hermitian(x: Operator, tol=None, what="operator"):

@@ -7,9 +7,10 @@ CSV output regardless of the --jobs setting, because cells are keyed,
 computed independently and written in key order.
 
 Exit codes: 0 success (including not-found witness searches, which are
-data not errors), 1 invalid configuration, 2 checker discrepancy (a
-witness claiming to pass fails independent re-verification; this must
-never happen).
+data not errors), 1 invalid configuration (including a channel spec
+that cannot be built), 2 checker discrepancy (a witness whose checker
+verdict contradicts its own measured trace defect and sup against its
+budgets; this must never happen).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, trajectory)
 from .dynamics import CHANNEL_KINDS, channel_from_spec, verify_ds
-from .errors import ConfigError
+from .errors import ChannelConstructionError, ConfigError
 from .funcspace import boyd_estimate, dilation_norm_estimate
-from .maximal import (check_witness, hopf_witness_commutative, is_found,
-                      lp_witness, one_sided_witness, weighted_witness,
+from .maximal import (hopf_witness_commutative, is_found, lp_witness,
+                      one_sided_witness, weighted_witness,
                       yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
                       singular_function, submajorizes)
@@ -280,20 +281,12 @@ def _certify_cell(config, algebra, cell):
     beta = _weights_from(section.get("weights"))
 
     result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
-
-    if is_found(result):
-        recheck = check_witness(channel, x, result.projection, horizon,
-                                result.trace_budget, result.sup_budget,
-                                result.mode,
-                                None if beta.is_constant_one or method in
-                                ("yeadon", "hopf", "lp") else beta)
-        discrepancy = result.checker_passed and not recheck.passed
-        report = result
-        found = True
-    else:
-        discrepancy = False
-        report = result.best_candidate
-        found = False
+    found = is_found(result)
+    report = result if found else result.best_candidate
+    # the builders ran the independent checker already; a verdict that
+    # its own measurements contradict is a discrepancy
+    discrepancy = (report is not None
+                   and report.checker_passed != report.within_budgets())
 
     row_tail = [method, found]
     if report is not None:
@@ -553,7 +546,7 @@ def main(argv=None):
     try:
         header, rows, summary, code = _RUNNERS[args.subcommand](config,
                                                                 args.jobs)
-    except ConfigError as exc:
+    except (ConfigError, ChannelConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     csv_path, json_path = _write_outputs(args.out, args.subcommand, config,

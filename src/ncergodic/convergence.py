@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Operator, Projection, compressed_norm, one_sided_norm
+from .algebra import Operator, Projection, compressed_sup
 from .dynamics import (Channel, ergodic_averages, fixed_point,
                        rotated_fixed_point)
 from .errors import UnsupportedNormError
@@ -93,7 +93,8 @@ def _sampled_averages(channel: Channel, x: Operator, horizon: int,
     """{n: M_{beta,n}(x)} for n in the dyadic schedule of the horizon, in
     schedule order, from a single pass of `ergodic_averages`."""
     wanted = set(dyadic_schedule(horizon))
-    return {n: avg for n, avg in ergodic_averages(channel, x, horizon, beta)
+    return {n: Operator.from_vec(channel.algebra, vec)
+            for n, vec in ergodic_averages(channel, x, horizon, beta)
             if n in wanted}
 
 
@@ -148,27 +149,21 @@ class ConvergenceWitness:
         return self.profile[-1]
 
 
-def _compressed_value(op, e, mode):
-    return (one_sided_norm(op, e) if mode == "one_sided"
-            else compressed_norm(op, e))
-
-
 def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
     """Peel the tail deviations limit - M_n, n >= horizon/2, with a trace
     budget of eps, then profile the compressed deviations."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     schedule = dyadic_schedule(horizon)
-    deviations = {n: limit - averages[n] for n in schedule}
-    tail_start = horizon // 2
-    tail = [deviations[n] for n in schedule if n >= tail_start]
+    tail_points = [n for n in schedule if n >= horizon // 2]
+    tail = algebra.block_stacks([(limit - averages[n]).vec()
+                                 for n in tail_points])
     e, defect = peel(algebra, tail, PEEL_FLOOR, eps, mode)
 
     profile = []
     for n in schedule:
-        tail_points = [m for m in schedule if m >= max(n, tail_start)]
-        profile.append(max(_compressed_value(deviations[m], e, mode)
-                           for m in tail_points))
+        first = sum(m < n for m in tail_points)  # tail points m >= n
+        profile.append(compressed_sup([s[first:] for s in tail], e, mode))
     return ConvergenceWitness(e, schedule, profile, mode, eps, defect)
 
 

@@ -3,7 +3,7 @@ ergodic averages and exact Cesaro limits.
 
 One recurrence, `ergodic_averages`, yields the plain averages M_n and
 the Besicovitch-weighted averages M_{beta,n} alike (the plain ones are
-beta = 1).
+beta = 1), as vectors multiplied by the superoperator step by step.
 
 A channel is stored as a dense superoperator on the vectorized algebra,
 whose spectrum it computes once and caches for the spectral gap and the
@@ -479,8 +479,9 @@ def random_substochastic(algebra: AlgebraSpec, rng, slack=0.05) -> Channel:
 # ---------------------------------------------------------------------
 
 def ergodic_averages(channel: Channel, x: Operator, n_max: int, beta=None):
-    """Yield (n, M_{beta,n}(x)) for n = 0..n_max, one channel application
-    per step, where M_{beta,n}(x) = (1/(n+1)) sum_{k<=n} beta_k T^k(x).
+    """Yield (n, vec M_{beta,n}(x)) for n = 0..n_max, one superoperator
+    product per step, where M_{beta,n}(x) = (1/(n+1)) sum_{k<=n} beta_k
+    T^k(x) and vec is the vectorization of `Operator.vec`.
 
     beta=None gives the plain averages M_n (beta = 1) without a per-step
     multiply.  A negative n_max, or a beta whose values exceed its
@@ -488,20 +489,23 @@ def ergodic_averages(channel: Channel, x: Operator, n_max: int, beta=None):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if x.algebra != channel.algebra:
+        raise ChannelConstructionError("operator from a different algebra")
     values = None
     if beta is not None:
         values = beta.values(n_max)
         if np.max(np.abs(values)) > beta.bound + 1e-12:
             raise ValueError("weight bound violated on the requested window")
-    current = x
-    running = x if values is None else x * values[0]
+    superop = channel.superop
+    current = x.vec()
+    running = current if values is None else complex(values[0]) * current
     for n in range(n_max + 1):
-        yield n, running * (1.0 / (n + 1))
+        yield n, complex(1.0 / (n + 1)) * running
         if n == n_max:
             return
-        current = channel.apply(current)
+        current = superop @ current
         running = running + (current if values is None
-                             else current * values[n + 1])
+                             else complex(values[n + 1]) * current)
 
 
 # ---------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 A witness certifies a maximal inequality at a finite horizon: a
 projection e with small trace defect tau(e_perp) together with a uniform
-bound on the compressed averages, e.g. sup_{n<=N} ||e M_n(x) e||.  Every
-construction here is re-measured by an independent checker that
-recomputes the averages from the raw channel and shares no intermediate
-state with the search.
+bound on the compressed averages, e.g. sup_{n<=N} ||e M_n(x) e||.
+
+The averages M_0(x), ..., M_N(x) are held as stacks, one (N+1, d_i, d_i)
+array per block, so a supremum over n is one batched LAPACK call per
+block (`compressed_sup`) and a peeling step one batched eigh or SVD per
+block.  Every construction here is re-measured by an independent checker
+that rebuilds its own stacks from the raw channel with a fresh pass of
+the recurrence and shares no intermediate state with the search.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (Operator, Projection, compressed_norm,
-                      hermitian_decompose, one_sided_norm, require_hermitian)
+from .algebra import (Operator, Projection, compressed_sup,
+                      hermitian_decompose, require_hermitian)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
@@ -54,6 +58,13 @@ class WitnessReport:
     eps: float = 0.0
     p: float = 1.0
     weight_bound: float = 1.0
+
+    def within_budgets(self, tol=None) -> bool:
+        """Whether the measured constants meet the budgets, the test
+        behind checker_passed."""
+        tol = resolve_tol(tol)
+        return bool(self.trace_defect <= self.trace_budget + tol
+                    and self.sup_compression <= self.sup_budget + tol)
 
     @property
     def trace_ratio(self) -> float:
@@ -116,19 +127,20 @@ class CheckOutcome:
         return self.passed_trace and self.passed_sup
 
 
+def _average_stacks(channel: Channel, x: Operator, horizon: int):
+    """Per-block stacks of M_n(x) for n = 0..horizon, from one pass of
+    `ergodic_averages`."""
+    vecs = np.array([vec for _, vec in ergodic_averages(channel, x, horizon)])
+    return channel.algebra.block_stacks(vecs)
+
+
 def measure_compressions(channel: Channel, x: Operator, e: Projection,
                          horizon: int, mode="two_sided", beta=None) -> float:
     """sup over n <= horizon of the compressed average norm, recomputed
-    from scratch with one channel application per step."""
-    best = 0.0
-    for _, avg in ergodic_averages(channel, x, horizon, beta):
-        if mode == "two_sided":
-            best = max(best, compressed_norm(avg, e))
-        elif mode == "one_sided":
-            best = max(best, one_sided_norm(avg, e))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return best
+    from scratch: a fresh pass of the recurrence, stacked per block."""
+    vecs = np.array([vec for _, vec in
+                     ergodic_averages(channel, x, horizon, beta)])
+    return compressed_sup(channel.algebra.block_stacks(vecs), e, mode)
 
 
 def check_witness(channel: Channel, x: Operator, e: Projection,
@@ -218,22 +230,31 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
     if not x.is_positive(tol):
         raise NotPositiveError("hopf witness requires x >= 0")
 
-    trajectory = [avg for _, avg in ergodic_averages(channel, x, horizon)]
-    e = _strategy_hopf_abelian(channel, x, trajectory, eps, None)
+    stacks = _average_stacks(channel, x, horizon)
+    e = _strategy_hopf_abelian(channel, x, stacks, eps, None)
     trace_budget = lp_norm(x, 1) / eps
     return _finalize(channel, x, e, horizon, trace_budget, eps,
                      "hopf", "two_sided", None, eps, 1.0, 1.0)
 
 
-def _strategy_identity(channel, x, trajectory, level, budget):
+def _ordered_sum(stack):
+    """Sum over the first axis, added in stack order (cumsum is
+    sequential; a plain reduction may pair the terms differently)."""
+    return np.cumsum(stack, axis=0)[-1]
+
+
+def _hermitian(stack):
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _strategy_identity(channel, x, stacks, level, budget):
     e = Projection.identity(channel.algebra)
-    sup_value = max(compressed_norm(a, e) for a in trajectory)
-    if sup_value <= level:
+    if compressed_sup(stacks, e) <= level:
         return e
     return None
 
 
-def _strategy_hopf_abelian(channel, x, trajectory, level, budget):
+def _strategy_hopf_abelian(channel, x, stacks, level, budget):
     """Hopf indicator in the joint eigenbasis, when all averages commute.
 
     Diagonal algebras short-circuit to the classical construction; in a
@@ -242,34 +263,25 @@ def _strategy_hopf_abelian(channel, x, trajectory, level, budget):
     """
     algebra = channel.algebra
     if algebra.is_diagonal:
-        running = np.array([max(a.block(i)[0, 0].real for a in trajectory)
-                            for i in range(algebra.num_blocks)])
+        running = np.array([s[:, 0, 0].real.max() for s in stacks])
         return Projection.from_indicator(algebra, (running <= level).astype(float))
 
-    total = trajectory[0]
-    for a in trajectory[1:]:
-        total = total + a
-    bases = []
-    for i, d in enumerate(algebra.dims):
-        b = total.block(i)
-        _, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        bases.append(vecs)
     kept = []
-    for i, d in enumerate(algebra.dims):
-        running = np.full(d, -np.inf)
-        q = bases[i]
-        for a in trajectory:
-            rotated = q.conj().T @ a.block(i) @ q
-            off = rotated - np.diag(np.diag(rotated))
-            scale_ref = max(1.0, float(np.abs(rotated).max()))
-            if np.abs(off).max() > COMMUTING_TOL * scale_ref:
-                return None  # not simultaneously diagonal
-            running = np.maximum(running, np.diag(rotated).real)
+    for stack in stacks:
+        _, q = np.linalg.eigh(_hermitian(_ordered_sum(stack)))
+        rotated = q.conj().T @ stack @ q
+        size = np.abs(rotated)
+        scale_ref = np.maximum(1.0, size.max(axis=(1, 2)))
+        diagonal = np.arange(q.shape[0])
+        size[:, diagonal, diagonal] = 0.0
+        if np.any(size.max(axis=(1, 2)) > COMMUTING_TOL * scale_ref):
+            return None  # not simultaneously diagonal
+        running = np.diagonal(rotated, axis1=1, axis2=2).real.max(axis=0)
         kept.append(q[:, running <= level])
     return Projection.from_basis(algebra, kept)
 
 
-def _strategy_level_set(channel, x, trajectory, level, budget):
+def _strategy_level_set(channel, x, stacks, level, budget):
     """Spectral cut of the mean of the averages.
 
     Thresholds run over the clustered spectrum of B = mean_n M_n(x); the
@@ -278,10 +290,9 @@ def _strategy_level_set(channel, x, trajectory, level, budget):
     defect) within the trace budget whose measured sup stays below the
     level.
     """
-    mean = trajectory[0]
-    for a in trajectory[1:]:
-        mean = mean + a
-    mean = mean * (1.0 / len(trajectory))
+    scale = complex(1.0 / len(stacks[0]))
+    mean = Operator(channel.algebra,
+                    [scale * _ordered_sum(stack) for stack in stacks])
     dec = eigh(mean)
 
     candidates = []  # ascending threshold; defect descending
@@ -293,7 +304,7 @@ def _strategy_level_set(channel, x, trajectory, level, budget):
         return None
 
     def sup_of(proj):
-        return max(compressed_norm(a, proj) for a in trajectory)
+        return compressed_sup(stacks, proj)
 
     lo, hi = 0, len(feasible) - 1
     best = None
@@ -309,19 +320,22 @@ def _strategy_level_set(channel, x, trajectory, level, budget):
     return best
 
 
-def peel(algebra, ops, level, budget, mode):
+def peel(algebra, stacks, level, budget, mode):
     """Greedy peeling: repeatedly remove the top direction of the worst
-    compressed block among `ops` until its value drops to `level` or the
-    next removal would push the killed trace past `budget`.
+    compressed block among the operators in `stacks` (one (m, d_i, d_i)
+    array per block, see `AlgebraSpec.block_stacks`) until its value
+    drops to `level` or the next removal would push the killed trace
+    past `budget`.
 
     `mode` sets the value of a compressed block c = e a e: the top
     eigenvalue of its Hermitian part ("hermitian"), its norm
     ("two_sided"), or ||a e|| = sqrt(lambda_max(c_1* c_1)) with
-    c_1 = a e ("one_sided").  Ties go to the first operator, then the
-    first block.  Returns (projection, killed trace); the projection is
-    the best infeasible candidate when the budget stops the loop.
-    Terminates because each step removes at least the smallest block
-    weight of trace.
+    c_1 = a e ("one_sided").  Each step takes one batched eigh or SVD
+    per block.  Ties go to the first operator, then the first block.
+    Returns (projection, killed trace); the projection is the best
+    infeasible candidate when the budget stops the loop.  Terminates
+    because each step removes at least the smallest block weight of
+    trace.
     """
     if mode not in ("hermitian", "two_sided", "one_sided"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -329,32 +343,36 @@ def peel(algebra, ops, level, budget, mode):
     weights = algebra.weights
     defect = 0.0
     while True:
-        worst_value, worst = -np.inf, None
-        for op in ops:
-            for i, basis in enumerate(bases):
-                if basis.shape[1] == 0:
-                    continue
-                if mode == "one_sided":
-                    block = op.block(i) @ basis
-                    gram = block.conj().T @ block
-                    lam, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-                    value = float(np.sqrt(max(lam[-1], 0.0)))
-                    direction = vecs[:, -1]
-                elif mode == "two_sided":
-                    comp = basis.conj().T @ op.block(i) @ basis
-                    _, s, vh = np.linalg.svd(comp)
-                    value, direction = float(s[0]), vh[0].conj()
-                else:
-                    comp = basis.conj().T @ op.block(i) @ basis
-                    lam, vecs = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-                    value, direction = float(lam[-1]), vecs[:, -1]
-                if value > worst_value:
-                    worst_value, worst = value, (i, direction)
-        if worst is None or worst_value <= level:
+        # values[op, block]; argmax in C order keeps the first maximum
+        # with operators outer, as a strict > over the loops would
+        values = np.full((len(stacks[0]), len(bases)), -np.inf)
+        directions = [None] * len(bases)
+        for i, (stack, basis) in enumerate(zip(stacks, bases)):
+            if basis.shape[1] == 0:
+                continue
+            if mode == "one_sided":
+                block = stack @ basis
+                lam, vecs = np.linalg.eigh(
+                    _hermitian(block.conj().swapaxes(1, 2) @ block))
+                values[:, i] = np.sqrt(np.maximum(lam[:, -1], 0.0))
+                directions[i] = vecs[:, :, -1]
+            elif mode == "two_sided":
+                _, s, vh = np.linalg.svd(basis.conj().T @ stack @ basis)
+                values[:, i] = s[:, 0]
+                directions[i] = vh[:, 0].conj()
+            else:
+                lam, vecs = np.linalg.eigh(
+                    _hermitian(basis.conj().T @ stack @ basis))
+                values[:, i] = lam[:, -1]
+                directions[i] = vecs[:, :, -1]
+        if values.size == 0:
             break
-        i, direction = worst
+        op, i = np.unravel_index(np.argmax(values), values.shape)
+        if values[op, i] <= level:
+            break
         if defect + weights[i] > budget:
             break
+        direction = directions[i][op]
         # orthonormal complement of the offending direction inside block i
         basis = bases[i]
         r = basis.shape[1]
@@ -366,8 +384,8 @@ def peel(algebra, ops, level, budget, mode):
     return Projection.from_basis(algebra, bases), defect
 
 
-def _strategy_peel(channel, x, trajectory, level, budget):
-    return peel(channel.algebra, trajectory, level, budget, "hermitian")[0]
+def _strategy_peel(channel, x, stacks, level, budget):
+    return peel(channel.algebra, stacks, level, budget, "hermitian")[0]
 
 
 _STRATEGY_TABLE = {
@@ -395,12 +413,12 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps: float,
     if not x.is_positive(tol):
         raise NotPositiveError("yeadon witness requires x >= 0")
     trace_budget = lp_norm(x, 1) / eps
-    trajectory = [avg for _, avg in ergodic_averages(channel, x, horizon)]
+    stacks = _average_stacks(channel, x, horizon)
 
     best_candidate = None
     for name in strategies:
         strategy = _STRATEGY_TABLE[name]
-        e = strategy(channel, x, trajectory, eps, trace_budget)
+        e = strategy(channel, x, stacks, eps, trace_budget)
         if e is None:
             continue
         report = _finalize(channel, x, e, horizon, trace_budget, eps,

@@ -6,12 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ncergodic import cli, convergence
-from ncergodic.algebra import AlgebraSpec
+from ncergodic.algebra import AlgebraSpec, Projection
 from ncergodic.dynamics import CHANNEL_KINDS, channel_from_spec
+from ncergodic.maximal import WitnessReport
 from ncergodic.rng import derive_seed
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
+# Outputs of the bundled fixtures recorded for the benchmark's check.
+REFERENCE = Path(cli.__file__).parents[2] / "perfbench" / "reference"
 
 # One small spec per channel kind, all on the two-atom diagonal algebra
 # (substochastic kinds need a diagonal algebra).
@@ -105,6 +110,55 @@ class TestChannelKinds:
             code, _, _ = converge(path, tmp_path / "out")
         assert code == 1
         assert "does not validate" in err.getvalue()
+
+    def test_nested_unknown_kind_exits_1(self, tmp_path):
+        # the schema checks only the top-level kind; the builder rejects
+        # the nested one, and that is a config error, not a traceback
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config["channel"] = {"kind": "convex",
+                             "children": [{"kind": "warp"}],
+                             "probabilities": [1.0]}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli("verify-channel", "--config", str(path),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert "'warp'" in err.getvalue()
+
+
+class TestCertifyContract:
+    @pytest.mark.parametrize("name", ["cycle4", "kraus8"])
+    def test_fixture_matches_reference(self, tmp_path, name):
+        code = run_cli("certify", "--config", str(FIXTURES / f"{name}.json"),
+                       "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == (REFERENCE / "fixtures" / f"{name}.csv").read_bytes())
+
+    def test_contradicted_verdict_exits_2(self, tmp_path, monkeypatch):
+        def overclaiming(ch, x, p, beta, eps, n):
+            return WitnessReport(
+                projection=Projection.identity(ch.algebra),
+                trace_defect=0.0, trace_budget=1.0,
+                sup_compression=2.0 * eps, sup_budget=eps, horizon=n,
+                method="overclaiming", mode="two_sided",
+                checker_passed=True)
+
+        monkeypatch.setitem(cli._CERTIFY_BUILDERS, "yeadon", overclaiming)
+        config = json.loads((FIXTURES / "cycle4.json").read_text())
+        config["certify"]["methods"] = ["hopf", "yeadon"]
+        path = tmp_path / "overclaim.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli("certify", "--config", str(path),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "checker discrepancy" in err.getvalue()
+        summary = json.loads((tmp_path / "certify.json").read_text())
+        assert summary["summary"]["checker_discrepancies"] == 1
+        assert summary["summary"]["found"] == 2
 
 
 class TestRuntimeImports:

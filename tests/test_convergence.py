@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncergodic import cli
+from ncergodic import cli, convergence
 from ncergodic.algebra import (AlgebraSpec, Projection, compressed_norm,
                               one_sided_norm)
 from ncergodic.convergence import (NormSpec, au_witness, bau_witness,
                                    besicovitch_experiment, trajectory)
-from ncergodic.dynamics import Channel, random_kraus_channel
+from ncergodic.dynamics import random_kraus_channel
 from ncergodic.maximal import peel
 from ncergodic.rng import random_operator, stream
 from ncergodic.weights import WeightSequence
@@ -23,29 +23,25 @@ NORMS = (NormSpec.uniform(), NormSpec.lp(2))
 
 @pytest.fixture
 def apply_calls(monkeypatch):
-    """List that gets one entry per Channel.apply call."""
+    """List that gets one entry per channel step of the averages
+    recurrence in `convergence`: every average after M_0 costs one
+    superoperator product."""
     calls = []
-    apply = Channel.apply
+    averages = convergence.ergodic_averages
 
-    def counting_apply(self, x):
-        calls.append(1)
-        return apply(self, x)
+    def counting_averages(*args, **kwargs):
+        for n, vec in averages(*args, **kwargs):
+            if n:
+                calls.append(n)
+            yield n, vec
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(convergence, "ergodic_averages", counting_averages)
     return calls
 
 
 class TestOnePassPerCell:
-    def test_converge_cell_applies_horizon_times(self, tmp_path, monkeypatch,
+    def test_converge_cell_applies_horizon_times(self, tmp_path,
                                                  apply_calls):
-        build = cli.channel_from_spec
-
-        def build_then_reset(*args, **kwargs):
-            channel = build(*args, **kwargs)
-            apply_calls.clear()  # drop the DS checks made while building
-            return channel
-
-        monkeypatch.setattr(cli, "channel_from_spec", build_then_reset)
         path = FIXTURES / "m2_unitary.json"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["converge", "--config", str(path),
@@ -58,7 +54,6 @@ class TestOnePassPerCell:
         channel = random_kraus_channel(MULTI, 3, rng)
         x = random_operator(MULTI, rng)
         beta = WeightSequence.periodic([1.0, 1j, -1.0, -1j])
-        apply_calls.clear()
         report = besicovitch_experiment(channel, x, beta, 64, NORMS)
         assert len(apply_calls) == 64
         assert report.schedule == [1, 2, 4, 8, 16, 32, 64]
@@ -102,6 +97,10 @@ def hermitian_top(op, e):
     return best
 
 
+def stacks(ops):
+    return MULTI.block_stacks([op.vec() for op in ops])
+
+
 MEASURES = {"hermitian": hermitian_top, "two_sided": compressed_norm,
             "one_sided": one_sided_norm}
 
@@ -114,7 +113,7 @@ class TestPeel:
                for _ in range(3)]
         level = 0.5 * max(MEASURES[mode](op, Projection.identity(MULTI))
                           for op in ops)
-        e, defect = peel(MULTI, ops, level, np.inf, mode)
+        e, defect = peel(MULTI, stacks(ops), level, np.inf, mode)
         assert 0 < defect == pytest.approx(e.defect())
         assert max(MEASURES[mode](op, e) for op in ops) <= level
 
@@ -123,7 +122,7 @@ class TestPeel:
         rng = stream(304, "peel", mode)
         ops = [random_operator(MULTI, rng, kind="positive")]
         budget = 2.0  # below the weight 3.0 of the 1x1 block
-        e, defect = peel(MULTI, ops, 0.0, budget, mode)
+        e, defect = peel(MULTI, stacks(ops), 0.0, budget, mode)
         assert defect <= budget
         assert defect == pytest.approx(e.defect())
         # the next removal would have passed the budget
@@ -133,10 +132,11 @@ class TestPeel:
     def test_emptied_blocks(self, mode):
         # every direction of every block is peeled; emptied bases are
         # skipped and the loop ends with the zero projection
-        e, defect = peel(MULTI, [MULTI.identity()], 0.5, np.inf, mode)
+        e, defect = peel(MULTI, stacks([MULTI.identity()]), 0.5, np.inf,
+                         mode)
         assert defect == pytest.approx(MULTI.identity().trace().real)
         assert e.rank() == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            peel(MULTI, [MULTI.identity()], 0.5, 1.0, "diagonal")
+            peel(MULTI, stacks([MULTI.identity()]), 0.5, 1.0, "diagonal")

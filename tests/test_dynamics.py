@@ -32,10 +32,10 @@ def mat(entries, algebra=M2):
 
 
 def average(ch, x, n, beta=None):
-    """M_{beta,n}(x): the last value `ergodic_averages` yields."""
-    for _, avg in ergodic_averages(ch, x, n, beta):
+    """M_{beta,n}(x): the last vector `ergodic_averages` yields."""
+    for _, vec in ergodic_averages(ch, x, n, beta):
         pass
-    return avg
+    return Operator.from_vec(ch.algebra, vec)
 
 
 class TestVerifyDS:
@@ -143,10 +143,32 @@ class TestErgodicAverage:
         rng = stream(75, "avg")
         ch = random_kraus_channel(M4, 3, rng)
         x = random_operator(M4, rng)
-        for n, avg in ergodic_averages(ch, x, 5):
+        for n, vec in ergodic_averages(ch, x, 5):
             direct = sum(np.linalg.matrix_power(ch.superop, k) @ x.vec()
                          for k in range(n + 1)) / (n + 1)
-            assert avg.allclose(Operator.from_vec(M4, direct), tol=1e-12)
+            assert Operator.from_vec(M4, vec).allclose(
+                Operator.from_vec(M4, direct), tol=1e-12)
+
+    @pytest.mark.parametrize("period", [None, [1.0, 1j, -1.0, -1j]])
+    def test_vectors_match_operator_recurrence(self, period):
+        # bit for bit against the Operator form of the recurrence, one
+        # Channel.apply per step, blocks of odd and unit size included
+        rng = stream(75, "vec", period is None)
+        ch = random_kraus_channel(MULTI, 3, rng)
+        x = random_operator(MULTI, rng)
+        beta = None if period is None else WeightSequence.periodic(period)
+        values = None if beta is None else beta.values(21)
+        current = x
+        running = x if values is None else x * values[0]
+        for n, vec in ergodic_averages(ch, x, 20, beta):
+            assert np.array_equal(vec, (running * (1.0 / (n + 1))).vec())
+            current = ch.apply(current)
+            running = running + (current if values is None
+                                 else current * values[n + 1])
+
+    def test_rejects_operator_of_another_algebra(self):
+        with pytest.raises(ChannelConstructionError):
+            average(identity_channel(M2), M4.identity(), 3)
 
     @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
     def test_lp_contraction(self, p):
@@ -174,10 +196,11 @@ class TestErgodicAverage:
         x = alg.diagonal(v)
         acc = v.copy()
         current = v.copy()
-        for n, avg in ergodic_averages(ch, x, 8):
+        for n, vec in ergodic_averages(ch, x, 8):
             if n:
                 current = p @ current
                 acc += current
+            avg = Operator.from_vec(alg, vec)
             got = np.array([b[0, 0].real for b in avg.blocks])
             assert np.allclose(got, acc / (n + 1), atol=1e-12)
 
@@ -286,8 +309,8 @@ class TestFixedPoint:
         ch = random_unitary_mixture(M4, 3, rng, min_gap=0.05)
         x = random_operator(M4, rng)
         x_hat = fixed_point(ch, x)
-        res = [(x_hat - avg).uniform_norm()
-               for n, avg in ergodic_averages(ch, x, 512)
+        res = [(x_hat - Operator.from_vec(M4, vec)).uniform_norm()
+               for n, vec in ergodic_averages(ch, x, 512)
                if n in (64, 512)]
         assert res[1] < res[0]
         assert res[1] < 0.05 * x.uniform_norm()
@@ -321,8 +344,8 @@ class TestRateAndSpectrum:
         ch = unitary_conjugation(mat([[1, 0], [0, -1]]))
         x = mat([[0.3, 1], [1, -0.2]])
         x_hat = fixed_point(ch, x)
-        values = [(n + 1) * (x_hat - avg).uniform_norm()
-                  for n, avg in ergodic_averages(ch, x, 128)]
+        values = [(n + 1) * (x_hat - Operator.from_vec(M2, vec)).uniform_norm()
+                  for n, vec in ergodic_averages(ch, x, 128)]
         assert max(values) <= 2.0 * x.uniform_norm() + 1e-9
 
     def test_gap_of_strict_contraction(self):
