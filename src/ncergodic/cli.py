@@ -266,13 +266,11 @@ _CERTIFY_BUILDERS = {
 }
 
 
-def _certify_cell(config, algebra, cell):
+def _certify_cell(config, algebra, channel, cell):
     method, p, eps, seed_idx = cell
     seed = config["seed"]
     horizon = config["horizon"]
     section = config["certify"]
-    channel = channel_from_spec(algebra, config["channel"],
-                                run_seed=derive_seed(seed, "cell", seed_idx))
     rng = stream(seed, "element", seed_idx)
     spec = dict(section["element"])
     if method in ("yeadon", "hopf", "lp") and spec["kind"] == "random":
@@ -310,9 +308,15 @@ def run_certify(config, jobs):
             for eps in section["eps_grid"]:
                 for seed_idx in range(section.get("num_seeds", 1)):
                     cells.append((method, float(p), float(eps), seed_idx))
+    # cells that share a seed_idx share the run seed, so the channel;
+    # cells only read it
+    channels = {seed_idx: channel_from_spec(
+                    algebra, config["channel"],
+                    run_seed=derive_seed(config["seed"], "cell", seed_idx))
+                for seed_idx in {cell[3] for cell in cells}}
 
     def work(cell):
-        return _certify_cell(config, algebra, cell)
+        return _certify_cell(config, algebra, channels[cell[3]], cell)
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         results = list(pool.map(work, cells))

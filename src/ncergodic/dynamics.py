@@ -7,11 +7,15 @@ beta = 1), as vectors multiplied by the superoperator step by step.
 
 A channel is stored as a dense superoperator on the vectorized algebra,
 whose spectrum it computes once and caches for the spectral gap and the
-exact Cesaro limits; constructors attach Kraus data where the map is
-completely positive by build.  A channel is DS+ when it is positive,
-subunital and trace-nonincreasing on positives; for positive maps
-subunitality already gives the uniform-norm contraction, and
-trace-nonincreasing is equivalent to subunitality of the trace adjoint.
+exact Cesaro limits.  A map that preserves Hermiticity, as every
+positive map does, has a real matrix in the Hermitian basis of each
+block, and its spectrum is computed from that real matrix; any other
+map keeps the complex superoperator.  Constructors attach Kraus data
+where the map is completely positive by build.  A channel is DS+ when
+it is positive, subunital and trace-nonincreasing on positives; for
+positive maps subunitality already gives the uniform-norm contraction,
+and trace-nonincreasing is equivalent to subunitality of the trace
+adjoint.
 """
 
 from __future__ import annotations
@@ -105,9 +109,18 @@ class Channel:
                                    and self.verified_subunital)
 
     def eigenvalues(self) -> np.ndarray:
-        """Superoperator spectrum, computed once, cached read-only."""
+        """Superoperator spectrum, computed once, cached read-only.
+
+        A map with T(x*) = T(x)* has a real matrix in Hermitian
+        coordinates (`_hermitian_superop`), with the same spectrum, and
+        real `eigvals` takes about a quarter of the complex flops.  Any
+        other map (a complex multiple, a complex combination) keeps
+        `eigvals` of the complex superoperator.
+        """
         if self._eigenvalues is None:
-            eigs = np.linalg.eigvals(self.superop)
+            real = _hermitian_superop(self.algebra, self.superop)
+            eigs = np.asarray(np.linalg.eigvals(
+                self.superop if real is None else real), dtype=complex)
             eigs.flags.writeable = False
             self._eigenvalues = eigs
         return self._eigenvalues
@@ -130,6 +143,53 @@ class Channel:
 def _weight_vector(algebra: AlgebraSpec) -> np.ndarray:
     parts = [np.full(d * d, w) for d, w in algebra.blocks]
     return np.concatenate(parts)
+
+
+# Rows of Q* S Q built per step (`_hermitian_superop`): its complex
+# temporaries stay a small fraction of the superoperator.
+_HERMITIAN_CHUNK_ROWS = 64
+
+
+def _hermitian_superop(algebra: AlgebraSpec, superop):
+    """Q* S Q as a float64 matrix, or None when S does not preserve
+    Hermiticity.
+
+    Q is the per-block unitary change from the row-major vectorization
+    to the Hermitian basis {E_ii, (E_ij + E_ji)/sqrt 2,
+    i(E_ij - E_ji)/sqrt 2 : i < j}.  Column a of Q is
+    u_a e_{p_a} + v_a e_{q_a}, so each row of Q* S Q combines two rows
+    and two columns of S, and Q is never formed.  The rows are built in
+    chunks into one float64 output.  T(x*) = T(x)* exactly when Q* S Q
+    is real; its imaginary part counts as rounding while it stays
+    within n eps max|S|.
+    """
+    p, q, u, v = [], [], [], []
+    r = np.sqrt(0.5)
+    for off, d in zip(algebra.block_offsets(), algebra.dims):
+        diag = off + np.arange(d) * (d + 1)
+        i, j = np.triu_indices(d, 1)
+        upper, lower = off + i * d + j, off + j * d + i
+        pairs = np.ones(upper.size)
+        p += [diag, upper, upper]
+        q += [diag, lower, lower]
+        u += [np.ones(d), r * pairs, 1j * r * pairs]
+        v += [np.zeros(d), r * pairs, -1j * r * pairs]
+    p, q = np.concatenate(p), np.concatenate(q)
+    u, v = np.concatenate(u), np.concatenate(v)
+    n = p.size
+    out = np.empty((n, n))
+    max_imag = max_entry = 0.0
+    for start in range(0, n, _HERMITIAN_CHUNK_ROWS):
+        rows = slice(start, start + _HERMITIAN_CHUNK_ROWS)
+        left = (u[rows, None].conj() * superop[p[rows]]
+                + v[rows, None].conj() * superop[q[rows]])
+        chunk = left[:, p] * u + left[:, q] * v
+        out[rows] = chunk.real
+        max_imag = max(max_imag, float(np.abs(chunk.imag).max()))
+        max_entry = max(max_entry, float(np.abs(superop[rows]).max()))
+    if max_imag > n * np.finfo(float).eps * max_entry:
+        return None
+    return out
 
 
 def _positive_test_set(algebra: AlgebraSpec):

@@ -286,34 +286,38 @@ def _strategy_level_set(channel, x, stacks, level, budget):
 
     Thresholds run over the clustered spectrum of B = mean_n M_n(x); the
     compressed sup grows with the threshold while the killed trace
-    shrinks, so a binary search finds the largest threshold (smallest
-    defect) within the trace budget whose measured sup stays below the
-    level.
+    shrinks, by at least the smallest block weight per step.  One binary
+    search finds the smallest threshold within the trace budget, and a
+    second the largest threshold (smallest defect) whose measured sup
+    stays below the level.  Each cut is built on first use and kept.
     """
     scale = complex(1.0 / len(stacks[0]))
     mean = Operator(channel.algebra,
                     [scale * _ordered_sum(stack) for stack in stacks])
     dec = eigh(mean)
+    built = {}
 
-    candidates = []  # ascending threshold; defect descending
-    for k in range(len(dec.eigenvalues)):
-        proj = dec.projection_where(lambda lam, t=dec.eigenvalues[k]: lam <= t)
-        candidates.append((float(dec.eigenvalues[k]), proj))
-    feasible = [c for c in candidates if c[1].defect() <= budget]
-    if not feasible:
+    def cut(k):  # k-th threshold, ascending; defect descending
+        if k not in built:
+            built[k] = dec.projection_where(
+                lambda lam, t=dec.eigenvalues[k]: lam <= t)
+        return built[k]
+
+    num = len(dec.eigenvalues)
+    lo, hi = 0, num
+    while lo < hi:  # first cut within the trace budget
+        mid = (lo + hi) // 2
+        if cut(mid).defect() <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == num or compressed_sup(stacks, cut(lo)) > level:
         return None
-
-    def sup_of(proj):
-        return compressed_sup(stacks, proj)
-
-    lo, hi = 0, len(feasible) - 1
-    best = None
-    if sup_of(feasible[0][1]) > level:
-        return None
+    hi, best = num - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if sup_of(feasible[mid][1]) <= level:
-            best = feasible[mid][1]
+        if compressed_sup(stacks, cut(mid)) <= level:
+            best = cut(mid)
             lo = mid + 1
         else:
             hi = mid - 1

@@ -82,6 +82,21 @@ class TestConvergeContract:
         rows = outputs[0][0].decode().splitlines()[1:]
         assert {row.split(",")[7] for row in rows} == {"0", "1"}
 
+    def test_fixture_matches_reference(self, tmp_path):
+        # a map with a 2-dimensional fixed space, so the limit goes
+        # through the projection and not the k = 0 shortcut
+        code, csv_path, _ = converge(FIXTURES / "m2_unitary.json", tmp_path)
+        assert code == 0
+        assert (csv_path.read_bytes()
+                == (REFERENCE / "fixtures" / "m2_unitary.csv").read_bytes())
+
+    def test_missing_section_exits_1(self, tmp_path):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code, _, _ = converge(FIXTURES / "cycle4.json", tmp_path)
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert "'converge' section" in err.getvalue()
+
     def test_one_limit_per_cell(self, tmp_path, monkeypatch):
         calls = []
         fixed_point = convergence.fixed_point
@@ -136,6 +151,36 @@ class TestCertifyContract:
         assert code == 0
         assert ((tmp_path / "certify.csv").read_bytes()
                 == (REFERENCE / "fixtures" / f"{name}.csv").read_bytes())
+
+    def test_one_channel_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_channel_from_spec(*args, **kwargs):
+            calls.append(kwargs["run_seed"])
+            return channel_from_spec(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "channel_from_spec",
+                            counting_channel_from_spec)
+        config = json.loads((FIXTURES / "kraus8.json").read_text())
+        code = run_cli("certify", "--config", str(FIXTURES / "kraus8.json"),
+                       "--out", str(tmp_path))
+        assert code == 0
+        num_seeds = config["certify"]["num_seeds"]
+        assert len(calls) == len(set(calls)) == num_seeds
+        rows = (tmp_path / "certify.csv").read_text().splitlines()[1:]
+        assert len(rows) > num_seeds
+
+    def test_output_independent_of_jobs(self, tmp_path):
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            code = run_cli("certify", "--config",
+                           str(FIXTURES / "kraus8.json"), "--out", str(out),
+                           "--jobs", str(jobs))
+            assert code == 0
+            outputs.append(((out / "certify.csv").read_bytes(),
+                            (out / "certify.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_contradicted_verdict_exits_2(self, tmp_path, monkeypatch):
         def overclaiming(ch, x, p, beta, eps, n):

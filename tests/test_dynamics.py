@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncergodic.algebra import AlgebraSpec, Operator
-from ncergodic.dynamics import (Channel, channel_from_spec, compose,
+from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
+                                channel_from_spec, compose,
                                 convex_combine, ergodic_averages,
                                 fixed_point, identity_channel, kraus_channel,
                                 linear_combine, pinching,
@@ -17,6 +19,7 @@ from ncergodic.dynamics import (Channel, channel_from_spec, compose,
 from ncergodic.errors import ChannelConstructionError, SemisimplicityError
 from ncergodic.ncnorms import lorentz_norm, lp_norm
 from ncergodic.rng import random_operator, random_unitary_operator, stream
+from ncergodic.util import EIG_CLUSTER_TOL
 from ncergodic.weights import WeightSequence
 
 M2 = AlgebraSpec(((2, 1.0),))
@@ -24,6 +27,7 @@ M4 = AlgebraSpec(((4, 1.0),))
 DIAG2 = AlgebraSpec(((1, 1.0), (1, 1.0)))
 MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
 CYCLE6 = AlgebraSpec(((1, 1.0),) * 6)
+DIAG3 = AlgebraSpec(((1, 1.0), (1, 0.5), (1, 2.0)))
 PHASES = (1.0, -1.0, 1j, -1j, np.exp(2j * np.pi / 6))
 
 
@@ -520,3 +524,132 @@ class TestPeripheralProjection:
         x_hat = fixed_point(ch, random_operator(algebra, rng))
         assert ch.apply(x_hat).allclose(x_hat, tol=1e-9)
         assert fixed_point(ch, x_hat).allclose(x_hat, tol=1e-9)
+
+
+def kind_spec(kind, algebra, rng):
+    """A spec of `kind` on `algebra` with seeded data; the substochastic
+    kinds need a diagonal algebra."""
+    if kind in ("identity", "random-kraus", "random-substochastic"):
+        return {"kind": kind, "seed": 2}
+    if kind in ("unitary", "unitary-mixture"):
+        return {"kind": kind, "seed": 3}
+    if kind == "pinching":
+        return {"kind": kind,
+                "labels": rng.integers(0, 2, size=sum(algebra.dims)).tolist()}
+    if kind == "schur":
+        blocks = []
+        for d in algebra.dims:
+            v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            gram = (v / np.linalg.norm(v, axis=0)).conj().T @ (
+                v / np.linalg.norm(v, axis=0))  # PSD, unit diagonal
+            blocks.append([[z.real, z.imag] for z in gram.ravel()])
+        return {"kind": kind, "matrices": {"blocks": blocks}}
+    if kind == "substochastic":
+        n, w = algebra.num_blocks, np.array(algebra.weights)
+        p = rng.random((n, n))
+        p *= 0.9 / max(p.sum(axis=1).max(), ((w[:, None] * p).sum(0) / w).max())
+        return {"kind": kind, "matrix": p.tolist()}
+    if kind == "kraus":
+        ops = [random_operator(algebra, rng) for _ in range(2)]
+        return {"kind": kind, "operators": [
+            (a * (0.5 / a.uniform_norm())).to_json() for a in ops]}
+    if kind in ("convex", "compose"):
+        spec = {"kind": kind, "children": [{"kind": "random-kraus", "seed": 4},
+                                           {"kind": "unitary-mixture"}]}
+        if kind == "convex":
+            spec["probabilities"] = [0.3, 0.7]
+        return spec
+    assert kind == "scaled"
+    return {"kind": kind, "child": {"kind": "random-kraus"},
+            "factor": [0.5, 0.0]}
+
+
+# every kind on a diagonal algebra, every kind but the substochastic
+# ones on a 3-block algebra
+KIND_CASES = ([(kind, DIAG3) for kind in CHANNEL_KINDS]
+              + [(kind, MULTI) for kind in CHANNEL_KINDS
+                 if "substochastic" not in kind])
+
+
+def eigvals_dtypes(monkeypatch):
+    """Record the dtype of every matrix np.linalg.eigvals receives."""
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording_eigvals(a):
+        seen.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    return seen
+
+
+class TestHermitianSpectrum:
+    def test_builder_equals_explicit_change_of_basis(self):
+        # two blocks and more rows than one chunk
+        algebra = AlgebraSpec(((9, 1.0), (2, 0.5)))
+        ch = random_kraus_channel(algebra, 3, stream(97, "basis"))
+        # Q column by column: per block E_ii, then (E_ij + E_ji)/sqrt 2,
+        # then i(E_ij - E_ji)/sqrt 2, pairs i < j in row-major order
+        columns = []
+        for off, d in zip(algebra.block_offsets(), algebra.dims):
+            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            terms = ([[(i, i, 1.0)] for i in range(d)]
+                     + [[(i, j, 0.5 ** 0.5), (j, i, 0.5 ** 0.5)]
+                        for i, j in pairs]
+                     + [[(i, j, 1j * 0.5 ** 0.5), (j, i, -1j * 0.5 ** 0.5)]
+                        for i, j in pairs])
+            for term in terms:
+                col = np.zeros(algebra.vec_dim, dtype=complex)
+                for i, j, c in term:
+                    col[off + i * d + j] = c
+                columns.append(col)
+        q = np.stack(columns, axis=1)
+        assert np.allclose(q.conj().T @ q, np.eye(algebra.vec_dim))
+        explicit = q.conj().T @ ch.superop @ q
+        got = _hermitian_superop(algebra, ch.superop)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(explicit.imag)) < 1e-14
+        assert np.allclose(got, explicit.real, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,algebra", KIND_CASES)
+    def test_real_path_matches_complex_spectrum(self, kind, algebra,
+                                                monkeypatch):
+        spec = kind_spec(kind, algebra, stream(98, kind))
+        ch = channel_from_spec(algebra, spec, run_seed=5)
+        want = np.linalg.eigvals(ch.superop)
+        seen = eigvals_dtypes(monkeypatch)
+        got = ch.eigenvalues()
+        assert seen == [np.float64]
+        assert got.dtype == np.complex128
+        # a real matrix: eigenvalues in exact conjugate pairs
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+        distance = np.abs(got[:, None] - want[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(distance)
+        n = want.size
+        tol = 100 * n * np.finfo(float).eps * np.linalg.norm(ch.superop, 2)
+        assert distance[rows, cols].max() <= tol
+
+    def test_complex_maps_keep_the_complex_superoperator(self, monkeypatch):
+        rng = stream(99, "complex")
+        a = random_unitary_mixture(MULTI, 2, rng)
+        b = random_kraus_channel(MULTI, 3, rng)
+        maps = [scale_channel(a, 1j), linear_combine([a, b], [0.5, 0.5j])]
+        real_combination = linear_combine([a, b], [0.5, -0.25])
+        want = [np.linalg.eigvals(ch.superop) for ch in maps]
+        seen = eigvals_dtypes(monkeypatch)
+        for ch, expected in zip(maps, want):
+            assert _hermitian_superop(MULTI, ch.superop) is None
+            assert np.array_equal(ch.eigenvalues(), expected)
+        real_combination.eigenvalues()
+        assert seen == [np.complex128, np.complex128, np.float64]
+
+    def test_cluster_counts_and_gap_match_complex_spectrum(self):
+        for ch in oracle_channels():
+            old = np.linalg.eigvals(ch.superop)
+            for phase in PHASES:
+                assert ch.eigenspace_dim(phase) == np.count_nonzero(
+                    np.abs(phase * old - 1.0) <= EIG_CLUSTER_TOL)
+            outside = np.abs(old[np.abs(old - 1.0) > EIG_CLUSTER_TOL])
+            old_gap = 1.0 - outside.max() if outside.size else 1.0
+            assert abs(ch.spectral_gap() - old_gap) <= 1e-12

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_norm, compressed_sup,
                               one_sided_norm)
-from ncergodic.dynamics import ergodic_averages, random_kraus_channel
+from ncergodic.dynamics import (ergodic_averages, identity_channel,
+                                random_kraus_channel)
 from ncergodic.maximal import measure_compressions, peel
 from ncergodic.rng import random_operator, random_projection, stream
+from ncergodic.spectral import SpectralDecomposition, eigh
 from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -172,6 +175,86 @@ class TestPeelAgainstLoop:
         e, defect = self.assert_same(ops, 0.5, 1.0, mode)
         assert defect == 0.25
         assert e.rank(0) == 3 and e.rank(1) == 1
+
+
+def level_set_cuts(channel, stacks):
+    """Every cut of the level-set strategy, ascending threshold."""
+    mean = Operator(channel.algebra, [complex(1.0 / len(stacks[0]))
+                                      * maximal._ordered_sum(stack)
+                                      for stack in stacks])
+    dec = eigh(mean)
+    return [dec.projection_where(lambda lam, t=t: lam <= t)
+            for t in dec.eigenvalues]
+
+
+def eager_level_set(cuts, stacks, level, budget):
+    """Level-set search over cuts all built beforehand."""
+    feasible = [c for c in cuts if c.defect() <= budget]
+    if not feasible or compressed_sup(stacks, feasible[0]) > level:
+        return None
+    lo, hi, best = 0, len(feasible) - 1, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if compressed_sup(stacks, feasible[mid]) <= level:
+            best, lo = feasible[mid], mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
+LEVEL_ALGEBRA = AlgebraSpec(((16, 1.0), (8, 0.5)))
+
+
+def level_set_cases():
+    rng = stream(420, "level-set")
+    for _ in range(2):
+        yield (random_kraus_channel(LEVEL_ALGEBRA, 3, rng),
+               random_operator(LEVEL_ALGEBRA, rng, kind="positive"))
+    # the identity keeps the degenerate spectrum of x: clustered cuts
+    yield (identity_channel(LEVEL_ALGEBRA),
+           LEVEL_ALGEBRA.diagonal(np.repeat([0.2, 0.5, 1.0, 3.0], 6)))
+
+
+class TestLevelSet:
+    def test_matches_eager_search_with_few_cuts(self, monkeypatch):
+        built = []
+        projection_where = SpectralDecomposition.projection_where
+
+        def counting(self, predicate):
+            built.append(predicate)
+            return projection_where(self, predicate)
+
+        outcomes = set()
+        for channel, x in level_set_cases():
+            stacks = maximal._average_stacks(channel, x, 8)
+            cuts = level_set_cuts(channel, stacks)
+            defects = [c.defect() for c in cuts]
+            sups = [compressed_sup(stacks, c) for c in cuts]
+            k = len(cuts) // 2
+            # exact ties with a cut's defect or sup, values between cuts,
+            # and the extremes
+            budgets = [np.inf, 0.0, defects[k], (defects[k] + defects[1]) / 2]
+            levels = [10 * max(sups), sups[0], sups[k],
+                      (sups[k] + sups[-1]) / 2]
+            for budget in budgets:
+                for level in levels:
+                    expected = eager_level_set(cuts, stacks, level, budget)
+                    monkeypatch.setattr(SpectralDecomposition,
+                                        "projection_where", counting)
+                    built.clear()
+                    got = maximal._strategy_level_set(channel, x, stacks,
+                                                      level, budget)
+                    monkeypatch.undo()
+                    bound = 2 * math.ceil(math.log2(len(cuts) + 1)) + 1
+                    assert len(built) <= bound
+                    if expected is None:
+                        assert got is None
+                    else:
+                        assert np.array_equal(got.operator.vec(),
+                                              expected.operator.vec())
+                    outcomes.add((len(cuts), expected is None))
+        # found and not found, on the generic and the clustered spectrum
+        assert outcomes == {(24, True), (24, False), (4, True), (4, False)}
 
 
 class TestOneSearchPassPerCheck:
