@@ -359,9 +359,6 @@ class Projection:
     def trace(self) -> float:
         return float(self.operator.trace().real)
 
-    def is_full(self, tol=None) -> bool:
-        return self.rank() == sum(self.algebra.dims)
-
 
 def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
     """max over a stack of operators a of ||e a e|| ("two_sided") or
@@ -379,16 +376,6 @@ def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
              else stack @ basis)
         best = max(best, float(np.linalg.svd(c, compute_uv=False)[:, 0].max()))
     return best
-
-
-def compressed_norm(x: Operator, e: Projection) -> float:
-    """||e x e||: `compressed_sup` of the stack of one."""
-    return compressed_sup([b[None] for b in x.blocks], e)
-
-
-def one_sided_norm(x: Operator, e: Projection) -> float:
-    """||x e||: `compressed_sup` of the stack of one."""
-    return compressed_sup([b[None] for b in x.blocks], e, "one_sided")
 
 
 def require_hermitian(x: Operator, tol=None, what="operator"):

@@ -20,15 +20,15 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
-                          besicovitch_experiment, trajectory)
+                          besicovitch_experiment, condition_iii, trajectory)
 from .dynamics import CHANNEL_KINDS, channel_from_spec, verify_ds
 from .errors import ChannelConstructionError, ConfigError
 from .funcspace import boyd_estimate, dilation_norm_estimate
@@ -39,7 +39,7 @@ from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
                       singular_function, submajorizes)
 from .rng import derive_seed, random_operator, random_projection, stream
 from .util import fmt_cell, short_hash
-from .weights import WeightSequence
+from .weights import WEIGHT_KINDS, WeightSequence
 
 SUBCOMMANDS = ("verify-channel", "certify", "converge", "besicovitch",
                "norms", "boyd")
@@ -59,6 +59,13 @@ _CHANNEL_SCHEMA = {
     },
 }
 
+
+def _kind_needs(kind, *fields):
+    """Schema clause: an object of this kind must carry these fields."""
+    return {"if": {"properties": {"kind": {"const": kind}}},
+            "then": {"required": list(fields)}}
+
+
 _ELEMENT_SCHEMA = {
     "type": "object",
     "required": ["kind"],
@@ -69,6 +76,8 @@ _ELEMENT_SCHEMA = {
         "operator": _OPERATOR_SCHEMA,
         "values": {"type": "array", "items": {"type": "number"}},
     },
+    "allOf": [_kind_needs("explicit", "operator"),
+              _kind_needs("diagonal", "values")],
 }
 
 _NORM_SCHEMA = {
@@ -76,12 +85,39 @@ _NORM_SCHEMA = {
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["uniform", "lp", "lorentz", "measure"]},
-        "p": {"type": "number"},
-        "q": {"type": "number"},
+        "p": {"type": "number", "minimum": 1},
+        "q": {"type": "number", "minimum": 1},
     },
+    "allOf": [
+        _kind_needs("lp", "p"),
+        _kind_needs("lorentz", "p", "q"),
+        # L_{1,q} with q > 1 is outside the supported Lorentz family
+        {"if": {"properties": {"kind": {"const": "lorentz"},
+                               "p": {"const": 1}}},
+         "then": {"properties": {"q": {"maximum": 1}}}},
+    ],
 }
 
-_WEIGHTS_SCHEMA = {"type": "object", "required": ["kind"]}
+_COMPLEX = {"type": "array", "items": {"type": "number"},
+            "minItems": 2, "maxItems": 2}
+_COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
+
+_WEIGHTS_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(WEIGHT_KINDS)},
+        "period": {**_COMPLEX_LIST, "minItems": 1},
+        "poly": {"type": "object",
+                 "required": ["coefficients", "frequencies"],
+                 "properties": {"coefficients": _COMPLEX_LIST,
+                                "frequencies": _COMPLEX_LIST}},
+        "decay": _COMPLEX,
+        "C": {"type": "number"},
+    },
+    "allOf": [_kind_needs(kind, field)
+              for kind, field in WEIGHT_KINDS.items()],
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -157,7 +193,10 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["targets"],
             "properties": {
-                "targets": {"type": "array", "items": _NORM_SCHEMA},
+                # Boyd indices of the L_p and Lorentz norms only
+                "targets": {"type": "array", "items": {
+                    "allOf": [_NORM_SCHEMA],
+                    "properties": {"kind": {"enum": ["lp", "lorentz"]}}}},
                 "s_grid": {"type": "array",
                            "items": {"type": "number",
                                      "exclusiveMinimum": 0}},
@@ -165,6 +204,8 @@ CONFIG_SCHEMA = {
         },
     },
 }
+# The tests check the constant schema; a run validates only the config.
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 _SECTION_NEEDS = {
     "verify-channel": ("algebra", "channel"),
@@ -182,14 +223,23 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not validate: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(
+        _CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config does not validate: {error.message}")
     for section in _SECTION_NEEDS[subcommand]:
         if section not in config:
             raise ConfigError(
                 f"subcommand {subcommand!r} needs a {section!r} section")
+    # method preconditions that span several fields
+    certify = config["certify"] if subcommand == "certify" else None
+    if certify and "one-sided" in certify["methods"] \
+            and min(certify["p_grid"], default=2) < 2:
+        raise ConfigError("method 'one-sided' needs every p in p_grid "
+                          "to be >= 2")
+    if certify and "hopf" in certify["methods"] \
+            and not AlgebraSpec.from_json(config["algebra"]).is_diagonal:
+        raise ConfigError("method 'hopf' needs a diagonal algebra")
     if seed_override is not None:
         config["seed"] = seed_override
     if horizon_override is not None:
@@ -361,6 +411,7 @@ def run_converge(config, jobs):
             "cell": seed_idx,
             "spectral_gap": channel.spectral_gap(),
             "fixed_space_dim": channel.eigenspace_dim(),
+            "mean_convergence": report.verdicts,
             "au": {"trace_defect": au.trace_defect,
                    "final_profile": au.final_value,
                    "profile": au.profile},
@@ -376,7 +427,11 @@ def run_converge(config, jobs):
     header = _BASE_COLUMNS + ["cell", "n"] + \
         [f"res_{spec.label}" for spec in norms]
     rows = [row for cell_rows, _ in results for row in cell_rows]
-    summary = {"cells": [s for _, s in results], "eps": eps}
+    # condition (iii) depends on the norm only, not on the cell
+    reports = {spec.label: condition_iii(spec) for spec in norms}
+    summary = {"cells": [s for _, s in results], "eps": eps,
+               "condition_iii": {label: asdict(r) for label, r
+                                 in reports.items() if r is not None}}
     return header, rows, summary, 0
 
 

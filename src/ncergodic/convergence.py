@@ -1,9 +1,11 @@
 """Individual and mean ergodic convergence diagnostics.
 
-Residual trajectories against the exact Cesaro limit, almost-uniform
-witnesses built by trace-budgeted peeling on the deviation operators,
-mean (norm) convergence checks, and Besicovitch-weighted experiments
-with exact rotated limits for the trig-polynomial generator family.
+Residual trajectories against the exact Cesaro limit, each with its
+mean (norm) convergence verdict, almost-uniform witnesses built by
+trace-budgeted peeling on the deviation operators, condition (iii) of
+the mean ergodic theorem for the L_p and Lorentz norms, and
+Besicovitch-weighted experiments with exact rotated limits for the
+trig-polynomial generator family.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class NormSpec:
             return measure_distance(a, b)
         return self.value(a - b)
 
-    def to_json(self):
-        data = {"kind": self.kind}
-        if self.p is not None:
-            data["p"] = self.p
-        if self.q is not None:
-            data["q"] = self.q
-        return data
-
     @classmethod
     def from_json(cls, data) -> "NormSpec":
         return cls(data["kind"], data.get("p"), data.get("q"))
@@ -101,16 +95,22 @@ def _sampled_averages(channel: Channel, x: Operator, horizon: int,
 @dataclass
 class TrajectoryReport:
     """Residuals ||x_hat - M_n(x)|| along the dyadic schedule, with the
-    sampled averages they were measured on."""
+    sampled averages they were measured on and the verdicts of
+    `trajectory`."""
 
     limit: Operator
     schedule: list
     residuals: dict   # norm label -> list of floats
     horizon: int
     averages: dict    # n -> M_n(x) for n in schedule
+    verdicts: dict    # norm label -> {"decay_ratio", "converged"}
 
-    def final(self, label) -> float:
-        return self.residuals[label][-1]
+
+def _verdict(residuals, floor):
+    reference = residuals[max(len(residuals) - 3, 0)]
+    final = residuals[-1]
+    return {"decay_ratio": final / reference if reference > floor else 0.0,
+            "converged": bool(final <= max(floor, 0.3 * reference))}
 
 
 def trajectory(channel: Channel, x: Operator, horizon: int,
@@ -118,14 +118,23 @@ def trajectory(channel: Channel, x: Operator, horizon: int,
     """Track convergence of the plain averages to the exact fixed point.
 
     The limit is computed spectrally, then every requested gauge is
-    evaluated at n in {1, 2, 4, ..., horizon}.
+    evaluated at n in {1, 2, 4, ..., horizon}.  Every norm, but not the
+    measure metric, also gets its mean convergence verdict: converged
+    when the final residual is at most 0.3 times the residual at the
+    third point from the end of the schedule (the quarter horizon) or
+    the floor 1e-12 max(||x||_E, 1), whichever is larger; decay_ratio is
+    the quotient of the two residuals.
     """
     x_hat = fixed_point(channel, x)
     averages = _sampled_averages(channel, x, horizon)
     schedule = list(averages)
     residuals = {spec.label: [spec.distance(x_hat, averages[n])
                               for n in schedule] for spec in norms}
-    return TrajectoryReport(x_hat, schedule, residuals, horizon, averages)
+    verdicts = {spec.label: _verdict(residuals[spec.label],
+                                     1e-12 * max(spec.value(x), 1.0))
+                for spec in norms if spec.kind != "measure"}
+    return TrajectoryReport(x_hat, schedule, residuals, horizon, averages,
+                            verdicts)
 
 
 # ---------------------------------------------------------------------
@@ -189,7 +198,7 @@ def bau_witness(channel: Channel, x: Operator, eps: float,
 
 
 # ---------------------------------------------------------------------
-# Mean (norm) convergence.
+# Condition (iii) of the mean ergodic theorem.
 # ---------------------------------------------------------------------
 
 @dataclass
@@ -205,55 +214,17 @@ class ConditionIIIReport:
     vanishes_at_infinity: bool
 
 
-@dataclass
-class MeanErgodicReport:
-    limit: Operator
-    schedule: list
-    residuals: list
-    final_residual: float
-    decay_ratio: float
-    converged: bool
-    condition_iii: ConditionIIIReport | None
-
-
-def _condition_iii(norm: NormSpec) -> ConditionIIIReport | None:
+def condition_iii(norm: NormSpec) -> ConditionIIIReport | None:
+    """||e||_E / tau(e) on CONDITION_III_TRACES for the L_p and Lorentz
+    norms; None for the other gauges."""
     if norm.kind == "lorentz":
         ratios = tuple(projection_lorentz_norm(t, norm.p, norm.q) / t
                        for t in CONDITION_III_TRACES)
-        return ConditionIIIReport(CONDITION_III_TRACES, ratios,
-                                  norm.p > 1)
-    if norm.kind == "lp":
+    elif norm.kind == "lp":
         ratios = tuple(t ** (1.0 / norm.p) / t for t in CONDITION_III_TRACES)
-        return ConditionIIIReport(CONDITION_III_TRACES, ratios,
-                                  norm.p > 1)
-    return None
-
-
-def mean_ergodic_check(channel: Channel, x: Operator, norm: NormSpec,
-                       horizon: int) -> MeanErgodicReport:
-    """Norm convergence of the averages in the requested gauge.
-
-    Works for any channel with semisimple peripheral spectrum, in
-    particular non-positive Dunford-Schwartz combinations.  Convergence
-    is declared when the final residual drops below 0.3 times the
-    quarter-horizon residual or below an absolute floor, whichever is
-    larger.
-    """
-    if norm.kind == "measure":
-        raise UnsupportedNormError("mean convergence needs a norm, not the "
-                                   "measure metric")
-    x_hat = fixed_point(channel, x)
-    averages = _sampled_averages(channel, x, horizon)
-    schedule = list(averages)
-    residuals = [norm.distance(x_hat, avg) for avg in averages.values()]
-    quarter_index = max(len(residuals) - 3, 0)
-    reference = residuals[quarter_index]
-    final = residuals[-1]
-    floor = 1e-12 * max(norm.value(x), 1.0)
-    decay_ratio = final / reference if reference > floor else 0.0
-    converged = final <= max(floor, 0.3 * reference)
-    return MeanErgodicReport(x_hat, schedule, residuals, final,
-                             decay_ratio, converged, _condition_iii(norm))
+    else:
+        return None
+    return ConditionIIIReport(CONDITION_III_TRACES, ratios, norm.p > 1)
 
 
 # ---------------------------------------------------------------------

@@ -18,17 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (Operator, Projection, compressed_sup,
-                      hermitian_decompose, require_hermitian)
+from .algebra import Operator, Projection, compressed_sup, hermitian_decompose
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
-from .spectral import (eigh, positive_power, projection_meet_all,
-                       truncate_hermitian)
+from .spectral import eigh, positive_power, projection_meet_all
 from .util import resolve_tol
-
-# Residual floor for Kadison's inequality S(x)^2 <= S(x^2).
-KADISON_THRESHOLD = 1e-10
 
 # Off-diagonal tolerance when testing that all averages commute.
 COMMUTING_TOL = 1e-8
@@ -73,26 +68,6 @@ class WitnessReport:
     @property
     def sup_ratio(self) -> float:
         return self.sup_compression / self.sup_budget if self.sup_budget else 0.0
-
-    def to_json(self):
-        return {
-            "trace_defect": self.trace_defect,
-            "trace_budget": self.trace_budget,
-            "sup_compression": self.sup_compression,
-            "sup_budget": self.sup_budget,
-            "trace_ratio": self.trace_ratio,
-            "sup_ratio": self.sup_ratio,
-            "horizon": self.horizon,
-            "method": self.method,
-            "mode": self.mode,
-            "checker_passed": self.checker_passed,
-            "found": self.found,
-            "eps": self.eps,
-            "p": self.p,
-            "weight_bound": self.weight_bound,
-            "projection": self.projection.operator.to_json(),
-        }
-
 
 @dataclass
 class WitnessSearchFailure:
@@ -176,38 +151,6 @@ def _finalize(channel, x, e, horizon, trace_budget, sup_budget, method,
         p=p,
         weight_bound=c,
     )
-
-
-# ---------------------------------------------------------------------
-# Kadison's operator Schwarz inequality.
-# ---------------------------------------------------------------------
-
-@dataclass
-class KadisonReport:
-    residual_min_eig: float
-    passed: bool
-    unit_image_norm: float
-
-
-def kadison_check(channel: Channel, x: Operator,
-                  threshold=KADISON_THRESHOLD, tol=None) -> KadisonReport:
-    """Residual of S(x^2) - S(x)^2 for a positive subunital map.
-
-    Returns the smallest eigenvalue of the residual; the map passes when
-    it is above -threshold.
-    """
-    tol = resolve_tol(tol)
-    unit_norm = channel.apply(channel.algebra.identity()).uniform_norm()
-    if unit_norm > 1.0 + tol:
-        raise ValueError(f"map is not subunital (||S(1)|| = {unit_norm:.6g})")
-    if not channel.verified_positive:
-        raise ValueError("map has no positivity certificate")
-    require_hermitian(x, tol, "kadison_check input")
-    sx = channel.apply(x)
-    residual = channel.apply(x @ x) - sx @ sx
-    min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
-                  for b in residual.blocks)
-    return KadisonReport(min_eig, bool(min_eig >= -threshold), unit_norm)
 
 
 # ---------------------------------------------------------------------
@@ -518,17 +461,14 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
                       eps: float, horizon: int,
-                      strategies=DEFAULT_STRATEGIES, tol=None,
-                      truncation_level=None):
+                      strategies=DEFAULT_STRATEGIES, tol=None):
     """One-sided witness sup_n ||M_{beta,n}(x) e|| for p >= 2.
 
     For each Hermitian component h of x the witness is the weak (p/2)
     construction for h^2 at level eps^2: Kadison's inequality applied to
     the subunital averages turns ||e M_n(h^2) e|| <= 2 eps^2 into
     ||M_n(h) e|| <= sqrt(2) eps.  Bounded operators make the
-    spectral-truncation detour unnecessary, but truncation_level
-    reproduces it (h is restricted to [-m, m]; any m >= ||h|| leaves h
-    unchanged).
+    spectral-truncation detour unnecessary.
 
     Budgets per Hermitian part: (2 (||x||_p/eps)^p, sqrt(2) eps) for
     plain averages, (3 (||x||_p/eps)^p, 2 sqrt(C)(2+sqrt(C)) eps) for
@@ -546,8 +486,6 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
 
     witnesses = []
     for h in parts:
-        if truncation_level is not None:
-            h = truncate_hermitian(h, truncation_level, tol)
         res = lp_witness(channel, h @ h, p / 2.0, eps ** 2, horizon,
                          strategies, tol)
         if not is_found(res):

@@ -1,4 +1,5 @@
-"""Generalized singular numbers, L_p and Lorentz norms, submajorization.
+"""Generalized singular numbers, L_p and Lorentz norms, the measure
+metric and the submajorization order.
 
 The singular-number function of x is the right-continuous non-increasing
 step function mu_t(x) = inf{ lam > 0 : tau(e_lam_perp) <= t } built from
@@ -8,12 +9,9 @@ exact closed-form integral of that step function; no quadrature is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import (Operator, Projection, compressed_norm,
-                      one_sided_norm)
+from .algebra import Operator
 from .errors import UnsupportedNormError
 
 
@@ -179,13 +177,6 @@ def projection_lorentz_norm(trace_value: float, p: float, q: float) -> float:
     return (p / q) ** (1.0 / q) * trace_value ** (1.0 / p)
 
 
-def submajorization_integral(x: Operator, s: float) -> float:
-    """integral_0^s mu_t(x) dt, exact and piecewise linear in s."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return singular_function(x).cumulative(s)
-
-
 def submajorizes(x: Operator, y: Operator, tol=1e-12) -> bool:
     """True iff integral_0^s mu(y) <= integral_0^s mu(x) for all s > 0.
 
@@ -199,40 +190,6 @@ def submajorizes(x: Operator, y: Operator, tol=1e-12) -> bool:
     far = max(mx.total_support, my.total_support, 1.0)
     points = np.append(points, far)
     return all(my.cumulative(s) <= mx.cumulative(s) + tol for s in points)
-
-
-@dataclass
-class MembershipResult:
-    """Outcome of a measure-topology neighborhood test."""
-
-    member: bool
-    witness: Projection
-    mu_eps: float
-    compressed_norm: float
-
-
-def neighborhood_membership(x: Operator, eps: float, delta: float,
-                            two_sided=False, tol=None) -> MembershipResult:
-    """Test x in V(eps, delta) (or W(eps, delta) with two_sided=True).
-
-    Membership is equivalent to mu_eps(x) <= delta.  The returned
-    witness is the spectral projection of |x| onto singular values
-    <= mu_eps(x): it has tau(e_perp) <= eps and realizes the smallest
-    possible ||x e|| under that trace constraint; the same projection
-    witnesses the two-sided variant since ||e x e|| <= ||x e||.
-    """
-    if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
-    from .spectral import abs_value, spectral_projection
-
-    sf = singular_function(x)
-    mu_eps = sf.mu(eps)
-    witness = spectral_projection(abs_value(x), lower=None, upper=mu_eps,
-                                  closed_upper=True, tol=tol)
-    measured = (compressed_norm(x, witness) if two_sided
-                else one_sided_norm(x, witness))
-    return MembershipResult(bool(mu_eps <= delta), witness,
-                            float(mu_eps), float(measured))
 
 
 def measure_distance(x: Operator, y: Operator) -> float:

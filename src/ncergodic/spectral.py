@@ -1,4 +1,5 @@
-"""Hermitian eigendecomposition, functional calculus and the projection lattice."""
+"""Clustered Hermitian eigendecomposition, positive powers and meets of
+projections."""
 
 from __future__ import annotations
 
@@ -23,16 +24,6 @@ class SpectralDecomposition:
     algebra: AlgebraSpec
     eigenvalues: np.ndarray
     projections: list
-
-    def reconstruct(self) -> Operator:
-        return self.apply(lambda lam: lam)
-
-    def apply(self, fn) -> Operator:
-        """Functional calculus sum fn(lambda_k) e_k."""
-        out = self.algebra.zero()
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out = out + proj.operator * complex(fn(float(lam)))
-        return out
 
     def projection_where(self, predicate) -> Projection:
         """Sum of eigenprojections whose eigenvalue satisfies the predicate."""
@@ -86,16 +77,6 @@ def eigh(x: Operator, tol=None, cluster_tol=EIG_CLUSTER_TOL) -> SpectralDecompos
     return SpectralDecomposition(x.algebra, np.array(eigenvalues), projections)
 
 
-def abs_value(x: Operator) -> Operator:
-    """|x| = (x* x)^(1/2), computed per block from the SVD of x."""
-    blocks = []
-    for b in x.blocks:
-        _, s, vh = np.linalg.svd(b)
-        v = vh.conj().T
-        blocks.append((v * s) @ v.conj().T)
-    return Operator(x.algebra, blocks)
-
-
 def positive_power(x: Operator, p: float, tol=None) -> Operator:
     """x^p for positive x via functional calculus (tiny negative
     eigenvalues from roundoff are clipped to zero)."""
@@ -108,78 +89,6 @@ def positive_power(x: Operator, p: float, tol=None) -> Operator:
         lam = np.clip(lam, 0.0, None)
         blocks.append((vecs * lam ** p) @ vecs.conj().T)
     return Operator(x.algebra, blocks)
-
-
-def spectral_projection(x: Operator, lower=None, upper=None,
-                        closed_lower=True, closed_upper=True,
-                        tol=None) -> Projection:
-    """Projection onto the eigenvalues of Hermitian x inside an interval.
-
-    None endpoints mean -inf / +inf.  Endpoint membership follows the
-    closed_* flags; interval tests use the clustered eigenvalues.
-    """
-    dec = eigh(x, tol)
-
-    def inside(lam):
-        if lower is not None:
-            if closed_lower and lam < lower:
-                return False
-            if not closed_lower and lam <= lower:
-                return False
-        if upper is not None:
-            if closed_upper and lam > upper:
-                return False
-            if not closed_upper and lam >= upper:
-                return False
-        return True
-
-    return dec.projection_where(inside)
-
-
-@dataclass
-class CutoffCertificate:
-    """Operator-order check x <= x_eps + eps^(1-p) x^p."""
-
-    residual_min_eig: float
-    satisfied: bool
-    eps: float
-    p: float
-
-
-def spectral_cutoff(x: Operator, eps: float, p: float, tol=None):
-    """Truncate positive x at level eps and certify the order bound.
-
-    Returns (x_eps, certificate) where x_eps keeps the spectral part of
-    x with eigenvalues in [0, eps] (left-closed convention) and the
-    certificate verifies x - x_eps - eps^(1-p) x^p <= tol in operator
-    order, i.e. the smallest eigenvalue of the majorant minus x is
-    >= -tol.
-    """
-    tol = resolve_tol(tol)
-    if eps <= 0:
-        raise ValueError("cutoff level must be positive")
-    if p < 1:
-        raise ValueError("exponent must satisfy p >= 1")
-    if not x.is_positive(tol):
-        raise NotPositiveError("spectral_cutoff needs a positive operator")
-
-    dec = eigh(x, tol)
-    x_eps = dec.apply(lambda lam: lam if lam <= eps else 0.0)
-    majorant = x_eps + positive_power(x, p) * (eps ** (1.0 - p)) - x
-    min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
-                  for b in majorant.blocks)
-    return x_eps, CutoffCertificate(min_eig, min_eig >= -tol, eps, p)
-
-
-def truncate_hermitian(x: Operator, level: float, tol=None) -> Operator:
-    """Spectral restriction of Hermitian x to eigenvalues in [-level, level]
-    (eigenvalues outside are dropped, not clipped)."""
-    dec = eigh(x, tol)
-    return dec.apply(lambda lam: lam if abs(lam) <= level else 0.0)
-
-
-def projection_complement(e: Projection) -> Projection:
-    return e.complement()
 
 
 def projection_meet(e: Projection, f: Projection,

@@ -15,6 +15,11 @@ FREQ_TOL = 1e-12
 CERTIFICATE_HORIZON = 4096
 CERTIFICATE_EPS_GRID = (0.1, 0.01, 0.001)
 
+# The "kind" values `WeightSequence` accepts, each with the JSON field
+# that carries its generator; the CLI schema reads them.
+WEIGHT_KINDS = {"constant": "period", "periodic": "period",
+                "trig": "poly", "trig_decay": "poly"}
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -167,14 +172,6 @@ class WeightSequence:
     @property
     def is_constant_one(self) -> bool:
         return self.kind == "constant" and self.period[0] == 1
-
-    @property
-    def is_real(self) -> bool:
-        if self.kind in ("constant", "periodic"):
-            return all(abs(v.imag) < 1e-15 for v in self.period)
-        # trig kinds: check a sample window
-        sample = self.values(64)
-        return bool(np.max(np.abs(sample.imag)) < 1e-12)
 
     # -- Besicovitch certification ----------------------------------------
 

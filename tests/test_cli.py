@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from ncergodic import cli, convergence
@@ -141,6 +142,59 @@ class TestChannelKinds:
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert "'warp'" in err.getvalue()
+
+
+_CERTIFY = {"methods": ["yeadon"], "eps_grid": [0.5], "p_grid": [1],
+            "element": {"kind": "random"}}
+_BESICOVITCH = {"element": {"kind": "random"},
+                "norms": [{"kind": "uniform"}]}
+_CONVERGE = {"element": {"kind": "random"}, "norms": [{"kind": "uniform"}]}
+
+# (subcommand, sections replacing those of the m2_unitary fixture, whose
+# algebra is one 2x2 block)
+MALFORMED = {
+    "constant-weights-no-period-certify": ("certify", {"certify": {
+        **_CERTIFY, "weights": {"kind": "constant"}}}),
+    "constant-weights-no-period-besicovitch": ("besicovitch", {
+        "besicovitch": {**_BESICOVITCH, "weights": {"kind": "constant"}}}),
+    "trig-weights-no-poly": ("besicovitch", {
+        "besicovitch": {**_BESICOVITCH, "weights": {"kind": "trig"}}}),
+    "unknown-weight-kind": ("besicovitch", {
+        "besicovitch": {**_BESICOVITCH, "weights": {"kind": "chirp"}}}),
+    "lp-norm-no-p": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "lp"}]}}),
+    "lorentz-q-below-1": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "lorentz", "p": 2, "q": 0.5}]}}),
+    "boyd-uniform-target": ("boyd", {"boyd": {
+        "targets": [{"kind": "uniform"}]}}),
+    "explicit-element-no-operator": ("converge", {"converge": {
+        **_CONVERGE, "element": {"kind": "explicit"}}}),
+    "one-sided-p-below-2": ("certify", {"certify": {
+        **_CERTIFY, "methods": ["one-sided"], "p_grid": [1, 2]}}),
+    "hopf-non-diagonal": ("certify", {"certify": {
+        **_CERTIFY, "methods": ["hopf"]}}),
+}
+
+
+class TestMalformedConfig:
+    def test_schema_is_valid(self):
+        # a run skips this check of the constant schema
+        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_1_with_one_error_line(self, tmp_path, name):
+        subcommand, sections = MALFORMED[name]
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config.update(sections)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli(subcommand, "--config", str(path),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestCertifyContract:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from ncergodic import cli, convergence
-from ncergodic.algebra import (AlgebraSpec, Projection, compressed_norm,
-                              one_sided_norm)
-from ncergodic.convergence import (NormSpec, au_witness, bau_witness,
-                                   besicovitch_experiment, trajectory)
-from ncergodic.dynamics import random_kraus_channel
+from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
+                              compressed_sup)
+from ncergodic.convergence import (CONDITION_III_TRACES, NormSpec,
+                                   au_witness, bau_witness,
+                                   besicovitch_experiment, condition_iii,
+                                   trajectory)
+from ncergodic.dynamics import random_kraus_channel, unitary_conjugation
 from ncergodic.maximal import peel
 from ncergodic.rng import random_operator, stream
 from ncergodic.weights import WeightSequence
@@ -59,6 +61,71 @@ class TestOnePassPerCell:
         assert report.schedule == [1, 2, 4, 8, 16, 32, 64]
 
 
+def run_fixture_converge(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["converge", "--config",
+                         str(FIXTURES / "m2_unitary.json"),
+                         "--out", str(tmp_path)])
+    assert code == 0
+    return json.loads((tmp_path / "converge.json").read_text())["summary"]
+
+
+class TestMeanConvergence:
+    def test_fixture_verdict(self, tmp_path):
+        # x is off-diagonal and the map flips its sign, so M_n(x) is
+        # x/(n+1) for even n and the limit is 0: the residual at
+        # n = 512 over the one at n = 128 is 129/513
+        cell = run_fixture_converge(tmp_path)["cells"][0]
+        verdicts = cell["mean_convergence"]
+        assert set(verdicts) == {"inf", "L2", "L(3,2)"}
+        for verdict in verdicts.values():
+            assert verdict["decay_ratio"] == pytest.approx(129 / 513,
+                                                           rel=1e-12)
+            assert verdict["converged"] is True
+
+    def test_condition_iii_closed_form(self, tmp_path):
+        summary = run_fixture_converge(tmp_path)
+        assert set(summary["condition_iii"]) == {"L2", "L(3,2)"}
+        lorentz = summary["condition_iii"]["L(3,2)"]
+        assert lorentz["ratios"] == pytest.approx(
+            [1.22474487, 0.26386328, 0.05684762, 0.01224745], rel=1e-6)
+        for p, q in [(3, 2), (2, 1), (1.5, 1), (2, 3), (1, 1)]:
+            report = condition_iii(NormSpec.lorentz(p, q))
+            assert report.traces == CONDITION_III_TRACES
+            assert report.ratios == pytest.approx(
+                [(p / q) ** (1 / q) * t ** (1 / p - 1)
+                 for t in CONDITION_III_TRACES], rel=1e-12)
+            assert report.vanishes_at_infinity == (p > 1)
+        assert condition_iii(NormSpec.lp(2)).ratios == pytest.approx(
+            [t ** -0.5 for t in CONDITION_III_TRACES], rel=1e-12)
+        assert condition_iii(NormSpec.uniform()) is None
+        assert condition_iii(NormSpec.measure()) is None
+
+    def test_measure_gets_no_verdict(self):
+        channel = random_kraus_channel(MULTI, 2, stream(305, "conv"))
+        x = random_operator(MULTI, stream(306, "conv"))
+        norms = (NormSpec.uniform(), NormSpec.measure())
+        report = trajectory(channel, x, 16, norms)
+        assert set(report.residuals) == {"inf", "measure"}
+        assert set(report.verdicts) == {"inf"}
+
+    def test_slow_rotation_is_not_converged(self):
+        # the phase exp(2 pi i / 700) turns less than once within 512
+        # steps: the residual falls by about 0.342 from n = 128, just
+        # short of the 0.3 the verdict asks for (the fixture's 129/513
+        # passes it)
+        algebra = AlgebraSpec(((2, 1.0),))
+        u = Operator(algebra, [np.diag([1.0, np.exp(2j * np.pi / 700)])])
+        x = Operator(algebra, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+        report = trajectory(unitary_conjugation(u), x, 512, NORMS)
+        for spec in NORMS:
+            res = report.residuals[spec.label]
+            verdict = report.verdicts[spec.label]
+            assert verdict["decay_ratio"] == res[-1] / res[-3]
+            assert verdict["decay_ratio"] == pytest.approx(0.342, abs=1e-3)
+            assert verdict["converged"] is False
+
+
 class TestDeviationWitnesses:
     @pytest.mark.parametrize("build", [au_witness, bau_witness])
     def test_budget_profile_and_report_reuse(self, build):
@@ -101,8 +168,14 @@ def stacks(ops):
     return MULTI.block_stacks([op.vec() for op in ops])
 
 
-MEASURES = {"hermitian": hermitian_top, "two_sided": compressed_norm,
-            "one_sided": one_sided_norm}
+def stack_of_one(mode):
+    """||e op e|| or ||op e||: `compressed_sup` of the stack of one."""
+    return lambda op, e: compressed_sup(stacks([op]), e, mode)
+
+
+MEASURES = {"hermitian": hermitian_top,
+            "two_sided": stack_of_one("two_sided"),
+            "one_sided": stack_of_one("one_sided")}
 
 
 class TestPeel:

@@ -9,11 +9,12 @@ import pytest
 
 from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
-                              compressed_norm, compressed_sup,
-                              one_sided_norm)
+                              compressed_sup)
 from ncergodic.dynamics import (ergodic_averages, identity_channel,
                                 random_kraus_channel)
-from ncergodic.maximal import measure_compressions, peel
+from ncergodic.maximal import (check_witness, is_found,
+                               measure_compressions, peel,
+                               yeadon_witness_search)
 from ncergodic.rng import random_operator, random_projection, stream
 from ncergodic.spectral import SpectralDecomposition, eigh
 from ncergodic.weights import WeightSequence
@@ -110,8 +111,9 @@ class TestCompressedSup:
         _, _, _, ops, rng = weighted_trajectory(401, horizon=3)
         e = random_projection(MULTI, rng)
         for op in ops:
-            assert compressed_norm(op, e) == loop_norm(op, e, "two_sided")
-            assert one_sided_norm(op, e) == loop_norm(op, e, "one_sided")
+            for mode in MODES:  # a stack of one
+                assert compressed_sup(stacks([op]), e, mode) == \
+                    loop_norm(op, e, mode)
 
     def test_zero_projection_and_unknown_mode(self):
         _, _, _, ops, _ = weighted_trajectory(402, horizon=3)
@@ -255,6 +257,49 @@ class TestLevelSet:
                     outcomes.add((len(cuts), expected is None))
         # found and not found, on the generic and the clustered spectrum
         assert outcomes == {(24, True), (24, False), (4, True), (4, False)}
+
+
+def found_yeadon_cell():
+    """A seeded weak (1,1) cell whose witness is found and kills part of
+    the first block."""
+    rng = stream(430, "checker")
+    channel = random_kraus_channel(MULTI, 3, rng)
+    x = random_operator(MULTI, rng, kind="positive", uniform_norm=1.0)
+    report = yeadon_witness_search(channel, x, 0.5, 32)
+    assert is_found(report)
+    assert 0 < report.projection.rank(0) < MULTI.dims[0]
+    return channel, x, report
+
+
+class TestCheckerRejects:
+    def test_rotated_projection_fails_sup(self):
+        channel, x, report = found_yeadon_cell()
+        e = report.projection
+        # swap one basis vector of block 0 for one from the killed range:
+        # the rank, so the defect, is unchanged
+        bases = [e.block_basis(i) for i in range(MULTI.num_blocks)]
+        killed = e.complement().block_basis(0)
+        bases[0] = np.concatenate([killed[:, :1], bases[0][:, 1:]], axis=1)
+        tampered = Projection.from_basis(MULTI, bases)
+        assert tampered.defect() == pytest.approx(e.defect())
+        outcome = check_witness(channel, x, tampered, report.horizon,
+                                report.trace_budget, report.sup_budget)
+        assert outcome.passed_trace
+        assert outcome.sup_value > report.sup_budget
+        assert not outcome.passed_sup and not outcome.passed
+
+    def test_budget_just_below_measurement_fails(self):
+        channel, x, report = found_yeadon_cell()
+        e, n = report.projection, report.horizon
+        defect, sup = report.trace_defect, report.sup_compression
+        exact = check_witness(channel, x, e, n, defect, sup, tol=0.0)
+        assert exact.passed
+        low_sup = check_witness(channel, x, e, n, defect,
+                                np.nextafter(sup, 0.0), tol=0.0)
+        assert low_sup.passed_trace and not low_sup.passed_sup
+        low_trace = check_witness(channel, x, e, n,
+                                  np.nextafter(defect, 0.0), sup, tol=0.0)
+        assert not low_trace.passed_trace and low_trace.passed_sup
 
 
 class TestOneSearchPassPerCheck:

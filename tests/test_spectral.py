@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from ncergodic.algebra import AlgebraSpec, Operator, Projection
-from ncergodic.errors import NotHermitianError, NotPositiveError
+from ncergodic.errors import NotHermitianError
 from ncergodic.rng import random_operator, random_projection, stream
-from ncergodic.spectral import (abs_value, eigh, positive_power,
-                                projection_complement, projection_meet,
-                                spectral_cutoff, spectral_projection,
-                                truncate_hermitian)
+from ncergodic.spectral import eigh, positive_power, projection_meet
 
 M2 = AlgebraSpec(((2, 1.0),))
 MIXED = AlgebraSpec(((3, 1.0), (2, 0.5)))
@@ -38,7 +35,10 @@ class TestEigh:
         for _ in range(10):
             x = herm(MIXED, rng)
             dec = eigh(x)
-            assert dec.reconstruct().allclose(x, tol=1e-10)
+            total = MIXED.zero()
+            for lam, proj in zip(dec.eigenvalues, dec.projections):
+                total = total + proj.operator * lam
+            assert total.allclose(x, tol=1e-10)
 
     def test_projections_resolve_identity(self):
         rng = stream(21, "eigh")
@@ -53,15 +53,16 @@ class TestEigh:
                 assert (p.operator @ q.operator).uniform_norm() < 1e-10
 
     def test_functional_calculus_homomorphism(self):
+        # on indicators: 1_{A and B}(x) = 1_A(x) 1_B(x)
         rng = stream(22, "eigh")
-        f = lambda t: t ** 2 - 1.0
-        g = lambda t: 2.0 * t + 0.5
+        f = lambda t: t > -0.5
+        g = lambda t: t < 0.8
         for _ in range(5):
-            x = herm(MIXED, rng)
-            dec = eigh(x)
-            lhs = dec.apply(lambda t: f(t) * g(t))
-            rhs = dec.apply(f) @ dec.apply(g)
-            assert lhs.allclose(rhs, tol=1e-10)
+            dec = eigh(herm(MIXED, rng))
+            lhs = dec.projection_where(lambda t: f(t) and g(t))
+            rhs = dec.projection_where(f).operator @ \
+                dec.projection_where(g).operator
+            assert lhs.operator.allclose(rhs, tol=1e-10)
 
     def test_degenerate_clustering(self):
         # identical eigenvalues across blocks merge into one projection
@@ -70,100 +71,45 @@ class TestEigh:
         assert dec.projections[0].operator.allclose(MIXED.identity())
 
 
-class TestAbsValue:
-    def test_nilpotent(self):
-        x = Operator(M2, [np.array([[0, 2], [0, 0]], dtype=complex)])
-        assert abs_value(x).allclose(
-            Operator(M2, [np.diag([0.0, 2.0]).astype(complex)]), tol=1e-12)
-
-    def test_hermitian_spectrum_folds(self):
-        x = Operator(M2, [np.diag([-1.0, 2.0]).astype(complex)])
-        assert np.allclose(np.linalg.eigvalsh(abs_value(x).block(0)),
-                           [1.0, 2.0])
-
-    def test_square_identity(self):
-        rng = stream(23, "abs")
-        for _ in range(10):
-            x = random_operator(MIXED, rng)
-            ax = abs_value(x)
-            assert (ax @ ax).trace() == pytest.approx(
-                (x.adjoint() @ x).trace(), abs=1e-10)
-            assert ax.uniform_norm() == pytest.approx(x.uniform_norm(),
-                                                      abs=1e-10)
-            assert ax.is_positive()
-
-
 class TestSpectralProjection:
     def test_interval(self):
         x = Operator(M2, [np.diag([3.0, 1.0]).astype(complex)])
-        e = spectral_projection(x, 0.0, 2.0)
+        e = eigh(x).projection_where(lambda t: 0.0 <= t <= 2.0)
         assert e.operator.allclose(
             Operator(M2, [np.diag([0.0, 1.0]).astype(complex)]), tol=1e-12)
 
     def test_whole_line(self):
         rng = stream(24, "proj")
         x = herm(MIXED, rng)
-        assert spectral_projection(x).operator.allclose(MIXED.identity(),
-                                                        tol=1e-12)
+        assert eigh(x).projection_where(lambda t: True).operator.allclose(
+            MIXED.identity(), tol=1e-12)
 
     def test_chebyshev(self):
         rng = stream(25, "proj")
         for _ in range(10):
             x = herm(MIXED, rng)
             eps = 0.5
-            e = spectral_projection(x, eps, None, closed_lower=False)
-            positive_part = eigh(x).apply(lambda t: max(t, 0.0))
-            assert e.trace() <= positive_part.trace().real / eps + 1e-10
+            dec = eigh(x)
+            e = dec.projection_where(lambda t: t > eps)
+            positive_trace = sum(max(lam, 0.0) * proj.trace() for lam, proj
+                                 in zip(dec.eigenvalues, dec.projections))
+            assert e.trace() <= positive_trace / eps + 1e-10
 
     def test_complementary_intervals(self):
         rng = stream(26, "proj")
         x = herm(MIXED, rng)
         cut = 0.3
-        low = spectral_projection(x, None, cut, closed_upper=True)
-        high = spectral_projection(x, cut, None, closed_lower=False)
+        low = eigh(x).projection_where(lambda t: t <= cut)
+        high = eigh(x).projection_where(lambda t: t > cut)
         assert (low.operator + high.operator).allclose(MIXED.identity(),
                                                        tol=1e-10)
 
     def test_commutes_with_input(self):
         rng = stream(27, "proj")
         x = herm(MIXED, rng)
-        e = spectral_projection(x, 0.0, None)
+        e = eigh(x).projection_where(lambda t: t >= 0.0)
         comm = x @ e.operator - e.operator @ x
         assert comm.uniform_norm() < 1e-9
-
-
-class TestSpectralCutoff:
-    def test_worked_example(self):
-        x = Operator(M2, [np.diag([3.0, 1.0]).astype(complex)])
-        x_eps, cert = spectral_cutoff(x, 2.0, 2.0)
-        assert x_eps.allclose(
-            Operator(M2, [np.diag([0.0, 1.0]).astype(complex)]), tol=1e-12)
-        assert cert.satisfied
-
-    def test_large_eps_keeps_everything(self):
-        rng = stream(28, "cutoff")
-        x = random_operator(MIXED, rng, kind="positive")
-        x_eps, cert = spectral_cutoff(x, x.uniform_norm() + 1.0, 3.0)
-        assert x_eps.allclose(x, tol=1e-12)
-        assert cert.satisfied
-
-    def test_small_eps_invertible(self):
-        x = Operator(M2, [np.diag([2.0, 0.5]).astype(complex)])
-        x_eps, cert = spectral_cutoff(x, 1e-6, 2.0)
-        assert x_eps.uniform_norm() < 1e-12
-        assert cert.satisfied  # lam <= eps^(1-p) lam^p for lam >= eps
-
-    def test_rejects_non_positive(self):
-        x = Operator(M2, [np.diag([-1.0, 1.0]).astype(complex)])
-        with pytest.raises(NotPositiveError):
-            spectral_cutoff(x, 1.0, 2.0)
-
-    def test_order_bound_random(self):
-        rng = stream(29, "cutoff")
-        for _ in range(10):
-            x = random_operator(MIXED, rng, kind="positive")
-            _, cert = spectral_cutoff(x, 0.8, 1.5)
-            assert cert.satisfied
 
 
 class TestPositivePower:
@@ -171,19 +117,6 @@ class TestPositivePower:
         x = Operator(M2, [np.diag([4.0, 9.0]).astype(complex)])
         assert positive_power(x, 0.5).allclose(
             Operator(M2, [np.diag([2.0, 3.0]).astype(complex)]), tol=1e-12)
-
-
-class TestTruncateHermitian:
-    def test_drops_large_eigenvalues(self):
-        x = Operator(M2, [np.diag([3.0, -1.0]).astype(complex)])
-        assert truncate_hermitian(x, 2.0).allclose(
-            Operator(M2, [np.diag([0.0, -1.0]).astype(complex)]), tol=1e-12)
-
-    def test_noop_above_norm(self):
-        rng = stream(30, "trunc")
-        x = herm(MIXED, rng)
-        assert truncate_hermitian(x, x.uniform_norm() + 1.0).allclose(
-            x, tol=1e-10)
 
 
 class TestProjectionLattice:
@@ -224,5 +157,5 @@ class TestProjectionLattice:
     def test_complement(self):
         rng = stream(34, "meet")
         e = random_projection(MIXED, rng)
-        total = e.operator + projection_complement(e).operator
+        total = e.operator + e.complement().operator
         assert total.allclose(MIXED.identity(), tol=1e-10)
