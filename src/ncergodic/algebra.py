@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (AlgebraMismatchError, NotHermitianError,
                      ProjectionCertificateError)
-from .util import resolve_tol, short_hash
+from .util import DEFAULT_TOL, short_hash
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,15 @@ class Operator:
 
     # -- certificates ---------------------------------------------------
 
-    def is_hermitian(self, tol=None) -> bool:
-        tol = resolve_tol(tol)
+    def is_hermitian(self, tol=DEFAULT_TOL) -> bool:
         return all(np.linalg.norm(b - b.conj().T, 2) <= tol
                    for b in self._blocks)
 
-    def is_positive(self, tol=None) -> bool:
-        tol = resolve_tol(tol)
-        if not self.is_hermitian(tol):
+    def is_positive(self) -> bool:
+        if not self.is_hermitian():
             return False
         return all(b.shape[0] == 0 or
-                   float(np.linalg.eigvalsh(b)[0]) >= -tol
+                   float(np.linalg.eigvalsh(b)[0]) >= -DEFAULT_TOL
                    for b in self._blocks)
 
     def hermitian_part(self) -> "Operator":
@@ -250,7 +248,7 @@ class Operator:
         return f"Operator(dims={self.algebra.dims})"
 
 
-def hermitian_decompose(x: Operator, tol=None):
+def hermitian_decompose(x: Operator):
     """Split x into four positive operators with
     x = (x1 - x2) + i(x3 - x4).
 
@@ -276,29 +274,28 @@ def hermitian_decompose(x: Operator, tol=None):
 class Projection:
     """Certified self-adjoint idempotent.
 
-    Construction verifies ||e^2 - e|| <= tol, ||e - e*|| <= tol and that
-    all eigenvalues sit within tol of {0, 1}; the stored operator is the
-    cleaned version obtained by rounding eigenvalues to {0, 1}.
+    Construction verifies ||e^2 - e||, ||e - e*|| <= DEFAULT_TOL and that
+    all eigenvalues sit within DEFAULT_TOL of {0, 1}; the stored operator
+    is the cleaned version obtained by rounding eigenvalues to {0, 1}.
     """
 
     __slots__ = ("operator", "_bases")
 
-    def __init__(self, op: Operator, tol=None):
-        tol = resolve_tol(tol)
+    def __init__(self, op: Operator):
         bases = []
         clean_blocks = []
         for b in op.blocks:
             herm_defect = float(np.linalg.norm(b - b.conj().T, 2))
             idem_defect = float(np.linalg.norm(b @ b - b, 2))
-            if herm_defect > tol:
+            if herm_defect > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"not self-adjoint (defect {herm_defect:.2e})")
-            if idem_defect > tol:
+            if idem_defect > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"not idempotent (defect {idem_defect:.2e})")
             lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
             dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
-            if lam.size and float(dist.max()) > tol:
+            if lam.size and float(dist.max()) > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"eigenvalue {lam[np.argmax(dist)]:.6g} not in {{0,1}}")
             keep = lam > 0.5
@@ -378,6 +375,6 @@ def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
     return best
 
 
-def require_hermitian(x: Operator, tol=None, what="operator"):
-    if not x.is_hermitian(tol):
+def require_hermitian(x: Operator, what="operator"):
+    if not x.is_hermitian():
         raise NotHermitianError(f"{what} is not self-adjoint within tolerance")

@@ -29,9 +29,10 @@ from . import __version__
 from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, condition_iii, trajectory)
-from .dynamics import CHANNEL_KINDS, channel_from_spec, verify_ds
+from .dynamics import CHANNEL_KINDS, channel_from_spec
 from .errors import ChannelConstructionError, ConfigError
-from .funcspace import boyd_estimate, dilation_norm_estimate
+from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
+                        dilation_norm_estimate)
 from .maximal import (hopf_witness_commutative, is_found, lp_witness,
                       one_sided_witness, weighted_witness,
                       yeadon_witness_search)
@@ -100,6 +101,7 @@ _NORM_SCHEMA = {
 
 _COMPLEX = {"type": "array", "items": {"type": "number"},
             "minItems": 2, "maxItems": 2}
+_EXPONENT = {"type": "number", "minimum": 1}
 _COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
 
 _WEIGHTS_SCHEMA = {
@@ -185,8 +187,13 @@ CONFIG_SCHEMA = {
             "properties": {
                 "algebras": {"type": "array"},
                 "num_operators": {"type": "integer", "minimum": 0},
-                "p_grid": {"type": "array"},
-                "pq_grid": {"type": "array"},
+                "p_grid": {"type": "array", "items": _EXPONENT},
+                "pq_grid": {"type": "array", "items": {
+                    "type": "array", "prefixItems": [_EXPONENT, _EXPONENT],
+                    "minItems": 2, "maxItems": 2,
+                    # as for the Lorentz norms: no (1, q) with q > 1
+                    "if": {"prefixItems": [{"const": 1}]},
+                    "then": {"prefixItems": [True, {"maximum": 1}]}}},
             },
         },
         "boyd": {
@@ -197,9 +204,14 @@ CONFIG_SCHEMA = {
                 "targets": {"type": "array", "items": {
                     "allOf": [_NORM_SCHEMA],
                     "properties": {"kind": {"enum": ["lp", "lorentz"]}}}},
+                # factors on both sides of 1, unless empty (the default)
                 "s_grid": {"type": "array",
                            "items": {"type": "number",
-                                     "exclusiveMinimum": 0}},
+                                     "exclusiveMinimum": 0},
+                           "if": {"minItems": 1},
+                           "then": {"allOf": [
+                               {"contains": {"exclusiveMaximum": 1}},
+                               {"contains": {"exclusiveMinimum": 1}}]}},
             },
         },
     },
@@ -226,7 +238,8 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
     error = jsonschema.exceptions.best_match(
         _CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
-        raise ConfigError(f"config does not validate: {error.message}")
+        raise ConfigError(f"config does not validate at {error.json_path}: "
+                          f"{error.message}")
     for section in _SECTION_NEEDS[subcommand]:
         if section not in config:
             raise ConfigError(
@@ -269,7 +282,10 @@ def _norm_specs(items):
 def _weights_from(config_section):
     if config_section is None:
         return WeightSequence.constant(1.0)
-    return WeightSequence.from_json(config_section)
+    try:
+        return WeightSequence.from_json(config_section)
+    except ValueError as exc:  # a WeightBoundError or a bad frequency
+        raise ConfigError(f"weights: {exc}") from exc
 
 
 # ---------------------------------------------------------------------
@@ -287,7 +303,7 @@ def _base(config, algebra, channel_kind, p="", q="", eps=""):
 def run_verify_channel(config, jobs):
     algebra = AlgebraSpec.from_json(config["algebra"])
     channel = channel_from_spec(algebra, config["channel"], config["seed"])
-    report = verify_ds(channel)
+    report = channel.verification
     header = _BASE_COLUMNS + ["positive", "positivity_evidence",
                               "subunital_value", "adjoint_unit_value",
                               "subunital", "trace_nonincreasing",
@@ -316,7 +332,7 @@ _CERTIFY_BUILDERS = {
 }
 
 
-def _certify_cell(config, algebra, channel, cell):
+def _certify_cell(config, algebra, channel, beta, cell):
     method, p, eps, seed_idx = cell
     seed = config["seed"]
     horizon = config["horizon"]
@@ -326,7 +342,6 @@ def _certify_cell(config, algebra, channel, cell):
     if method in ("yeadon", "hopf", "lp") and spec["kind"] == "random":
         spec["kind"] = "random-positive"  # these constructions need x >= 0
     x = element_from_spec(algebra, spec, rng)
-    beta = _weights_from(section.get("weights"))
 
     result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
     found = is_found(result)
@@ -352,6 +367,7 @@ def _certify_cell(config, algebra, channel, cell):
 def run_certify(config, jobs):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["certify"]
+    beta = _weights_from(section.get("weights"))
     cells = []
     for method in section["methods"]:
         for p in section["p_grid"]:
@@ -366,7 +382,7 @@ def run_certify(config, jobs):
                 for seed_idx in {cell[3] for cell in cells}}
 
     def work(cell):
-        return _certify_cell(config, algebra, channels[cell[3]], cell)
+        return _certify_cell(config, algebra, channels[cell[3]], beta, cell)
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         results = list(pool.map(work, cells))
@@ -491,10 +507,10 @@ def run_norms(config, jobs):
             sf = singular_function(x)
             cell = f"{ai}:{j}"
 
-            def emit(check, a, b, tol=1e-10, p="", q=""):
+            def emit(check, a, b, p="", q=""):
                 nonlocal all_green
                 diff = abs(a - b)
-                ok = diff <= tol
+                ok = diff <= 1e-10
                 all_green = all_green and ok
                 rows.append(_base(config, algebra, "", p=p, q=q)
                             + [cell, check, a, b, diff, ok])
@@ -512,7 +528,7 @@ def run_norms(config, jobs):
             emit("adjoint_invariance", lp_norm(x, 2),
                  lp_norm(x.adjoint(), 2), p=2)
             emit("submajorizes_self", 1.0,
-                 1.0 if submajorizes(x, x) else 0.0, tol=0.0)
+                 1.0 if submajorizes(x, x) else 0.0)
     summary = {"all_green": all_green, "rows": len(rows)}
     return header, rows, summary, 0
 
@@ -527,7 +543,7 @@ def run_boyd(config, jobs):
     for target in section["targets"]:
         spec = NormSpec.from_json(target)
         p, q = spec.p, spec.q
-        grid = sorted(float(s) for s in (s_grid or (2.0 ** -16, 2.0 ** 16)))
+        grid = sorted(float(s) for s in (s_grid or BOYD_LIMIT_SCALES))
         for s in grid:
             rows.append(_base(config, None, "", p=p, q=q or "")
                         + [spec.label, s, dilation_norm_estimate(s, p, q),

@@ -243,15 +243,15 @@ class BesicovitchReport:
 
 
 def besicovitch_experiment(channel: Channel, x: Operator, beta,
-                           horizon: int, norms,
-                           witness_eps=0.05) -> BesicovitchReport:
+                           horizon: int, norms) -> BesicovitchReport:
     """Weighted averages along the dyadic schedule with Cauchy checks.
 
     For the generator family every sequence has an exact rotated-limit
     formula: the trig polynomial part contributes
     sum_j z_j P_{lambda_j}(x) where P_lambda is the phase-twisted Cesaro
     limit, and a 1/(k+1) decay tail averages to zero.  The witness is a
-    two-sided deviation witness against that limit.
+    two-sided deviation witness against that limit, with trace budget
+    0.05.
     """
     norms = list(norms)
     certificate = beta.besicovitch_certificate()
@@ -277,7 +277,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
             cauchy["measure"].append(measure.distance(previous, avg))
         previous = avg
 
-    witness = _deviation_witness(channel.algebra, witness_eps, horizon,
+    witness = _deviation_witness(channel.algebra, 0.05, horizon,
                                  "two_sided", limit, averages)
     return BesicovitchReport(limit, True, schedule, residuals, cauchy,
                              witness, certificate.certified)

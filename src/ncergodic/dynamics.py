@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import AlgebraSpec, Operator
 from .errors import ChannelConstructionError, SemisimplicityError
 from .rng import random_operator, random_unitary_operator, stream
-from .util import EIG_CLUSTER_TOL, resolve_tol
+from .util import DEFAULT_TOL, EIG_CLUSTER_TOL
 
 # Seed for the deterministic positive test set used when a channel has
 # no structural positivity evidence.
@@ -38,19 +38,17 @@ _POSITIVITY_SAMPLES = 8
 class Channel:
     """Linear map on the algebra, stored as a dense superoperator.
 
-    Vectorization is row-major per block, blocks concatenated.  The
-    flags record what the constructor certified; `verify_ds` recomputes
-    a verification report from scratch at any time.
+    Vectorization is row-major per block, blocks concatenated.
+    `verification` is the `verify_ds` report taken at construction.
     """
 
     __slots__ = ("algebra", "superop", "kraus", "kind", "positivity_evidence",
-                 "verified_positive", "verified_subunital",
-                 "verified_trace_nonincreasing", "norm_contraction_certified",
+                 "verification", "norm_contraction_certified",
                  "_adjoint_superop", "_eigenvalues")
 
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
                  kind="custom", positivity_evidence="none",
-                 norm_contraction_certified=False, verify=True, tol=None):
+                 norm_contraction_certified=False):
         n = algebra.vec_dim
         superop = np.array(superop, dtype=complex)
         if superop.shape != (n, n):
@@ -66,14 +64,7 @@ class Channel:
         self.norm_contraction_certified = norm_contraction_certified
         self._adjoint_superop = None
         self._eigenvalues = None
-        self.verified_positive = False
-        self.verified_subunital = False
-        self.verified_trace_nonincreasing = False
-        if verify:
-            report = verify_ds(self, tol=tol)
-            self.verified_positive = report.positive
-            self.verified_subunital = report.subunital
-            self.verified_trace_nonincreasing = report.trace_nonincreasing
+        self.verification = verify_ds(self)
 
     # -- application ------------------------------------------------------
 
@@ -99,14 +90,13 @@ class Channel:
 
     @property
     def is_ds_plus(self) -> bool:
-        return (self.verified_positive and self.verified_subunital
-                and self.verified_trace_nonincreasing)
+        return self.verification.is_ds_plus
 
     @property
     def is_ds(self) -> bool:
         """DS+ or a norm-contraction certified linear combination."""
         return self.is_ds_plus or (self.norm_contraction_certified
-                                   and self.verified_subunital)
+                                   and self.verification.subunital)
 
     def eigenvalues(self) -> np.ndarray:
         """Superoperator spectrum, computed once, cached read-only.
@@ -125,15 +115,15 @@ class Channel:
             self._eigenvalues = eigs
         return self._eigenvalues
 
-    def eigenspace_dim(self, phase=1.0, cluster_tol=EIG_CLUSTER_TOL) -> int:
-        """Eigenvalues of phase*T within cluster_tol of 1 (dim Fix(T))."""
+    def eigenspace_dim(self, phase=1.0) -> int:
+        """Eigenvalues of phase*T within EIG_CLUSTER_TOL of 1 (dim Fix(T))."""
         return int(np.count_nonzero(
-            np.abs(phase * self.eigenvalues() - 1.0) <= cluster_tol))
+            np.abs(phase * self.eigenvalues() - 1.0) <= EIG_CLUSTER_TOL))
 
-    def spectral_gap(self, cluster_tol=EIG_CLUSTER_TOL) -> float:
+    def spectral_gap(self) -> float:
         """1 minus the largest cached |eigenvalue| outside the cluster at 1."""
         eigs = self.eigenvalues()
-        outside = np.abs(eigs[np.abs(eigs - 1.0) > cluster_tol])
+        outside = np.abs(eigs[np.abs(eigs - 1.0) > EIG_CLUSTER_TOL])
         return float(1.0 - outside.max()) if outside.size else 1.0
 
     def __repr__(self):
@@ -215,14 +205,13 @@ class DSVerification:
     subunital_value: float
     trace_nonincreasing: bool
     adjoint_unit_value: float
-    tol: float
 
     @property
     def is_ds_plus(self) -> bool:
         return self.positive and self.subunital and self.trace_nonincreasing
 
 
-def verify_ds(channel: Channel, tol=None) -> DSVerification:
+def verify_ds(channel: Channel) -> DSVerification:
     """Verify the DS+ conditions of a channel, reporting all failures.
 
     (a) positivity: certified by Kraus data or structural evidence
@@ -232,9 +221,10 @@ def verify_ds(channel: Channel, tol=None) -> DSVerification:
     (b) subunitality ||T(1)|| <= 1 + tol, which for positive maps is the
         uniform-norm contraction;
     (c) largest eigenvalue of the trace-adjoint applied to the identity
-        <= 1 + tol, equivalent to trace-nonincreasing on positives.
+        <= 1 + tol, equivalent to trace-nonincreasing on positives;
+    all with tol = DEFAULT_TOL.
     """
-    tol = resolve_tol(tol)
+    tol = DEFAULT_TOL
     if channel.positivity_evidence in ("kraus", "entrywise", "convex",
                                        "structural"):
         positive = True
@@ -267,12 +257,11 @@ def verify_ds(channel: Channel, tol=None) -> DSVerification:
         subunital_value=float(subunital_value),
         trace_nonincreasing=bool(adjoint_unit_value <= 1.0 + tol),
         adjoint_unit_value=float(adjoint_unit_value),
-        tol=tol,
     )
 
 
 # ---------------------------------------------------------------------
-# Constructors.  Each returns a channel whose DS+ flags were verified.
+# Constructors.  Each returns a channel carrying its DS+ verification.
 # ---------------------------------------------------------------------
 
 def _conjugation_superop(algebra: AlgebraSpec, left: Operator,
@@ -296,17 +285,14 @@ def _kraus_superop(algebra: AlgebraSpec, ops) -> np.ndarray:
     return out
 
 
-def kraus_channel(algebra: AlgebraSpec, ops, kind="kraus",
-                  require_ds=True, tol=None) -> Channel:
+def kraus_channel(algebra: AlgebraSpec, ops, kind="kraus") -> Channel:
     """T(x) = sum_k a_k x a_k*, completely positive by construction."""
-    ch = Channel(algebra, _kraus_superop(algebra, ops), kraus=ops,
-                 kind=kind, tol=tol)
-    if require_ds and not ch.is_ds_plus:
-        report = verify_ds(ch, tol)
+    ch = Channel(algebra, _kraus_superop(algebra, ops), kraus=ops, kind=kind)
+    if not ch.is_ds_plus:
         raise ChannelConstructionError(
             "Kraus family is not Dunford-Schwartz: "
-            f"||T(1)||={report.subunital_value:.6g}, "
-            f"||T'(1)||={report.adjoint_unit_value:.6g}")
+            f"||T(1)||={ch.verification.subunital_value:.6g}, "
+            f"||T'(1)||={ch.verification.adjoint_unit_value:.6g}")
     return ch
 
 
@@ -315,15 +301,14 @@ def identity_channel(algebra: AlgebraSpec) -> Channel:
                    kraus=[algebra.identity()], kind="identity")
 
 
-def unitary_conjugation(u: Operator, tol=None) -> Channel:
+def unitary_conjugation(u: Operator) -> Channel:
     """x -> u* x u for a block unitary u."""
-    tol = resolve_tol(tol)
     algebra = u.algebra
     defect = max(float(np.linalg.norm(
         b.conj().T @ b - np.eye(b.shape[0]), 2)) for b in u.blocks)
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise ChannelConstructionError(f"not unitary (defect {defect:.2e})")
-    return kraus_channel(algebra, [u.adjoint()], kind="unitary", tol=tol)
+    return kraus_channel(algebra, [u.adjoint()], kind="unitary")
 
 
 def pinching(algebra: AlgebraSpec, labels) -> Channel:
@@ -345,14 +330,13 @@ def pinching(algebra: AlgebraSpec, labels) -> Channel:
     return kraus_channel(algebra, ops, kind="pinching")
 
 
-def schur_multiplier(algebra: AlgebraSpec, mats, tol=None) -> Channel:
+def schur_multiplier(algebra: AlgebraSpec, mats) -> Channel:
     """Entrywise multiplier x_i -> m_i (*) x_i per block.
 
     Requires every m_i positive semidefinite with diagonal <= 1; the
     Kraus decomposition diag(sqrt(mu_k) v_k) comes from the
     eigendecomposition of m_i.
     """
-    tol = resolve_tol(tol)
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != algebra.num_blocks:
         raise ChannelConstructionError("one multiplier matrix per block")
@@ -362,13 +346,13 @@ def schur_multiplier(algebra: AlgebraSpec, mats, tol=None) -> Channel:
     for i, (d, m) in enumerate(zip(algebra.dims, mats)):
         if m.shape != (d, d):
             raise ChannelConstructionError("multiplier shape mismatch")
-        if np.linalg.norm(m - m.conj().T, 2) > tol:
+        if np.linalg.norm(m - m.conj().T, 2) > DEFAULT_TOL:
             raise ChannelConstructionError("multiplier must be Hermitian")
         lam, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-        if lam[0] < -tol:
+        if lam[0] < -DEFAULT_TOL:
             raise ChannelConstructionError(
                 f"multiplier not PSD (min eig {lam[0]:.2e})")
-        if np.max(m.diagonal().real) > 1.0 + tol:
+        if np.max(m.diagonal().real) > 1.0 + DEFAULT_TOL:
             raise ChannelConstructionError("multiplier diagonal exceeds 1")
         for k in range(d):
             if lam[k] <= 0:
@@ -376,10 +360,10 @@ def schur_multiplier(algebra: AlgebraSpec, mats, tol=None) -> Channel:
             col = np.zeros(total, dtype=complex)
             col[offsets[i]:offsets[i] + d] = np.sqrt(lam[k]) * vecs[:, k]
             ops.append(algebra.diagonal(col))
-    return kraus_channel(algebra, ops, kind="schur", tol=tol)
+    return kraus_channel(algebra, ops, kind="schur")
 
 
-def substochastic(algebra: AlgebraSpec, matrix, tol=None) -> Channel:
+def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
     """Markov-type map on a diagonal algebra: (T x)_i = sum_j P_ij x_j.
 
     Requires all blocks 1x1, P entrywise >= 0, row sums <= 1 and
@@ -387,7 +371,6 @@ def substochastic(algebra: AlgebraSpec, matrix, tol=None) -> Channel:
     exactly subunitality and trace-nonincreasing, and entrywise
     positivity makes the map positive on the diagonal algebra.
     """
-    tol = resolve_tol(tol)
     if not algebra.is_diagonal:
         raise ChannelConstructionError(
             "substochastic channels need a diagonal algebra (all blocks 1x1)")
@@ -395,22 +378,22 @@ def substochastic(algebra: AlgebraSpec, matrix, tol=None) -> Channel:
     p = np.asarray(matrix, dtype=float)
     if p.shape != (n, n):
         raise ChannelConstructionError(f"matrix must be {n}x{n}")
-    if np.min(p) < -tol:
+    if np.min(p) < -DEFAULT_TOL:
         raise ChannelConstructionError("matrix entries must be non-negative")
     row_sums = p.sum(axis=1)
-    if np.max(row_sums) > 1.0 + tol:
+    if np.max(row_sums) > 1.0 + DEFAULT_TOL:
         raise ChannelConstructionError(
             f"row sum {row_sums.max():.6g} exceeds 1")
     w = np.array(algebra.weights)
     col = (w[:, None] * p).sum(axis=0) / w
-    if np.max(col) > 1.0 + tol:
+    if np.max(col) > 1.0 + DEFAULT_TOL:
         raise ChannelConstructionError(
             f"weighted column sum {col.max():.6g} exceeds 1")
     return Channel(algebra, p.astype(complex), kind="substochastic",
-                   positivity_evidence="entrywise", tol=tol)
+                   positivity_evidence="entrywise")
 
 
-def convex_combine(channels, probabilities, tol=None) -> Channel:
+def convex_combine(channels, probabilities) -> Channel:
     """Convex combination of channels (DS+ is closed under these)."""
     probabilities = np.asarray(probabilities, dtype=float)
     if len(channels) != probabilities.size or len(channels) == 0:
@@ -424,13 +407,13 @@ def convex_combine(channels, probabilities, tol=None) -> Channel:
         kraus = []
         for p, ch in zip(probabilities, channels):
             kraus.extend(a * np.sqrt(p) for a in ch.kraus)
-    evidence = ("convex" if all(ch.verified_positive for ch in channels)
+    evidence = ("convex" if all(ch.verification.positive for ch in channels)
                 else "none")
     return Channel(algebra, superop, kraus=kraus, kind="convex",
-                   positivity_evidence=evidence, tol=tol)
+                   positivity_evidence=evidence)
 
 
-def linear_combine(channels, coefficients, tol=None) -> Channel:
+def linear_combine(channels, coefficients) -> Channel:
     """Complex combination sum c_i T_i of DS+ channels with sum|c_i| <= 1.
 
     The result contracts both the uniform norm and the trace norm by
@@ -449,37 +432,35 @@ def linear_combine(channels, coefficients, tol=None) -> Channel:
     superop = sum(c * ch.superop for c, ch in zip(coefficients, channels))
     return Channel(algebra, superop, kind="linear-combination",
                    positivity_evidence="none",
-                   norm_contraction_certified=True, tol=tol)
+                   norm_contraction_certified=True)
 
 
-def scale_channel(channel: Channel, factor, tol=None) -> Channel:
+def scale_channel(channel: Channel, factor) -> Channel:
     """factor * T.  Positive factors keep positivity; unimodular complex
     factors keep only the norm contraction (DS mode)."""
     factor = complex(factor)
     evidence = "none"
-    if factor.imag == 0 and factor.real >= 0 and channel.verified_positive:
+    if factor.imag == 0 and factor.real >= 0 and channel.verification.positive:
         evidence = "structural"
     certified = (channel.is_ds_plus or channel.norm_contraction_certified) \
         and abs(factor) <= 1.0 + 1e-12
     return Channel(channel.algebra, factor * channel.superop,
                    kind=f"scaled-{channel.kind}",
                    positivity_evidence=evidence,
-                   norm_contraction_certified=certified, tol=tol)
+                   norm_contraction_certified=certified)
 
 
-def compose(outer: Channel, inner: Channel, tol=None) -> Channel:
+def compose(outer: Channel, inner: Channel) -> Channel:
     """outer after inner."""
     if outer.algebra != inner.algebra:
         raise ChannelConstructionError("channels on different algebras")
     kraus = None
     if outer.kraus and inner.kraus:
         kraus = [a @ b for a in outer.kraus for b in inner.kraus]
-    evidence = ("structural"
-                if outer.verified_positive and inner.verified_positive
-                else "none")
+    evidence = ("structural" if outer.verification.positive
+                and inner.verification.positive else "none")
     return Channel(outer.algebra, outer.superop @ inner.superop,
-                   kraus=kraus, kind="compose",
-                   positivity_evidence=evidence, tol=tol)
+                   kraus=kraus, kind="compose", positivity_evidence=evidence)
 
 
 # ---------------------------------------------------------------------
@@ -507,11 +488,11 @@ def random_kraus_channel(algebra: AlgebraSpec, num_ops, rng,
 
 
 def random_unitary_mixture(algebra: AlgebraSpec, num_unitaries, rng,
-                           min_gap=None, max_draws=64) -> Channel:
+                           min_gap=None) -> Channel:
     """Uniform mixture of random unitary conjugations (unital,
-    trace-preserving DS+).  With min_gap set, redraws until the
-    superoperator spectral gap reaches it."""
-    for _ in range(max_draws):
+    trace-preserving DS+).  With min_gap set, redraws, at most 64 times,
+    until the superoperator spectral gap reaches it."""
+    for _ in range(64):
         parts = [unitary_conjugation(random_unitary_operator(algebra, rng))
                  for _ in range(num_unitaries)]
         ch = convex_combine(parts, np.full(num_unitaries,
@@ -519,19 +500,19 @@ def random_unitary_mixture(algebra: AlgebraSpec, num_unitaries, rng,
         if min_gap is None or ch.spectral_gap() >= min_gap:
             return ch
     raise ChannelConstructionError(
-        f"no mixture with spectral gap >= {min_gap} in {max_draws} draws")
+        f"no mixture with spectral gap >= {min_gap} in 64 draws")
 
 
-def random_substochastic(algebra: AlgebraSpec, rng, slack=0.05) -> Channel:
+def random_substochastic(algebra: AlgebraSpec, rng) -> Channel:
     """Random substochastic channel on a diagonal algebra: a random
     doubly-stochastic-like matrix shrunk until both sum conditions hold
-    with the given slack."""
+    with a slack of 0.05."""
     n = algebra.num_blocks
     p = rng.random((n, n))
     w = np.array(algebra.weights)
     p /= max(np.max(p.sum(axis=1)),
              np.max((w[:, None] * p).sum(axis=0) / w))
-    return substochastic(algebra, (1.0 - slack) * p)
+    return substochastic(algebra, 0.95 * p)
 
 
 # ---------------------------------------------------------------------
@@ -572,12 +553,12 @@ def ergodic_averages(channel: Channel, x: Operator, n_max: int, beta=None):
 # Exact Cesaro limits.
 # ---------------------------------------------------------------------
 
-def _peripheral_projection(channel, x, phase, cluster_tol) -> Operator:
+def _peripheral_projection(channel, x, phase) -> Operator:
     """Component of x at eigenvalue 1 of phase*T: D^-1 V (U*V)^-1 U* D x,
     V and U the last k right/left singular vectors of D(phase*T - I)D^-1
     for k cached eigenvalues in the cluster and D = diag(sqrt w).  A
     Jordan part shrinks the kernel or makes U*V singular, and raises."""
-    k = channel.eigenspace_dim(phase, cluster_tol)
+    k = channel.eigenspace_dim(phase)
     if k == 0:
         return channel.algebra.zero()
     scale = np.sqrt(_weight_vector(channel.algebra))
@@ -585,31 +566,30 @@ def _peripheral_projection(channel, x, phase, cluster_tol) -> Operator:
     u, s, vh = np.linalg.svd(scaled - np.eye(scale.size))
     left, right = u[:, -k:], vh[-k:].conj().T
     overlap = left.conj().T @ right
-    if s[-k]**2 > cluster_tol or np.linalg.cond(overlap)**2 * cluster_tol > 1:
+    if (s[-k]**2 > EIG_CLUSTER_TOL
+            or np.linalg.cond(overlap)**2 * EIG_CLUSTER_TOL > 1):
         raise SemisimplicityError("peripheral eigenvalue cluster is not "
                                   "semisimple; the map is not power-bounded")
     coeffs = np.linalg.solve(overlap, left.conj().T @ (scale * x.vec()))
     return Operator.from_vec(channel.algebra, (right @ coeffs) / scale)
 
 
-def fixed_point(channel: Channel, x: Operator,
-                cluster_tol=EIG_CLUSTER_TOL) -> Operator:
+def fixed_point(channel: Channel, x: Operator) -> Operator:
     """Exact Cesaro limit of M_n(x): the eigenvalue-1 component of x, 0
     when the cached spectrum misses 1.  A DS map contracts L_1 and L_inf,
     so by Riesz-Thorin L_2(tau): then Fix(T) = Fix(T*), U*V is unitary
     and V (U*V)^-1 U* is the tau-orthogonal projection.  A nilpotent part
     at 1 (not power-bounded) raises SemisimplicityError."""
-    return _peripheral_projection(channel, x, 1.0, cluster_tol)
+    return _peripheral_projection(channel, x, 1.0)
 
 
-def rotated_fixed_point(channel: Channel, x: Operator, phase,
-                        cluster_tol=EIG_CLUSTER_TOL) -> Operator:
+def rotated_fixed_point(channel: Channel, x: Operator, phase) -> Operator:
     """Cesaro limit of the phase-twisted averages (1/(n+1)) sum phase^k
     T^k(x): `fixed_point` of phase*T, the eigenvalue-conj(phase) part."""
     phase = complex(phase)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise ValueError("phase must be unimodular")
-    return _peripheral_projection(channel, x, phase, cluster_tol)
+    return _peripheral_projection(channel, x, phase)
 
 
 # ---------------------------------------------------------------------

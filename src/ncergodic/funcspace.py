@@ -111,8 +111,7 @@ def _norm_value(f: StepFunction, p: float, q=None) -> float:
     return f.lp_norm(p) if q is None else f.lorentz_norm(p, q)
 
 
-def dilation_norm_estimate(s: float, p: float, q=None,
-                           test_exponents=DILATION_TEST_EXPONENTS) -> float:
+def dilation_norm_estimate(s: float, p: float, q=None) -> float:
     """Lower estimate of ||D_s|| on the (p, q) norm.
 
     Maximizes ||D_s f|| / ||f|| over indicators of [0, 2^k); for the
@@ -122,7 +121,7 @@ def dilation_norm_estimate(s: float, p: float, q=None,
     if s <= 0:
         raise ValueError("dilation factor must be positive")
     best = 0.0
-    for k in test_exponents:
+    for k in DILATION_TEST_EXPONENTS:
         f = StepFunction.indicator(2.0 ** k)
         denominator = _norm_value(f, p, q)
         if denominator == 0:

@@ -23,12 +23,10 @@ from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
 from .spectral import eigh, positive_power, projection_meet_all
-from .util import resolve_tol
+from .util import DEFAULT_TOL
 
 # Off-diagonal tolerance when testing that all averages commute.
 COMMUTING_TOL = 1e-8
-
-DEFAULT_STRATEGIES = ("identity", "hopf-abelian", "level-set", "peel")
 
 
 @dataclass
@@ -36,8 +34,8 @@ class WitnessReport:
     """A candidate projection with measured and budgeted constants.
 
     checker_passed means the independent re-measurement satisfied both
-    trace_defect <= trace_budget + tol and
-    sup_compression <= sup_budget + tol.
+    trace_defect <= trace_budget + DEFAULT_TOL and
+    sup_compression <= sup_budget + DEFAULT_TOL.
     """
 
     projection: Projection
@@ -54,12 +52,11 @@ class WitnessReport:
     p: float = 1.0
     weight_bound: float = 1.0
 
-    def within_budgets(self, tol=None) -> bool:
+    def within_budgets(self) -> bool:
         """Whether the measured constants meet the budgets, the test
         behind checker_passed."""
-        tol = resolve_tol(tol)
-        return bool(self.trace_defect <= self.trace_budget + tol
-                    and self.sup_compression <= self.sup_budget + tol)
+        return bool(self.trace_defect <= self.trace_budget + DEFAULT_TOL
+                    and self.sup_compression <= self.sup_budget + DEFAULT_TOL)
 
     @property
     def trace_ratio(self) -> float:
@@ -120,9 +117,9 @@ def measure_compressions(channel: Channel, x: Operator, e: Projection,
 
 def check_witness(channel: Channel, x: Operator, e: Projection,
                   horizon: int, trace_budget: float, sup_budget: float,
-                  mode="two_sided", beta=None, tol=None) -> CheckOutcome:
+                  mode="two_sided", beta=None,
+                  tol=DEFAULT_TOL) -> CheckOutcome:
     """Re-verify a witness against its budgets with fresh arithmetic."""
-    tol = resolve_tol(tol)
     defect = e.defect()
     sup_value = measure_compressions(channel, x, e, horizon, mode, beta)
     return CheckOutcome(
@@ -158,19 +155,18 @@ def _finalize(channel, x, e, horizon, trace_budget, sup_budget, method,
 # ---------------------------------------------------------------------
 
 def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
-                             horizon: int, tol=None) -> WitnessReport:
+                             horizon: int) -> WitnessReport:
     """Constructive witness on a diagonal algebra.
 
     e is the indicator of the atoms where max_{n<=N} M_n(x) stays <= eps;
     the classical maximal ergodic inequality guarantees the killed trace
     is at most ||x||_1 / eps at every finite horizon.
     """
-    tol = resolve_tol(tol)
     if not channel.algebra.is_diagonal:
         raise ValueError("hopf witness requires a diagonal algebra")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not x.is_positive(tol):
+    if not x.is_positive():
         raise NotPositiveError("hopf witness requires x >= 0")
 
     stacks = _average_stacks(channel, x, horizon)
@@ -344,27 +340,24 @@ _STRATEGY_TABLE = {
 
 
 def yeadon_witness_search(channel: Channel, x: Operator, eps: float,
-                          horizon: int, strategies=DEFAULT_STRATEGIES,
-                          tol=None):
+                          horizon: int):
     """Search for a weak (1,1) witness: tau(e_perp) <= ||x||_1/eps and
     sup_{n<=N} ||e M_n(x) e|| <= eps.
 
-    Strategies run in order; the first whose candidate passes the
-    independent checker wins.  A WitnessSearchFailure is returned when
-    all strategies fall short; it is not a refutation since the search
-    is incomplete.
+    Strategies run in the order of _STRATEGY_TABLE; the first whose
+    candidate passes the independent checker wins.  A
+    WitnessSearchFailure is returned when all strategies fall short; it
+    is not a refutation since the search is incomplete.
     """
-    tol = resolve_tol(tol)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not x.is_positive(tol):
+    if not x.is_positive():
         raise NotPositiveError("yeadon witness requires x >= 0")
     trace_budget = lp_norm(x, 1) / eps
     stacks = _average_stacks(channel, x, horizon)
 
     best_candidate = None
-    for name in strategies:
-        strategy = _STRATEGY_TABLE[name]
+    for name, strategy in _STRATEGY_TABLE.items():
         e = strategy(channel, x, stacks, eps, trace_budget)
         if e is None:
             continue
@@ -382,21 +375,19 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps: float,
 
 
 def lp_witness(channel: Channel, x: Operator, p: float, eps: float,
-               horizon: int, strategies=DEFAULT_STRATEGIES, tol=None):
+               horizon: int):
     """Weak (p,p) witness for positive x.
 
     Runs the weak (1,1) search on x^p at level eps^p; the spectral
     bound x <= x_eps + eps^(1-p) x^p turns that witness into
     sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p.
     """
-    tol = resolve_tol(tol)
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not x.is_positive(tol):
+    if not x.is_positive():
         raise NotPositiveError("lp witness requires x >= 0")
-    powered = x if p == 1 else positive_power(x, p, tol)
-    base = yeadon_witness_search(channel, powered, eps ** p, horizon,
-                                 strategies, tol)
+    powered = x if p == 1 else positive_power(x, p)
+    base = yeadon_witness_search(channel, powered, eps ** p, horizon)
     trace_budget = (lp_norm(x, p) / eps) ** p
     sup_budget = 2.0 * eps
     if not is_found(base):
@@ -416,19 +407,18 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps: float,
     return report
 
 
-def _positive_parts(x, tol):
+def _positive_parts(x):
     """Nonzero positive parts of x; positive x stays whole."""
-    if x.is_positive(tol):
+    if x.is_positive():
         return [x]
     scale_ref = max(x.uniform_norm(), 1.0)
-    parts = [part for part in hermitian_decompose(x, tol)
+    parts = [part for part in hermitian_decompose(x)
              if part.uniform_norm() > 1e-14 * scale_ref]
     return parts
 
 
 def weighted_witness(channel: Channel, x: Operator, p: float, beta,
-                     eps: float, horizon: int,
-                     strategies=DEFAULT_STRATEGIES, tol=None):
+                     eps: float, horizon: int):
     """Witness for weighted averages M_{beta,n} via the four positive parts.
 
     Each part gets its own weak (p,p) witness; the meet of the four
@@ -438,11 +428,10 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     sup (parts * 2 eps when beta is identically one, where the weighted
     average is the plain one).
     """
-    tol = resolve_tol(tol)
-    parts = _positive_parts(x, tol)
+    parts = _positive_parts(x)
     witnesses = []
     for part in parts:
-        res = lp_witness(channel, part, p, eps, horizon, strategies, tol)
+        res = lp_witness(channel, part, p, eps, horizon)
         if not is_found(res):
             return WitnessSearchFailure(
                 f"part witness failed: {res.reason}", res.best_candidate)
@@ -460,8 +449,7 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
 
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
-                      eps: float, horizon: int,
-                      strategies=DEFAULT_STRATEGIES, tol=None):
+                      eps: float, horizon: int):
     """One-sided witness sup_n ||M_{beta,n}(x) e|| for p >= 2.
 
     For each Hermitian component h of x the witness is the weak (p/2)
@@ -474,10 +462,9 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     plain averages, (3 (||x||_p/eps)^p, 2 sqrt(C)(2+sqrt(C)) eps) for
     genuinely weighted ones; two parts double both.
     """
-    tol = resolve_tol(tol)
     if p < 2:
         raise ValueError("one-sided witnesses are only available for p >= 2")
-    if x.is_hermitian(tol):
+    if x.is_hermitian():
         parts = [x]
     else:
         scale_ref = max(x.uniform_norm(), 1.0)
@@ -486,8 +473,7 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
 
     witnesses = []
     for h in parts:
-        res = lp_witness(channel, h @ h, p / 2.0, eps ** 2, horizon,
-                         strategies, tol)
+        res = lp_witness(channel, h @ h, p / 2.0, eps ** 2, horizon)
         if not is_found(res):
             return WitnessSearchFailure(
                 f"squared-part witness failed: {res.reason}",

@@ -177,19 +177,19 @@ def projection_lorentz_norm(trace_value: float, p: float, q: float) -> float:
     return (p / q) ** (1.0 / q) * trace_value ** (1.0 / p)
 
 
-def submajorizes(x: Operator, y: Operator, tol=1e-12) -> bool:
+def submajorizes(x: Operator, y: Operator) -> bool:
     """True iff integral_0^s mu(y) <= integral_0^s mu(x) for all s > 0.
 
     Both cumulatives are piecewise linear with kinks only at the two
     breakpoint sets, so checking the union of breakpoints (plus the far
-    end) is exact.
+    end) is exact, up to an absolute 1e-12.
     """
     mx, my = singular_function(x), singular_function(y)
     points = np.union1d(mx.bounds, my.bounds)
     points = points[points > 0]
     far = max(mx.total_support, my.total_support, 1.0)
     points = np.append(points, far)
-    return all(my.cumulative(s) <= mx.cumulative(s) + tol for s in points)
+    return all(my.cumulative(s) <= mx.cumulative(s) + 1e-12 for s in points)
 
 
 def measure_distance(x: Operator, y: Operator) -> float:

@@ -75,15 +75,15 @@ def random_unitary_operator(algebra: AlgebraSpec, rng) -> Operator:
     return Operator(algebra, blocks)
 
 
-def random_projection(algebra: AlgebraSpec, rng, keep_fraction=0.5):
-    """Random projection: per block, a random-rank coordinate subspace
-    rotated by a random unitary."""
+def random_projection(algebra: AlgebraSpec, rng):
+    """Random projection: per block, a coordinate subspace of
+    Binomial(dim, 1/2) rank rotated by a random unitary."""
     from .algebra import Projection
 
     u = random_unitary_operator(algebra, rng)
     blocks = []
     for i, (dim, _) in enumerate(algebra.blocks):
-        rank = int(rng.binomial(dim, keep_fraction))
+        rank = int(rng.binomial(dim, 0.5))
         mask = np.zeros(dim)
         mask[:rank] = 1.0
         ub = u.block(i)

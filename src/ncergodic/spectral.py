@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Operator, Projection, require_hermitian
 from .errors import NotPositiveError
-from .util import EIG_CLUSTER_TOL, MEET_KERNEL_TOL, resolve_tol
+from .util import EIG_CLUSTER_TOL, MEET_KERNEL_TOL
 
 
 @dataclass
@@ -39,15 +39,15 @@ class SpectralDecomposition:
         return Projection.from_basis(self.algebra, bases)
 
 
-def eigh(x: Operator, tol=None, cluster_tol=EIG_CLUSTER_TOL) -> SpectralDecomposition:
+def eigh(x: Operator) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian element.
 
     Eigenvalues are collected across all blocks and merged into clusters
-    of width cluster_tol; each cluster owns one (block-diagonal)
+    of width EIG_CLUSTER_TOL; each cluster owns one (block-diagonal)
     eigenprojection.  Merging keeps meets and interval projections
     stable at degenerate eigenvalues.
     """
-    require_hermitian(x, tol, "eigh input")
+    require_hermitian(x, "eigh input")
     entries = []  # (eigenvalue, block index, eigenvector column)
     for i, b in enumerate(x.blocks):
         lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
@@ -57,7 +57,7 @@ def eigh(x: Operator, tol=None, cluster_tol=EIG_CLUSTER_TOL) -> SpectralDecompos
 
     clusters = []
     for item in entries:
-        if clusters and item[0] - clusters[-1][-1][0] <= cluster_tol:
+        if clusters and item[0] - clusters[-1][-1][0] <= EIG_CLUSTER_TOL:
             clusters[-1].append(item)
         else:
             clusters.append([item])
@@ -77,11 +77,10 @@ def eigh(x: Operator, tol=None, cluster_tol=EIG_CLUSTER_TOL) -> SpectralDecompos
     return SpectralDecomposition(x.algebra, np.array(eigenvalues), projections)
 
 
-def positive_power(x: Operator, p: float, tol=None) -> Operator:
+def positive_power(x: Operator, p: float) -> Operator:
     """x^p for positive x via functional calculus (tiny negative
     eigenvalues from roundoff are clipped to zero)."""
-    tol = resolve_tol(tol)
-    if not x.is_positive(tol):
+    if not x.is_positive():
         raise NotPositiveError("positive_power needs a positive operator")
     blocks = []
     for b in x.blocks:
@@ -91,12 +90,11 @@ def positive_power(x: Operator, p: float, tol=None) -> Operator:
     return Operator(x.algebra, blocks)
 
 
-def projection_meet(e: Projection, f: Projection,
-                    kernel_tol=MEET_KERNEL_TOL) -> Projection:
+def projection_meet(e: Projection, f: Projection) -> Projection:
     """Projection onto range(e) intersect range(f).
 
     Computed as the kernel of e_perp + f_perp: eigenvectors with
-    eigenvalue below kernel_tol span the intersection.  This is the
+    eigenvalue below MEET_KERNEL_TOL span the intersection.  This is the
     numerically robust equivalent of intersecting ranges directly.
     """
     if e.algebra != f.algebra:
@@ -106,17 +104,17 @@ def projection_meet(e: Projection, f: Projection,
     for i, d in enumerate(e.algebra.dims):
         b = obstruction.block(i)
         lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        keep = lam <= kernel_tol
+        keep = lam <= MEET_KERNEL_TOL
         bases.append(vecs[:, keep])
     return Projection.from_basis(e.algebra, bases)
 
 
-def projection_meet_all(projections, kernel_tol=MEET_KERNEL_TOL) -> Projection:
+def projection_meet_all(projections) -> Projection:
     """Meet of a non-empty family, folded pairwise."""
     projections = list(projections)
     if not projections:
         raise ValueError("need at least one projection")
     out = projections[0]
     for f in projections[1:]:
-        out = projection_meet(out, f, kernel_tol)
+        out = projection_meet(out, f)
     return out

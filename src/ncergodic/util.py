@@ -1,12 +1,17 @@
-"""Shared numeric defaults and small helpers."""
+"""Shared numeric constants and small helpers.
+
+The tolerances are module constants that no argument, config key or
+environment variable changes, so a result depends only on the config
+and the command line.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 
-# Certificate tolerance (idempotency, self-adjointness, positivity, DS checks).
+# Certificate tolerance (idempotency, self-adjointness, positivity, DS
+# checks, witness budgets).
 DEFAULT_TOL = 1e-9
 
 # Eigenvalues closer than this are merged into one spectral cluster.
@@ -14,22 +19,6 @@ EIG_CLUSTER_TOL = 1e-8
 
 # Kernel threshold used when intersecting projection ranges.
 MEET_KERNEL_TOL = 1e-8
-
-TOL_ENV_VAR = "NCERG_TOL"
-
-
-def resolve_tol(tol=None):
-    """Pick the effective certificate tolerance.
-
-    Explicit argument wins, then the NCERG_TOL environment variable,
-    then DEFAULT_TOL.
-    """
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get(TOL_ENV_VAR)
-    if env:
-        return float(env)
-    return DEFAULT_TOL
 
 
 def dyadic_schedule(n_max):

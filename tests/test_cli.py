@@ -149,6 +149,8 @@ _CERTIFY = {"methods": ["yeadon"], "eps_grid": [0.5], "p_grid": [1],
 _BESICOVITCH = {"element": {"kind": "random"},
                 "norms": [{"kind": "uniform"}]}
 _CONVERGE = {"element": {"kind": "random"}, "norms": [{"kind": "uniform"}]}
+# |beta_k| = 2 from the generator, declared bound 1
+_BOUND_TOO_SMALL = {"kind": "constant", "period": [[2, 0]], "C": 1}
 
 # (subcommand, sections replacing those of the m2_unitary fixture, whose
 # algebra is one 2x2 block)
@@ -173,6 +175,21 @@ MALFORMED = {
         **_CERTIFY, "methods": ["one-sided"], "p_grid": [1, 2]}}),
     "hopf-non-diagonal": ("certify", {"certify": {
         **_CERTIFY, "methods": ["hopf"]}}),
+    "boyd-s-grid-above-1": ("boyd", {"boyd": {
+        "targets": [{"kind": "lp", "p": 2}], "s_grid": [2, 4]}}),
+    "weights-bound-below-generator-certify": ("certify", {"certify": {
+        **_CERTIFY, "methods": ["weighted"], "weights": _BOUND_TOO_SMALL}}),
+    "weights-bound-below-generator-besicovitch": ("besicovitch", {
+        "besicovitch": {**_BESICOVITCH, "weights": _BOUND_TOO_SMALL}}),
+    "trig-frequency-not-unimodular": ("besicovitch", {"besicovitch": {
+        **_BESICOVITCH, "weights": {"kind": "trig", "poly": {
+            "coefficients": [[1, 0]], "frequencies": [[2, 0]]}}}}),
+    "norms-p-below-1": ("norms", {"norms": {
+        "num_operators": 1, "p_grid": [0.5], "pq_grid": []}}),
+    "norms-pq-q-below-1": ("norms", {"norms": {
+        "num_operators": 1, "p_grid": [], "pq_grid": [[2, 0.5]]}}),
+    "norms-pq-p-1-q-above-1": ("norms", {"norms": {
+        "num_operators": 1, "p_grid": [], "pq_grid": [[1, 2]]}}),
 }
 
 
@@ -200,6 +217,19 @@ class TestMalformedConfig:
 class TestCertifyContract:
     @pytest.mark.parametrize("name", ["cycle4", "kraus8"])
     def test_fixture_matches_reference(self, tmp_path, name):
+        code = run_cli("certify", "--config", str(FIXTURES / f"{name}.json"),
+                       "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == (REFERENCE / "fixtures" / f"{name}.csv").read_bytes())
+
+    # results depend only on the config and the command line, not on a
+    # leftover NCERG_TOL in the environment
+    @pytest.mark.parametrize("value", ["1e-15", "abc"])
+    @pytest.mark.parametrize("name", ["cycle4", "kraus8"])
+    def test_environment_tolerance_ignored(self, tmp_path, monkeypatch,
+                                           name, value):
+        monkeypatch.setenv("NCERG_TOL", value)
         code = run_cli("certify", "--config", str(FIXTURES / f"{name}.json"),
                        "--out", str(tmp_path))
         assert code == 0

@@ -113,7 +113,7 @@ class TestConstructors:
         rng = stream(73, "ctor")
         u = random_unitary_operator(M2, rng)
         ch = linear_combine([unitary_conjugation(u)], [1j])
-        assert not ch.verified_positive
+        assert not ch.verification.positive
         assert ch.norm_contraction_certified
         assert ch.is_ds and not ch.is_ds_plus
 
@@ -323,7 +323,7 @@ class TestFixedPoint:
         # Jordan block at eigenvalue 1 is not power bounded
         bad = np.eye(4, dtype=complex)
         bad[0, 1] = 1.0
-        ch = Channel(M2, bad, kind="jordan", verify=False)
+        ch = Channel(M2, bad, kind="jordan")
         with pytest.raises(SemisimplicityError):
             fixed_point(ch, M2.identity())
 
@@ -465,7 +465,7 @@ class TestPeripheralProjection:
         n = MULTI.vec_dim
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         proj = s @ np.diag([1.0] * 3 + [0.0] * (n - 3)) @ np.linalg.inv(s)
-        ch = Channel(MULTI, proj, kind="oblique", verify=False)
+        ch = Channel(MULTI, proj, kind="oblique")
         x = random_operator(MULTI, rng)
         got = fixed_point(ch, x).vec()
         assert np.allclose(got, proj @ x.vec(), atol=1e-10)
@@ -474,7 +474,7 @@ class TestPeripheralProjection:
     def test_jordan_block_at_minus_one(self):
         bad = -np.eye(4, dtype=complex)
         bad[0, 1] = 1.0
-        ch = Channel(M2, bad, kind="jordan", verify=False)
+        ch = Channel(M2, bad, kind="jordan")
         with pytest.raises(SemisimplicityError):
             rotated_fixed_point(ch, M2.identity(), -1)
         assert fixed_point(ch, M2.identity()).uniform_norm() == 0.0

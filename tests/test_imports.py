@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports (parsed with
-`ast`, so no linter is needed)."""
+"""Every module of the package uses each name it imports, and none
+reads the environment (parsed with `ast`, so no linter is needed)."""
 
 import ast
 from pathlib import Path
@@ -50,3 +50,29 @@ def test_finds_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def environment_reads(source):
+    """Lines that read os.environ or os.getenv, or import either."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and names & {alias.name for alias in node.names}:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_environment_reads():
+    source = ("import os\nfrom os import getenv\n"
+              "a = os.environ.get('X')\nb = os.getenv('Y')\n"
+              "c = os.path.sep\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_environment_reads(module):
+    # results depend only on the config and the command line
+    assert environment_reads((PACKAGE / module).read_text()) == []
