@@ -121,29 +121,30 @@ _WEIGHTS_SCHEMA = {
               for kind, field in WEIGHT_KINDS.items()],
 }
 
+_ALGEBRA_SCHEMA = {
+    "type": "object",
+    "required": ["blocks"],
+    "properties": {
+        "blocks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "array",
+                "prefixItems": [{"type": "integer", "minimum": 1},
+                                {"type": "number", "exclusiveMinimum": 0}],
+                "minItems": 2, "maxItems": 2,
+            },
+        },
+    },
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["seed"],
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
         "horizon": {"type": "integer", "minimum": 1},
-        "algebra": {
-            "type": "object",
-            "required": ["blocks"],
-            "properties": {
-                "blocks": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "prefixItems": [{"type": "integer", "minimum": 1},
-                                        {"type": "number",
-                                         "exclusiveMinimum": 0}],
-                        "minItems": 2, "maxItems": 2,
-                    },
-                },
-            },
-        },
+        "algebra": _ALGEBRA_SCHEMA,
         "channel": _CHANNEL_SCHEMA,
         "certify": {
             "type": "object",
@@ -185,7 +186,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["num_operators", "p_grid", "pq_grid"],
             "properties": {
-                "algebras": {"type": "array"},
+                "algebras": {"type": "array", "items": _ALGEBRA_SCHEMA},
                 "num_operators": {"type": "integer", "minimum": 0},
                 "p_grid": {"type": "array", "items": _EXPONENT},
                 "pq_grid": {"type": "array", "items": {
@@ -229,10 +230,15 @@ _SECTION_NEEDS = {
 }
 
 
+def _reject_non_finite(name):
+    # Python's json reads NaN and +-Infinity, which JSON itself lacks
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
 def load_config(path, subcommand, seed_override=None, horizon_override=None):
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     error = jsonschema.exceptions.best_match(
@@ -244,6 +250,10 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
         if section not in config:
             raise ConfigError(
                 f"subcommand {subcommand!r} needs a {section!r} section")
+    if subcommand == "norms" and "algebras" not in config["norms"] \
+            and "algebra" not in config:
+        raise ConfigError("subcommand 'norms' needs 'norms.algebras' or "
+                          "an 'algebra' section")
     # method preconditions that span several fields
     certify = config["certify"] if subcommand == "certify" else None
     if certify and "one-sided" in certify["methods"] \
@@ -427,6 +437,8 @@ def run_converge(config, jobs):
             "cell": seed_idx,
             "spectral_gap": channel.spectral_gap(),
             "fixed_space_dim": channel.eigenspace_dim(),
+            "spectral_radius_bound": channel.spectral_radius_bound,
+            "spectrum": channel.spectrum,
             "mean_convergence": report.verdicts,
             "au": {"trace_defect": au.trace_defect,
                    "final_profile": au.final_value,

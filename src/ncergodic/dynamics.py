@@ -16,6 +16,23 @@ it is positive, subunital and trace-nonincreasing on positives; for
 positive maps subunitality already gives the uniform-norm contraction,
 and trace-nonincreasing is equivalent to subunitality of the trace
 adjoint.
+
+A map that is positive by structure (Kraus data, an entrywise positive
+matrix, a convex combination, a positive multiple or a composition of
+positive maps) skips the dense spectrum when it is a certified strict
+contraction.  Positive maps have ||T||_inf = ||T(1)|| and
+||T||_1 = ||T*(1)||, so Riesz-Thorin interpolation between L_1 and
+L_inf gives rho(T) <= ||T||_2 <= r = sqrt(||T(1)|| ||T*(1)||), both
+factors taken from `verify_ds`.  When r < 1 - EIG_CLUSTER_TOL no
+eigenvalue of phase*T lies within EIG_CLUSTER_TOL of 1, for any
+unimodular phase, so every cluster count is 0 and every Cesaro limit
+is 0.  The spectral gap is then 1 - rho(T), and rho(T) comes from a
+restarted Arnoldi run started at vec(1).  By the noncommutative
+Perron-Frobenius theorem (Evans and Hoegh-Krohn, J. London Math. Soc.
+1978) rho(T) is an eigenvalue of T and of T*, with a positive
+eigenvector psi of T*; the start has overlap tau(psi) > 0 with it, so
+the Krylov space reaches rho(T).  A run that does not converge within
+its restart budget falls back to the dense spectrum.
 """
 
 from __future__ import annotations
@@ -33,6 +50,16 @@ from .util import DEFAULT_TOL, EIG_CLUSTER_TOL
 # no structural positivity evidence.
 _POSITIVITY_SAMPLE_SEED = 0x9C0FFEE
 _POSITIVITY_SAMPLES = 8
+
+# Positivity evidence that holds by construction, not from the sample.
+_STRUCTURAL_EVIDENCE = ("kraus", "entrywise", "convex", "structural")
+
+# Krylov dimension and restart budget of `_krylov_spectral_radius`;
+# a run stops once the top Ritz value's residual is within
+# _KRYLOV_RTOL of its modulus.
+_KRYLOV_DIM = 30
+_KRYLOV_RESTARTS = 20
+_KRYLOV_RTOL = 1e-12
 
 
 class Channel:
@@ -115,13 +142,55 @@ class Channel:
             self._eigenvalues = eigs
         return self._eigenvalues
 
+    @property
+    def spectral_radius_bound(self):
+        """r = sqrt(||T(1)|| ||T*(1)||) >= rho(T) (Riesz-Thorin) when the
+        map is positive by structure; None when positivity came from the
+        sample or failed."""
+        report = self.verification
+        if report.positivity_evidence not in _STRUCTURAL_EVIDENCE:
+            return None
+        return float(np.sqrt(max(
+            report.subunital_value * report.adjoint_unit_value, 0.0)))
+
+    def _strict_contraction(self) -> bool:
+        r = self.spectral_radius_bound
+        return r is not None and r < 1.0 - EIG_CLUSTER_TOL
+
+    @property
+    def spectrum(self) -> str:
+        """"certified-contraction" when the cluster counts come from the
+        bound r and no dense spectrum has been computed, else "dense"."""
+        if self._eigenvalues is None and self._strict_contraction():
+            return "certified-contraction"
+        return "dense"
+
     def eigenspace_dim(self, phase=1.0) -> int:
-        """Eigenvalues of phase*T within EIG_CLUSTER_TOL of 1 (dim Fix(T))."""
+        """Eigenvalues of phase*T within EIG_CLUSTER_TOL of 1 (dim Fix(T)).
+
+        0 without a spectrum when r = `spectral_radius_bound` is below
+        1 - EIG_CLUSTER_TOL: every eigenvalue has |lambda| <= r, so
+        |phase lambda - 1| >= 1 - r > EIG_CLUSTER_TOL.
+        """
+        if self._strict_contraction():
+            return 0
         return int(np.count_nonzero(
             np.abs(phase * self.eigenvalues() - 1.0) <= EIG_CLUSTER_TOL))
 
     def spectral_gap(self) -> float:
-        """1 minus the largest cached |eigenvalue| outside the cluster at 1."""
+        """1 minus the largest |eigenvalue| outside the cluster at 1.
+
+        For a certified strict contraction (r < 1 - EIG_CLUSTER_TOL, see
+        `eigenspace_dim`) the cluster is empty and the gap is 1 - rho(T),
+        with rho(T) from `_krylov_spectral_radius` unless the dense
+        spectrum is cached already or the Krylov run gives up; otherwise
+        it is read from the cached dense spectrum.
+        """
+        if self._eigenvalues is None and self._strict_contraction():
+            radius = _krylov_spectral_radius(self.superop,
+                                             self.algebra.identity().vec())
+            if radius is not None:
+                return 1.0 - radius
         eigs = self.eigenvalues()
         outside = np.abs(eigs[np.abs(eigs - 1.0) > EIG_CLUSTER_TOL])
         return float(1.0 - outside.max()) if outside.size else 1.0
@@ -133,6 +202,47 @@ class Channel:
 def _weight_vector(algebra: AlgebraSpec) -> np.ndarray:
     parts = [np.full(d * d, w) for d, w in algebra.blocks]
     return np.concatenate(parts)
+
+
+def _krylov_spectral_radius(superop, start):
+    """Largest |eigenvalue| of superop by explicitly restarted Arnoldi,
+    or None when the restart budget runs out.
+
+    Each cycle builds a Krylov basis of _KRYLOV_DIM vectors (classical
+    Gram-Schmidt, applied twice) and restarts on the Ritz vector of the
+    top-modulus Ritz value theta.  The run stops once that Ritz pair's
+    residual |h_{k+1,k}| |y_k| is at most _KRYLOV_RTOL |theta|; an
+    invariant Krylov space (breakdown) gives residual 0.  Seen from
+    vec(1), a positive map's top Ritz value converges to rho(T) (module
+    docstring).
+    """
+    m = min(_KRYLOV_DIM, start.size)
+    basis = np.empty((m + 1, start.size), dtype=complex)
+    hess = np.empty((m + 1, m), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    for _ in range(_KRYLOV_RESTARTS):
+        hess[:] = 0.0
+        k = m
+        for j in range(m):
+            w = superop @ basis[j]
+            for _ in range(2):
+                coeffs = basis[:j + 1].conj() @ w
+                w = w - coeffs @ basis[:j + 1]
+                hess[:j + 1, j] += coeffs
+            beta = np.linalg.norm(w)
+            hess[j + 1, j] = beta
+            if beta <= np.finfo(float).eps * np.linalg.norm(hess[:j + 2, j]):
+                k = j + 1
+                break
+            basis[j + 1] = w / beta
+        theta, vecs = np.linalg.eig(hess[:k, :k])
+        top = int(np.argmax(np.abs(theta)))
+        if (abs(hess[k, k - 1]) * abs(vecs[k - 1, top])
+                <= _KRYLOV_RTOL * abs(theta[top])):
+            return float(abs(theta[top]))
+        ritz = vecs[:, top] @ basis[:k]
+        basis[0] = ritz / np.linalg.norm(ritz)
+    return None
 
 
 # Rows of Q* S Q built per step (`_hermitian_superop`): its complex
@@ -225,8 +335,7 @@ def verify_ds(channel: Channel) -> DSVerification:
     all with tol = DEFAULT_TOL.
     """
     tol = DEFAULT_TOL
-    if channel.positivity_evidence in ("kraus", "entrywise", "convex",
-                                       "structural"):
+    if channel.positivity_evidence in _STRUCTURAL_EVIDENCE:
         positive = True
     else:
         positive = True
@@ -556,7 +665,7 @@ def ergodic_averages(channel: Channel, x: Operator, n_max: int, beta=None):
 def _peripheral_projection(channel, x, phase) -> Operator:
     """Component of x at eigenvalue 1 of phase*T: D^-1 V (U*V)^-1 U* D x,
     V and U the last k right/left singular vectors of D(phase*T - I)D^-1
-    for k cached eigenvalues in the cluster and D = diag(sqrt w).  A
+    for k = `Channel.eigenspace_dim(phase)` and D = diag(sqrt w).  A
     Jordan part shrinks the kernel or makes U*V singular, and raises."""
     k = channel.eigenspace_dim(phase)
     if k == 0:
@@ -576,7 +685,7 @@ def _peripheral_projection(channel, x, phase) -> Operator:
 
 def fixed_point(channel: Channel, x: Operator) -> Operator:
     """Exact Cesaro limit of M_n(x): the eigenvalue-1 component of x, 0
-    when the cached spectrum misses 1.  A DS map contracts L_1 and L_inf,
+    when the spectrum misses 1.  A DS map contracts L_1 and L_inf,
     so by Riesz-Thorin L_2(tau): then Fix(T) = Fix(T*), U*V is unitary
     and V (U*V)^-1 U* is the tau-orthogonal projection.  A nilpotent part
     at 1 (not power-bounded) raises SemisimplicityError."""

@@ -68,6 +68,34 @@ class TestConvergeContract:
         # conjugation by diag(1, -1): the diagonal is fixed
         assert cell["fixed_space_dim"] == channel.eigenspace_dim() == 2
 
+    # a unitary (r = 1), a strict Kraus contraction (r < 1) and a map
+    # whose positivity is not structural (no r)
+    @pytest.mark.parametrize("channel,bound,spectrum", [
+        (None, 1.0, "dense"),
+        ({"kind": "random-kraus", "margin": 0.05}, "below-1",
+         "certified-contraction"),
+        ({"kind": "scaled", "child": {"kind": "identity"},
+          "factor": [0.0, 0.5]}, None, "dense")])
+    def test_summary_reports_spectrum_path(self, tmp_path, channel, bound,
+                                           spectrum):
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        if channel is not None:
+            config["channel"] = channel
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, csv_path, json_path = converge(path, tmp_path / "out")
+        assert code == 0
+        cell = json.loads(json_path.read_text())["summary"]["cells"][0]
+        assert cell["spectrum"] == spectrum
+        if bound == "below-1":
+            assert 0.0 < cell["spectral_radius_bound"] < 1.0
+        elif bound is None:
+            assert cell["spectral_radius_bound"] is None
+        else:
+            assert cell["spectral_radius_bound"] == pytest.approx(bound)
+        header = csv_path.read_text().splitlines()[0]
+        assert "spectrum" not in header and "spectral" not in header
+
     def test_output_independent_of_jobs(self, tmp_path):
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
         config["converge"]["num_seeds"] = 2
@@ -153,7 +181,7 @@ _CONVERGE = {"element": {"kind": "random"}, "norms": [{"kind": "uniform"}]}
 _BOUND_TOO_SMALL = {"kind": "constant", "period": [[2, 0]], "C": 1}
 
 # (subcommand, sections replacing those of the m2_unitary fixture, whose
-# algebra is one 2x2 block)
+# algebra is one 2x2 block; a section given as None is removed)
 MALFORMED = {
     "constant-weights-no-period-certify": ("certify", {"certify": {
         **_CERTIFY, "weights": {"kind": "constant"}}}),
@@ -190,6 +218,14 @@ MALFORMED = {
         "num_operators": 1, "p_grid": [], "pq_grid": [[2, 0.5]]}}),
     "norms-pq-p-1-q-above-1": ("norms", {"norms": {
         "num_operators": 1, "p_grid": [], "pq_grid": [[1, 2]]}}),
+    "norms-no-algebra": ("norms", {"algebra": None, "norms": {
+        "num_operators": 1, "p_grid": [2], "pq_grid": []}}),
+    "norms-algebras-zero-block": ("norms", {"norms": {
+        "algebras": [{"blocks": [[0, 1.0]]}],
+        "num_operators": 1, "p_grid": [2], "pq_grid": []}}),
+    # json.dumps writes Infinity, which Python's json reads back
+    "norms-p-infinite": ("norms", {"norms": {
+        "num_operators": 1, "p_grid": [float("inf")], "pq_grid": []}}),
 }
 
 
@@ -202,7 +238,11 @@ class TestMalformedConfig:
     def test_exits_1_with_one_error_line(self, tmp_path, name):
         subcommand, sections = MALFORMED[name]
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
-        config.update(sections)
+        for key, section in sections.items():
+            if section is None:
+                del config[key]
+            else:
+                config[key] = section
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stderr(io.StringIO()) as err:

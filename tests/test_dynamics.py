@@ -5,7 +5,9 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncergodic import dynamics
 from ncergodic.algebra import AlgebraSpec, Operator
+from ncergodic.convergence import NormSpec, trajectory
 from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
                                 channel_from_spec, compose,
                                 convex_combine, ergodic_averages,
@@ -653,3 +655,142 @@ class TestHermitianSpectrum:
             outside = np.abs(old[np.abs(old - 1.0) > EIG_CLUSTER_TOL])
             old_gap = 1.0 - outside.max() if outside.size else 1.0
             assert abs(ch.spectral_gap() - old_gap) <= 1e-12
+
+
+def certified_channels():
+    """Kraus, convex and substochastic channels with margin > 0, all
+    positive by structure with r = sqrt(||T(1)|| ||T*(1)||) < 1."""
+    rng = stream(100, "certified")
+    out = []
+    for algebra in (MULTI, DIAG3):
+        for _ in range(2):
+            kraus = random_kraus_channel(algebra, 3, rng, margin=0.05)
+            mixture = random_unitary_mixture(algebra, 2, rng)
+            out += [kraus, convex_combine([kraus, mixture], [0.5, 0.5])]
+    out += [random_substochastic(DIAG3, rng) for _ in range(2)]
+    return out
+
+
+def dense_gap(eigs):
+    outside = np.abs(eigs[np.abs(eigs - 1.0) > EIG_CLUSTER_TOL])
+    return float(1.0 - outside.max()) if outside.size else 1.0
+
+
+def forbid_eigvals(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense spectrum computed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+
+
+def counting_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+class TestCertifiedContraction:
+    @pytest.mark.parametrize("index", range(len(certified_channels())))
+    def test_counts_and_gap_match_dense_without_eigvals(self, index,
+                                                        monkeypatch):
+        ch = certified_channels()[index]
+        eigs = np.linalg.eigvals(ch.superop)
+        x = random_operator(ch.algebra, stream(101, "certified", index))
+        forbid_eigvals(monkeypatch)
+        assert ch.verification.positivity_evidence in (
+            "kraus", "convex", "entrywise")
+        assert np.abs(eigs).max() <= ch.spectral_radius_bound < 1.0
+        assert ch.spectrum == "certified-contraction"
+        for phase in PHASES:
+            assert ch.eigenspace_dim(phase) == np.count_nonzero(
+                np.abs(phase * eigs - 1.0) <= EIG_CLUSTER_TOL)
+            assert rotated_fixed_point(ch, x, phase).uniform_norm() == 0.0
+        assert fixed_point(ch, x).uniform_norm() == 0.0
+        assert abs(ch.spectral_gap() - dense_gap(eigs)) <= 1e-12
+        assert ch.spectrum == "certified-contraction"
+
+    @pytest.mark.parametrize("case", ["sampled", "unital"])
+    def test_other_maps_keep_the_dense_path(self, case, monkeypatch):
+        rng = stream(102, "dense", case)
+        if case == "sampled":
+            # the superoperator of a Kraus map, positive only by sample
+            kraus = random_kraus_channel(MULTI, 3, rng, margin=0.05)
+            ch = Channel(MULTI, kraus.superop, kind="custom")
+            assert ch.verification.positive
+            assert ch.spectral_radius_bound is None
+        else:
+            ch = random_unitary_mixture(MULTI, 2, rng)
+            assert ch.spectral_radius_bound >= 1.0 - EIG_CLUSTER_TOL
+        calls = counting_eigvals(monkeypatch)
+        assert ch.spectrum == "dense"
+        gap = ch.spectral_gap()
+        counts = [ch.eigenspace_dim(phase) for phase in PHASES]
+        assert calls == [(MULTI.vec_dim, MULTI.vec_dim)]
+        eigs = ch.eigenvalues()
+        assert gap == dense_gap(eigs)
+        assert counts == [int(np.count_nonzero(
+            np.abs(phase * eigs - 1.0) <= EIG_CLUSTER_TOL))
+            for phase in PHASES]
+
+    def test_exhausted_restart_budget_falls_back(self, monkeypatch):
+        ch = certified_channels()[0]
+        want = dense_gap(np.linalg.eigvals(ch.superop))
+        monkeypatch.setattr(dynamics, "_KRYLOV_DIM", 2)
+        monkeypatch.setattr(dynamics, "_KRYLOV_RESTARTS", 1)
+        assert dynamics._krylov_spectral_radius(
+            ch.superop, MULTI.identity().vec()) is None
+        calls = counting_eigvals(monkeypatch)
+        assert abs(ch.spectral_gap() - want) <= 1e-12
+        assert ch.spectral_gap() == dense_gap(ch.eigenvalues())
+        assert calls == [(MULTI.vec_dim, MULTI.vec_dim)]
+        assert ch.spectrum == "dense"
+        assert ch.eigenspace_dim() == 0
+
+    def test_restarts_reach_the_dense_gap(self, monkeypatch):
+        # a 4-vector Krylov space needs many restarts on the 14-dimensional
+        # MULTI maps, so the residual rule decides the accuracy
+        channels = [ch for ch in certified_channels() if ch.algebra == MULTI]
+        want = [dense_gap(np.linalg.eigvals(ch.superop)) for ch in channels]
+        monkeypatch.setattr(dynamics, "_KRYLOV_DIM", 4)
+        monkeypatch.setattr(dynamics, "_KRYLOV_RESTARTS", 200)
+        forbid_eigvals(monkeypatch)
+        for ch, gap in zip(channels, want):
+            assert abs(ch.spectral_gap() - gap) <= 1e-12
+
+    def test_invariant_krylov_space_is_exact(self, monkeypatch):
+        # 0.5 T: the start vec(1) spans an invariant space at once
+        ch = scale_channel(identity_channel(MULTI), 0.5)
+        forbid_eigvals(monkeypatch)
+        assert ch.spectral_gap() == 0.5
+        zero = scale_channel(identity_channel(MULTI), 0.0)
+        assert zero.spectral_gap() == 1.0
+
+
+class TestTrajectoryOracle:
+    @pytest.mark.parametrize("family", ["certified", "unital"])
+    def test_final_residual_matches_schur_oracle(self, family):
+        rng = stream(103, "trajectory", family)
+        if family == "certified":
+            ch = random_kraus_channel(MULTI, 3, rng, margin=0.05)
+        else:
+            ch = random_unitary_mixture(MULTI, 2, rng)
+        x = random_operator(MULTI, rng)
+        horizon = 64
+        norms = (NormSpec.uniform(), NormSpec.lp(2),
+                 NormSpec.lorentz(3, 2))
+        report = trajectory(ch, x, horizon, norms)
+        proj = schur_projection(ch.superop)
+        assert np.any(proj) == (family == "unital")
+        limit = Operator.from_vec(MULTI, proj @ x.vec())
+        final = average(ch, x, horizon)
+        assert report.schedule[-1] == horizon
+        for spec in norms:
+            want = spec.distance(limit, final)
+            assert report.residuals[spec.label][-1] == pytest.approx(
+                want, rel=1e-9, abs=1e-12)

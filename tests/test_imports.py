@@ -1,7 +1,10 @@
-"""Every module of the package uses each name it imports, and none
-reads the environment (parsed with `ast`, so no linter is needed)."""
+"""Every module of the package uses each name it imports, imports
+nothing outside the standard library and its runtime dependencies, and
+none reads the environment (parsed with `ast`, so no linter is
+needed)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ import pytest
 PACKAGE = Path(__file__).parents[1] / "src" / "ncergodic"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
+# The `dependencies` of pyproject.toml; scipy is a test extra only.
+RUNTIME_DEPENDENCIES = {"numpy", "jsonschema"}
 
 
 def _annotation_names(node):
@@ -50,6 +55,31 @@ def test_finds_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def third_party_imports(source):
+    """Top-level packages of the absolute imports that are not in the
+    standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names))
+
+
+def test_finds_third_party_import():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nimport scipy.linalg\n"
+              "from scipy import sparse\nfrom .algebra import Operator\n")
+    assert third_party_imports(source) == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_imports_only_runtime_dependencies(module):
+    imported = third_party_imports((PACKAGE / module).read_text())
+    assert set(imported) <= RUNTIME_DEPENDENCIES
 
 
 def environment_reads(source):
