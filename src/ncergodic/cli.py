@@ -8,7 +8,8 @@ computed independently and written in key order.
 
 Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
-that cannot be built), 2 checker discrepancy (a witness whose checker
+that cannot be built and an element that is not positive for a method
+that needs x >= 0), 2 checker discrepancy (a witness whose checker
 verdict contradicts its own measured trace defect and sup against its
 budgets; this must never happen).
 """
@@ -30,7 +31,7 @@ from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, condition_iii, trajectory)
 from .dynamics import CHANNEL_KINDS, channel_from_spec
-from .errors import ChannelConstructionError, ConfigError
+from .errors import ChannelConstructionError, ConfigError, NotPositiveError
 from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
                         dilation_norm_estimate)
 from .maximal import (hopf_witness_commutative, is_found, lp_witness,
@@ -319,11 +320,13 @@ def run_verify_channel(config, jobs):
                               "subunital", "trace_nonincreasing",
                               "is_ds_plus"]
     row = _base(config, algebra, channel.kind) + [
-        report.positive, report.positivity_evidence,
+        report.positive, report.evidence,
         report.subunital_value, report.adjoint_unit_value,
         report.subunital, report.trace_nonincreasing, report.is_ds_plus]
     summary = {"verification": {
         "positive": report.positive,
+        "positivity_evidence": report.evidence,
+        "choi_min_eigenvalue": report.choi_min_eigenvalue,
         "subunital": report.subunital,
         "subunital_value": report.subunital_value,
         "trace_nonincreasing": report.trace_nonincreasing,
@@ -353,7 +356,10 @@ def _certify_cell(config, algebra, channel, beta, cell):
         spec["kind"] = "random-positive"  # these constructions need x >= 0
     x = element_from_spec(algebra, spec, rng)
 
-    result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
+    try:
+        result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
+    except NotPositiveError as exc:
+        raise ConfigError(f"method {method!r}: {exc}") from exc
     found = is_found(result)
     report = result if found else result.best_candidate
     # the builders ran the independent checker already; a verdict that

@@ -10,16 +10,19 @@ whose spectrum it computes once and caches for the spectral gap and the
 exact Cesaro limits.  A map that preserves Hermiticity, as every
 positive map does, has a real matrix in the Hermitian basis of each
 block, and its spectrum is computed from that real matrix; any other
-map keeps the complex superoperator.  Constructors attach Kraus data
-where the map is completely positive by build.  A channel is DS+ when
-it is positive, subunital and trace-nonincreasing on positives; for
-positive maps subunitality already gives the uniform-norm contraction,
-and trace-nonincreasing is equivalent to subunitality of the trace
-adjoint.
+map keeps the complex superoperator.  A channel is DS+ when it is
+positive, subunital and trace-nonincreasing on positives; for positive
+maps subunitality already gives the uniform-norm contraction, and
+trace-nonincreasing is equivalent to subunitality of the trace adjoint.
 
-A map that is positive by structure (Kraus data, an entrywise positive
-matrix, a convex combination, a positive multiple or a composition of
-positive maps) skips the dense spectrum when it is a certified strict
+`verify_ds` certifies positivity as complete positivity: by Kraus data,
+which compositions, mixtures and multiples by c >= 0 pass on, or by
+Choi's theorem (Choi, Linear Algebra Appl. 1975), under which a map on
+the sum of the M_{d_i} is completely positive exactly when every
+block-pair Choi matrix is positive semidefinite.  A positive map that is
+not completely positive, such as the transpose, is left unverified.
+
+A certified map skips the dense spectrum when it is a strict
 contraction.  Positive maps have ||T||_inf = ||T(1)|| and
 ||T||_1 = ||T*(1)||, so Riesz-Thorin interpolation between L_1 and
 L_inf gives rho(T) <= ||T||_2 <= r = sqrt(||T(1)|| ||T*(1)||), both
@@ -46,14 +49,6 @@ from .errors import ChannelConstructionError, SemisimplicityError
 from .rng import random_operator, random_unitary_operator, stream
 from .util import DEFAULT_TOL, EIG_CLUSTER_TOL
 
-# Seed for the deterministic positive test set used when a channel has
-# no structural positivity evidence.
-_POSITIVITY_SAMPLE_SEED = 0x9C0FFEE
-_POSITIVITY_SAMPLES = 8
-
-# Positivity evidence that holds by construction, not from the sample.
-_STRUCTURAL_EVIDENCE = ("kraus", "entrywise", "convex", "structural")
-
 # Krylov dimension and restart budget of `_krylov_spectral_radius`;
 # a run stops once the top Ritz value's residual is within
 # _KRYLOV_RTOL of its modulus.
@@ -69,13 +64,12 @@ class Channel:
     `verification` is the `verify_ds` report taken at construction.
     """
 
-    __slots__ = ("algebra", "superop", "kraus", "kind", "positivity_evidence",
-                 "verification", "norm_contraction_certified",
-                 "_adjoint_superop", "_eigenvalues")
+    __slots__ = ("algebra", "superop", "kraus", "kind", "verification",
+                 "norm_contraction_certified", "_adjoint_superop",
+                 "_eigenvalues")
 
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
-                 kind="custom", positivity_evidence="none",
-                 norm_contraction_certified=False):
+                 kind="custom", norm_contraction_certified=False):
         n = algebra.vec_dim
         superop = np.array(superop, dtype=complex)
         if superop.shape != (n, n):
@@ -86,8 +80,6 @@ class Channel:
         self.superop = superop
         self.kraus = tuple(kraus) if kraus else None
         self.kind = kind
-        self.positivity_evidence = (
-            "kraus" if self.kraus else positivity_evidence)
         self.norm_contraction_certified = norm_contraction_certified
         self._adjoint_superop = None
         self._eigenvalues = None
@@ -144,11 +136,10 @@ class Channel:
 
     @property
     def spectral_radius_bound(self):
-        """r = sqrt(||T(1)|| ||T*(1)||) >= rho(T) (Riesz-Thorin) when the
-        map is positive by structure; None when positivity came from the
-        sample or failed."""
+        """r = sqrt(||T(1)|| ||T*(1)||) >= rho(T) (Riesz-Thorin) when
+        `verify_ds` certified the map positive; None otherwise."""
         report = self.verification
-        if report.positivity_evidence not in _STRUCTURAL_EVIDENCE:
+        if not report.positive:
             return None
         return float(np.sqrt(max(
             report.subunital_value * report.adjoint_unit_value, 0.0)))
@@ -292,25 +283,45 @@ def _hermitian_superop(algebra: AlgebraSpec, superop):
     return out
 
 
-def _positive_test_set(algebra: AlgebraSpec):
-    ops = [algebra.identity()]
-    total_dim = sum(algebra.dims)
-    for slot in range(total_dim):
-        mask = np.zeros(total_dim)
-        mask[slot] = 1.0
-        ops.append(algebra.diagonal(mask))
-    rng = stream(_POSITIVITY_SAMPLE_SEED, algebra.content_hash())
-    for _ in range(_POSITIVITY_SAMPLES):
-        ops.append(random_operator(algebra, rng, kind="positive"))
-    return ops
+def _choi_min_eigenvalue(algebra: AlgebraSpec, superop):
+    """Smallest eigenvalue over the Choi matrices of all block pairs, or
+    None when one of them is not Hermitian within DEFAULT_TOL.
+
+    The pair (i, j) restricts the map to M_{d_j} -> M_{d_i}; its Choi
+    matrix sum_ce E_ce (x) T(E_ce) has entries C_ij[(c,a),(e,b)] =
+    S_ij[(a,b),(c,e)], S_ij its block of the superoperator.  The pairs of
+    equal (d_i, d_j) form one stack; every stack is checked for
+    Hermiticity before one batched `eigvalsh` per stack.
+    """
+    groups = {}
+    for off, d in zip(algebra.block_offsets(), algebra.dims):
+        groups.setdefault(d, []).append(off)
+    stacks = []
+    for d_out, out_offs in groups.items():
+        rows = np.add.outer(out_offs, np.arange(d_out * d_out))
+        for d_in, in_offs in groups.items():
+            cols = np.add.outer(in_offs, np.arange(d_in * d_in))
+            blocks = superop[rows[:, None, :, None], cols[None, :, None, :]]
+            choi = blocks.reshape(-1, d_out, d_out, d_in, d_in).transpose(
+                0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out)
+            if np.abs(choi - choi.conj().transpose(0, 2, 1)).max() \
+                    > DEFAULT_TOL:
+                return None
+            stacks.append(choi)
+    return min(float(np.linalg.eigvalsh(choi)[:, 0].min())
+               for choi in stacks)
 
 
 @dataclass
 class DSVerification:
-    """Outcome of the three Dunford-Schwartz checks."""
+    """Outcome of the three Dunford-Schwartz checks.  `positive` means
+    certified completely positive, with `evidence` "kraus" or "choi", else
+    "unverified"; `choi_min_eigenvalue` is None when it was not needed
+    (Kraus data) or not defined (a non-Hermitian Choi matrix)."""
 
     positive: bool
-    positivity_evidence: str
+    evidence: str
+    choi_min_eigenvalue: float | None
     subunital: bool
     subunital_value: float
     trace_nonincreasing: bool
@@ -324,10 +335,9 @@ class DSVerification:
 def verify_ds(channel: Channel) -> DSVerification:
     """Verify the DS+ conditions of a channel, reporting all failures.
 
-    (a) positivity: certified by Kraus data or structural evidence
-        recorded by the constructor, otherwise by mapping a documented
-        positive test set (identity, diagonal units, seeded random PSD
-        elements) into positives within tolerance;
+    (a) complete positivity: by construction for a channel with Kraus
+        data, otherwise when every block-pair Choi matrix is Hermitian
+        with smallest eigenvalue >= -tol (`_choi_min_eigenvalue`);
     (b) subunitality ||T(1)|| <= 1 + tol, which for positive maps is the
         uniform-norm contraction;
     (c) largest eigenvalue of the trace-adjoint applied to the identity
@@ -335,21 +345,13 @@ def verify_ds(channel: Channel) -> DSVerification:
     all with tol = DEFAULT_TOL.
     """
     tol = DEFAULT_TOL
-    if channel.positivity_evidence in _STRUCTURAL_EVIDENCE:
-        positive = True
+    margin = None
+    if channel.kraus:
+        evidence = "kraus"
     else:
-        positive = True
-        for x in _positive_test_set(channel.algebra):
-            y = channel.apply(x)
-            scale_ref = max(1.0, x.uniform_norm())
-            if not y.is_hermitian(tol * scale_ref):
-                positive = False
-                break
-            min_eig = min(float(np.linalg.eigvalsh(
-                (b + b.conj().T) / 2.0)[0]) for b in y.blocks)
-            if min_eig < -tol * scale_ref:
-                positive = False
-                break
+        margin = _choi_min_eigenvalue(channel.algebra, channel.superop)
+        evidence = ("choi" if margin is not None and margin >= -tol
+                    else "unverified")
 
     unit = channel.algebra.identity()
     unit_image = channel.apply(unit)
@@ -360,8 +362,9 @@ def verify_ds(channel: Channel) -> DSVerification:
                              for b in herm.blocks)
 
     return DSVerification(
-        positive=positive,
-        positivity_evidence=channel.positivity_evidence if positive else "failed",
+        positive=evidence != "unverified",
+        evidence=evidence,
+        choi_min_eigenvalue=margin,
         subunital=bool(subunital_value <= 1.0 + tol),
         subunital_value=float(subunital_value),
         trace_nonincreasing=bool(adjoint_unit_value <= 1.0 + tol),
@@ -498,8 +501,7 @@ def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
     if np.max(col) > 1.0 + DEFAULT_TOL:
         raise ChannelConstructionError(
             f"weighted column sum {col.max():.6g} exceeds 1")
-    return Channel(algebra, p.astype(complex), kind="substochastic",
-                   positivity_evidence="entrywise")
+    return Channel(algebra, p.astype(complex), kind="substochastic")
 
 
 def convex_combine(channels, probabilities) -> Channel:
@@ -516,10 +518,7 @@ def convex_combine(channels, probabilities) -> Channel:
         kraus = []
         for p, ch in zip(probabilities, channels):
             kraus.extend(a * np.sqrt(p) for a in ch.kraus)
-    evidence = ("convex" if all(ch.verification.positive for ch in channels)
-                else "none")
-    return Channel(algebra, superop, kraus=kraus, kind="convex",
-                   positivity_evidence=evidence)
+    return Channel(algebra, superop, kraus=kraus, kind="convex")
 
 
 def linear_combine(channels, coefficients) -> Channel:
@@ -540,22 +539,20 @@ def linear_combine(channels, coefficients) -> Channel:
     algebra = channels[0].algebra
     superop = sum(c * ch.superop for c, ch in zip(coefficients, channels))
     return Channel(algebra, superop, kind="linear-combination",
-                   positivity_evidence="none",
                    norm_contraction_certified=True)
 
 
 def scale_channel(channel: Channel, factor) -> Channel:
-    """factor * T.  Positive factors keep positivity; unimodular complex
-    factors keep only the norm contraction (DS mode)."""
+    """factor * T.  A real factor c >= 0 keeps Kraus data, as sqrt(c) a_k;
+    unimodular complex factors keep only the norm contraction (DS mode)."""
     factor = complex(factor)
-    evidence = "none"
-    if factor.imag == 0 and factor.real >= 0 and channel.verification.positive:
-        evidence = "structural"
+    kraus = None
+    if factor.imag == 0 and factor.real >= 0 and channel.kraus:
+        kraus = [a * np.sqrt(factor.real) for a in channel.kraus]
     certified = (channel.is_ds_plus or channel.norm_contraction_certified) \
         and abs(factor) <= 1.0 + 1e-12
-    return Channel(channel.algebra, factor * channel.superop,
+    return Channel(channel.algebra, factor * channel.superop, kraus=kraus,
                    kind=f"scaled-{channel.kind}",
-                   positivity_evidence=evidence,
                    norm_contraction_certified=certified)
 
 
@@ -566,10 +563,8 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     kraus = None
     if outer.kraus and inner.kraus:
         kraus = [a @ b for a in outer.kraus for b in inner.kraus]
-    evidence = ("structural" if outer.verification.positive
-                and inner.verification.positive else "none")
     return Channel(outer.algebra, outer.superop @ inner.superop,
-                   kraus=kraus, kind="compose", positivity_evidence=evidence)
+                   kraus=kraus, kind="compose")
 
 
 # ---------------------------------------------------------------------

@@ -148,22 +148,13 @@ def _check_lorentz_params(p, q):
         raise UnsupportedNormError("(p=1, q>1) is outside the supported region")
 
 
-def lorentz_norm(x: Operator, p: float, q: float, variant="quasi") -> float:
+def lorentz_norm(x: Operator, p: float, q: float) -> float:
     """Lorentz (quasi-)norm ||x||_{p,q}.
 
     For q <= p this is a genuine fully symmetric norm; for p < q it is
-    the quasi-norm only.  variant="norm" requests the equivalent true
-    norm, which is implemented only where the quasi-norm already is one
-    (q <= p); for p < q no formula is available and the call is
-    rejected.
+    the quasi-norm only.
     """
     _check_lorentz_params(p, q)
-    if variant == "norm" and p < q:
-        raise UnsupportedNormError(
-            "the equivalent norm for p < q has no closed form here; "
-            "only the quasi-norm ||.||_{p,q} is computed")
-    if variant not in ("quasi", "norm"):
-        raise ValueError(f"unknown variant {variant!r}")
     return singular_function(x).lorentz_norm(p, q)
 
 

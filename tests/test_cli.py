@@ -171,6 +171,32 @@ class TestChannelKinds:
         assert err.getvalue().startswith("error: ")
         assert "'warp'" in err.getvalue()
 
+    @pytest.mark.parametrize("algebra,channel,evidence,margin", [
+        ({"blocks": [[2, 1.0]]}, {"kind": "unitary", "seed": 1},
+         "kraus", None),
+        ({"blocks": [[1, 1.0], [1, 1.0]]}, MINIMAL_SPECS["substochastic"],
+         "choi", 0.0),
+        ({"blocks": [[2, 1.0]]}, {"kind": "scaled", "factor": [-0.5, 0.0],
+                                  "child": {"kind": "identity"}},
+         "unverified", -1.0),
+    ])
+    def test_verify_channel_reports_positivity_evidence(
+            self, tmp_path, algebra, channel, evidence, margin):
+        config = {"seed": 3, "algebra": algebra, "channel": channel}
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("verify-channel", "--config", str(path),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "verify-channel.json").read_text())
+        verification = report["summary"]["verification"]
+        assert verification["positivity_evidence"] == evidence
+        assert verification["choi_min_eigenvalue"] == pytest.approx(margin)
+        assert verification["positive"] == (evidence != "unverified")
+        header, row = (out / "verify-channel.csv").read_text().splitlines()
+        assert header.split(",")[7:9] == ["positive", "positivity_evidence"]
+        assert row.split(",")[8] == evidence
+
 
 _CERTIFY = {"methods": ["yeadon"], "eps_grid": [0.5], "p_grid": [1],
             "element": {"kind": "random"}}
@@ -223,10 +249,23 @@ MALFORMED = {
     "norms-algebras-zero-block": ("norms", {"norms": {
         "algebras": [{"blocks": [[0, 1.0]]}],
         "num_operators": 1, "p_grid": [2], "pq_grid": []}}),
+    # the element of cell 0 happens to be positive, that of cell 1 is not
+    "yeadon-element-not-positive": ("certify", {"certify": {
+        **_CERTIFY, "element": {"kind": "random-hermitian"},
+        "num_seeds": 2}}),
+    "hopf-element-not-positive": ("certify", {
+        "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
+        "channel": {"kind": "identity"},
+        "certify": {**_CERTIFY, "methods": ["hopf"],
+                    "element": {"kind": "diagonal", "values": [1.0, -2.0]}}}),
     # json.dumps writes Infinity, which Python's json reads back
     "norms-p-infinite": ("norms", {"norms": {
         "num_operators": 1, "p_grid": [float("inf")], "pq_grid": []}}),
 }
+
+# what the error line of a malformed config must name
+NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
+                  "hopf-element-not-positive": "method 'hopf'"}
 
 
 class TestMalformedConfig:
@@ -251,6 +290,7 @@ class TestMalformedConfig:
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+        assert NAMED_IN_ERROR.get(name, "") in err.getvalue()
         assert not (tmp_path / "out").exists()
 
 

@@ -21,7 +21,7 @@ from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
 from ncergodic.errors import ChannelConstructionError, SemisimplicityError
 from ncergodic.ncnorms import lorentz_norm, lp_norm
 from ncergodic.rng import random_operator, random_unitary_operator, stream
-from ncergodic.util import EIG_CLUSTER_TOL
+from ncergodic.util import DEFAULT_TOL, EIG_CLUSTER_TOL
 from ncergodic.weights import WeightSequence
 
 M2 = AlgebraSpec(((2, 1.0),))
@@ -657,9 +657,104 @@ class TestHermitianSpectrum:
             assert abs(ch.spectral_gap() - old_gap) <= 1e-12
 
 
+def transpose_superop(algebra):
+    """x -> x^T blockwise: positive, not completely positive."""
+    perm = np.concatenate([off + np.arange(d * d).reshape(d, d).T.ravel()
+                           for off, d in zip(algebra.block_offsets(),
+                                             algebra.dims)])
+    return np.eye(algebra.vec_dim, dtype=complex)[perm]
+
+
+def choi_oracle(ch):
+    """Smallest eigenvalue of sum_ce E_ce (x) T(E_ce)_i over the block
+    pairs (i, j), E_ce the matrix units of block j, from `Channel.apply`."""
+    algebra = ch.algebra
+    values = []
+    for j, d_in in enumerate(algebra.dims):
+        for i, d_out in enumerate(algebra.dims):
+            choi = 0
+            for c in range(d_in):
+                for e in range(d_in):
+                    blocks = [np.zeros((d, d), dtype=complex)
+                              for d in algebra.dims]
+                    blocks[j][c, e] = 1.0
+                    image = ch.apply(Operator(algebra, blocks)).block(i)
+                    choi = choi + np.kron(blocks[j], image)
+            assert np.abs(choi - choi.conj().T).max() <= 1e-14
+            values.append(np.linalg.eigvalsh(choi)[0])
+    return min(values)
+
+
+class TestChoiCertificate:
+    def test_margin_matches_matrix_unit_oracle(self):
+        rng = stream(104, "choi")
+        bare = random_kraus_channel(MULTI, 3, rng)
+        maps = [Channel(MULTI, bare.superop),
+                Channel(MULTI, 0.5 * transpose_superop(MULTI)),
+                random_substochastic(DIAG3, rng),
+                convex_combine([random_substochastic(DIAG3, rng),
+                                scale_channel(identity_channel(DIAG3), 0.5)],
+                               [0.5, 0.5])]
+        for ch in maps:
+            assert ch.kraus is None
+            assert abs(ch.verification.choi_min_eigenvalue
+                       - choi_oracle(ch)) <= 1e-12
+        assert [ch.verification.evidence for ch in maps] == [
+            "choi", "unverified", "choi", "choi"]
+
+    def test_diagonal_verdict_is_entrywise(self):
+        # 1x1 blocks: each Choi matrix is one entry P_ij
+        rng = stream(105, "choi")
+        for k in range(16):
+            p = rng.standard_normal((3, 3)) if k < 4 else rng.random((3, 3))
+            p[rng.integers(3), rng.integers(3)] = (
+                -2.0, -2 * DEFAULT_TOL, -0.5 * DEFAULT_TOL, 0.0)[k % 4]
+            report = Channel(DIAG3, p).verification
+            assert report.positive == (p.min() >= -DEFAULT_TOL)
+            assert report.choi_min_eigenvalue == p.min()
+            assert report.evidence == ("choi" if report.positive
+                                       else "unverified")
+
+    def test_maps_that_are_not_cp_are_unverified(self):
+        transpose = Channel(MULTI, transpose_superop(MULTI))
+        half = Channel(MULTI, 0.5 * transpose_superop(MULTI))
+        imaginary = scale_channel(identity_channel(MULTI), 1j)
+        margins = [ch.verification.choi_min_eigenvalue
+                   for ch in (transpose, half, imaginary)]
+        assert margins[:2] == pytest.approx([-1.0, -0.5], abs=1e-12)
+        assert margins[2] is None
+        for ch in (transpose, half, imaginary):
+            assert ch.verification.evidence == "unverified"
+            assert not ch.verification.positive
+            assert not ch.is_ds_plus
+        # the transpose fails positivity only
+        assert transpose.verification.subunital
+        assert transpose.verification.trace_nonincreasing
+
+    @pytest.mark.parametrize("kind,algebra", KIND_CASES)
+    def test_only_maps_without_kraus_data_build_choi_matrices(
+            self, kind, algebra, monkeypatch):
+        calls = []
+        choi = dynamics._choi_min_eigenvalue
+
+        def recording(*args):
+            calls.append(kind)
+            return choi(*args)
+
+        monkeypatch.setattr(dynamics, "_choi_min_eigenvalue", recording)
+        ch = channel_from_spec(algebra, kind_spec(kind, algebra,
+                                                  stream(106, kind)))
+        want = "choi" if "substochastic" in kind else "kraus"
+        assert ch.verification.evidence == want
+        assert len(calls) == (want == "choi")
+        assert (ch.verification.choi_min_eigenvalue is None) == (
+            want == "kraus")
+        assert ch.is_ds_plus
+
+
 def certified_channels():
     """Kraus, convex and substochastic channels with margin > 0, all
-    positive by structure with r = sqrt(||T(1)|| ||T*(1)||) < 1."""
+    certified positive with r = sqrt(||T(1)|| ||T*(1)||) < 1."""
     rng = stream(100, "certified")
     out = []
     for algebra in (MULTI, DIAG3):
@@ -703,8 +798,7 @@ class TestCertifiedContraction:
         eigs = np.linalg.eigvals(ch.superop)
         x = random_operator(ch.algebra, stream(101, "certified", index))
         forbid_eigvals(monkeypatch)
-        assert ch.verification.positivity_evidence in (
-            "kraus", "convex", "entrywise")
+        assert ch.verification.evidence in ("kraus", "choi")
         assert np.abs(eigs).max() <= ch.spectral_radius_bound < 1.0
         assert ch.spectrum == "certified-contraction"
         for phase in PHASES:
@@ -715,17 +809,15 @@ class TestCertifiedContraction:
         assert abs(ch.spectral_gap() - dense_gap(eigs)) <= 1e-12
         assert ch.spectrum == "certified-contraction"
 
-    @pytest.mark.parametrize("case", ["sampled", "unital"])
+    @pytest.mark.parametrize("case", ["unverified", "unital"])
     def test_other_maps_keep_the_dense_path(self, case, monkeypatch):
-        rng = stream(102, "dense", case)
-        if case == "sampled":
-            # the superoperator of a Kraus map, positive only by sample
-            kraus = random_kraus_channel(MULTI, 3, rng, margin=0.05)
-            ch = Channel(MULTI, kraus.superop, kind="custom")
-            assert ch.verification.positive
+        if case == "unverified":
+            # 0.5 transpose: r = 0.5, but not completely positive
+            ch = Channel(MULTI, 0.5 * transpose_superop(MULTI), kind="custom")
+            assert not ch.verification.positive
             assert ch.spectral_radius_bound is None
         else:
-            ch = random_unitary_mixture(MULTI, 2, rng)
+            ch = random_unitary_mixture(MULTI, 2, stream(102, "dense", case))
             assert ch.spectral_radius_bound >= 1.0 - EIG_CLUSTER_TOL
         calls = counting_eigvals(monkeypatch)
         assert ch.spectrum == "dense"

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports, imports
-nothing outside the standard library and its runtime dependencies, and
-none reads the environment (parsed with `ast`, so no linter is
-needed)."""
+"""Every module of the package uses each name it imports, every
+module-level private name is read somewhere in the package, no module
+imports anything outside the standard library and its runtime
+dependencies, and none reads the environment (parsed with `ast`, so no
+linter is needed)."""
 
 import ast
 import sys
@@ -55,6 +56,52 @@ def test_finds_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unused_private_names(sources):
+    """(module, line, name) of each module-level private name that no
+    module of `sources` (a module -> source mapping) reads or imports."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
+def test_finds_unused_private_name():
+    sources = {"a.py": ("_USED = 1\n_UNUSED, _TOO = 2, 3\n"
+                        "def _helper():\n    return _USED\n"
+                        "class _Gone:\n    pass\n__all__ = []\n"),
+               "b.py": "from .a import _helper\n_x: int = 3\n"}
+    assert unused_private_names(sources) == [
+        ("a.py", 2, "_TOO"), ("a.py", 2, "_UNUSED"), ("a.py", 5, "_Gone"),
+        ("b.py", 2, "_x")]
+
+
+def test_no_unused_private_names():
+    sources = {module: (PACKAGE / module).read_text()
+               for module in MODULES + ["__init__.py"]}
+    assert unused_private_names(sources) == []
 
 
 def third_party_imports(source):

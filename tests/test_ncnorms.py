@@ -150,13 +150,6 @@ class TestLorentzNorm:
         with pytest.raises(UnsupportedNormError):
             lorentz_norm(M2.identity(), p, q)
 
-    def test_equivalent_norm_rejected_for_p_below_q(self):
-        with pytest.raises(UnsupportedNormError):
-            lorentz_norm(M2.identity(), 2, 3, variant="norm")
-        # where the quasi-norm is a norm the variant is allowed
-        assert lorentz_norm(M2.identity(), 3, 2, variant="norm") == \
-            pytest.approx(lorentz_norm(M2.identity(), 3, 2))
-
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
     def test_pp_equals_lp_random(self, p):
         rng = stream(47, "lorentz", p)
