@@ -337,16 +337,18 @@ def run_verify_channel(config, jobs):
 
 
 _CERTIFY_BUILDERS = {
-    "yeadon": lambda ch, x, p, beta, eps, n: yeadon_witness_search(ch, x, eps, n),
-    "hopf": lambda ch, x, p, beta, eps, n: hopf_witness_commutative(ch, x, eps, n),
-    "lp": lambda ch, x, p, beta, eps, n: lp_witness(ch, x, p, eps, n),
-    "weighted": lambda ch, x, p, beta, eps, n: weighted_witness(ch, x, p, beta, eps, n),
-    "one-sided": lambda ch, x, p, beta, eps, n: one_sided_witness(ch, x, p, beta, eps, n),
+    "yeadon": lambda ch, x, p, beta, grid, n: yeadon_witness_search(ch, x, grid, n),
+    "hopf": lambda ch, x, p, beta, grid, n: hopf_witness_commutative(ch, x, grid, n),
+    "lp": lambda ch, x, p, beta, grid, n: lp_witness(ch, x, p, grid, n),
+    "weighted": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, beta, grid, n),
+    "one-sided": lambda ch, x, p, beta, grid, n: one_sided_witness(ch, x, p, beta, grid, n),
 }
 
 
-def _certify_cell(config, algebra, channel, beta, cell):
-    method, p, eps, seed_idx = cell
+def _certify_task(config, algebra, channel, beta, eps_grid, task):
+    """One witness search over the whole eps grid for one (method, p,
+    seed_idx); returns one (row, discrepancy, found) per eps."""
+    method, p, seed_idx = task
     seed = config["seed"]
     horizon = config["horizon"]
     section = config["certify"]
@@ -357,51 +359,59 @@ def _certify_cell(config, algebra, channel, beta, cell):
     x = element_from_spec(algebra, spec, rng)
 
     try:
-        result = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps, horizon)
+        results = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps_grid,
+                                            horizon)
     except NotPositiveError as exc:
         raise ConfigError(f"method {method!r}: {exc}") from exc
-    found = is_found(result)
-    report = result if found else result.best_candidate
-    # the builders ran the independent checker already; a verdict that
-    # its own measurements contradict is a discrepancy
-    discrepancy = (report is not None
-                   and report.checker_passed != report.within_budgets())
+    cells = []
+    for eps, result in zip(eps_grid, results):
+        found = is_found(result)
+        report = result if found else result.best_candidate
+        # the builders ran the independent checker already; a verdict
+        # that its own measurements contradict is a discrepancy
+        discrepancy = (report is not None
+                       and report.checker_passed != report.within_budgets())
 
-    row_tail = [method, found]
-    if report is not None:
-        row_tail += [report.trace_defect, report.trace_budget,
-                     report.trace_ratio, report.sup_compression,
-                     report.sup_budget, report.sup_ratio,
-                     report.checker_passed, report.weight_bound]
-    else:
-        row_tail += ["", "", "", "", "", "", False, beta.bound]
-    row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + \
-        [seed_idx] + row_tail
-    return row, discrepancy, found
+        row_tail = [method, found]
+        if report is not None:
+            row_tail += [report.trace_defect, report.trace_budget,
+                         report.trace_ratio, report.sup_compression,
+                         report.sup_budget, report.sup_ratio,
+                         report.checker_passed, report.weight_bound]
+        else:
+            row_tail += ["", "", "", "", "", "", False, beta.bound]
+        row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + \
+            [seed_idx] + row_tail
+        cells.append((row, discrepancy, found))
+    return cells
 
 
 def run_certify(config, jobs):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["certify"]
     beta = _weights_from(section.get("weights"))
-    cells = []
-    for method in section["methods"]:
-        for p in section["p_grid"]:
-            for eps in section["eps_grid"]:
-                for seed_idx in range(section.get("num_seeds", 1)):
-                    cells.append((method, float(p), float(eps), seed_idx))
-    # cells that share a seed_idx share the run seed, so the channel;
-    # cells only read it
+    eps_grid = [float(eps) for eps in section["eps_grid"]]
+    seeds = range(section.get("num_seeds", 1))
+    pairs = [(method, float(p)) for method in section["methods"]
+             for p in section["p_grid"]]
+    # an empty eps grid has no cells, so nothing to search
+    tasks = [(m, p, s) for m, p in pairs for s in seeds if eps_grid]
+    # tasks that share a seed_idx share the run seed, so the channel;
+    # tasks only read it
     channels = {seed_idx: channel_from_spec(
                     algebra, config["channel"],
                     run_seed=derive_seed(config["seed"], "cell", seed_idx))
-                for seed_idx in {cell[3] for cell in cells}}
+                for seed_idx in {task[2] for task in tasks}}
 
-    def work(cell):
-        return _certify_cell(config, algebra, channels[cell[3]], beta, cell)
+    def work(task):
+        return _certify_task(config, algebra, channels[task[2]], beta,
+                             eps_grid, task)
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        results = list(pool.map(work, cells))
+        by_task = dict(zip(tasks, pool.map(work, tasks)))
+    # rows in (method, p, eps, seed_idx) order
+    results = [by_task[m, p, s][k] for m, p in pairs
+               for k in range(len(eps_grid)) for s in seeds]
 
     header = _BASE_COLUMNS + ["cell", "method", "found", "trace_defect",
                               "trace_budget", "trace_ratio", "sup_value",
@@ -410,8 +420,8 @@ def run_certify(config, jobs):
     rows = [r for r, _, _ in results]
     discrepancies = sum(1 for _, d, _ in results if d)
     found = sum(1 for _, _, f in results if f)
-    summary = {"cells": len(cells), "found": found,
-               "not_found": len(cells) - found,
+    summary = {"cells": len(results), "found": found,
+               "not_found": len(results) - found,
                "checker_discrepancies": discrepancies}
     return header, rows, summary, (2 if discrepancies else 0)
 

@@ -167,7 +167,7 @@ def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
     tail_points = [n for n in schedule if n >= horizon // 2]
     tail = algebra.block_stacks([(limit - averages[n]).vec()
                                  for n in tail_points])
-    e, defect = peel(algebra, tail, PEEL_FLOOR, eps, mode)
+    [(e, defect)] = peel(algebra, tail, [(PEEL_FLOOR, eps)], mode)
 
     profile = []
     for n in schedule:

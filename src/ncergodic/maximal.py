@@ -7,13 +7,18 @@ bound on the compressed averages, e.g. sup_{n<=N} ||e M_n(x) e||.
 The averages M_0(x), ..., M_N(x) are held as stacks, one (N+1, d_i, d_i)
 array per block, so a supremum over n is one batched LAPACK call per
 block (`compressed_sup`) and a peeling step one batched eigh or SVD per
-block.  Every construction here is re-measured by an independent checker
-that rebuilds its own stacks from the raw channel with a fresh pass of
-the recurrence and shares no intermediate state with the search.
+block.  Each search takes a grid of eps and returns one result per eps:
+only a strategy's stopping test depends on the level and the trace
+budget, so one pass of the recurrence and one run of each strategy serve
+the whole grid.  Every construction is re-measured, per eps, by an
+independent checker that rebuilds its own stacks from the raw channel
+with a fresh pass of the recurrence and shares no intermediate state with
+the search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +159,9 @@ def _finalize(channel, x, e, horizon, trace_budget, sup_budget, method,
 # Weak (1,1) witnesses.
 # ---------------------------------------------------------------------
 
-def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
-                             horizon: int) -> WitnessReport:
-    """Constructive witness on a diagonal algebra.
+def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
+                             horizon: int) -> list:
+    """Constructive witnesses on a diagonal algebra, one per eps.
 
     e is the indicator of the atoms where max_{n<=N} M_n(x) stays <= eps;
     the classical maximal ergodic inequality guarantees the killed trace
@@ -164,16 +169,18 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps: float,
     """
     if not channel.algebra.is_diagonal:
         raise ValueError("hopf witness requires a diagonal algebra")
-    if eps <= 0:
+    if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     if not x.is_positive():
         raise NotPositiveError("hopf witness requires x >= 0")
 
+    norm = lp_norm(x, 1)
     stacks = _average_stacks(channel, x, horizon)
-    e = _strategy_hopf_abelian(channel, x, stacks, eps, None)
-    trace_budget = lp_norm(x, 1) / eps
-    return _finalize(channel, x, e, horizon, trace_budget, eps,
-                     "hopf", "two_sided", None, eps, 1.0, 1.0)
+    cuts = _strategy_hopf_abelian(channel, stacks,
+                                  [(eps, None) for eps in eps_grid])
+    return [_finalize(channel, x, e, horizon, norm / eps, eps, "hopf",
+                      "two_sided", None, eps, 1.0, 1.0)
+            for e, eps in zip(cuts, eps_grid)]
 
 
 def _ordered_sum(stack):
@@ -186,26 +193,31 @@ def _hermitian(stack):
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _strategy_identity(channel, x, stacks, level, budget):
+# A strategy maps (channel, stacks, stops) to one candidate projection
+# or None per (level, budget) stop; its level-free work runs once.
+
+def _strategy_identity(channel, stacks, stops):
     e = Projection.identity(channel.algebra)
-    if compressed_sup(stacks, e) <= level:
-        return e
-    return None
+    sup = compressed_sup(stacks, e)
+    return [e if sup <= level else None for level, _ in stops]
 
 
-def _strategy_hopf_abelian(channel, x, stacks, level, budget):
+def _strategy_hopf_abelian(channel, stacks, stops):
     """Hopf indicator in the joint eigenbasis, when all averages commute.
 
     Diagonal algebras short-circuit to the classical construction; in a
     general algebra the averages are rotated to the eigenbasis of their
-    sum and must all be diagonal there within tolerance.
+    sum and must all be diagonal there within tolerance.  The running
+    maxima are computed once; each level is one cut of them.
     """
     algebra = channel.algebra
     if algebra.is_diagonal:
         running = np.array([s[:, 0, 0].real.max() for s in stacks])
-        return Projection.from_indicator(algebra, (running <= level).astype(float))
+        return [Projection.from_indicator(algebra,
+                                          (running <= level).astype(float))
+                for level, _ in stops]
 
-    kept = []
+    rotations = []
     for stack in stacks:
         _, q = np.linalg.eigh(_hermitian(_ordered_sum(stack)))
         rotated = q.conj().T @ stack @ q
@@ -214,77 +226,90 @@ def _strategy_hopf_abelian(channel, x, stacks, level, budget):
         diagonal = np.arange(q.shape[0])
         size[:, diagonal, diagonal] = 0.0
         if np.any(size.max(axis=(1, 2)) > COMMUTING_TOL * scale_ref):
-            return None  # not simultaneously diagonal
-        running = np.diagonal(rotated, axis1=1, axis2=2).real.max(axis=0)
-        kept.append(q[:, running <= level])
-    return Projection.from_basis(algebra, kept)
+            return [None] * len(stops)  # not simultaneously diagonal
+        rotations.append(
+            (q, np.diagonal(rotated, axis1=1, axis2=2).real.max(axis=0)))
+    return [Projection.from_basis(algebra, [q[:, running <= level]
+                                            for q, running in rotations])
+            for level, _ in stops]
 
 
-def _strategy_level_set(channel, x, stacks, level, budget):
+def _strategy_level_set(channel, stacks, stops):
     """Spectral cut of the mean of the averages.
 
     Thresholds run over the clustered spectrum of B = mean_n M_n(x); the
     compressed sup grows with the threshold while the killed trace
-    shrinks, by at least the smallest block weight per step.  One binary
-    search finds the smallest threshold within the trace budget, and a
-    second the largest threshold (smallest defect) whose measured sup
-    stays below the level.  Each cut is built on first use and kept.
+    shrinks, by at least the smallest block weight per step.  Per stop,
+    one binary search finds the smallest threshold within the trace
+    budget, and a second the largest threshold (smallest defect) whose
+    measured sup stays below the level.  The spectrum is computed once;
+    each cut and its sup are built on first use and shared by the stops.
     """
     scale = complex(1.0 / len(stacks[0]))
     mean = Operator(channel.algebra,
                     [scale * _ordered_sum(stack) for stack in stacks])
     dec = eigh(mean)
-    built = {}
 
+    @functools.cache
     def cut(k):  # k-th threshold, ascending; defect descending
-        if k not in built:
-            built[k] = dec.projection_where(
-                lambda lam, t=dec.eigenvalues[k]: lam <= t)
-        return built[k]
+        return dec.projection_where(lambda lam, t=dec.eigenvalues[k]: lam <= t)
+
+    @functools.cache
+    def sup(k):
+        return compressed_sup(stacks, cut(k))
 
     num = len(dec.eigenvalues)
-    lo, hi = 0, num
-    while lo < hi:  # first cut within the trace budget
-        mid = (lo + hi) // 2
-        if cut(mid).defect() <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == num or compressed_sup(stacks, cut(lo)) > level:
-        return None
-    hi, best = num - 1, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if compressed_sup(stacks, cut(mid)) <= level:
-            best = cut(mid)
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+
+    def search(level, budget):
+        lo, hi = 0, num
+        while lo < hi:  # first cut within the trace budget
+            mid = (lo + hi) // 2
+            if cut(mid).defect() <= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == num or sup(lo) > level:
+            return None
+        hi, best = num - 1, None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if sup(mid) <= level:
+                best = cut(mid)
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return best
+
+    return [search(level, budget) for level, budget in stops]
 
 
-def peel(algebra, stacks, level, budget, mode):
+def peel(algebra, stacks, stops, mode):
     """Greedy peeling: repeatedly remove the top direction of the worst
     compressed block among the operators in `stacks` (one (m, d_i, d_i)
-    array per block, see `AlgebraSpec.block_stacks`) until its value
-    drops to `level` or the next removal would push the killed trace
-    past `budget`.
+    array per block, see `AlgebraSpec.block_stacks`).
+
+    The removal order does not depend on where the loop stops, so one
+    run serves a list of (level, budget) stops: a stop ends at the first
+    step where the worst value is <= its level or the next removal would
+    push the killed trace past its budget.  Returns one (projection,
+    killed trace) per stop, in order, each as a one-stop run gives it;
+    the projection is the best infeasible candidate when the budget ends
+    the stop.
 
     `mode` sets the value of a compressed block c = e a e: the top
     eigenvalue of its Hermitian part ("hermitian"), its norm
     ("two_sided"), or ||a e|| = sqrt(lambda_max(c_1* c_1)) with
     c_1 = a e ("one_sided").  Each step takes one batched eigh or SVD
     per block.  Ties go to the first operator, then the first block.
-    Returns (projection, killed trace); the projection is the best
-    infeasible candidate when the budget stops the loop.  Terminates
-    because each step removes at least the smallest block weight of
-    trace.
+    Terminates because each step removes at least the smallest block
+    weight of trace, and an emptied algebra ends every stop.
     """
     if mode not in ("hermitian", "two_sided", "one_sided"):
         raise ValueError(f"unknown mode {mode!r}")
     bases = [np.eye(d, dtype=complex) for d in algebra.dims]
     weights = algebra.weights
     defect = 0.0
+    results = [None] * len(stops)
     while True:
         # values[op, block]; argmax in C order keeps the first maximum
         # with operators outer, as a strict > over the loops would
@@ -308,13 +333,17 @@ def peel(algebra, stacks, level, budget, mode):
                     _hermitian(basis.conj().T @ stack @ basis))
                 values[:, i] = lam[:, -1]
                 directions[i] = vecs[:, :, -1]
-        if values.size == 0:
-            break
-        op, i = np.unravel_index(np.argmax(values), values.shape)
-        if values[op, i] <= level:
-            break
-        if defect + weights[i] > budget:
-            break
+        top, step = -np.inf, 0.0  # nothing to measure ends every stop
+        if values.size:
+            op, i = np.unravel_index(np.argmax(values), values.shape)
+            top, step = values[op, i], weights[i]
+        e = None  # one projection for the stops that end at this step
+        for k, (level, budget) in enumerate(stops):
+            if results[k] is None and (top <= level or defect + step > budget):
+                e = e or Projection.from_basis(algebra, bases)
+                results[k] = (e, defect)
+        if all(r is not None for r in results):
+            return results
         direction = directions[i][op]
         # orthonormal complement of the offending direction inside block i
         basis = bases[i]
@@ -324,11 +353,10 @@ def peel(algebra, stacks, level, budget, mode):
         _, vecs = np.linalg.eigh(proj)
         bases[i] = basis @ vecs[:, 1:]
         defect += weights[i]
-    return Projection.from_basis(algebra, bases), defect
 
 
-def _strategy_peel(channel, x, stacks, level, budget):
-    return peel(channel.algebra, stacks, level, budget, "hermitian")[0]
+def _strategy_peel(channel, stacks, stops):
+    return [e for e, _ in peel(channel.algebra, stacks, stops, "hermitian")]
 
 
 _STRATEGY_TABLE = {
@@ -339,46 +367,54 @@ _STRATEGY_TABLE = {
 }
 
 
-def yeadon_witness_search(channel: Channel, x: Operator, eps: float,
-                          horizon: int):
-    """Search for a weak (1,1) witness: tau(e_perp) <= ||x||_1/eps and
-    sup_{n<=N} ||e M_n(x) e|| <= eps.
+def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
+                          horizon: int) -> list:
+    """Search for weak (1,1) witnesses, one per eps in `eps_grid`:
+    tau(e_perp) <= ||x||_1/eps and sup_{n<=N} ||e M_n(x) e|| <= eps.
 
-    Strategies run in the order of _STRATEGY_TABLE; the first whose
-    candidate passes the independent checker wins.  A
-    WitnessSearchFailure is returned when all strategies fall short; it
-    is not a refutation since the search is incomplete.
+    One pass of the recurrence serves the whole grid.  Strategies run in
+    the order of _STRATEGY_TABLE, each once, on the eps values that no
+    earlier strategy has won; per eps the first candidate that passes
+    the independent checker wins.  A WitnessSearchFailure stands for an
+    eps where all strategies fall short; it is not a refutation since
+    the search is incomplete.
     """
-    if eps <= 0:
+    if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     if not x.is_positive():
         raise NotPositiveError("yeadon witness requires x >= 0")
-    trace_budget = lp_norm(x, 1) / eps
+    norm = lp_norm(x, 1)
+    stops = [(eps, norm / eps) for eps in eps_grid]
     stacks = _average_stacks(channel, x, horizon)
 
-    best_candidate = None
+    results, best = [None] * len(stops), [None] * len(stops)
     for name, strategy in _STRATEGY_TABLE.items():
-        e = strategy(channel, x, stacks, eps, trace_budget)
-        if e is None:
-            continue
-        report = _finalize(channel, x, e, horizon, trace_budget, eps,
-                           name, "two_sided", None, eps, 1.0, 1.0)
-        if report.checker_passed:
-            return report
-        if best_candidate is None or (report.sup_compression
-                                      < best_candidate.sup_compression):
-            best_candidate = report
-    if best_candidate is not None:
-        best_candidate.found = False
-    return WitnessSearchFailure("no strategy met both budgets",
-                                best_candidate)
+        open_ = [k for k, r in enumerate(results) if r is None]
+        if not open_:
+            break
+        candidates = strategy(channel, stacks, [stops[k] for k in open_])
+        for k, e in zip(open_, candidates):
+            if e is None:
+                continue
+            eps, trace_budget = stops[k]
+            report = _finalize(channel, x, e, horizon, trace_budget, eps,
+                               name, "two_sided", None, eps, 1.0, 1.0)
+            if report.checker_passed:
+                results[k] = report
+            elif best[k] is None or (report.sup_compression
+                                     < best[k].sup_compression):
+                report.found = False
+                best[k] = report
+    return [r if r is not None else
+            WitnessSearchFailure("no strategy met both budgets", b)
+            for r, b in zip(results, best)]
 
 
-def lp_witness(channel: Channel, x: Operator, p: float, eps: float,
-               horizon: int):
-    """Weak (p,p) witness for positive x.
+def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
+               horizon: int) -> list:
+    """Weak (p,p) witnesses for positive x, one per eps.
 
-    Runs the weak (1,1) search on x^p at level eps^p; the spectral
+    Runs the weak (1,1) search on x^p at the levels eps^p; the spectral
     bound x <= x_eps + eps^(1-p) x^p turns that witness into
     sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p.
     """
@@ -387,24 +423,23 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps: float,
     if not x.is_positive():
         raise NotPositiveError("lp witness requires x >= 0")
     powered = x if p == 1 else positive_power(x, p)
-    base = yeadon_witness_search(channel, powered, eps ** p, horizon)
-    trace_budget = (lp_norm(x, p) / eps) ** p
-    sup_budget = 2.0 * eps
-    if not is_found(base):
-        candidate = None
-        if base.best_candidate is not None:
-            candidate = _finalize(channel, x, base.best_candidate.projection,
-                                  horizon, trace_budget, sup_budget,
-                                  f"lp[{base.best_candidate.method}]",
-                                  "two_sided", None, eps, p, 1.0)
-            candidate.found = False
-        return WitnessSearchFailure(
+    bases = yeadon_witness_search(channel, powered,
+                                  [eps ** p for eps in eps_grid], horizon)
+    norm = lp_norm(x, p)
+    results = []
+    for base, eps in zip(bases, eps_grid):
+        found = is_found(base)
+        report = base if found else base.best_candidate
+        if report is not None:
+            report = _finalize(channel, x, report.projection, horizon,
+                               (norm / eps) ** p, 2.0 * eps,
+                               f"lp[{report.method}]", "two_sided", None,
+                               eps, p, 1.0)
+            report.found = found
+        results.append(report if found else WitnessSearchFailure(
             f"weak (1,1) search failed at level eps^p: {base.reason}",
-            candidate)
-    report = _finalize(channel, x, base.projection, horizon, trace_budget,
-                       sup_budget, f"lp[{base.method}]", "two_sided",
-                       None, eps, p, 1.0)
-    return report
+            report))
+    return results
 
 
 def _positive_parts(x):
@@ -417,9 +452,30 @@ def _positive_parts(x):
     return parts
 
 
+def _part_witnesses(parts, search, eps_grid, what, finish):
+    """Per eps, finish(eps, witnesses) on the witnesses of all parts, or
+    the failure of the first part that failed.  A part is searched, by
+    search(part, grid), only at the eps where every earlier part was found."""
+    outcomes = [[] for _ in eps_grid]
+    for part in parts:
+        open_ = [k for k, o in enumerate(outcomes) if isinstance(o, list)]
+        if not open_:
+            break
+        for k, res in zip(open_, search(part, [eps_grid[k] for k in open_])):
+            if is_found(res):
+                outcomes[k].append(res)
+            else:
+                outcomes[k] = WitnessSearchFailure(
+                    f"{what} witness failed: {res.reason}",
+                    res.best_candidate)
+    return [finish(eps, o) if isinstance(o, list) else o
+            for eps, o in zip(eps_grid, outcomes)]
+
+
 def weighted_witness(channel: Channel, x: Operator, p: float, beta,
-                     eps: float, horizon: int):
-    """Witness for weighted averages M_{beta,n} via the four positive parts.
+                     eps_grid, horizon: int) -> list:
+    """Witnesses for weighted averages M_{beta,n} via the four positive
+    parts, one per eps.
 
     Each part gets its own weak (p,p) witness; the meet of the four
     projections controls the weighted averages because the shifted
@@ -429,28 +485,25 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     average is the plain one).
     """
     parts = _positive_parts(x)
-    witnesses = []
-    for part in parts:
-        res = lp_witness(channel, part, p, eps, horizon)
-        if not is_found(res):
-            return WitnessSearchFailure(
-                f"part witness failed: {res.reason}", res.best_candidate)
-        witnesses.append(res)
-    e = projection_meet_all([w.projection for w in witnesses])
+    c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
 
-    c = beta.bound
-    trivial = beta.is_constant_one
-    trace_budget = len(parts) * (lp_norm(x, p) / eps) ** p
-    per_part = 2.0 * eps if trivial else 12.0 * c * eps
-    sup_budget = len(parts) * per_part
-    return _finalize(channel, x, e, horizon, trace_budget, sup_budget,
-                     f"weighted[{'+'.join(w.method for w in witnesses)}]",
-                     "two_sided", None if trivial else beta, eps, p, c)
+    def finish(eps, witnesses):
+        e = projection_meet_all([w.projection for w in witnesses])
+        per_part = 2.0 * eps if trivial else 12.0 * c * eps
+        return _finalize(channel, x, e, horizon,
+                         len(parts) * (norm / eps) ** p, len(parts) * per_part,
+                         f"weighted[{'+'.join(w.method for w in witnesses)}]",
+                         "two_sided", None if trivial else beta, eps, p, c)
+
+    return _part_witnesses(
+        parts, lambda part, grid: lp_witness(channel, part, p, grid, horizon),
+        eps_grid, "part", finish)
 
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
-                      eps: float, horizon: int):
-    """One-sided witness sup_n ||M_{beta,n}(x) e|| for p >= 2.
+                      eps_grid, horizon: int) -> list:
+    """One-sided witnesses sup_n ||M_{beta,n}(x) e|| for p >= 2, one per
+    eps.
 
     For each Hermitian component h of x the witness is the weak (p/2)
     construction for h^2 at level eps^2: Kadison's inequality applied to
@@ -470,26 +523,23 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
         scale_ref = max(x.uniform_norm(), 1.0)
         parts = [h for h in (x.hermitian_part(), x.skew_part())
                  if h.uniform_norm() > 1e-14 * scale_ref]
+    c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
 
-    witnesses = []
-    for h in parts:
-        res = lp_witness(channel, h @ h, p / 2.0, eps ** 2, horizon)
-        if not is_found(res):
-            return WitnessSearchFailure(
-                f"squared-part witness failed: {res.reason}",
-                res.best_candidate)
-        witnesses.append(res)
-    e = projection_meet_all([w.projection for w in witnesses])
+    def finish(eps, witnesses):
+        e = projection_meet_all([w.projection for w in witnesses])
+        r = norm / eps
+        if trivial:
+            trace_budget = 2.0 * len(parts) * r ** p
+            sup_budget = len(parts) * np.sqrt(2.0) * eps
+        else:
+            trace_budget = 3.0 * len(parts) * r ** p
+            sup_budget = (len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c))
+                          * eps)
+        return _finalize(channel, x, e, horizon, trace_budget, sup_budget,
+                         f"one-sided[{'+'.join(w.method for w in witnesses)}]",
+                         "one_sided", None if trivial else beta, eps, p, c)
 
-    c = beta.bound
-    trivial = beta.is_constant_one
-    r = lp_norm(x, p) / eps
-    if trivial:
-        trace_budget = 2.0 * len(parts) * r ** p
-        sup_budget = len(parts) * np.sqrt(2.0) * eps
-    else:
-        trace_budget = 3.0 * len(parts) * r ** p
-        sup_budget = len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c)) * eps
-    return _finalize(channel, x, e, horizon, trace_budget, sup_budget,
-                     f"one-sided[{'+'.join(w.method for w in witnesses)}]",
-                     "one_sided", None if trivial else beta, eps, p, c)
+    return _part_witnesses(
+        parts, lambda h, grid: lp_witness(channel, h @ h, p / 2.0,
+                                          [eps ** 2 for eps in grid], horizon),
+        eps_grid, "squared-part", finish)

@@ -59,7 +59,7 @@ def passes(channel, x, report, horizon, trace_budget, sup_budget,
 @given(algebra=ALGEBRAS, seed=SEEDS, eps=EPS, horizon=HORIZONS)
 def test_yeadon_weak_11(algebra, seed, eps, horizon):
     channel, x = channel_and_element(algebra, seed, "positive")
-    report = yeadon_witness_search(channel, x, eps, horizon)
+    [report] = yeadon_witness_search(channel, x, [eps], horizon)
     if is_found(report):
         assert passes(channel, x, report, horizon, lp_norm(x, 1) / eps, eps)
 
@@ -69,7 +69,7 @@ def test_yeadon_weak_11(algebra, seed, eps, horizon):
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_lp_weak_pp(algebra, seed, eps, horizon, p):
     channel, x = channel_and_element(algebra, seed, "positive")
-    report = lp_witness(channel, x, p, eps, horizon)
+    [report] = lp_witness(channel, x, p, [eps], horizon)
     if is_found(report):
         assert passes(channel, x, report, horizon,
                       (lp_norm(x, p) / eps) ** p, 2.0 * eps)
@@ -82,7 +82,7 @@ def test_weighted(algebra, seed, eps, horizon, p, beta):
     channel, x = channel_and_element(algebra, seed, "general")
     # x = (x1 - x2) + i(x3 - x4); a part is zero exactly when its trace is
     parts = sum(part.trace().real > 1e-12 for part in hermitian_decompose(x))
-    report = weighted_witness(channel, x, p, beta, eps, horizon)
+    [report] = weighted_witness(channel, x, p, beta, [eps], horizon)
     if is_found(report):
         assert passes(channel, x, report, horizon,
                       parts * (lp_norm(x, p) / eps) ** p,
@@ -104,7 +104,7 @@ def test_one_sided(algebra, seed, eps, horizon, p, beta, kind):
     else:
         trace_budget = 3 * parts * r ** p
         sup_budget = parts * 2 * math.sqrt(c) * (2 + math.sqrt(c)) * eps
-    report = one_sided_witness(channel, x, p, beta, eps, horizon)
+    [report] = one_sided_witness(channel, x, p, beta, [eps], horizon)
     if is_found(report):
         assert passes(channel, x, report, horizon, trace_budget, sup_budget,
                       "one_sided", beta)
@@ -130,7 +130,7 @@ def test_hopf_equals_brute_force_maximal_function(weights, seed, eps,
     assume(np.all(np.abs(maximal - eps) > 1e-9))
     kept = maximal <= eps
 
-    report = hopf_witness_commutative(channel, x, eps, horizon)
+    [report] = hopf_witness_commutative(channel, x, [eps], horizon)
     got = np.array([b[0, 0].real > 0.5
                     for b in report.projection.operator.blocks])
     assert np.array_equal(got, kept)

@@ -295,13 +295,28 @@ class TestMalformedConfig:
 
 
 class TestCertifyContract:
-    @pytest.mark.parametrize("name", ["cycle4", "kraus8"])
-    def test_fixture_matches_reference(self, tmp_path, name):
-        code = run_cli("certify", "--config", str(FIXTURES / f"{name}.json"),
-                       "--out", str(tmp_path))
+    # benchmark workloads at one seed class each: a full 8x8 block through
+    # all four methods on a 4-value eps grid, and yeadon next to hopf on
+    # 96 atoms
+    WORKLOAD_SEEDS = {"certify-mix8": 3, "certify-cycle96": 5}
+
+    @pytest.mark.parametrize("name", ["cycle4", "kraus8", "certify-mix8",
+                                      "certify-cycle96"])
+    def test_fixture_matches_reference(self, tmp_path, workloads, name):
+        config = FIXTURES / f"{name}.json"
+        reference = REFERENCE / "fixtures" / f"{name}.csv"
+        seed_args = []
+        if name in self.WORKLOAD_SEEDS:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(workloads.WORKLOADS[name][1]()))
+            seed = workloads.cli_seed(name, self.WORKLOAD_SEEDS[name])
+            reference = REFERENCE / name / f"seed{seed}.csv"
+            seed_args = ["--seed", str(seed)]
+        code = run_cli("certify", "--config", str(config),
+                       "--out", str(tmp_path), *seed_args)
         assert code == 0
         assert ((tmp_path / "certify.csv").read_bytes()
-                == (REFERENCE / "fixtures" / f"{name}.csv").read_bytes())
+                == reference.read_bytes())
 
     # results depend only on the config and the command line, not on a
     # leftover NCERG_TOL in the environment
@@ -347,13 +362,13 @@ class TestCertifyContract:
         assert outputs[0] == outputs[1]
 
     def test_contradicted_verdict_exits_2(self, tmp_path, monkeypatch):
-        def overclaiming(ch, x, p, beta, eps, n):
-            return WitnessReport(
+        def overclaiming(ch, x, p, beta, eps_grid, n):
+            return [WitnessReport(
                 projection=Projection.identity(ch.algebra),
                 trace_defect=0.0, trace_budget=1.0,
                 sup_compression=2.0 * eps, sup_budget=eps, horizon=n,
                 method="overclaiming", mode="two_sided",
-                checker_passed=True)
+                checker_passed=True) for eps in eps_grid]
 
         monkeypatch.setitem(cli._CERTIFY_BUILDERS, "yeadon", overclaiming)
         config = json.loads((FIXTURES / "cycle4.json").read_text())

@@ -186,7 +186,7 @@ class TestPeel:
                for _ in range(3)]
         level = 0.5 * max(MEASURES[mode](op, Projection.identity(MULTI))
                           for op in ops)
-        e, defect = peel(MULTI, stacks(ops), level, np.inf, mode)
+        [(e, defect)] = peel(MULTI, stacks(ops), [(level, np.inf)], mode)
         assert 0 < defect == pytest.approx(e.defect())
         assert max(MEASURES[mode](op, e) for op in ops) <= level
 
@@ -195,7 +195,7 @@ class TestPeel:
         rng = stream(304, "peel", mode)
         ops = [random_operator(MULTI, rng, kind="positive")]
         budget = 2.0  # below the weight 3.0 of the 1x1 block
-        e, defect = peel(MULTI, stacks(ops), 0.0, budget, mode)
+        [(e, defect)] = peel(MULTI, stacks(ops), [(0.0, budget)], mode)
         assert defect <= budget
         assert defect == pytest.approx(e.defect())
         # the next removal would have passed the budget
@@ -205,11 +205,12 @@ class TestPeel:
     def test_emptied_blocks(self, mode):
         # every direction of every block is peeled; emptied bases are
         # skipped and the loop ends with the zero projection
-        e, defect = peel(MULTI, stacks([MULTI.identity()]), 0.5, np.inf,
-                         mode)
+        [(e, defect)] = peel(MULTI, stacks([MULTI.identity()]),
+                             [(0.5, np.inf)], mode)
         assert defect == pytest.approx(MULTI.identity().trace().real)
         assert e.rank() == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            peel(MULTI, stacks([MULTI.identity()]), 0.5, 1.0, "diagonal")
+            peel(MULTI, stacks([MULTI.identity()]), [(0.5, 1.0)],
+                 "diagonal")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -10,12 +11,15 @@ import pytest
 from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_sup)
-from ncergodic.dynamics import (ergodic_averages, identity_channel,
-                                random_kraus_channel)
-from ncergodic.maximal import (check_witness, is_found,
-                               measure_compressions, peel,
+from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
+                                identity_channel, random_kraus_channel)
+from ncergodic.maximal import (WitnessReport, WitnessSearchFailure,
+                               check_witness, hopf_witness_commutative,
+                               is_found, lp_witness, measure_compressions,
+                               one_sided_witness, peel, weighted_witness,
                                yeadon_witness_search)
-from ncergodic.rng import random_operator, random_projection, stream
+from ncergodic.rng import (derive_seed, random_operator, random_projection,
+                           stream)
 from ncergodic.spectral import SpectralDecomposition, eigh
 from ncergodic.weights import WeightSequence
 
@@ -131,23 +135,38 @@ PEEL_MODES = ("hermitian", "two_sided", "one_sided")
 
 
 class TestPeelAgainstLoop:
-    def assert_same(self, ops, level, budget, mode):
-        e, defect = peel(MULTI, stacks(ops), level, budget, mode)
-        e_loop, defect_loop = loop_peel(MULTI, ops, level, budget, mode)
-        assert defect == defect_loop
-        assert np.array_equal(e.operator.vec(), e_loop.operator.vec())
-        return e, defect
+    def assert_same(self, ops, stops, mode):
+        """One run over all stops equals, stop by stop, a one-stop run
+        and the per-operator loop, bit for bit."""
+        got = peel(MULTI, stacks(ops), stops, mode)
+        assert len(got) == len(stops)
+        for (e, defect), (level, budget) in zip(got, stops):
+            [(e_one, defect_one)] = peel(MULTI, stacks(ops), [(level, budget)],
+                                         mode)
+            e_loop, defect_loop = loop_peel(MULTI, ops, level, budget, mode)
+            assert defect == defect_one == defect_loop
+            assert np.array_equal(e.operator.vec(), e_one.operator.vec())
+            assert np.array_equal(e.operator.vec(), e_loop.operator.vec())
+        return got
 
     @pytest.mark.parametrize("mode", PEEL_MODES)
     def test_random_trajectories(self, mode):
+        total = MULTI.identity().trace().real
         for seed in range(4):
             _, _, _, ops, _ = weighted_trajectory(410 + seed)
             if mode == "hermitian":
                 ops = [op.hermitian_part() for op in ops]
             top = max(loop_norm(op, Projection.identity(MULTI), "two_sided")
                       for op in ops)
-            for level, budget in ((0.3 * top, np.inf), (0.1 * top, 2.5)):
-                self.assert_same(ops, level, budget, mode)
+            # every direction removed, stopped by the level, and two
+            # stops under a budget that the 1x1 block (weight 3) exceeds
+            stops = [(-np.inf, np.inf), (0.3 * top, np.inf),
+                     (0.1 * top, 2.5), (-np.inf, 2.5)]
+            got = self.assert_same(ops, stops, mode)
+            (e_all, all_defect), (_, level_defect), _, (_, budget_defect) = got
+            assert all_defect == total and e_all.rank() == 0
+            assert 0 < level_defect < total
+            assert 0 < budget_defect <= 2.5
 
     @pytest.mark.parametrize("mode", PEEL_MODES)
     def test_tie_across_operators(self, mode):
@@ -155,7 +174,7 @@ class TestPeelAgainstLoop:
         # removal, which must take the first operator's direction
         ops = [diag_op([0, 1, 0], [0, 0], [0]),
                diag_op([1, 0, 0], [0, 0], [0])]
-        e, defect = self.assert_same(ops, 0.5, 1.0, mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
         assert defect == 1.0
         assert np.allclose(np.diag(e.operator.block(0)), [1, 0, 1])
 
@@ -164,7 +183,7 @@ class TestPeelAgainstLoop:
         # block 0 (weight 1) and block 1 (weight 0.25) tie; block 0 goes
         # first, after which block 1 no longer fits the budget
         ops = [diag_op([1, 0, 0], [1, 0], [0])]
-        e, defect = self.assert_same(ops, 0.5, 1.0, mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
         assert defect == 1.0
         assert e.rank(0) == 2 and e.rank(1) == 2
 
@@ -174,7 +193,7 @@ class TestPeelAgainstLoop:
         # in block 0; the block 0 removal then no longer fits the budget
         ops = [diag_op([0, 0, 0], [1, 0], [0]),
                diag_op([1, 0, 0], [0, 0], [0])]
-        e, defect = self.assert_same(ops, 0.5, 1.0, mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
         assert defect == 0.25
         assert e.rank(0) == 3 and e.rank(1) == 1
 
@@ -238,14 +257,17 @@ class TestLevelSet:
             budgets = [np.inf, 0.0, defects[k], (defects[k] + defects[1]) / 2]
             levels = [10 * max(sups), sups[0], sups[k],
                       (sups[k] + sups[-1]) / 2]
+            stops, expected_all = [], []
             for budget in budgets:
                 for level in levels:
                     expected = eager_level_set(cuts, stacks, level, budget)
+                    stops.append((level, budget))
+                    expected_all.append(expected)
                     monkeypatch.setattr(SpectralDecomposition,
                                         "projection_where", counting)
                     built.clear()
-                    got = maximal._strategy_level_set(channel, x, stacks,
-                                                      level, budget)
+                    [got] = maximal._strategy_level_set(
+                        channel, stacks, [(level, budget)])
                     monkeypatch.undo()
                     bound = 2 * math.ceil(math.log2(len(cuts) + 1)) + 1
                     assert len(built) <= bound
@@ -255,6 +277,14 @@ class TestLevelSet:
                         assert np.array_equal(got.operator.vec(),
                                               expected.operator.vec())
                     outcomes.add((len(cuts), expected is None))
+            # one call over every stop shares its cuts and gives the same
+            for got, expected in zip(
+                    maximal._strategy_level_set(channel, stacks, stops),
+                    expected_all):
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert np.array_equal(got.operator.vec(),
+                                          expected.operator.vec())
         # found and not found, on the generic and the clustered spectrum
         assert outcomes == {(24, True), (24, False), (4, True), (4, False)}
 
@@ -265,7 +295,7 @@ def found_yeadon_cell():
     rng = stream(430, "checker")
     channel = random_kraus_channel(MULTI, 3, rng)
     x = random_operator(MULTI, rng, kind="positive", uniform_norm=1.0)
-    report = yeadon_witness_search(channel, x, 0.5, 32)
+    [report] = yeadon_witness_search(channel, x, [0.5], 32)
     assert is_found(report)
     assert 0 < report.projection.rank(0) < MULTI.dims[0]
     return channel, x, report
@@ -303,7 +333,9 @@ class TestCheckerRejects:
 
 
 class TestOneSearchPassPerCheck:
-    def test_yeadon_cell_counts(self, tmp_path, monkeypatch):
+    def certify_counts(self, tmp_path, monkeypatch, eps_grid):
+        """Recurrence passes, checks and finalized candidates of one
+        yeadon certify run over `eps_grid`."""
         counts = {"averages": 0, "check": 0, "finalize": 0}
 
         def counting(name, fn):
@@ -316,7 +348,7 @@ class TestOneSearchPassPerCheck:
         counting("check", maximal.check_witness)
         counting("finalize", maximal._finalize)
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
-        config["certify"] = {"methods": ["yeadon"], "eps_grid": [0.2],
+        config["certify"] = {"methods": ["yeadon"], "eps_grid": eps_grid,
                              "p_grid": [1],
                              "element": {"kind": "random-positive"}}
         path = tmp_path / "yeadon.json"
@@ -325,6 +357,135 @@ class TestOneSearchPassPerCheck:
             code = cli.main(["certify", "--config", str(path),
                              "--out", str(tmp_path / "out")])
         assert code == 0
+        return counts
+
+    def test_yeadon_cell_counts(self, tmp_path, monkeypatch):
+        counts = self.certify_counts(tmp_path, monkeypatch, [0.2])
         assert counts["finalize"] >= 1
         assert counts["check"] == counts["finalize"]
         assert counts["averages"] == 1 + counts["check"]
+
+    def test_one_search_pass_per_eps_grid(self, tmp_path, monkeypatch):
+        # the search runs one recurrence pass for the whole grid; the
+        # checker still runs its own pass for every candidate
+        counts = self.certify_counts(tmp_path, monkeypatch,
+                                     [0.05, 0.2, 0.5, 1.0])
+        assert counts["finalize"] >= 4
+        assert counts["check"] == counts["finalize"]
+        assert counts["averages"] == 1 + counts["check"]
+
+
+MIX8_GRID = [0.1, 0.25, 0.5, 1.0]
+
+
+def same_result(a, b):
+    """Every field, the found flag and the projection blocks agree
+    exactly."""
+    assert type(a) is type(b) and a.found == b.found
+    if isinstance(a, WitnessSearchFailure):
+        assert a.reason == b.reason
+        a, b = a.best_candidate, b.best_candidate
+        if a is None or b is None:
+            assert a is b
+            return
+    for f in dataclasses.fields(WitnessReport):
+        got, expected = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "projection":
+            assert all(np.array_equal(g, e) for g, e in
+                       zip(got.operator.blocks, expected.operator.blocks))
+        else:
+            assert got == expected, f.name
+
+
+class TestGridEqualsSingleEps:
+    """One search over an eps grid returns what one search per eps does."""
+
+    def mix8(self, workloads, kind):
+        # the certify-mix8 element and channel; a shorter horizon keeps
+        # the winning strategies of the full one at a quarter of the cost
+        config = workloads.WORKLOADS["certify-mix8"][1]()
+        algebra = AlgebraSpec.from_json(config["algebra"])
+        channel = channel_from_spec(
+            algebra, config["channel"],
+            run_seed=derive_seed(config["seed"], "cell", 0))
+        x = cli.element_from_spec(
+            algebra, dict(config["certify"]["element"], kind=kind),
+            stream(config["seed"], "element", 0))
+        beta = WeightSequence.from_json(config["certify"]["weights"])
+        return channel, x, beta, 64
+
+    def assert_grid_equals_single(self, search, grid):
+        results = search(grid)
+        assert len(results) == len(grid)
+        for eps, result in zip(grid, results):
+            [single] = search([eps])
+            same_result(result, single)
+        return results
+
+    def test_yeadon_and_lp(self, workloads):
+        channel, x, _, horizon = self.mix8(workloads, "random-positive")
+        yeadon = self.assert_grid_equals_single(
+            lambda grid: yeadon_witness_search(channel, x, grid, horizon),
+            MIX8_GRID)
+        lp = self.assert_grid_equals_single(
+            lambda grid: lp_witness(channel, x, 2.0, grid, horizon),
+            MIX8_GRID)
+        assert [r.method for r in yeadon] == ["peel", "peel", "level-set",
+                                              "level-set"]
+        assert [r.method for r in lp] == [f"lp[{r.method}]" for r in yeadon]
+
+    def test_weighted_and_one_sided(self, workloads):
+        channel, x, beta, horizon = self.mix8(workloads, "random")
+        weighted = self.assert_grid_equals_single(
+            lambda grid: weighted_witness(channel, x, 2.0, beta, grid,
+                                          horizon),
+            MIX8_GRID)
+        one_sided = self.assert_grid_equals_single(
+            lambda grid: one_sided_witness(channel, x, 2.0, beta, grid,
+                                           horizon),
+            MIX8_GRID)
+        # identity wins at eps = 1, peel or level-set below
+        for results in (weighted, one_sided):
+            assert all(is_found(r) for r in results)
+            assert "identity" not in " ".join(r.method for r in results[:3])
+            assert "peel" in results[0].method
+            assert "level-set" in results[2].method
+            assert "identity" in results[3].method
+
+    def test_part_failure_skips_later_parts(self, workloads, monkeypatch):
+        # a part searched at the eps where every earlier part was found
+        channel, x, beta, horizon = self.mix8(workloads, "random")
+        grids = []
+        lp = maximal.lp_witness
+
+        def failing_first_part(channel, part, p, grid, horizon):
+            grids.append(list(grid))
+            results = lp(channel, part, p, grid, horizon)
+            if len(grids) == 1:  # the first part fails at the first eps
+                results[0] = WitnessSearchFailure("forced")
+            return results
+
+        monkeypatch.setattr(maximal, "lp_witness", failing_first_part)
+        results = weighted_witness(channel, x, 2.0, beta, MIX8_GRID, horizon)
+        assert grids[0] == MIX8_GRID
+        assert all(grid == MIX8_GRID[1:] for grid in grids[1:])
+        assert len(grids) == 4
+        assert not is_found(results[0])
+        assert results[0].reason == "part witness failed: forced"
+        assert all(is_found(r) for r in results[1:])
+
+    def test_hopf(self, workloads):
+        config = workloads.WORKLOADS["certify-cycle96"][1]()
+        algebra = AlgebraSpec.from_json(config["algebra"])
+        channel = channel_from_spec(algebra, config["channel"])
+        x = cli.element_from_spec(algebra, config["certify"]["element"],
+                                  None)
+        grid = [1.0, 2.0, 4.0, 8.0]
+        results = self.assert_grid_equals_single(
+            lambda g: hopf_witness_commutative(channel, x, g,
+                                               config["horizon"]),
+            grid)
+        ranks = [r.projection.rank() for r in results]
+        assert ranks == sorted(ranks) and ranks[0] < ranks[-1]
+
+
