@@ -8,7 +8,7 @@ from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, condition_iii, trajectory)
 from .dynamics import (Channel, channel_from_spec, compose, convex_combine,
                        ergodic_averages, fixed_point,
-                       identity_channel, kraus_channel, linear_combine,
+                       identity_channel, kraus_channel,
                        pinching, random_kraus_channel, random_substochastic,
                        random_unitary_mixture, rotated_fixed_point,
                        scale_channel, schur_multiplier, substochastic,

@@ -8,7 +8,8 @@ computed independently and written in key order.
 
 Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
-that cannot be built and an element that is not positive for a method
+that cannot be built, a channel that is not DS+ in `certify`, `converge`
+or `besicovitch`, and an element that is not positive for a method
 that needs x >= 0), 2 checker discrepancy (a witness whose checker
 verdict contradicts its own measured trace defect and sup against its
 budgets; this must never happen).
@@ -290,6 +291,26 @@ def _norm_specs(items):
     return [NormSpec.from_json(item) for item in items]
 
 
+def _ds_plus_channel(algebra, spec, run_seed):
+    """The channel of `spec`, refused unless `verify_ds` certified it DS+,
+    the one class of maps the ergodic theorems cover; every failed
+    condition is named with its value."""
+    channel = channel_from_spec(algebra, spec, run_seed=run_seed)
+    report = channel.verification
+    failed = []
+    if not report.positive:
+        failed.append(f"positive (evidence {report.evidence})")
+    if not report.subunital:
+        failed.append(f"subunital_value {report.subunital_value:.6g} > 1")
+    if not report.trace_nonincreasing:
+        failed.append(
+            f"adjoint_unit_value {report.adjoint_unit_value:.6g} > 1")
+    if failed:
+        raise ConfigError(f"channel {channel.kind!r} is not DS+: "
+                          + "; ".join(failed))
+    return channel
+
+
 def _weights_from(config_section):
     if config_section is None:
         return WeightSequence.constant(1.0)
@@ -398,9 +419,9 @@ def run_certify(config, jobs):
     tasks = [(m, p, s) for m, p in pairs for s in seeds if eps_grid]
     # tasks that share a seed_idx share the run seed, so the channel;
     # tasks only read it
-    channels = {seed_idx: channel_from_spec(
+    channels = {seed_idx: _ds_plus_channel(
                     algebra, config["channel"],
-                    run_seed=derive_seed(config["seed"], "cell", seed_idx))
+                    derive_seed(config["seed"], "cell", seed_idx))
                 for seed_idx in {task[2] for task in tasks}}
 
     def work(task):
@@ -436,9 +457,8 @@ def run_converge(config, jobs):
     cells = list(range(section.get("num_seeds", 1)))
 
     def work(seed_idx):
-        channel = channel_from_spec(
-            algebra, config["channel"],
-            run_seed=derive_seed(seed, "cell", seed_idx))
+        channel = _ds_plus_channel(algebra, config["channel"],
+                                   derive_seed(seed, "cell", seed_idx))
         rng = stream(seed, "element", seed_idx)
         x = element_from_spec(algebra, section["element"], rng)
         report = trajectory(channel, x, horizon, norms)
@@ -485,7 +505,7 @@ def run_besicovitch(config, jobs):
     norms = _norm_specs(section["norms"])
     beta = _weights_from(section["weights"])
     horizon = config["horizon"]
-    channel = channel_from_spec(algebra, config["channel"], config["seed"])
+    channel = _ds_plus_channel(algebra, config["channel"], config["seed"])
     rng = stream(config["seed"], "element", 0)
     x = element_from_spec(algebra, section["element"], rng)
     report = besicovitch_experiment(channel, x, beta, horizon, norms)

@@ -13,7 +13,10 @@ block, and its spectrum is computed from that real matrix; any other
 map keeps the complex superoperator.  A channel is DS+ when it is
 positive, subunital and trace-nonincreasing on positives; for positive
 maps subunitality already gives the uniform-norm contraction, and
-trace-nonincreasing is equivalent to subunitality of the trace adjoint.
+trace-nonincreasing is equivalent to subunitality of the trace adjoint,
+T*(1) <= 1.  DS+ is the one contract of the ergodic theorems (Yeadon,
+Math. Proc. Cambridge 1977): any linear map can be built and verified,
+but only a DS+ channel is meant for averages, witnesses and limits.
 
 `verify_ds` certifies positivity as complete positivity: by Kraus data,
 which compositions, mixtures and multiples by c >= 0 pass on, or by
@@ -65,11 +68,10 @@ class Channel:
     """
 
     __slots__ = ("algebra", "superop", "kraus", "kind", "verification",
-                 "norm_contraction_certified", "_adjoint_superop",
                  "_eigenvalues")
 
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
-                 kind="custom", norm_contraction_certified=False):
+                 kind="custom"):
         n = algebra.vec_dim
         superop = np.array(superop, dtype=complex)
         if superop.shape != (n, n):
@@ -80,8 +82,6 @@ class Channel:
         self.superop = superop
         self.kraus = tuple(kraus) if kraus else None
         self.kind = kind
-        self.norm_contraction_certified = norm_contraction_certified
-        self._adjoint_superop = None
         self._eigenvalues = None
         self.verification = verify_ds(self)
 
@@ -92,30 +92,9 @@ class Channel:
             raise ChannelConstructionError("operator from a different algebra")
         return Operator.from_vec(self.algebra, self.superop @ x.vec())
 
-    def __call__(self, x: Operator) -> Operator:
-        return self.apply(x)
-
-    def adjoint_superop(self) -> np.ndarray:
-        """Superoperator of the adjoint for <x,y> = tau(x* y)."""
-        if self._adjoint_superop is None:
-            w = _weight_vector(self.algebra)
-            adj = (self.superop.conj().T * w[None, :]) / w[:, None]
-            adj.flags.writeable = False
-            self._adjoint_superop = adj
-        return self._adjoint_superop
-
-    def adjoint_apply(self, x: Operator) -> Operator:
-        return Operator.from_vec(self.algebra, self.adjoint_superop() @ x.vec())
-
     @property
     def is_ds_plus(self) -> bool:
         return self.verification.is_ds_plus
-
-    @property
-    def is_ds(self) -> bool:
-        """DS+ or a norm-contraction certified linear combination."""
-        return self.is_ds_plus or (self.norm_contraction_certified
-                                   and self.verification.subunital)
 
     def eigenvalues(self) -> np.ndarray:
         """Superoperator spectrum, computed once, cached read-only.
@@ -123,8 +102,8 @@ class Channel:
         A map with T(x*) = T(x)* has a real matrix in Hermitian
         coordinates (`_hermitian_superop`), with the same spectrum, and
         real `eigvals` takes about a quarter of the complex flops.  Any
-        other map (a complex multiple, a complex combination) keeps
-        `eigvals` of the complex superoperator.
+        other map (a complex multiple) keeps `eigvals` of the complex
+        superoperator.
         """
         if self._eigenvalues is None:
             real = _hermitian_superop(self.algebra, self.superop)
@@ -353,10 +332,15 @@ def verify_ds(channel: Channel) -> DSVerification:
         evidence = ("choi" if margin is not None and margin >= -tol
                     else "unverified")
 
-    unit = channel.algebra.identity()
+    algebra = channel.algebra
+    unit = algebra.identity()
     unit_image = channel.apply(unit)
     subunital_value = unit_image.uniform_norm()
-    adjoint_image = channel.adjoint_apply(unit)
+    # T*(1) for <x, y> = tau(x* y): T* = W^-1 S^H W with W = diag(w), read
+    # as one row-vector product with S, so no second dense matrix is built
+    w = _weight_vector(algebra)
+    adjoint_image = Operator.from_vec(
+        algebra, ((w * unit.vec()).conj() @ channel.superop).conj() / w)
     herm = (adjoint_image + adjoint_image.adjoint()) * 0.5
     adjoint_unit_value = max(float(np.linalg.eigvalsh(b)[-1].real)
                              for b in herm.blocks)
@@ -521,39 +505,16 @@ def convex_combine(channels, probabilities) -> Channel:
     return Channel(algebra, superop, kraus=kraus, kind="convex")
 
 
-def linear_combine(channels, coefficients) -> Channel:
-    """Complex combination sum c_i T_i of DS+ channels with sum|c_i| <= 1.
-
-    The result contracts both the uniform norm and the trace norm by
-    construction, so it is Dunford-Schwartz, but generally not positive;
-    it is admitted for mean-ergodic experiments and flagged accordingly.
-    """
-    coefficients = np.asarray(coefficients, dtype=complex)
-    if len(channels) != coefficients.size or len(channels) == 0:
-        raise ChannelConstructionError("need matching channels/coefficients")
-    if np.sum(np.abs(coefficients)) > 1.0 + 1e-12:
-        raise ChannelConstructionError("sum of |coefficients| must be <= 1")
-    if not all(ch.is_ds_plus for ch in channels):
-        raise ChannelConstructionError(
-            "linear combinations are only certified over DS+ channels")
-    algebra = channels[0].algebra
-    superop = sum(c * ch.superop for c, ch in zip(coefficients, channels))
-    return Channel(algebra, superop, kind="linear-combination",
-                   norm_contraction_certified=True)
-
-
 def scale_channel(channel: Channel, factor) -> Channel:
     """factor * T.  A real factor c >= 0 keeps Kraus data, as sqrt(c) a_k;
-    unimodular complex factors keep only the norm contraction (DS mode)."""
+    without them (any other factor) `verify_ds` decides positivity by the
+    Choi test."""
     factor = complex(factor)
     kraus = None
     if factor.imag == 0 and factor.real >= 0 and channel.kraus:
         kraus = [a * np.sqrt(factor.real) for a in channel.kraus]
-    certified = (channel.is_ds_plus or channel.norm_contraction_certified) \
-        and abs(factor) <= 1.0 + 1e-12
     return Channel(channel.algebra, factor * channel.superop, kraus=kraus,
-                   kind=f"scaled-{channel.kind}",
-                   norm_contraction_certified=certified)
+                   kind=f"scaled-{channel.kind}")
 
 
 def compose(outer: Channel, inner: Channel) -> Channel:
@@ -680,7 +641,7 @@ def _peripheral_projection(channel, x, phase) -> Operator:
 
 def fixed_point(channel: Channel, x: Operator) -> Operator:
     """Exact Cesaro limit of M_n(x): the eigenvalue-1 component of x, 0
-    when the spectrum misses 1.  A DS map contracts L_1 and L_inf,
+    when the spectrum misses 1.  A DS+ map contracts L_1 and L_inf,
     so by Riesz-Thorin L_2(tau): then Fix(T) = Fix(T*), U*V is unitary
     and V (U*V)^-1 U* is the tau-orthogonal projection.  A nilpotent part
     at 1 (not power-bounded) raises SemisimplicityError."""

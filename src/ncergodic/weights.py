@@ -189,18 +189,15 @@ class WeightSequence:
         """Finite-horizon certificate that the sequence is bounded
         Besicovitch.
 
-        For each target eps the generator's own polynomial is proposed
-        as witness and the tail Cesaro deviation is measured; the true
-        limsup is not computable, so the horizon is reported alongside
-        each estimate.
+        The generator's own polynomial is the witness for every target
+        eps, so its tail Cesaro deviation is measured once and compared
+        with each eps; the true limsup is not computable, so the horizon
+        is reported alongside each estimate.
         """
-        entries = []
         witness = self.approximating_polynomial()
-        for eps in eps_grid:
-            profile = besicovitch_deviation(self, witness, horizon)
-            entries.append(CertificateEntry(float(eps), witness,
-                                            profile.limsup_estimate,
-                                            profile.limsup_estimate < eps))
+        limsup = besicovitch_deviation(self, witness, horizon).limsup_estimate
+        entries = [CertificateEntry(float(eps), witness, limsup, limsup < eps)
+                   for eps in eps_grid]
         return BesicovitchCertificate(tuple(entries), horizon,
                                       all(e.satisfied for e in entries))
 

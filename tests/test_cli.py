@@ -68,14 +68,12 @@ class TestConvergeContract:
         # conjugation by diag(1, -1): the diagonal is fixed
         assert cell["fixed_space_dim"] == channel.eigenspace_dim() == 2
 
-    # a unitary (r = 1), a strict Kraus contraction (r < 1) and a map
-    # whose positivity is not structural (no r)
+    # a unitary (r = 1) and a strict Kraus contraction (r < 1); a map
+    # that is not DS+ has no converge run (`test_exits_1_with_one_error_line`)
     @pytest.mark.parametrize("channel,bound,spectrum", [
         (None, 1.0, "dense"),
         ({"kind": "random-kraus", "margin": 0.05}, "below-1",
-         "certified-contraction"),
-        ({"kind": "scaled", "child": {"kind": "identity"},
-          "factor": [0.0, 0.5]}, None, "dense")])
+         "certified-contraction")])
     def test_summary_reports_spectrum_path(self, tmp_path, channel, bound,
                                            spectrum):
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
@@ -89,8 +87,6 @@ class TestConvergeContract:
         assert cell["spectrum"] == spectrum
         if bound == "below-1":
             assert 0.0 < cell["spectral_radius_bound"] < 1.0
-        elif bound is None:
-            assert cell["spectral_radius_bound"] is None
         else:
             assert cell["spectral_radius_bound"] == pytest.approx(bound)
         header = csv_path.read_text().splitlines()[0]
@@ -205,6 +201,16 @@ _BESICOVITCH = {"element": {"kind": "random"},
 _CONVERGE = {"element": {"kind": "random"}, "norms": [{"kind": "uniform"}]}
 # |beta_k| = 2 from the generator, declared bound 1
 _BOUND_TOO_SMALL = {"kind": "constant", "period": [[2, 0]], "C": 1}
+# channels outside DS+ on one 3x3 block: 1.5 T for a unitary mixture T is
+# completely positive but neither subunital nor trace-nonincreasing, and
+# 0.5i id contracts both norms but is not positive
+_EXPANDING = {"algebra": {"blocks": [[3, 1.0]]},
+              "channel": {"kind": "scaled", "factor": [1.5, 0],
+                          "child": {"kind": "unitary-mixture", "num": 2,
+                                    "seed": 1}}}
+_IMAGINARY = {"algebra": {"blocks": [[3, 1.0]]},
+              "channel": {"kind": "scaled", "factor": [0, 0.5],
+                          "child": {"kind": "identity"}}}
 
 # (subcommand, sections replacing those of the m2_unitary fixture, whose
 # algebra is one 2x2 block; a section given as None is removed)
@@ -261,11 +267,23 @@ MALFORMED = {
     # json.dumps writes Infinity, which Python's json reads back
     "norms-p-infinite": ("norms", {"norms": {
         "num_operators": 1, "p_grid": [float("inf")], "pq_grid": []}}),
+    "not-ds-plus-certify": ("certify", {**_EXPANDING, "certify": {
+        **_CERTIFY, "methods": ["yeadon", "lp"]}}),
+    "not-ds-plus-converge": ("converge", {**_EXPANDING,
+                                          "converge": _CONVERGE}),
+    "not-ds-plus-besicovitch": ("besicovitch", {**_EXPANDING, "besicovitch": {
+        **_BESICOVITCH, "weights": {"kind": "constant", "period": [[1, 0]]}}}),
+    "not-positive-converge": ("converge", {**_IMAGINARY,
+                                           "converge": _CONVERGE}),
 }
 
 # what the error line of a malformed config must name
 NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
-                  "hopf-element-not-positive": "method 'hopf'"}
+                  "hopf-element-not-positive": "method 'hopf'",
+                  "not-ds-plus-certify": "subunital_value 1.5",
+                  "not-ds-plus-converge": "adjoint_unit_value 1.5",
+                  "not-ds-plus-besicovitch": "subunital_value 1.5",
+                  "not-positive-converge": "positive (evidence unverified)"}
 
 
 class TestMalformedConfig:
@@ -292,6 +310,23 @@ class TestMalformedConfig:
         assert err.getvalue().count("\n") == 1
         assert NAMED_IN_ERROR.get(name, "") in err.getvalue()
         assert not (tmp_path / "out").exists()
+
+    def test_verify_channel_reports_maps_outside_ds_plus(self, tmp_path):
+        # the theorem subcommands refuse this map (the not-ds-plus cases
+        # above)
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config.update(_EXPANDING)
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("verify-channel", "--config", str(path),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "verify-channel.json").read_text())
+        verification = report["summary"]["verification"]
+        assert verification["positivity_evidence"] == "kraus"
+        assert verification["subunital_value"] == pytest.approx(1.5)
+        assert verification["adjoint_unit_value"] == pytest.approx(1.5)
+        assert verification["is_ds_plus"] is False
 
 
 class TestCertifyContract:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
                                 channel_from_spec, compose,
                                 convex_combine, ergodic_averages,
                                 fixed_point, identity_channel, kraus_channel,
-                                linear_combine, pinching,
+                                pinching,
                                 random_kraus_channel, random_substochastic,
                                 random_unitary_mixture, rotated_fixed_point,
                                 scale_channel, schur_multiplier,
@@ -53,7 +55,7 @@ class TestVerifyDS:
         assert report.is_ds_plus
         unit = M4.identity()
         assert ch.apply(unit).allclose(unit, tol=1e-10)
-        assert ch.adjoint_apply(unit).allclose(unit, tol=1e-10)
+        assert report.adjoint_unit_value == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal_row_column_sums(self):
         p = np.array([[0.5, 0.5], [0.25, 0.25]])
@@ -74,6 +76,49 @@ class TestVerifyDS:
         report = verify_ds(ch)
         assert not report.subunital
         assert report.subunital_value == pytest.approx(2.0)
+
+    @staticmethod
+    def dense_adjoint_unit_value(ch):
+        """Largest eigenvalue of T*(1) from the dense trace adjoint
+        W^-1 S^H W, W = diag(w) the block weight of each entry."""
+        algebra = ch.algebra
+        w = np.concatenate([np.full(d * d, wt) for d, wt in algebra.blocks])
+        adjoint = (ch.superop.conj().T * w[None, :]) / w[:, None]
+        image = Operator.from_vec(algebra, adjoint @ algebra.identity().vec())
+        herm = (image + image.adjoint()) * 0.5
+        return max(np.linalg.eigvalsh(b)[-1] for b in herm.blocks)
+
+    def test_adjoint_unit_value_matches_dense_adjoint(self):
+        rng = stream(75, "adjoint")
+        weighted = AlgebraSpec(((1, 2.0), (1, 1.0)))
+        # weighted column sum of column 1: 2.0 * 0.9 / 1.0 = 1.8
+        expanding = Channel(weighted, np.array([[0.0, 0.9], [0.0, 0.0]]))
+        maps = [random_kraus_channel(MULTI, 3, rng),
+                random_unitary_mixture(MULTI, 2, rng), expanding]
+        for ch in maps:
+            want = self.dense_adjoint_unit_value(ch)
+            got = ch.verification.adjoint_unit_value
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert expanding.verification.adjoint_unit_value == \
+            pytest.approx(1.8, rel=1e-12)
+        assert not expanding.verification.trace_nonincreasing
+        assert not expanding.is_ds_plus
+
+    def test_construction_keeps_one_dense_superoperator(self):
+        # T*(1) is read from the superoperator, never from a dense copy
+        algebra = AlgebraSpec(((16, 1.0), (4, 0.5)))
+        bare = random_kraus_channel(algebra, 3, stream(76, "memory"))
+        dense = bare.superop.nbytes
+        assert dense == algebra.vec_dim ** 2 * 16
+        tracemalloc.start()
+        try:
+            ch = Channel(algebra, bare.superop, kraus=bare.kraus)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ch.is_ds_plus
+        assert kept <= 1.1 * dense
+        assert peak < 1.5 * dense
 
 
 class TestConstructors:
@@ -111,13 +156,14 @@ class TestConstructors:
         with pytest.raises(ChannelConstructionError):
             kraus_channel(M2, ops)
 
-    def test_linear_combination_flags(self):
+    def test_complex_multiple_is_unverified(self):
         rng = stream(73, "ctor")
         u = random_unitary_operator(M2, rng)
-        ch = linear_combine([unitary_conjugation(u)], [1j])
+        ch = scale_channel(unitary_conjugation(u), 1j)
+        assert ch.kraus is None
+        assert ch.verification.evidence == "unverified"
         assert not ch.verification.positive
-        assert ch.norm_contraction_certified
-        assert ch.is_ds and not ch.is_ds_plus
+        assert not ch.is_ds_plus
 
     def test_substochastic_weighted_columns(self):
         alg = AlgebraSpec(((1, 2.0), (1, 1.0)))
@@ -636,8 +682,9 @@ class TestHermitianSpectrum:
         rng = stream(99, "complex")
         a = random_unitary_mixture(MULTI, 2, rng)
         b = random_kraus_channel(MULTI, 3, rng)
-        maps = [scale_channel(a, 1j), linear_combine([a, b], [0.5, 0.5j])]
-        real_combination = linear_combine([a, b], [0.5, -0.25])
+        maps = [scale_channel(a, 1j),
+                Channel(MULTI, 0.5 * a.superop + 0.5j * b.superop)]
+        real_combination = Channel(MULTI, 0.5 * a.superop - 0.25 * b.superop)
         want = [np.linalg.eigvals(ch.superop) for ch in maps]
         seen = eigvals_dtypes(monkeypatch)
         for ch, expected in zip(maps, want):

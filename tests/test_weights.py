@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncergodic import weights
 from ncergodic.weights import (TrigPolynomial, WeightSequence,
                                besicovitch_deviation)
 
@@ -113,3 +114,21 @@ class TestBesicovitchDeviation:
         cert = beta.besicovitch_certificate(eps_grid=(0.05,), horizon=512)
         assert cert.certified
         assert cert.horizon == 512
+
+    def test_one_deviation_profile_per_certificate(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return besicovitch_deviation(*args)
+
+        monkeypatch.setattr(weights, "besicovitch_deviation", counting)
+        beta = WeightSequence.trig_with_decay(
+            TrigPolynomial((1.0,), (-1.0,)), 1.0)
+        cert = beta.besicovitch_certificate(eps_grid=(0.5, 0.05, 1e-6),
+                                            horizon=64)
+        assert len(calls) == 1
+        limsup = besicovitch_deviation(*calls[0]).limsup_estimate
+        assert [(e.eps, e.limsup_estimate, e.satisfied)
+                for e in cert.entries] == [
+            (eps, limsup, limsup < eps) for eps in (0.5, 0.05, 1e-6)]
