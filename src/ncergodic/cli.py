@@ -418,11 +418,12 @@ def run_certify(config, jobs):
     # an empty eps grid has no cells, so nothing to search
     tasks = [(m, p, s) for m, p in pairs for s in seeds if eps_grid]
     # tasks that share a seed_idx share the run seed, so the channel;
-    # tasks only read it
+    # tasks only read it.  A run without cells still gates the channel
+    # of seed_idx 0.
     channels = {seed_idx: _ds_plus_channel(
                     algebra, config["channel"],
                     derive_seed(config["seed"], "cell", seed_idx))
-                for seed_idx in {task[2] for task in tasks}}
+                for seed_idx in {task[2] for task in tasks} or {0}}
 
     def work(task):
         return _certify_task(config, algebra, channels[task[2]], beta,
@@ -455,6 +456,9 @@ def run_converge(config, jobs):
     horizon = config["horizon"]
     seed = config["seed"]
     cells = list(range(section.get("num_seeds", 1)))
+    if not cells:  # no cell builds a channel; gate that of cell 0
+        _ds_plus_channel(algebra, config["channel"],
+                         derive_seed(seed, "cell", 0))
 
     def work(seed_idx):
         channel = _ds_plus_channel(algebra, config["channel"],

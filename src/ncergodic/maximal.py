@@ -10,10 +10,12 @@ block (`compressed_sup`) and a peeling step one batched eigh or SVD per
 block.  Each search takes a grid of eps and returns one result per eps:
 only a strategy's stopping test depends on the level and the trace
 budget, so one pass of the recurrence and one run of each strategy serve
-the whole grid.  Every construction is re-measured, per eps, by an
-independent checker that rebuilds its own stacks from the raw channel
-with a fresh pass of the recurrence and shares no intermediate state with
-the search.
+the whole grid.  Every candidate is re-measured by an independent
+checker.  The checker makes one fresh pass of the recurrence per element
+it checks, from the raw channel, into its own stacks (`CheckerStacks`);
+every candidate of that element, at every eps, is measured on them.  The
+checker shares no intermediate state with the search, and its stacks
+live only as long as the builder call that made them.
 """
 
 from __future__ import annotations
@@ -106,27 +108,56 @@ class CheckOutcome:
 
 def _average_stacks(channel: Channel, x: Operator, horizon: int):
     """Per-block stacks of M_n(x) for n = 0..horizon, from one pass of
-    `ergodic_averages`."""
+    `ergodic_averages`: the search's stacks."""
     vecs = np.array([vec for _, vec in ergodic_averages(channel, x, horizon)])
     return channel.algebra.block_stacks(vecs)
 
 
-def measure_compressions(channel: Channel, x: Operator, e: Projection,
-                         horizon: int, mode="two_sided", beta=None) -> float:
-    """sup over n <= horizon of the compressed average norm, recomputed
-    from scratch: a fresh pass of the recurrence, stacked per block."""
-    vecs = np.array([vec for _, vec in
-                     ergodic_averages(channel, x, horizon, beta)])
-    return compressed_sup(channel.algebra.block_stacks(vecs), e, mode)
+class CheckerStacks:
+    """The checker's own stacks of M_{beta,n}(x) for n = 0..horizon, one
+    (horizon+1, d_i, d_i) array per block, for one element.
+
+    They come from one fresh pass of the recurrence on the raw channel,
+    run on first use: an element whose candidates are all zero
+    projections costs no pass.  A builder makes one per element it checks
+    and measures every candidate of that element on it; none is shared
+    with a search or outlives the builder call.
+    """
+
+    def __init__(self, channel: Channel, x: Operator, horizon: int,
+                 beta=None):
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        self.channel = channel
+        self.x = x
+        self.horizon = horizon
+        self.beta = beta
+
+    @functools.cached_property
+    def stacks(self):
+        vecs = np.array([vec for _, vec in ergodic_averages(
+            self.channel, self.x, self.horizon, self.beta)])
+        return self.channel.algebra.block_stacks(vecs)
 
 
-def check_witness(channel: Channel, x: Operator, e: Projection,
-                  horizon: int, trace_budget: float, sup_budget: float,
-                  mode="two_sided", beta=None,
+def measure_compressions(checker: CheckerStacks, e: Projection,
+                         mode="two_sided") -> float:
+    """sup over n <= horizon of the compressed average norm, measured on
+    the checker's stacks of the element (one fresh pass per element,
+    never the search's).  A zero projection measures exactly 0.0 without
+    the pass."""
+    if e.rank() == 0:
+        return 0.0
+    return compressed_sup(checker.stacks, e, mode)
+
+
+def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
+                  sup_budget: float, mode="two_sided",
                   tol=DEFAULT_TOL) -> CheckOutcome:
-    """Re-verify a witness against its budgets with fresh arithmetic."""
+    """Re-verify one candidate against its budgets: its defect, and its
+    compressed sup on the checker's own stacks of the element."""
     defect = e.defect()
-    sup_value = measure_compressions(channel, x, e, horizon, mode, beta)
+    sup_value = measure_compressions(checker, e, mode)
     return CheckOutcome(
         trace_defect=defect,
         sup_value=sup_value,
@@ -135,17 +166,16 @@ def check_witness(channel: Channel, x: Operator, e: Projection,
     )
 
 
-def _finalize(channel, x, e, horizon, trace_budget, sup_budget, method,
-              mode, beta, eps, p, c) -> WitnessReport:
-    outcome = check_witness(channel, x, e, horizon, trace_budget,
-                            sup_budget, mode, beta)
+def _finalize(checker, e, trace_budget, sup_budget, method, mode, eps, p,
+              c) -> WitnessReport:
+    outcome = check_witness(checker, e, trace_budget, sup_budget, mode)
     return WitnessReport(
         projection=e,
         trace_defect=outcome.trace_defect,
         trace_budget=trace_budget,
         sup_compression=outcome.sup_value,
         sup_budget=sup_budget,
-        horizon=horizon,
+        horizon=checker.horizon,
         method=method,
         mode=mode,
         checker_passed=outcome.passed,
@@ -178,8 +208,9 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
     stacks = _average_stacks(channel, x, horizon)
     cuts = _strategy_hopf_abelian(channel, stacks,
                                   [(eps, None) for eps in eps_grid])
-    return [_finalize(channel, x, e, horizon, norm / eps, eps, "hopf",
-                      "two_sided", None, eps, 1.0, 1.0)
+    checker = CheckerStacks(channel, x, horizon)
+    return [_finalize(checker, e, norm / eps, eps, "hopf", "two_sided", eps,
+                      1.0, 1.0)
             for e, eps in zip(cuts, eps_grid)]
 
 
@@ -379,6 +410,12 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
     eps where all strategies fall short; it is not a refutation since
     the search is incomplete.
     """
+    return _yeadon_search(channel, x, eps_grid, horizon,
+                          CheckerStacks(channel, x, horizon))
+
+
+def _yeadon_search(channel, x, eps_grid, horizon, checker):
+    """`yeadon_witness_search`, checked on the given checker stacks of x."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     if not x.is_positive():
@@ -397,8 +434,8 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
             if e is None:
                 continue
             eps, trace_budget = stops[k]
-            report = _finalize(channel, x, e, horizon, trace_budget, eps,
-                               name, "two_sided", None, eps, 1.0, 1.0)
+            report = _finalize(checker, e, trace_budget, eps, name,
+                               "two_sided", eps, 1.0, 1.0)
             if report.checker_passed:
                 results[k] = report
             elif best[k] is None or (report.sup_compression
@@ -422,19 +459,21 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
         raise ValueError("p must be >= 1")
     if not x.is_positive():
         raise NotPositiveError("lp witness requires x >= 0")
+    checker = CheckerStacks(channel, x, horizon)
     powered = x if p == 1 else positive_power(x, p)
-    bases = yeadon_witness_search(channel, powered,
-                                  [eps ** p for eps in eps_grid], horizon)
+    # at p = 1 the search checks x itself, on the same stacks
+    bases = _yeadon_search(channel, powered, [eps ** p for eps in eps_grid],
+                           horizon, checker if p == 1 else
+                           CheckerStacks(channel, powered, horizon))
     norm = lp_norm(x, p)
     results = []
     for base, eps in zip(bases, eps_grid):
         found = is_found(base)
         report = base if found else base.best_candidate
         if report is not None:
-            report = _finalize(channel, x, report.projection, horizon,
-                               (norm / eps) ** p, 2.0 * eps,
-                               f"lp[{report.method}]", "two_sided", None,
-                               eps, p, 1.0)
+            report = _finalize(checker, report.projection, (norm / eps) ** p,
+                               2.0 * eps, f"lp[{report.method}]",
+                               "two_sided", eps, p, 1.0)
             report.found = found
         results.append(report if found else WitnessSearchFailure(
             f"weak (1,1) search failed at level eps^p: {base.reason}",
@@ -486,14 +525,15 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     """
     parts = _positive_parts(x)
     c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
+    checker = CheckerStacks(channel, x, horizon, None if trivial else beta)
 
     def finish(eps, witnesses):
         e = projection_meet_all([w.projection for w in witnesses])
         per_part = 2.0 * eps if trivial else 12.0 * c * eps
-        return _finalize(channel, x, e, horizon,
-                         len(parts) * (norm / eps) ** p, len(parts) * per_part,
+        return _finalize(checker, e, len(parts) * (norm / eps) ** p,
+                         len(parts) * per_part,
                          f"weighted[{'+'.join(w.method for w in witnesses)}]",
-                         "two_sided", None if trivial else beta, eps, p, c)
+                         "two_sided", eps, p, c)
 
     return _part_witnesses(
         parts, lambda part, grid: lp_witness(channel, part, p, grid, horizon),
@@ -524,6 +564,7 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
         parts = [h for h in (x.hermitian_part(), x.skew_part())
                  if h.uniform_norm() > 1e-14 * scale_ref]
     c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
+    checker = CheckerStacks(channel, x, horizon, None if trivial else beta)
 
     def finish(eps, witnesses):
         e = projection_meet_all([w.projection for w in witnesses])
@@ -535,9 +576,9 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
             trace_budget = 3.0 * len(parts) * r ** p
             sup_budget = (len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c))
                           * eps)
-        return _finalize(channel, x, e, horizon, trace_budget, sup_budget,
+        return _finalize(checker, e, trace_budget, sup_budget,
                          f"one-sided[{'+'.join(w.method for w in witnesses)}]",
-                         "one_sided", None if trivial else beta, eps, p, c)
+                         "one_sided", eps, p, c)
 
     return _part_witnesses(
         parts, lambda h, grid: lp_witness(channel, h @ h, p / 2.0,

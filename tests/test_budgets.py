@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from ncergodic.algebra import AlgebraSpec, hermitian_decompose
 from ncergodic.dynamics import random_kraus_channel, random_substochastic
-from ncergodic.maximal import (check_witness, hopf_witness_commutative,
-                               is_found, lp_witness, one_sided_witness,
-                               weighted_witness, yeadon_witness_search)
+from ncergodic.maximal import (CheckerStacks, check_witness,
+                               hopf_witness_commutative, is_found, lp_witness,
+                               one_sided_witness, weighted_witness,
+                               yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import random_operator, stream
 from ncergodic.weights import WeightSequence
@@ -50,8 +51,8 @@ def channel_and_element(algebra, seed, kind):
 
 def passes(channel, x, report, horizon, trace_budget, sup_budget,
            mode="two_sided", beta=None):
-    outcome = check_witness(channel, x, report.projection, horizon,
-                            trace_budget, sup_budget, mode, beta)
+    outcome = check_witness(CheckerStacks(channel, x, horizon, beta),
+                            report.projection, trace_budget, sup_budget, mode)
     return outcome.passed
 
 

@@ -275,6 +275,13 @@ MALFORMED = {
         **_BESICOVITCH, "weights": {"kind": "constant", "period": [[1, 0]]}}}),
     "not-positive-converge": ("converge", {**_IMAGINARY,
                                            "converge": _CONVERGE}),
+    # runs without cells still gate the channel
+    "not-ds-plus-certify-empty-eps-grid": ("certify", {
+        **_EXPANDING, "certify": {**_CERTIFY, "eps_grid": []}}),
+    "not-ds-plus-certify-no-seeds": ("certify", {**_EXPANDING, "certify": {
+        **_CERTIFY, "num_seeds": 0}}),
+    "not-ds-plus-converge-no-seeds": ("converge", {**_EXPANDING, "converge": {
+        **_CONVERGE, "num_seeds": 0}}),
 }
 
 # what the error line of a malformed config must name
@@ -283,7 +290,13 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                   "not-ds-plus-certify": "subunital_value 1.5",
                   "not-ds-plus-converge": "adjoint_unit_value 1.5",
                   "not-ds-plus-besicovitch": "subunital_value 1.5",
-                  "not-positive-converge": "positive (evidence unverified)"}
+                  "not-positive-converge": "positive (evidence unverified)",
+                  "not-ds-plus-certify-empty-eps-grid":
+                      "not DS+: subunital_value 1.5",
+                  "not-ds-plus-certify-no-seeds":
+                      "not DS+: subunital_value 1.5",
+                  "not-ds-plus-converge-no-seeds":
+                      "not DS+: subunital_value 1.5"}
 
 
 class TestMalformedConfig:
