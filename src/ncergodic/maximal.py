@@ -5,16 +5,21 @@ projection e with small trace defect tau(e_perp) together with a uniform
 bound on the compressed averages, e.g. sup_{n<=N} ||e M_n(x) e||.
 
 The averages M_0(x), ..., M_N(x) are held as stacks, one (N+1, d_i, d_i)
-array per block, so a supremum over n is one batched LAPACK call per
-block (`compressed_sup`) and a peeling step one batched eigh or SVD per
-block.  Each search takes a grid of eps and returns one result per eps:
-only a strategy's stopping test depends on the level and the trace
-budget, so one pass of the recurrence and one run of each strategy serve
-the whole grid.  Every candidate is re-measured by an independent
-checker.  The checker makes one fresh pass of the recurrence per element
-it checks, from the raw channel, into its own stacks (`CheckerStacks`);
-every candidate of that element, at every eps, is measured on them.  The
-checker shares no intermediate state with the search, and its stacks
+array per block.  A supremum over n (`compressed_sup`) and a peeling step
+use only the largest top value in a block's stack, so each runs its
+batched SVD or eigh only on the matrices whose cheap certified bound can
+reach that value (`algebra.screened_top`), often a small share of them.
+The bound leaves out only matrices strictly below the largest value, and
+LAPACK treats every matrix of a batch alone, so the sup, the argmax and
+its vector are the bits an unscreened call gives.  Each search takes a
+grid of eps and returns one result per eps: only a strategy's stopping
+test depends on the level and the trace budget, so one pass of the
+recurrence and one run of each strategy serve the whole grid.  Every
+candidate is re-measured by an independent checker.  The checker makes
+one fresh pass of the recurrence per element it checks, from the raw
+channel, into its own stacks (`CheckerStacks`); every candidate of that
+element, at every eps, is measured on them, each (projection, mode) once.
+The checker shares no intermediate state with the search, and its stacks
 live only as long as the builder call that made them.
 """
 
@@ -25,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Operator, Projection, compressed_sup, hermitian_decompose
+from .algebra import (Operator, Projection, compressed_sup,
+                      hermitian_decompose, screened_top)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
@@ -121,7 +127,10 @@ class CheckerStacks:
     run on first use: an element whose candidates are all zero
     projections costs no pass.  A builder makes one per element it checks
     and measures every candidate of that element on it; none is shared
-    with a search or outlives the builder call.
+    with a search or outlives the builder call.  The sup of a
+    (projection, mode) is measured once and kept as long as the stacks,
+    so a projection checked again, as `lp_witness` at p = 1 does with the
+    candidates of its inner search, reads the first measurement.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -132,12 +141,20 @@ class CheckerStacks:
         self.x = x
         self.horizon = horizon
         self.beta = beta
+        self._sups = {}  # (projection, mode) -> sup; keys hold e alive
 
     @functools.cached_property
     def stacks(self):
         vecs = np.array([vec for _, vec in ergodic_averages(
             self.channel, self.x, self.horizon, self.beta)])
         return self.channel.algebra.block_stacks(vecs)
+
+    def sup(self, e: Projection, mode: str) -> float:
+        """compressed_sup of e on these stacks, measured on first use."""
+        key = (e, mode)
+        if key not in self._sups:
+            self._sups[key] = compressed_sup(self.stacks, e, mode)
+        return self._sups[key]
 
 
 def measure_compressions(checker: CheckerStacks, e: Projection,
@@ -148,7 +165,7 @@ def measure_compressions(checker: CheckerStacks, e: Projection,
     the pass."""
     if e.rank() == 0:
         return 0.0
-    return compressed_sup(checker.stacks, e, mode)
+    return checker.sup(e, mode)
 
 
 def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
@@ -314,6 +331,21 @@ def _strategy_level_set(channel, stacks, stops):
     return [search(level, budget) for level, budget in stops]
 
 
+def _eigh_top(h):
+    lam, vecs = np.linalg.eigh(h)
+    return lam[:, -1], vecs[:, :, -1]
+
+
+def _gram_top(g):
+    lam, vecs = np.linalg.eigh(g)
+    return np.sqrt(np.maximum(lam[:, -1], 0.0)), vecs[:, :, -1]
+
+
+def _svd_top_vector(c):
+    _, s, vh = np.linalg.svd(c)
+    return s[:, 0], vh[:, 0].conj()
+
+
 def peel(algebra, stacks, stops, mode):
     """Greedy peeling: repeatedly remove the top direction of the worst
     compressed block among the operators in `stacks` (one (m, d_i, d_i)
@@ -330,8 +362,11 @@ def peel(algebra, stacks, stops, mode):
     `mode` sets the value of a compressed block c = e a e: the top
     eigenvalue of its Hermitian part ("hermitian"), its norm
     ("two_sided"), or ||a e|| = sqrt(lambda_max(c_1* c_1)) with
-    c_1 = a e ("one_sided").  Each step takes one batched eigh or SVD
-    per block.  Ties go to the first operator, then the first block.
+    c_1 = a e ("one_sided").  Per block, each step runs a batched eigh
+    or SVD only on the compressions whose bound can reach the block's
+    largest value (`screened_top`); the others stay -inf, below that
+    value, so the argmax and its direction are those of a call on every
+    compression.  Ties go to the first operator, then the first block.
     Terminates because each step removes at least the smallest block
     weight of trace, and an emptied algebra ends every stop.
     """
@@ -345,25 +380,25 @@ def peel(algebra, stacks, stops, mode):
         # values[op, block]; argmax in C order keeps the first maximum
         # with operators outer, as a strict > over the loops would
         values = np.full((len(stacks[0]), len(bases)), -np.inf)
-        directions = [None] * len(bases)
+        directions = [None] * len(bases)  # (operator indices, vectors)
         for i, (stack, basis) in enumerate(zip(stacks, bases)):
             if basis.shape[1] == 0:
                 continue
             if mode == "one_sided":
                 block = stack @ basis
-                lam, vecs = np.linalg.eigh(
-                    _hermitian(block.conj().swapaxes(1, 2) @ block))
-                values[:, i] = np.sqrt(np.maximum(lam[:, -1], 0.0))
-                directions[i] = vecs[:, :, -1]
+                index, (tops, vecs) = screened_top(
+                    _hermitian(block.conj().swapaxes(1, 2) @ block),
+                    _gram_top, "gram")
             elif mode == "two_sided":
-                _, s, vh = np.linalg.svd(basis.conj().T @ stack @ basis)
-                values[:, i] = s[:, 0]
-                directions[i] = vh[:, 0].conj()
+                index, (tops, vecs) = screened_top(
+                    basis.conj().T @ stack @ basis, _svd_top_vector,
+                    "singular")
             else:
-                lam, vecs = np.linalg.eigh(
-                    _hermitian(basis.conj().T @ stack @ basis))
-                values[:, i] = lam[:, -1]
-                directions[i] = vecs[:, :, -1]
+                index, (tops, vecs) = screened_top(
+                    _hermitian(basis.conj().T @ stack @ basis), _eigh_top,
+                    "eigen")
+            values[index, i] = tops
+            directions[i] = (index, vecs)
         top, step = -np.inf, 0.0  # nothing to measure ends every stop
         if values.size:
             op, i = np.unravel_index(np.argmax(values), values.shape)
@@ -375,7 +410,8 @@ def peel(algebra, stacks, stops, mode):
                 results[k] = (e, defect)
         if all(r is not None for r in results):
             return results
-        direction = directions[i][op]
+        index, vecs = directions[i]
+        direction = vecs[np.flatnonzero(index == op)[0]]
         # orthonormal complement of the offending direction inside block i
         basis = bases[i]
         r = basis.shape[1]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
@@ -197,6 +199,156 @@ class TestPeelAgainstLoop:
         [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
         assert defect == 0.25
         assert e.rank(0) == 3 and e.rank(1) == 1
+
+
+class TestExactKernelsPerMatrix:
+    """The screen relies on LAPACK running on each matrix of a batch
+    alone: a sub-stack gives the same bits as the whole stack.  If numpy
+    ever batches differently, this fails before any reference drifts."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (8, 8), (8, 3)])
+    def test_sub_stack_equals_whole_stack(self, shape):
+        rng = np.random.default_rng(440 + shape[0] + shape[1])
+        stack = (rng.standard_normal((257,) + shape)
+                 + 1j * rng.standard_normal((257,) + shape))
+        sub = np.sort(rng.choice(257, 40, replace=False))
+        values = np.linalg.svd(stack, compute_uv=False)
+        assert np.array_equal(values[sub],
+                              np.linalg.svd(stack[sub], compute_uv=False))
+        _, s, vh = np.linalg.svd(stack)
+        _, s_sub, vh_sub = np.linalg.svd(stack[sub])
+        assert np.array_equal(s[sub], s_sub)
+        assert np.array_equal(vh[sub], vh_sub)
+        if shape[0] == shape[1]:
+            h = maximal._hermitian(stack)
+            lam, vecs = np.linalg.eigh(h)
+            lam_sub, vecs_sub = np.linalg.eigh(h[sub])
+            assert np.array_equal(lam[sub], lam_sub)
+            assert np.array_equal(vecs[sub], vecs_sub)
+
+
+def unscreened(stack, exact, kind):
+    """Oracle for `screened_top`: every matrix through the exact kernel,
+    as `compressed_sup` and `peel` did before the screen."""
+    return np.arange(len(stack)), exact(stack)
+
+
+def outcome(fn, *args):
+    """fn(*args), or LinAlgError, which LAPACK raises on a NaN input."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+def same_outcome(got, expected):
+    """Bit-identical sups or peel results, NaN equal to NaN, or both
+    raised."""
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got is expected
+    elif isinstance(expected, float):
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+    else:
+        assert len(got) == len(expected)
+        for (e, defect), (e_want, defect_want) in zip(got, expected):
+            assert defect == defect_want
+            assert np.array_equal(e.operator.vec(), e_want.operator.vec(),
+                                  equal_nan=True)
+
+
+def screen_stacks(kind, count, scale, seed):
+    """Per-block stacks over MULTI of `count` operators of one kind,
+    times `scale`."""
+    rng = np.random.default_rng(seed)
+    if kind == "trajectory":
+        channel = random_kraus_channel(MULTI, 3, stream(seed, "screen"))
+        x = random_operator(MULTI, stream(seed, "element"), kind="positive")
+        vecs = np.array([vec for _, vec in ergodic_averages(channel, x,
+                                                            count - 1)])
+    else:
+        vecs = (rng.standard_normal((count, MULTI.vec_dim))
+                + 1j * rng.standard_normal((count, MULTI.vec_dim)))
+    if kind == "decoys":
+        # a tight bound at the top value first, then operators of the
+        # same top value whose looser bounds fill the floor pass
+        t = rng.uniform(0.5, 2.0)  # varies the rounding of the bounds
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        vecs *= 0.3
+        for rows, diagonal in ((slice(0, 1), [0, 0, t]),
+                               (slice(1, 10), [t, t, 0])):
+            block = q @ np.diag(diagonal) @ q.conj().T
+            vecs[rows] = Operator(MULTI, [block, np.zeros((2, 2)),
+                                          np.zeros((1, 1))]).vec()
+    elif kind == "equal":
+        vecs[:] = vecs[0]
+    elif kind == "zeros":
+        vecs[rng.random(count) < 0.5] = 0.0
+    elif kind == "nan":
+        vecs[rng.integers(count), rng.integers(MULTI.vec_dim)] = np.nan
+    blocks = [np.array(s) for s in MULTI.block_stacks(vecs)]
+    if kind in ("indefinite", "negative"):
+        blocks = [maximal._hermitian(b) for b in blocks]
+    if kind == "negative":  # every top eigenvalue well below zero
+        blocks = [b - 6.0 * np.eye(b.shape[-1]) for b in blocks]
+    return tuple(scale * b for b in blocks)
+
+
+SCREEN_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+class TestScreenedTop:
+    """Screened `compressed_sup` and `peel` equal their unscreened forms
+    bit for bit."""
+
+    @SCREEN_SETTINGS
+    @given(kind=st.sampled_from(["random", "trajectory", "decoys", "equal",
+                                 "zeros", "indefinite", "negative", "nan"]),
+           count=st.integers(1, 40),
+           scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
+           seed=st.integers(0, 2 ** 31))
+    def test_screened_equals_unscreened(self, kind, count, scale, seed):
+        stack = screen_stacks(kind, count, scale, seed)
+        projections = [Projection.identity(MULTI),
+                       random_projection(MULTI, stream(seed, "projection"))]
+        top = outcome(compressed_sup, stack, projections[0])
+        top = top if isinstance(top, float) else 1.0
+        # the last stop ends after the first removal, so it shows the
+        # first choice of the greedy order
+        stops = [(-np.inf, np.inf), (0.3 * top, np.inf), (0.1 * top, 2.5),
+                 (-np.inf, 1.0)]
+        calls = ([(compressed_sup, stack, e, mode)
+                  for e in projections for mode in MODES]
+                 + [(peel, MULTI, stack, stops, mode) for mode in PEEL_MODES])
+        got = [outcome(*call) for call in calls]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ncergodic.algebra.screened_top", unscreened)
+            patch.setattr(maximal, "screened_top", unscreened)
+            expected = [outcome(*call) for call in calls]
+        for g, e in zip(got, expected):
+            same_outcome(g, e)
+
+    def test_screen_engages_on_certify_mix8(self, workloads, monkeypatch):
+        # one sup over the identity at the workload's horizon sends only
+        # a few of the 257 averages through the exact SVD
+        channel, x, _, _ = mix8(workloads, "random-positive")
+        horizon = workloads.WORKLOADS["certify-mix8"][1]()["horizon"]
+        stacks = maximal._average_stacks(channel, x, horizon)
+        e = Projection.identity(channel.algebra)
+        evaluated = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            evaluated.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        sup = compressed_sup(stacks, e)
+        screened = sum(evaluated)
+        monkeypatch.setattr("ncergodic.algebra.screened_top", unscreened)
+        assert compressed_sup(stacks, e) == sup
+        assert sum(evaluated) - screened == horizon + 1
+        assert screened < horizon + 1
 
 
 def level_set_cuts(channel, stacks):
@@ -596,6 +748,31 @@ class TestCheckerStacks:
                                     report.sup_budget)
             assert outcome.sup_value == fresh_sup(checker, e, "two_sided")
         assert passes["all"] == 1
+
+    def test_recheck_reads_the_first_measurement(self, workloads,
+                                                 monkeypatch):
+        # at p = 1, lp_witness re-checks on x's checker stacks the
+        # candidates its inner search has checked there; every candidate
+        # is still checked, but each (projection, mode) is measured once
+        channel, x, _, horizon = mix8(workloads, "random-positive")
+        measured, checked = [], []
+        sup, check = maximal.compressed_sup, maximal.check_witness
+
+        def measuring(stacks, e, mode="two_sided"):
+            measured.append((stacks, e, mode))
+            return sup(stacks, e, mode)
+
+        def checking(checker, e, *args, **kwargs):
+            checked.append((checker, e))
+            return check(checker, e, *args, **kwargs)
+
+        monkeypatch.setattr(maximal, "compressed_sup", measuring)
+        monkeypatch.setattr(maximal, "check_witness", checking)
+        lp_witness(channel, x, 1.0, MIX8_GRID, horizon)
+        keys = [(id(stacks), id(e), mode) for stacks, e, mode in measured]
+        assert len(set(keys)) == len(keys)
+        rechecked = [(id(c), id(e)) for c, e in checked if e.rank()]
+        assert len(set(rechecked)) < len(rechecked)
 
     def test_negative_horizon_is_refused(self):
         channel, x, _ = found_yeadon_cell()
