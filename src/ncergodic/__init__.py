@@ -13,11 +13,10 @@ from .dynamics import (Channel, channel_from_spec, compose, convex_combine,
                        random_unitary_mixture, rotated_fixed_point,
                        scale_channel, schur_multiplier, substochastic,
                        unitary_conjugation, verify_ds)
-from .funcspace import StepFunction, boyd_estimate, dilation, rearrangement
-from .maximal import (CheckerStacks, WitnessReport, WitnessSearchFailure,
-                      check_witness, hopf_witness_commutative, is_found,
-                      lp_witness, one_sided_witness, weighted_witness,
-                      yeadon_witness_search)
+from .funcspace import boyd_estimate
+from .maximal import (CheckerStacks, WitnessReport, check_witness,
+                      hopf_witness_commutative, lp_witness, one_sided_witness,
+                      weighted_witness, yeadon_witness_search)
 from .ncnorms import (SingularFunction, lorentz_norm, lp_norm,
                       measure_distance, projection_lorentz_norm,
                       singular_function, submajorizes)

@@ -3,8 +3,8 @@ convergence, and exercise the norm machinery from JSON configs.
 
 Every run writes one CSV (sweep rows) and one JSON summary embedding the
 config hash and seed; identical config and seed produce byte-identical
-CSV output regardless of the --jobs setting, because cells are keyed,
-computed independently and written in key order.
+CSV output, because each cell draws from its own keyed random stream and
+rows are written in key order.  Cells run one after another.
 
 Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .dynamics import CHANNEL_KINDS, channel_from_spec
 from .errors import ChannelConstructionError, ConfigError, NotPositiveError
 from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
                         dilation_norm_estimate)
-from .maximal import (hopf_witness_commutative, is_found, lp_witness,
+from .maximal import (hopf_witness_commutative, lp_witness,
                       one_sided_witness, weighted_witness,
                       yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
@@ -332,7 +331,7 @@ def _base(config, algebra, channel_kind, p="", q="", eps=""):
             channel_kind, p, q, eps, config["horizon"]]
 
 
-def run_verify_channel(config, jobs):
+def run_verify_channel(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     channel = channel_from_spec(algebra, config["channel"], config["seed"])
     report = channel.verification
@@ -385,29 +384,20 @@ def _certify_task(config, algebra, channel, beta, eps_grid, task):
     except NotPositiveError as exc:
         raise ConfigError(f"method {method!r}: {exc}") from exc
     cells = []
-    for eps, result in zip(eps_grid, results):
-        found = is_found(result)
-        report = result if found else result.best_candidate
+    for eps, report in zip(eps_grid, results):
         # the builders ran the independent checker already; a verdict
         # that its own measurements contradict is a discrepancy
-        discrepancy = (report is not None
-                       and report.checker_passed != report.within_budgets())
-
-        row_tail = [method, found]
-        if report is not None:
-            row_tail += [report.trace_defect, report.trace_budget,
-                         report.trace_ratio, report.sup_compression,
-                         report.sup_budget, report.sup_ratio,
-                         report.checker_passed, report.weight_bound]
-        else:
-            row_tail += ["", "", "", "", "", "", False, beta.bound]
-        row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + \
-            [seed_idx] + row_tail
-        cells.append((row, discrepancy, found))
+        discrepancy = report.checker_passed != report.within_budgets()
+        row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + [
+            seed_idx, method, report.found, report.trace_defect,
+            report.trace_budget, report.trace_ratio, report.sup_compression,
+            report.sup_budget, report.sup_ratio, report.checker_passed,
+            report.weight_bound]
+        cells.append((row, discrepancy, report.found))
     return cells
 
 
-def run_certify(config, jobs):
+def run_certify(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["certify"]
     beta = _weights_from(section.get("weights"))
@@ -417,20 +407,15 @@ def run_certify(config, jobs):
              for p in section["p_grid"]]
     # an empty eps grid has no cells, so nothing to search
     tasks = [(m, p, s) for m, p in pairs for s in seeds if eps_grid]
-    # tasks that share a seed_idx share the run seed, so the channel;
-    # tasks only read it.  A run without cells still gates the channel
-    # of seed_idx 0.
+    # tasks that share a seed_idx share the run seed, so the channel.  A
+    # run without cells still gates the channel of seed_idx 0.
     channels = {seed_idx: _ds_plus_channel(
                     algebra, config["channel"],
                     derive_seed(config["seed"], "cell", seed_idx))
                 for seed_idx in {task[2] for task in tasks} or {0}}
-
-    def work(task):
-        return _certify_task(config, algebra, channels[task[2]], beta,
-                             eps_grid, task)
-
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        by_task = dict(zip(tasks, pool.map(work, tasks)))
+    by_task = {task: _certify_task(config, algebra, channels[task[2]], beta,
+                                   eps_grid, task)
+               for task in tasks}
     # rows in (method, p, eps, seed_idx) order
     results = [by_task[m, p, s][k] for m, p in pairs
                for k in range(len(eps_grid)) for s in seeds]
@@ -448,7 +433,7 @@ def run_certify(config, jobs):
     return header, rows, summary, (2 if discrepancies else 0)
 
 
-def run_converge(config, jobs):
+def run_converge(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["converge"]
     norms = _norm_specs(section["norms"])
@@ -489,8 +474,7 @@ def run_converge(config, jobs):
         }
         return rows, cell_summary
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        results = list(pool.map(work, cells))
+    results = [work(seed_idx) for seed_idx in cells]
 
     header = _BASE_COLUMNS + ["cell", "n"] + \
         [f"res_{spec.label}" for spec in norms]
@@ -503,7 +487,7 @@ def run_converge(config, jobs):
     return header, rows, summary, 0
 
 
-def run_besicovitch(config, jobs):
+def run_besicovitch(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["besicovitch"]
     norms = _norm_specs(section["norms"])
@@ -538,7 +522,7 @@ def run_besicovitch(config, jobs):
     return header, rows, summary, 0
 
 
-def run_norms(config, jobs):
+def run_norms(config):
     """Norm identity battery over seeded random operators."""
     section = config["norms"]
     seed = config["seed"]
@@ -585,7 +569,7 @@ def run_norms(config, jobs):
     return header, rows, summary, 0
 
 
-def run_boyd(config, jobs):
+def run_boyd(config):
     section = config["boyd"]
     s_grid = section.get("s_grid")
     header = _BASE_COLUMNS + ["target", "s", "dilation_norm",
@@ -653,8 +637,6 @@ def build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="concurrent cells (output order is unaffected)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--horizon", type=int, default=None,
@@ -671,8 +653,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        header, rows, summary, code = _RUNNERS[args.subcommand](config,
-                                                                args.jobs)
+        header, rows, summary, code = _RUNNERS[args.subcommand](config)
     except (ConfigError, ChannelConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,12 +21,19 @@ channel, into its own stacks (`CheckerStacks`); every candidate of that
 element, at every eps, is measured on them, each (projection, mode) once.
 The checker shares no intermediate state with the search, and its stacks
 live only as long as the builder call that made them.
+
+Every builder returns one `WitnessReport` per eps.  Where no candidate
+meets both budgets, the report is the best infeasible candidate with
+found=False: its projection and the checker's measurements against the
+budgets, so a not-found result shows how far the search fell short.  A
+builder over several parts returns the report of the first part that
+failed.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +55,8 @@ class WitnessReport:
 
     checker_passed means the independent re-measurement satisfied both
     trace_defect <= trace_budget + DEFAULT_TOL and
-    sup_compression <= sup_budget + DEFAULT_TOL.
+    sup_compression <= sup_budget + DEFAULT_TOL.  found is False for
+    the best infeasible candidate of a search that met no budget.
     """
 
     projection: Projection
@@ -79,22 +87,6 @@ class WitnessReport:
     def sup_ratio(self) -> float:
         return self.sup_compression / self.sup_budget if self.sup_budget else 0.0
 
-@dataclass
-class WitnessSearchFailure:
-    """Search gave up; carries the best infeasible candidate.
-
-    Not a refutation: the inequalities guarantee a witness exists at the
-    paper budgets, the search is just incomplete.
-    """
-
-    reason: str
-    best_candidate: WitnessReport | None = None
-    found: bool = field(default=False, init=False)
-
-
-def is_found(result) -> bool:
-    return isinstance(result, WitnessReport) and result.found
-
 
 # ---------------------------------------------------------------------
 # Independent checker.
@@ -112,10 +104,11 @@ class CheckOutcome:
         return self.passed_trace and self.passed_sup
 
 
-def _average_stacks(channel: Channel, x: Operator, horizon: int):
-    """Per-block stacks of M_n(x) for n = 0..horizon, from one pass of
-    `ergodic_averages`: the search's stacks."""
-    vecs = np.array([vec for _, vec in ergodic_averages(channel, x, horizon)])
+def _average_stacks(channel: Channel, x: Operator, horizon: int, beta=None):
+    """Per-block stacks of M_{beta,n}(x) for n = 0..horizon, from one pass
+    of `ergodic_averages`."""
+    vecs = np.array([vec for _, vec in ergodic_averages(channel, x, horizon,
+                                                        beta)])
     return channel.algebra.block_stacks(vecs)
 
 
@@ -145,9 +138,7 @@ class CheckerStacks:
 
     @functools.cached_property
     def stacks(self):
-        vecs = np.array([vec for _, vec in ergodic_averages(
-            self.channel, self.x, self.horizon, self.beta)])
-        return self.channel.algebra.block_stacks(vecs)
+        return _average_stacks(self.channel, self.x, self.horizon, self.beta)
 
     def sup(self, e: Projection, mode: str) -> float:
         """compressed_sup of e on these stacks, measured on first use."""
@@ -442,9 +433,10 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
     One pass of the recurrence serves the whole grid.  Strategies run in
     the order of _STRATEGY_TABLE, each once, on the eps values that no
     earlier strategy has won; per eps the first candidate that passes
-    the independent checker wins.  A WitnessSearchFailure stands for an
-    eps where all strategies fall short; it is not a refutation since
-    the search is incomplete.
+    the independent checker wins.  Where all strategies fall short, the
+    result is the best infeasible candidate, the one with the smallest
+    measured sup, with found=False; it is not a refutation since the
+    search is incomplete.
     """
     return _yeadon_search(channel, x, eps_grid, horizon,
                           CheckerStacks(channel, x, horizon))
@@ -478,9 +470,8 @@ def _yeadon_search(channel, x, eps_grid, horizon, checker):
                                      < best[k].sup_compression):
                 report.found = False
                 best[k] = report
-    return [r if r is not None else
-            WitnessSearchFailure("no strategy met both budgets", b)
-            for r, b in zip(results, best)]
+    # peel gives a candidate at every stop, so each eps holds a report
+    return [r if r is not None else b for r, b in zip(results, best)]
 
 
 def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
@@ -504,16 +495,11 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
     norm = lp_norm(x, p)
     results = []
     for base, eps in zip(bases, eps_grid):
-        found = is_found(base)
-        report = base if found else base.best_candidate
-        if report is not None:
-            report = _finalize(checker, report.projection, (norm / eps) ** p,
-                               2.0 * eps, f"lp[{report.method}]",
-                               "two_sided", eps, p, 1.0)
-            report.found = found
-        results.append(report if found else WitnessSearchFailure(
-            f"weak (1,1) search failed at level eps^p: {base.reason}",
-            report))
+        report = _finalize(checker, base.projection, (norm / eps) ** p,
+                           2.0 * eps, f"lp[{base.method}]", "two_sided", eps,
+                           p, 1.0)
+        report.found = base.found
+        results.append(report)
     return results
 
 
@@ -527,22 +513,21 @@ def _positive_parts(x):
     return parts
 
 
-def _part_witnesses(parts, search, eps_grid, what, finish):
+def _part_witnesses(parts, search, eps_grid, finish):
     """Per eps, finish(eps, witnesses) on the witnesses of all parts, or
-    the failure of the first part that failed.  A part is searched, by
-    search(part, grid), only at the eps where every earlier part was found."""
+    the not-found report of the first part that failed.  A part is
+    searched, by search(part, grid), only at the eps where every earlier
+    part was found."""
     outcomes = [[] for _ in eps_grid]
     for part in parts:
         open_ = [k for k, o in enumerate(outcomes) if isinstance(o, list)]
         if not open_:
             break
         for k, res in zip(open_, search(part, [eps_grid[k] for k in open_])):
-            if is_found(res):
+            if res.found:
                 outcomes[k].append(res)
             else:
-                outcomes[k] = WitnessSearchFailure(
-                    f"{what} witness failed: {res.reason}",
-                    res.best_candidate)
+                outcomes[k] = res
     return [finish(eps, o) if isinstance(o, list) else o
             for eps, o in zip(eps_grid, outcomes)]
 
@@ -573,7 +558,7 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
 
     return _part_witnesses(
         parts, lambda part, grid: lp_witness(channel, part, p, grid, horizon),
-        eps_grid, "part", finish)
+        eps_grid, finish)
 
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
@@ -619,4 +604,4 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     return _part_witnesses(
         parts, lambda h, grid: lp_witness(channel, h @ h, p / 2.0,
                                           [eps ** 2 for eps in grid], horizon),
-        eps_grid, "squared-part", finish)
+        eps_grid, finish)

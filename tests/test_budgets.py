@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ncergodic.algebra import AlgebraSpec, hermitian_decompose
 from ncergodic.dynamics import random_kraus_channel, random_substochastic
 from ncergodic.maximal import (CheckerStacks, check_witness,
-                               hopf_witness_commutative, is_found, lp_witness,
+                               hopf_witness_commutative, lp_witness,
                                one_sided_witness, weighted_witness,
                                yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
@@ -61,7 +61,7 @@ def passes(channel, x, report, horizon, trace_budget, sup_budget,
 def test_yeadon_weak_11(algebra, seed, eps, horizon):
     channel, x = channel_and_element(algebra, seed, "positive")
     [report] = yeadon_witness_search(channel, x, [eps], horizon)
-    if is_found(report):
+    if report.found:
         assert passes(channel, x, report, horizon, lp_norm(x, 1) / eps, eps)
 
 
@@ -71,7 +71,7 @@ def test_yeadon_weak_11(algebra, seed, eps, horizon):
 def test_lp_weak_pp(algebra, seed, eps, horizon, p):
     channel, x = channel_and_element(algebra, seed, "positive")
     [report] = lp_witness(channel, x, p, [eps], horizon)
-    if is_found(report):
+    if report.found:
         assert passes(channel, x, report, horizon,
                       (lp_norm(x, p) / eps) ** p, 2.0 * eps)
 
@@ -84,7 +84,7 @@ def test_weighted(algebra, seed, eps, horizon, p, beta):
     # x = (x1 - x2) + i(x3 - x4); a part is zero exactly when its trace is
     parts = sum(part.trace().real > 1e-12 for part in hermitian_decompose(x))
     [report] = weighted_witness(channel, x, p, beta, [eps], horizon)
-    if is_found(report):
+    if report.found:
         assert passes(channel, x, report, horizon,
                       parts * (lp_norm(x, p) / eps) ** p,
                       parts * 12.0 * beta.bound * eps, beta=beta)
@@ -106,7 +106,7 @@ def test_one_sided(algebra, seed, eps, horizon, p, beta, kind):
         trace_budget = 3 * parts * r ** p
         sup_budget = parts * 2 * math.sqrt(c) * (2 + math.sqrt(c)) * eps
     [report] = one_sided_witness(channel, x, p, beta, [eps], horizon)
-    if is_found(report):
+    if report.found:
         assert passes(channel, x, report, horizon, trace_budget, sup_budget,
                       "one_sided", beta)
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from ncergodic import cli, convergence
 from ncergodic.algebra import AlgebraSpec, Projection
 from ncergodic.dynamics import CHANNEL_KINDS, channel_from_spec
+from ncergodic.funcspace import BOYD_LIMIT_SCALES
 from ncergodic.maximal import WitnessReport
 from ncergodic.rng import derive_seed
 
@@ -48,9 +50,9 @@ def run_cli(*args):
         return cli.main(list(args))
 
 
-def converge(config_path, out, jobs=1):
+def converge(config_path, out):
     code = run_cli("converge", "--config", str(config_path), "--out",
-                   str(out), "--jobs", str(jobs))
+                   str(out))
     return code, out / "converge.csv", out / "converge.json"
 
 
@@ -92,21 +94,6 @@ class TestConvergeContract:
         header = csv_path.read_text().splitlines()[0]
         assert "spectrum" not in header and "spectral" not in header
 
-    def test_output_independent_of_jobs(self, tmp_path):
-        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
-        config["converge"]["num_seeds"] = 2
-        path = tmp_path / "two_seeds.json"
-        path.write_text(json.dumps(config))
-        outputs = []
-        for jobs in (1, 2):
-            code, csv_path, json_path = converge(path, tmp_path / f"j{jobs}",
-                                                 jobs)
-            assert code == 0
-            outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
-        assert outputs[0] == outputs[1]
-        rows = outputs[0][0].decode().splitlines()[1:]
-        assert {row.split(",")[7] for row in rows} == {"0", "1"}
-
     def test_fixture_matches_reference(self, tmp_path):
         # a map with a 2-dimensional fixed space, so the limit goes
         # through the projection and not the k = 0 shortcut
@@ -122,7 +109,8 @@ class TestConvergeContract:
         assert err.getvalue().startswith("error: ")
         assert "'converge' section" in err.getvalue()
 
-    def test_one_limit_per_cell(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("num_seeds", [1, 2])
+    def test_one_limit_per_cell(self, tmp_path, monkeypatch, num_seeds):
         calls = []
         fixed_point = convergence.fixed_point
 
@@ -131,9 +119,18 @@ class TestConvergeContract:
             return fixed_point(channel, x, *args)
 
         monkeypatch.setattr(convergence, "fixed_point", counting_fixed_point)
-        code, _, _ = converge(FIXTURES / "m2_unitary.json", tmp_path)
+        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+        config["converge"]["num_seeds"] = num_seeds
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, csv_path, _ = converge(path, tmp_path / "out")
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == num_seeds
+        # the rows of each cell, in cell order
+        cells = [row.split(",")[7]
+                 for row in csv_path.read_text().splitlines()[1:]]
+        assert cells == sorted(cells)
+        assert set(cells) == {str(k) for k in range(num_seeds)}
 
 
 class TestChannelKinds:
@@ -397,18 +394,6 @@ class TestCertifyContract:
         rows = (tmp_path / "certify.csv").read_text().splitlines()[1:]
         assert len(rows) > num_seeds
 
-    def test_output_independent_of_jobs(self, tmp_path):
-        outputs = []
-        for jobs in (1, 2):
-            out = tmp_path / f"j{jobs}"
-            code = run_cli("certify", "--config",
-                           str(FIXTURES / "kraus8.json"), "--out", str(out),
-                           "--jobs", str(jobs))
-            assert code == 0
-            outputs.append(((out / "certify.csv").read_bytes(),
-                            (out / "certify.json").read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_contradicted_verdict_exits_2(self, tmp_path, monkeypatch):
         def overclaiming(ch, x, p, beta, eps_grid, n):
             return [WitnessReport(
@@ -431,6 +416,54 @@ class TestCertifyContract:
         summary = json.loads((tmp_path / "certify.json").read_text())
         assert summary["summary"]["checker_discrepancies"] == 1
         assert summary["summary"]["found"] == 2
+
+
+class TestNormsAndBoyd:
+    TARGETS = [{"kind": "lp", "p": 2}, {"kind": "lp", "p": 1.5},
+               {"kind": "lorentz", "p": 3, "q": 2},
+               {"kind": "lorentz", "p": 2, "q": 1}]
+
+    def run(self, tmp_path, subcommand, section):
+        config = {"seed": 7, "algebra": {"blocks": [[2, 1.0], [3, 0.5]]},
+                  subcommand: section}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run_cli(subcommand, "--config", str(path), "--out", str(out))
+        with open(out / f"{subcommand}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        summary = json.loads((out / f"{subcommand}.json").read_text())
+        return code, rows, summary["summary"]
+
+    @pytest.mark.parametrize("s_grid", [None, [0.01, 0.5, 3.0, 1000.0]])
+    def test_boyd_runs(self, tmp_path, s_grid):
+        section = {"targets": self.TARGETS}
+        if s_grid is not None:
+            section["s_grid"] = s_grid
+        code, rows, summary = self.run(tmp_path, "boyd", section)
+        assert code == 0
+        grid = s_grid or BOYD_LIMIT_SCALES
+        # one row per (target, s), then one estimate row per target
+        assert len(rows) == len(self.TARGETS) * (len(grid) + 1)
+        estimates = [row for row in rows if row["s"] == ""]
+        assert len(estimates) == len(self.TARGETS)
+        assert all(row["within_5pct"] == "true" for row in estimates)
+        assert all(t["within_5pct"] for t in summary["targets"])
+        for row in rows:
+            if row["s"]:
+                expected = float(row["s"]) ** (1.0 / float(row["p"]))
+                assert float(row["dilation_norm"]) == pytest.approx(
+                    expected, rel=1e-12, abs=0.0)
+
+    def test_norms_runs(self, tmp_path):
+        section = {"num_operators": 3, "p_grid": [1, 2, 3.5],
+                   "pq_grid": [[2, 1], [3, 2], [1, 1]]}
+        code, rows, summary = self.run(tmp_path, "norms", section)
+        assert code == 0
+        assert summary["all_green"] is True
+        # per operator: two checks per p, one per (p, q), and two more
+        assert len(rows) == summary["rows"] == 3 * (2 * 3 + 3 + 2)
+        assert all(row["passed"] == "true" for row in rows)
 
 
 class TestRuntimeImports:

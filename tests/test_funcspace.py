@@ -1,92 +1,24 @@
 import numpy as np
 import pytest
 
-from ncergodic.funcspace import (StepFunction, boyd_estimate, dilation,
-                                 dilation_norm_estimate, rearrangement)
+from ncergodic.funcspace import boyd_estimate, dilation_norm_estimate
+from ncergodic.ncnorms import SingularFunction
 from ncergodic.rng import stream
 
 
-def random_step(rng, max_steps=6, complex_values=True):
+def random_step(rng, max_steps=6):
     m = int(rng.integers(1, max_steps + 1))
-    bounds = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 10.0, size=m))])
-    values = rng.uniform(-2, 2, size=m)
-    if complex_values:
-        values = values + 1j * rng.uniform(-2, 2, size=m)
-    return StepFunction(bounds, values)
+    return SingularFunction(rng.uniform(0.0, 2.0, size=m),
+                            rng.uniform(0.1, 10.0, size=m))
 
 
-class TestStepFunction:
-    def test_canonical_merges_repeats(self):
-        f = StepFunction([0, 1, 2, 3], [1.0, 1.0, 2.0])
-        assert f.values.tolist() == [1.0, 2.0]
-        assert f.bounds.tolist() == [0.0, 2.0, 3.0]
-
-    def test_trailing_zeros_trimmed(self):
-        f = StepFunction([0, 1, 2], [1.0, 0.0])
-        assert f.support_bound == 1.0
-
-    def test_requires_sorted_bounds(self):
-        with pytest.raises(ValueError):
-            StepFunction([0, 2, 1], [1.0, 2.0])
+def dilated(f, s):
+    """D_s f (t) = f(t / s): every step stretched by the factor s."""
+    return SingularFunction(f.values, np.diff(f.bounds) * s)
 
 
-class TestRearrangement:
-    def test_indicator_fixed(self):
-        f = StepFunction.indicator(1.0)
-        sf = rearrangement(f)
-        assert sf.to_csv_rows() == [(0.0, 1.0)]
-
-    def test_sorting_example(self):
-        # 1 on [0,1) u [2,3), 3 on [1,2)  ->  3 on [0,1), 1 on [1,3)
-        f = StepFunction([0, 1, 2, 3], [1.0, 3.0, 1.0])
-        sf = rearrangement(f)
-        assert sf.to_csv_rows() == [(0.0, 3.0), (1.0, 1.0)]
-
-    def test_modulus_shares_mu(self):
-        rng = stream(60, "rearr")
-        f = random_step(rng)
-        a = rearrangement(f)
-        b = rearrangement(f.abs())
-        assert np.allclose(a.bounds, b.bounds)
-        assert np.allclose(a.values, b.values)
-
-    def test_equimeasurable_integral(self):
-        rng = stream(61, "rearr")
-        for _ in range(20):
-            f = random_step(rng)
-            lhs = rearrangement(f).lp_norm(1)
-            rhs = f.abs().integral().real
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestDilation:
-    def test_identity(self):
-        f = StepFunction([0, 1, 2], [2.0, 1.0])
-        g = dilation(f, 1.0)
-        assert np.allclose(g.bounds, f.bounds)
-
-    def test_indicator_stretch(self):
-        g = dilation(StepFunction.indicator(1.0), 2.0)
-        assert g.support_bound == pytest.approx(2.0)
-        assert g.values.tolist() == [1.0]
-
-    def test_l2_scaling(self):
-        rng = stream(62, "dilate")
-        for _ in range(10):
-            f = random_step(rng)
-            assert dilation(f, 2.0).lp_norm(2) == pytest.approx(
-                np.sqrt(2.0) * f.lp_norm(2), rel=1e-12)
-
-    def test_composition(self):
-        rng = stream(63, "dilate")
-        f = random_step(rng)
-        a = dilation(dilation(f, 2.0), 3.0)
-        b = dilation(f, 6.0)
-        assert np.array_equal(a.bounds, b.bounds)
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            dilation(StepFunction.indicator(1.0), 0.0)
+def indicator(length):
+    return SingularFunction([1.0], [length])
 
 
 class TestBoyd:
@@ -108,18 +40,34 @@ class TestBoyd:
 
     def test_indicator_lower_bound(self):
         # the estimate dominates the single-test-function ratio
-        f = StepFunction.indicator(1.0)
+        f = indicator(1.0)
         for s in (0.25, 4.0):
-            ratio = dilation(f, s).lp_norm(2) / f.lp_norm(2)
+            ratio = dilated(f, s).lp_norm(2) / f.lp_norm(2)
             assert dilation_norm_estimate(s, 2) >= ratio - 1e-12
 
     def test_characteristic_ratio_exact(self):
         # ||D_s chi||_{p,q} / ||chi||_{p,q} = s^(1/p) exactly
         for p, q in [(2, 1), (3, 2)]:
-            f = StepFunction.indicator(4.0)
+            f = indicator(4.0)
             for s in (0.5, 8.0):
-                ratio = dilation(f, s).lorentz_norm(p, q) / f.lorentz_norm(p, q)
+                ratio = dilated(f, s).lorentz_norm(p, q) / f.lorentz_norm(p, q)
                 assert ratio == pytest.approx(s ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("p,q", [(2, None), (1.5, None), (2, 1), (3, 2)])
+    def test_estimate_is_the_dilation_norm(self, p, q):
+        # every step function scales by s^(1/p), so the indicators are
+        # extremal and the estimate is ||D_s|| itself
+        def norm(f):
+            return f.lp_norm(p) if q is None else f.lorentz_norm(p, q)
+
+        rng = stream(62, "dilate")
+        for s in (0.25, 3.0):
+            estimate = dilation_norm_estimate(s, p, q)
+            assert estimate == pytest.approx(s ** (1.0 / p), rel=1e-12)
+            for _ in range(5):
+                f = random_step(rng)
+                assert norm(dilated(f, s)) == pytest.approx(
+                    estimate * norm(f), rel=1e-12)
 
     def test_rejects_one_sided_grid(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -15,12 +16,10 @@ from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_sup)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, random_kraus_channel)
-from ncergodic.maximal import (CheckerStacks, WitnessReport,
-                               WitnessSearchFailure, check_witness,
-                               hopf_witness_commutative,
-                               is_found, lp_witness, measure_compressions,
-                               one_sided_witness, peel, weighted_witness,
-                               yeadon_witness_search)
+from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
+                               hopf_witness_commutative, lp_witness,
+                               measure_compressions, one_sided_witness, peel,
+                               weighted_witness, yeadon_witness_search)
 from ncergodic.rng import (derive_seed, random_operator, random_projection,
                            stream)
 from ncergodic.spectral import SpectralDecomposition, eigh
@@ -449,7 +448,7 @@ def found_yeadon_cell():
     channel = random_kraus_channel(MULTI, 3, rng)
     x = random_operator(MULTI, rng, kind="positive", uniform_norm=1.0)
     [report] = yeadon_witness_search(channel, x, [0.5], 32)
-    assert is_found(report)
+    assert report.found
     assert 0 < report.projection.rank(0) < MULTI.dims[0]
     return channel, x, report
 
@@ -539,13 +538,7 @@ MIX8_GRID = [0.1, 0.25, 0.5, 1.0]
 def same_result(a, b):
     """Every field, the found flag and the projection blocks agree
     exactly."""
-    assert type(a) is type(b) and a.found == b.found
-    if isinstance(a, WitnessSearchFailure):
-        assert a.reason == b.reason
-        a, b = a.best_candidate, b.best_candidate
-        if a is None or b is None:
-            assert a is b
-            return
+    assert type(a) is type(b) is WitnessReport
     for f in dataclasses.fields(WitnessReport):
         got, expected = getattr(a, f.name), getattr(b, f.name)
         if f.name == "projection":
@@ -615,7 +608,7 @@ class TestGridEqualsSingleEps:
             MIX8_GRID)
         # identity wins at eps = 1, peel or level-set below
         for results in (weighted, one_sided):
-            assert all(is_found(r) for r in results)
+            assert all(r.found for r in results)
             assert "identity" not in " ".join(r.method for r in results[:3])
             assert "peel" in results[0].method
             assert "level-set" in results[2].method
@@ -624,14 +617,15 @@ class TestGridEqualsSingleEps:
     def test_part_failure_skips_later_parts(self, workloads, monkeypatch):
         # a part searched at the eps where every earlier part was found
         channel, x, beta, horizon = mix8(workloads, "random")
-        grids = []
+        grids, forced = [], []
         lp = maximal.lp_witness
 
         def failing_first_part(channel, part, p, grid, horizon):
             grids.append(list(grid))
             results = lp(channel, part, p, grid, horizon)
             if len(grids) == 1:  # the first part fails at the first eps
-                results[0] = WitnessSearchFailure("forced")
+                results[0] = dataclasses.replace(results[0], found=False)
+                forced.append(results[0])
             return results
 
         monkeypatch.setattr(maximal, "lp_witness", failing_first_part)
@@ -639,9 +633,11 @@ class TestGridEqualsSingleEps:
         assert grids[0] == MIX8_GRID
         assert all(grid == MIX8_GRID[1:] for grid in grids[1:])
         assert len(grids) == 4
-        assert not is_found(results[0])
-        assert results[0].reason == "part witness failed: forced"
-        assert all(is_found(r) for r in results[1:])
+        # the failing part's own report stands for the cell
+        assert not results[0].found
+        same_result(results[0], forced[0])
+        assert results[0].method.startswith("lp[")
+        assert all(r.found for r in results[1:])
 
     def test_hopf(self, workloads):
         channel, x, horizon = cycle96(workloads)
@@ -665,20 +661,22 @@ def fresh_sup(checker, e, mode):
 
 
 def count_passes(monkeypatch):
-    """Recurrence passes, in total and of the search."""
-    counts = {"all": 0, "search": 0}
-    averages, average_stacks = maximal.ergodic_averages, maximal._average_stacks
+    """Recurrence passes, in total and of the checker."""
+    counts = {"all": 0, "checker": 0}
+    averages, stacks = maximal.ergodic_averages, CheckerStacks.stacks.func
 
     def counting_averages(*args, **kwargs):
         counts["all"] += 1
         return averages(*args, **kwargs)
 
-    def counting_search(*args, **kwargs):
-        counts["search"] += 1
-        return average_stacks(*args, **kwargs)
+    def counting_checker(self):
+        counts["checker"] += 1
+        return stacks(self)
 
+    checker_stacks = functools.cached_property(counting_checker)
+    checker_stacks.__set_name__(CheckerStacks, "stacks")
     monkeypatch.setattr(maximal, "ergodic_averages", counting_averages)
-    monkeypatch.setattr(maximal, "_average_stacks", counting_search)
+    monkeypatch.setattr(CheckerStacks, "stacks", checker_stacks)
     return counts
 
 
@@ -730,8 +728,8 @@ class TestCheckerStacks:
                                                        report.mode)
             assert report.trace_defect == e.defect()
             elements.add((checker.x.vec().tobytes(), id(checker.beta)))
-        checker_passes = passes["all"] - passes["search"]
-        assert 1 <= checker_passes <= len(elements)
+        assert 1 <= passes["checker"] <= len(elements)
+        assert passes["checker"] < passes["all"]
 
     def test_zero_projection_needs_no_pass(self, monkeypatch):
         channel, x, report = found_yeadon_cell()

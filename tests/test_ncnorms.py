@@ -66,6 +66,23 @@ class TestSingularFunction:
         x = random_operator(MIXED, rng)
         assert singular_function(x).total_support <= MIXED.total_trace + 1e-12
 
+    def test_construction_sorts_and_merges(self):
+        # 1, 3, 1 on unit steps -> 3 on [0, 1), 1 on [1, 3)
+        sf = SingularFunction([1.0, 3.0, 1.0], [1.0, 1.0, 1.0])
+        assert sf.to_csv_rows() == [(0.0, 3.0), (1.0, 1.0)]
+        assert sf.bounds.tolist() == [0.0, 1.0, 3.0]
+
+    def test_construction_drops_zero_steps(self):
+        sf = SingularFunction([2.0, 0.0, 1.0], [1.0, 5.0, 0.0])
+        assert sf.to_csv_rows() == [(0.0, 2.0)]
+        assert sf.total_support == 1.0
+
+    @pytest.mark.parametrize("values,lengths", [
+        ([1.0, 2.0], [1.0, -1.0]), ([-1.0], [1.0]), ([1.0], [1.0, 2.0])])
+    def test_construction_rejects_malformed_steps(self, values, lengths):
+        with pytest.raises(ValueError):
+            SingularFunction(values, lengths)
+
 
 class TestLpNorm:
     def test_direct_formula(self):
