@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncergodic.errors import UnsupportedNormError
 from ncergodic.funcspace import boyd_estimate, dilation_norm_estimate
 from ncergodic.ncnorms import SingularFunction
 from ncergodic.rng import stream
@@ -68,6 +69,24 @@ class TestBoyd:
                 f = random_step(rng)
                 assert norm(dilated(f, s)) == pytest.approx(
                     estimate * norm(f), rel=1e-12)
+
+    @pytest.mark.parametrize("p,q", [(2, None), (3, 2)])
+    def test_estimate_is_multiplicative(self, p, q):
+        # D_2 D_3 = D_6, and the estimate is the exact operator norm
+        assert dilation_norm_estimate(6.0, p, q) == pytest.approx(
+            dilation_norm_estimate(2.0, p, q)
+            * dilation_norm_estimate(3.0, p, q), rel=1e-12)
+        assert dilation_norm_estimate(1.0, p, q) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -2.0])
+    def test_rejects_bad_factor(self, s):
+        with pytest.raises(ValueError):
+            dilation_norm_estimate(s, 2)
+
+    @pytest.mark.parametrize("p,q", [(0.5, None), (0.5, 1), (2, 0.5), (1, 2)])
+    def test_rejects_unsupported_norm(self, p, q):
+        with pytest.raises(UnsupportedNormError):
+            boyd_estimate(p, q)
 
     def test_rejects_one_sided_grid(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,22 @@ class TestSingularFunction:
         assert sf.to_csv_rows() == [(0.0, 2.0)]
         assert sf.total_support == 1.0
 
+    def test_construction_is_equimeasurable(self):
+        # sorting and merging keep the distribution: the integral of mu
+        # and of mu^2 equal the step sums of the unsorted input
+        rng = stream(44, "mu")
+        for _ in range(20):
+            m = int(rng.integers(1, 7))
+            values = rng.uniform(0.0, 2.0, size=m)
+            lengths = rng.uniform(0.0, 10.0, size=m)
+            sf = SingularFunction(values, lengths)
+            assert sf.lp_norm(1) == pytest.approx(
+                np.sum(values * lengths), rel=1e-12)
+            assert sf.lp_norm(2) ** 2 == pytest.approx(
+                np.sum(values ** 2 * lengths), rel=1e-12)
+            assert sf.total_support == pytest.approx(
+                np.sum(lengths[values > 0]), rel=1e-12)
+
     @pytest.mark.parametrize("values,lengths", [
         ([1.0, 2.0], [1.0, -1.0]), ([-1.0], [1.0]), ([1.0], [1.0, 2.0])])
     def test_construction_rejects_malformed_steps(self, values, lengths):
