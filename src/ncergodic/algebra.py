@@ -237,12 +237,13 @@ class Operator:
 
     @classmethod
     def from_json(cls, algebra: AlgebraSpec, data) -> "Operator":
-        blocks = []
-        for d, flat in zip(algebra.dims, data["blocks"]):
-            arr = np.array([complex(re, im) for re, im in flat],
-                           dtype=complex).reshape(d, d)
-            blocks.append(arr)
-        return cls(algebra, blocks)
+        lengths = [len(flat) for flat in data["blocks"]]
+        if lengths != [d * d for d in algebra.dims]:
+            raise AlgebraMismatchError(f"block lengths {lengths} do not fit "
+                                       f"dims {algebra.dims} (d*d each)")
+        return cls(algebra, [
+            np.reshape([complex(re, im) for re, im in flat], (d, d))
+            for d, flat in zip(algebra.dims, data["blocks"])])
 
     def __repr__(self):
         return f"Operator(dims={self.algebra.dims})"
@@ -312,10 +313,6 @@ class Projection:
     @classmethod
     def identity(cls, algebra: AlgebraSpec) -> "Projection":
         return cls(algebra.identity())
-
-    @classmethod
-    def zero(cls, algebra: AlgebraSpec) -> "Projection":
-        return cls(algebra.zero())
 
     @classmethod
     def from_basis(cls, algebra: AlgebraSpec, bases) -> "Projection":

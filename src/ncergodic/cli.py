@@ -8,11 +8,12 @@ rows are written in key order.  Cells run one after another.
 
 Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
-that cannot be built, a channel that is not DS+ in `certify`, `converge`
-or `besicovitch`, and an element that is not positive for a method
-that needs x >= 0), 2 checker discrepancy (a witness whose checker
-verdict contradicts its own measured trace defect and sup against its
-budgets; this must never happen).
+that cannot be built, an operator whose blocks do not fit the algebra,
+a channel that is not DS+ in `certify`, `converge` or `besicovitch`,
+and an element that is not positive for a method that needs x >= 0),
+2 checker discrepancy (a witness whose checker verdict contradicts its
+own measured trace defect and sup against its budgets; this must never
+happen).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .algebra import AlgebraSpec, Operator
 from .convergence import (NormSpec, au_witness, bau_witness,
                           besicovitch_experiment, condition_iii, trajectory)
 from .dynamics import CHANNEL_KINDS, channel_from_spec
-from .errors import ChannelConstructionError, ConfigError, NotPositiveError
+from .errors import (AlgebraMismatchError, ChannelConstructionError,
+                     ConfigError, NotPositiveError)
 from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
                         dilation_norm_estimate)
 from .maximal import (hopf_witness_commutative, lp_witness,
@@ -52,21 +54,32 @@ _OPERATOR_SCHEMA = {
     "properties": {"blocks": {"type": "array"}},
 }
 
-_CHANNEL_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(CHANNEL_KINDS)},
-        "seed": {"type": "integer"},
-    },
-}
-
 
 def _kind_needs(kind, *fields):
     """Schema clause: an object of this kind must carry these fields."""
     return {"if": {"properties": {"kind": {"const": kind}}},
             "then": {"required": list(fields)}}
 
+
+_CHANNEL_REF = {"$ref": "#/$defs/channel"}
+_CHANNEL_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(CHANNEL_KINDS)},
+        "seed": {"type": "integer"},
+        "child": _CHANNEL_REF,
+        "children": {"type": "array", "items": _CHANNEL_REF},
+    },
+    # the fields `channel_from_spec` reads for each kind
+    "allOf": [_kind_needs("pinching", "labels"),
+              _kind_needs("schur", "matrices"),
+              _kind_needs("substochastic", "matrix"),
+              _kind_needs("kraus", "operators"),
+              _kind_needs("convex", "children", "probabilities"),
+              _kind_needs("compose", "children"),
+              _kind_needs("scaled", "child", "factor")],
+}
 
 _ELEMENT_SCHEMA = {
     "type": "object",
@@ -140,13 +153,14 @@ _ALGEBRA_SCHEMA = {
 }
 
 CONFIG_SCHEMA = {
+    "$defs": {"channel": _CHANNEL_SCHEMA},
     "type": "object",
     "required": ["seed"],
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
         "horizon": {"type": "integer", "minimum": 1},
         "algebra": _ALGEBRA_SCHEMA,
-        "channel": _CHANNEL_SCHEMA,
+        "channel": _CHANNEL_REF,
         "certify": {
             "type": "object",
             "required": ["methods", "eps_grid", "p_grid", "element"],
@@ -242,6 +256,10 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
             config = json.load(fh, parse_constant=_reject_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    # overrides go through the schema too; a non-object config fails it
+    for key, value in (("seed", seed_override), ("horizon", horizon_override)):
+        if value is not None and isinstance(config, dict):
+            config[key] = value
     error = jsonschema.exceptions.best_match(
         _CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
@@ -264,10 +282,6 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
     if certify and "hopf" in certify["methods"] \
             and not AlgebraSpec.from_json(config["algebra"]).is_diagonal:
         raise ConfigError("method 'hopf' needs a diagonal algebra")
-    if seed_override is not None:
-        config["seed"] = seed_override
-    if horizon_override is not None:
-        config["horizon"] = horizon_override
     config.setdefault("horizon", 512)
     return config
 
@@ -451,8 +465,8 @@ def run_converge(config):
         rng = stream(seed, "element", seed_idx)
         x = element_from_spec(algebra, section["element"], rng)
         report = trajectory(channel, x, horizon, norms)
-        au = au_witness(channel, x, eps, horizon, report=report)
-        bau = bau_witness(channel, x, eps, horizon, report=report)
+        au = au_witness(report, eps)
+        bau = bau_witness(report, eps)
         rows = []
         for i, n in enumerate(report.schedule):
             row = _base(config, algebra, channel.kind) + [seed_idx, n]
@@ -654,7 +668,8 @@ def main(argv=None):
         return 1
     try:
         header, rows, summary, code = _RUNNERS[args.subcommand](config)
-    except (ConfigError, ChannelConstructionError) as exc:
+    except (ConfigError, ChannelConstructionError,
+            AlgebraMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     csv_path, json_path = _write_outputs(args.out, args.subcommand, config,

@@ -1,9 +1,9 @@
 """Individual and mean ergodic convergence diagnostics.
 
 Residual trajectories against the exact Cesaro limit, each with its
-mean (norm) convergence verdict, almost-uniform witnesses built by
-trace-budgeted peeling on the deviation operators, condition (iii) of
-the mean ergodic theorem for the L_p and Lorentz norms, and
+mean (norm) convergence verdict; almost-uniform witnesses peeled from a
+trajectory's deviation operators under a trace budget; condition (iii)
+of the mean ergodic theorem for the L_p and Lorentz norms; and
 Besicovitch-weighted experiments with exact rotated limits for the
 trig-polynomial generator family.
 """
@@ -36,22 +36,6 @@ class NormSpec:
     kind: str
     p: float | None = None
     q: float | None = None
-
-    @classmethod
-    def uniform(cls):
-        return cls("uniform")
-
-    @classmethod
-    def lp(cls, p):
-        return cls("lp", p=float(p))
-
-    @classmethod
-    def lorentz(cls, p, q):
-        return cls("lorentz", p=float(p), q=float(q))
-
-    @classmethod
-    def measure(cls):
-        return cls("measure")
 
     @property
     def label(self) -> str:
@@ -176,25 +160,18 @@ def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
     return ConvergenceWitness(e, schedule, profile, mode, eps, defect)
 
 
-def au_witness(channel: Channel, x: Operator, eps: float,
-               horizon: int, report=None) -> ConvergenceWitness:
-    """One-sided almost-uniform witness: tau(e_perp) <= eps and the
-    profile n -> sup of ||(x_hat - M_m(x)) e|| over scheduled m beyond
-    max(n, horizon/2).  `report` is the `trajectory` of (channel, x,
-    horizon) when the caller already has one; otherwise it is computed."""
-    if report is None:
-        report = trajectory(channel, x, horizon, ())
-    return _deviation_witness(channel.algebra, eps, horizon, "one_sided",
-                              report.limit, report.averages)
+def au_witness(report: TrajectoryReport, eps: float) -> ConvergenceWitness:
+    """One-sided almost-uniform witness for the trajectory `report`:
+    tau(e_perp) <= eps and the profile n -> sup of ||(x_hat - M_m(x)) e||
+    over scheduled m beyond max(n, horizon/2)."""
+    return _deviation_witness(report.limit.algebra, eps, report.horizon,
+                              "one_sided", report.limit, report.averages)
 
 
-def bau_witness(channel: Channel, x: Operator, eps: float,
-                horizon: int, report=None) -> ConvergenceWitness:
+def bau_witness(report: TrajectoryReport, eps: float) -> ConvergenceWitness:
     """Two-sided variant of au_witness (compressions e (.) e)."""
-    if report is None:
-        report = trajectory(channel, x, horizon, ())
-    return _deviation_witness(channel.algebra, eps, horizon, "two_sided",
-                              report.limit, report.averages)
+    return _deviation_witness(report.limit.algebra, eps, report.horizon,
+                              "two_sided", report.limit, report.averages)
 
 
 # ---------------------------------------------------------------------
@@ -254,7 +231,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
     0.05.
     """
     norms = list(norms)
-    certificate = beta.besicovitch_certificate()
+    certificate_ok = beta.besicovitch_certificate()
     poly = beta.approximating_polynomial()
     limit = channel.algebra.zero()
     for z, lam in zip(poly.coefficients, poly.frequencies):
@@ -267,7 +244,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
     cauchy = {spec.label: [] for spec in norms}
     cauchy["measure"] = []
     previous = None
-    measure = NormSpec.measure()
+    measure = NormSpec("measure")
     for avg in averages.values():
         for spec in norms:
             residuals[spec.label].append(spec.distance(limit, avg))
@@ -280,4 +257,4 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
     witness = _deviation_witness(channel.algebra, 0.05, horizon,
                                  "two_sided", limit, averages)
     return BesicovitchReport(limit, True, schedule, residuals, cauchy,
-                             witness, certificate.certified)
+                             witness, certificate_ok)

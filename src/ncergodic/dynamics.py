@@ -471,7 +471,10 @@ def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
         raise ChannelConstructionError(
             "substochastic channels need a diagonal algebra (all blocks 1x1)")
     n = algebra.num_blocks
-    p = np.asarray(matrix, dtype=float)
+    try:
+        p = np.asarray(matrix, dtype=float)
+    except ValueError as exc:  # a ragged matrix
+        raise ChannelConstructionError(f"matrix: {exc}") from exc
     if p.shape != (n, n):
         raise ChannelConstructionError(f"matrix must be {n}x{n}")
     if np.min(p) < -DEFAULT_TOL:
@@ -688,9 +691,8 @@ def channel_from_spec(algebra: AlgebraSpec, spec, run_seed=0) -> Channel:
     if kind == "pinching":
         return pinching(algebra, spec["labels"])
     if kind == "schur":
-        mats = [np.array([complex(re, im) for re, im in block]).reshape(d, d)
-                for d, block in zip(algebra.dims, spec["matrices"]["blocks"])]
-        return schur_multiplier(algebra, mats)
+        return schur_multiplier(
+            algebra, Operator.from_json(algebra, spec["matrices"]).blocks)
     if kind == "substochastic":
         return substochastic(algebra, spec["matrix"])
     if kind == "kraus":

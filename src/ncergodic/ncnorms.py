@@ -3,8 +3,9 @@ metric and the submajorization order.
 
 The singular-number function of x is the right-continuous non-increasing
 step function mu_t(x) = inf{ lam > 0 : tau(e_lam_perp) <= t } built from
-the singular values of x weighted by the trace.  Every norm here is an
-exact closed-form integral of that step function; no quadrature is used.
+the singular values of x weighted by the trace, stored by its steps in
+`SingularFunction`.  Every norm here is an exact closed-form integral
+over the steps; no quadrature is used.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ class SingularFunction:
     def total_support(self) -> float:
         """Length of {mu > 0}."""
         return float(self.bounds[-1])
-
-    def mu(self, t):
-        """Right-continuous evaluation mu(t); vectorized over t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.bounds[1:], t, side="right")
-        out = np.where(idx < self.values.size,
-                       self.values[np.minimum(idx, max(self.values.size - 1, 0))]
-                       if self.values.size else 0.0,
-                       0.0)
-        return float(out) if out.ndim == 0 else out
 
     def cumulative(self, s: float) -> float:
         """Exact integral of mu over (0, s]."""

@@ -35,7 +35,7 @@ HORIZONS = st.sampled_from([4, 16, 32])
 WEIGHTS = st.sampled_from([
     WeightSequence.constant(1.0),
     WeightSequence.constant(0.5),
-    WeightSequence.periodic([1, 1j, -1, -1j]),
+    WeightSequence("periodic", period=[1, 1j, -1, -1j]),
     WeightSequence.rotation(0.3),
 ])
 

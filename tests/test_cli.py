@@ -149,8 +149,8 @@ class TestChannelKinds:
         assert "does not validate" in err.getvalue()
 
     def test_nested_unknown_kind_exits_1(self, tmp_path):
-        # the schema checks only the top-level kind; the builder rejects
-        # the nested one, and that is a config error, not a traceback
+        # the schema checks nested channels like the top-level one, so a
+        # nested unknown kind is a config error, not a traceback
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
         config["channel"] = {"kind": "convex",
                              "children": [{"kind": "warp"}],
@@ -162,7 +162,7 @@ class TestChannelKinds:
                            "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.getvalue().startswith("error: ")
-        assert "'warp'" in err.getvalue()
+        assert "$.channel.children[0].kind: 'warp'" in err.getvalue()
 
     @pytest.mark.parametrize("algebra,channel,evidence,margin", [
         ({"blocks": [[2, 1.0]]}, {"kind": "unitary", "seed": 1},
@@ -279,6 +279,30 @@ MALFORMED = {
         **_CERTIFY, "num_seeds": 0}}),
     "not-ds-plus-converge-no-seeds": ("converge", {**_EXPANDING, "converge": {
         **_CONVERGE, "num_seeds": 0}}),
+    # channel specs without a field their kind reads, also when nested
+    "scaled-no-factor": ("verify-channel", {"channel": {
+        "kind": "scaled", "child": {"kind": "identity"}}}),
+    "convex-no-children": ("verify-channel", {"channel": {
+        "kind": "convex", "probabilities": [1.0]}}),
+    "pinching-no-labels": ("verify-channel", {"channel": {
+        "kind": "pinching"}}),
+    "convex-scaled-no-factor": ("verify-channel", {"channel": {
+        "kind": "convex", "probabilities": [1.0],
+        "children": [{"kind": "scaled", "child": {"kind": "identity"}}]}}),
+    # operators and matrices that do not fit the algebra
+    "kraus-operator-wrong-length": ("verify-channel", {"channel": {
+        "kind": "kraus", "operators": [{"blocks": [[[1, 0], [0, 0]]]}]}}),
+    "schur-matrix-wrong-length": ("verify-channel", {"channel": {
+        "kind": "schur", "matrices": {"blocks": [[[1, 0]] * 5]}}}),
+    "explicit-element-wrong-length": ("converge", {"converge": {
+        **_CONVERGE, "element": {"kind": "explicit",
+                                 "operator": {"blocks": [[[1, 0]]]}}}}),
+    "diagonal-element-wrong-length": ("converge", {"converge": {
+        **_CONVERGE, "element": {"kind": "diagonal", "values": [1.0]}}}),
+    "substochastic-ragged-matrix": ("verify-channel", {
+        "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
+        "channel": {"kind": "substochastic",
+                    "matrix": [[0.5, 0.5], [0.5]]}}),
 }
 
 # what the error line of a malformed config must name
@@ -293,7 +317,18 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                   "not-ds-plus-certify-no-seeds":
                       "not DS+: subunital_value 1.5",
                   "not-ds-plus-converge-no-seeds":
-                      "not DS+: subunital_value 1.5"}
+                      "not DS+: subunital_value 1.5",
+                  "scaled-no-factor": "'factor' is a required property",
+                  "convex-no-children":
+                      "'children' is a required property",
+                  "pinching-no-labels": "'labels' is a required property",
+                  "convex-scaled-no-factor":
+                      "$.channel.children[0]: 'factor' is a required",
+                  "kraus-operator-wrong-length": "block lengths [2]",
+                  "schur-matrix-wrong-length": "block lengths [5]",
+                  "explicit-element-wrong-length": "block lengths [1]",
+                  "diagonal-element-wrong-length": "diagonal length",
+                  "substochastic-ragged-matrix": "matrix: "}
 
 
 class TestMalformedConfig:
@@ -319,6 +354,29 @@ class TestMalformedConfig:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
         assert NAMED_IN_ERROR.get(name, "") in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    # command-line overrides are validated with the rest of the config;
+    # a config that is not an object fails validation whatever they are
+    @pytest.mark.parametrize("subcommand,config,override,json_path", [
+        ("converge", "m2_unitary", ["--horizon", "0"], "$.horizon"),
+        ("certify", "kraus8", ["--horizon", "-3"], "$.horizon"),
+        ("certify", "kraus8", ["--seed", "-1"], "$.seed"),
+        ("certify", None, ["--seed", "3"], "$")])
+    def test_invalid_override_exits_1(self, tmp_path, subcommand, config,
+                                      override, json_path):
+        if config is None:
+            path = tmp_path / "list.json"
+            path.write_text("[]")
+        else:
+            path = FIXTURES / f"{config}.json"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli(subcommand, "--config", str(path),
+                           "--out", str(tmp_path / "out"), *override)
+        assert code == 1
+        assert err.getvalue().startswith(
+            f"error: config does not validate at {json_path}: ")
+        assert err.getvalue().count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_verify_channel_reports_maps_outside_ds_plus(self, tmp_path):

@@ -20,7 +20,7 @@ from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
-NORMS = (NormSpec.uniform(), NormSpec.lp(2))
+NORMS = (NormSpec("uniform"), NormSpec("lp", 2.0))
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ class TestOnePassPerCell:
         rng = stream(300, "conv")
         channel = random_kraus_channel(MULTI, 3, rng)
         x = random_operator(MULTI, rng)
-        beta = WeightSequence.periodic([1.0, 1j, -1.0, -1j])
+        beta = WeightSequence("periodic", period=[1.0, 1j, -1.0, -1j])
         report = besicovitch_experiment(channel, x, beta, 64, NORMS)
         assert len(apply_calls) == 64
         assert report.schedule == [1, 2, 4, 8, 16, 32, 64]
@@ -90,21 +90,21 @@ class TestMeanConvergence:
         assert lorentz["ratios"] == pytest.approx(
             [1.22474487, 0.26386328, 0.05684762, 0.01224745], rel=1e-6)
         for p, q in [(3, 2), (2, 1), (1.5, 1), (2, 3), (1, 1)]:
-            report = condition_iii(NormSpec.lorentz(p, q))
+            report = condition_iii(NormSpec("lorentz", p, q))
             assert report.traces == CONDITION_III_TRACES
             assert report.ratios == pytest.approx(
                 [(p / q) ** (1 / q) * t ** (1 / p - 1)
                  for t in CONDITION_III_TRACES], rel=1e-12)
             assert report.vanishes_at_infinity == (p > 1)
-        assert condition_iii(NormSpec.lp(2)).ratios == pytest.approx(
+        assert condition_iii(NormSpec("lp", 2.0)).ratios == pytest.approx(
             [t ** -0.5 for t in CONDITION_III_TRACES], rel=1e-12)
-        assert condition_iii(NormSpec.uniform()) is None
-        assert condition_iii(NormSpec.measure()) is None
+        assert condition_iii(NormSpec("uniform")) is None
+        assert condition_iii(NormSpec("measure")) is None
 
     def test_measure_gets_no_verdict(self):
         channel = random_kraus_channel(MULTI, 2, stream(305, "conv"))
         x = random_operator(MULTI, stream(306, "conv"))
-        norms = (NormSpec.uniform(), NormSpec.measure())
+        norms = (NormSpec("uniform"), NormSpec("measure"))
         report = trajectory(channel, x, 16, norms)
         assert set(report.residuals) == {"inf", "measure"}
         assert set(report.verdicts) == {"inf"}
@@ -128,29 +128,25 @@ class TestMeanConvergence:
 
 class TestDeviationWitnesses:
     @pytest.mark.parametrize("build", [au_witness, bau_witness])
-    def test_budget_profile_and_report_reuse(self, build):
+    def test_budget_and_profile(self, build):
         rng = stream(301, "conv")
         channel = random_kraus_channel(MULTI, 3, rng)
         x = random_operator(MULTI, rng)
         eps, horizon = 0.6, 64
-        fresh = build(channel, x, eps, horizon)
-        reused = build(channel, x, eps, horizon,
-                       report=trajectory(channel, x, horizon, NORMS))
-        for witness in (fresh, reused):
-            assert witness.trace_defect <= eps
-            assert witness.projection.defect() == pytest.approx(
-                witness.trace_defect)
-            assert all(a >= b for a, b in zip(witness.profile,
-                                              witness.profile[1:]))
-        assert fresh.trace_defect == reused.trace_defect
-        assert fresh.profile == reused.profile
-        assert np.array_equal(fresh.projection.operator.vec(),
-                              reused.projection.operator.vec())
+        report = trajectory(channel, x, horizon, NORMS)
+        witness = build(report, eps)
+        assert witness.trace_defect <= eps
+        assert witness.projection.defect() == pytest.approx(
+            witness.trace_defect)
+        assert witness.schedule == report.schedule
+        assert all(a >= b for a, b in zip(witness.profile,
+                                          witness.profile[1:]))
 
     def test_rejects_non_positive_eps(self):
         channel = random_kraus_channel(MULTI, 2, stream(302, "conv"))
+        report = trajectory(channel, MULTI.identity(), 8, ())
         with pytest.raises(ValueError):
-            au_witness(channel, MULTI.identity(), 0.0, 8)
+            au_witness(report, 0.0)
 
 
 def hermitian_top(op, e):

@@ -208,7 +208,8 @@ class TestErgodicAverage:
         rng = stream(75, "vec", period is None)
         ch = random_kraus_channel(MULTI, 3, rng)
         x = random_operator(MULTI, rng)
-        beta = None if period is None else WeightSequence.periodic(period)
+        beta = (None if period is None
+                else WeightSequence("periodic", period=period))
         values = None if beta is None else beta.values(21)
         current = x
         running = x if values is None else x * values[0]
@@ -270,7 +271,7 @@ class TestWeightedAverage:
         ch = identity_channel(M2)
         rng = stream(80, "wavg")
         x = random_operator(M2, rng)
-        beta = WeightSequence.periodic([1.0, -1.0])
+        beta = WeightSequence("periodic", period=[1.0, -1.0])
         for n in (2, 6, 10):
             assert average(ch, x, n, beta).allclose(x * (1.0 / (n + 1)),
                                                     tol=1e-12)
@@ -283,10 +284,12 @@ class TestWeightedAverage:
         ch = random_kraus_channel(M4, 3, rng)
         x = random_operator(M4, rng)
         period = [1.0, 1j, -1.0, -1j]
-        beta = WeightSequence.periodic(period)
+        beta = WeightSequence("periodic", period=period)
         c = beta.bound
-        re_shift = WeightSequence.periodic([v.real + c for v in period])
-        im_shift = WeightSequence.periodic([v.imag + c for v in period])
+        re_shift = WeightSequence("periodic",
+                                  period=[v.real + c for v in period])
+        im_shift = WeightSequence("periodic",
+                                  period=[v.imag + c for v in period])
         for n in (3, 9):
             rebuilt = (average(ch, x, n, re_shift)
                        + average(ch, x, n, im_shift) * 1j
@@ -296,7 +299,7 @@ class TestWeightedAverage:
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
     def test_lorentz_bound_6c(self, p, q):
         rng = stream(82, "wavg", p, q)
-        beta = WeightSequence.periodic([2.0, -2.0, 2j])
+        beta = WeightSequence("periodic", period=[2.0, -2.0, 2j])
         c = beta.bound
         for _ in range(5):
             ch = random_kraus_channel(M4, 3, rng)
@@ -307,7 +310,7 @@ class TestWeightedAverage:
                                     p, q) <= bound + 1e-9
 
     def test_bound_violation_rejected(self):
-        beta = WeightSequence.periodic([1.0, 3.0])
+        beta = WeightSequence("periodic", period=[1.0, 3.0])
         beta.bound = 2.0  # tamper: declared bound below actual values
         ch = identity_channel(M2)
         with pytest.raises(ValueError):
@@ -321,9 +324,10 @@ class TestAveragedChannels:
         rng = stream(84, "cesaro")
         ch = random_kraus_channel(M4, 2, rng)
         period = [1.0, -1j]
-        c = WeightSequence.periodic(period).bound
+        c = WeightSequence("periodic", period=period).bound
         for part in (lambda v: v.real, lambda v: v.imag):
-            shifted = WeightSequence.periodic([part(v) + c for v in period])
+            shifted = WeightSequence("periodic",
+                                     period=[part(v) + c for v in period])
             for n in (1, 6, 17):
                 value = average(ch, M4.identity(), n, shifted).uniform_norm()
                 assert value <= 2 * c + 1e-12
@@ -921,8 +925,8 @@ class TestTrajectoryOracle:
             ch = random_unitary_mixture(MULTI, 2, rng)
         x = random_operator(MULTI, rng)
         horizon = 64
-        norms = (NormSpec.uniform(), NormSpec.lp(2),
-                 NormSpec.lorentz(3, 2))
+        norms = (NormSpec("uniform"), NormSpec("lp", 2.0),
+                 NormSpec("lorentz", 3.0, 2.0))
         report = trajectory(ch, x, horizon, norms)
         proj = schur_projection(ch.superop)
         assert np.any(proj) == (family == "unital")

@@ -2,9 +2,11 @@
 module-level private name is read somewhere in the package, no module
 imports anything outside the standard library and its runtime
 dependencies, and none reads the environment (parsed with `ast`, so no
-linter is needed)."""
+linter is needed).  The names that the benchmark's tracer binds exist."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -153,3 +155,20 @@ def test_finds_environment_reads():
 def test_no_environment_reads(module):
     # results depend only on the config and the command line
     assert environment_reads((PACKAGE / module).read_text()) == []
+
+
+def test_benchmark_tracer_bindings_exist():
+    # perfbench/tracer.py wraps every function of its LAYERS modules and
+    # the METHODS on their classes; a rename would break a traced run
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+    for layer, cls_name, attr in tracer.METHODS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        assert attr in vars(getattr(module, cls_name)), (cls_name, attr)
+    cli = importlib.import_module(f"{tracer.PACKAGE}.cli")
+    assert set(cli._RUNNERS) == set(cli.SUBCOMMANDS)
+    assert len(cli.SUBCOMMANDS) == 6

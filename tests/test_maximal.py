@@ -90,7 +90,7 @@ def weighted_trajectory(seed, horizon=24):
     rng = stream(seed, "maximal")
     channel = random_kraus_channel(MULTI, 3, rng)
     x = random_operator(MULTI, rng)
-    beta = WeightSequence.periodic([1.0, 1j, -1.0, -1j])
+    beta = WeightSequence("periodic", period=[1.0, 1j, -1.0, -1j])
     ops = [Operator.from_vec(MULTI, vec)
            for _, vec in ergodic_averages(channel, x, horizon, beta)]
     return channel, x, beta, ops, rng
@@ -123,7 +123,7 @@ class TestCompressedSup:
 
     def test_zero_projection_and_unknown_mode(self):
         _, _, _, ops, _ = weighted_trajectory(402, horizon=3)
-        assert compressed_sup(stacks(ops), Projection.zero(MULTI)) == 0.0
+        assert compressed_sup(stacks(ops), Projection(MULTI.zero())) == 0.0
         with pytest.raises(ValueError):
             compressed_sup(stacks(ops), Projection.identity(MULTI), "both")
 
@@ -735,7 +735,7 @@ class TestCheckerStacks:
         channel, x, report = found_yeadon_cell()
         passes = count_passes(monkeypatch)
         checker = CheckerStacks(channel, x, report.horizon)
-        zero = check_witness(checker, Projection.zero(MULTI),
+        zero = check_witness(checker, Projection(MULTI.zero()),
                              MULTI.total_trace, 0.0, tol=0.0)
         assert zero.sup_value == 0.0 and zero.passed
         assert zero.trace_defect == MULTI.total_trace

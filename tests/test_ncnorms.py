@@ -47,19 +47,20 @@ class TestSingularFunction:
         assert sf.to_csv_rows() == [(0.0, 3.0), (0.5, 1.0)]
 
     def test_right_continuity_at_breakpoints(self):
+        # values[k] holds on [bounds[k], bounds[k+1]): mu(1) = 1 is the
+        # right-hand value, and mu = 0 from t = 2 on
         sf = singular_function(diag([3, 1]))
-        assert sf.mu(1.0) == pytest.approx(1.0)   # right-hand value
-        assert sf.mu(0.999999) == pytest.approx(3.0)
-        assert sf.mu(2.0) == 0.0
+        assert sf.bounds.tolist() == [0.0, 1.0, 2.0]
+        assert sf.values.tolist() == [3.0, 1.0]
 
     def test_monotone_nonincreasing(self):
         rng = stream(40, "mu")
         for _ in range(10):
             x = random_operator(MIXED, rng)
             sf = singular_function(x)
-            grid = np.linspace(0, sf.total_support * 1.1, 101)
-            vals = sf.mu(grid)
-            assert np.all(np.diff(vals) <= 1e-15)
+            assert np.all(np.diff(sf.values) < 0)
+            assert np.all(sf.values > 0)
+            assert np.all(np.diff(sf.bounds) > 0)
 
     def test_support_bounded_by_total_trace(self):
         rng = stream(41, "mu")
