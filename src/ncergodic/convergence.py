@@ -211,7 +211,6 @@ def condition_iii(norm: NormSpec) -> ConditionIIIReport | None:
 @dataclass
 class BesicovitchReport:
     limit: Operator
-    limit_exact: bool
     schedule: list
     residuals: dict      # norm label -> list
     cauchy: dict         # norm label -> list of consecutive distances
@@ -256,5 +255,5 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
 
     witness = _deviation_witness(channel.algebra, 0.05, horizon,
                                  "two_sided", limit, averages)
-    return BesicovitchReport(limit, True, schedule, residuals, cauchy,
-                             witness, certificate_ok)
+    return BesicovitchReport(limit, schedule, residuals, cauchy, witness,
+                             certificate_ok)

@@ -17,6 +17,10 @@ trace-nonincreasing is equivalent to subunitality of the trace adjoint,
 T*(1) <= 1.  DS+ is the one contract of the ergodic theorems (Yeadon,
 Math. Proc. Cambridge 1977): any linear map can be built and verified,
 but only a DS+ channel is meant for averages, witnesses and limits.
+Constructors build: they check only what their data and kind need
+(shapes, a diagonal algebra, a Hermitian positive semidefinite
+multiplier, a unitary), and `verify_ds` alone decides DS+, once per
+channel.
 
 `verify_ds` certifies positivity as complete positivity: by Kraus data,
 which compositions, mixtures and multiples by c >= 0 pass on, or by
@@ -91,10 +95,6 @@ class Channel:
         if x.algebra != self.algebra:
             raise ChannelConstructionError("operator from a different algebra")
         return Operator.from_vec(self.algebra, self.superop @ x.vec())
-
-    @property
-    def is_ds_plus(self) -> bool:
-        return self.verification.is_ds_plus
 
     def eigenvalues(self) -> np.ndarray:
         """Superoperator spectrum, computed once, cached read-only.
@@ -360,36 +360,22 @@ def verify_ds(channel: Channel) -> DSVerification:
 # Constructors.  Each returns a channel carrying its DS+ verification.
 # ---------------------------------------------------------------------
 
-def _conjugation_superop(algebra: AlgebraSpec, left: Operator,
-                         right: Operator) -> np.ndarray:
-    """Superoperator of x -> left x right (blockwise maps)."""
-    n = algebra.vec_dim
-    out = np.zeros((n, n), dtype=complex)
-    offs = algebra.block_offsets()
-    for i, d in enumerate(algebra.dims):
-        kron = np.kron(left.block(i), right.block(i).T)
-        sl = slice(offs[i], offs[i] + d * d)
-        out[sl, sl] = kron
-    return out
-
-
 def _kraus_superop(algebra: AlgebraSpec, ops) -> np.ndarray:
+    """Superoperator of x -> sum_k a_k x a_k*: per block, the sum of
+    kron(a_k, conj(a_k)) in the order of ops."""
     n = algebra.vec_dim
     out = np.zeros((n, n), dtype=complex)
-    for a in ops:
-        out += _conjugation_superop(algebra, a, a.adjoint())
+    for i, (off, d) in enumerate(zip(algebra.block_offsets(), algebra.dims)):
+        sl = slice(off, off + d * d)
+        for a in ops:
+            out[sl, sl] += np.kron(a.block(i), a.block(i).conj())
     return out
 
 
 def kraus_channel(algebra: AlgebraSpec, ops, kind="kraus") -> Channel:
-    """T(x) = sum_k a_k x a_k*, completely positive by construction."""
-    ch = Channel(algebra, _kraus_superop(algebra, ops), kraus=ops, kind=kind)
-    if not ch.is_ds_plus:
-        raise ChannelConstructionError(
-            "Kraus family is not Dunford-Schwartz: "
-            f"||T(1)||={ch.verification.subunital_value:.6g}, "
-            f"||T'(1)||={ch.verification.adjoint_unit_value:.6g}")
-    return ch
+    """T(x) = sum_k a_k x a_k*, completely positive by construction;
+    `verify_ds` decides whether it is subunital and trace-nonincreasing."""
+    return Channel(algebra, _kraus_superop(algebra, ops), kraus=ops, kind=kind)
 
 
 def identity_channel(algebra: AlgebraSpec) -> Channel:
@@ -429,9 +415,10 @@ def pinching(algebra: AlgebraSpec, labels) -> Channel:
 def schur_multiplier(algebra: AlgebraSpec, mats) -> Channel:
     """Entrywise multiplier x_i -> m_i (*) x_i per block.
 
-    Requires every m_i positive semidefinite with diagonal <= 1; the
-    Kraus decomposition diag(sqrt(mu_k) v_k) comes from the
-    eigendecomposition of m_i.
+    Requires every m_i Hermitian positive semidefinite; the Kraus
+    decomposition diag(sqrt(mu_k) v_k) comes from the eigendecomposition
+    of m_i.  T(1) = T*(1) = diag(m), so `verify_ds` finds the map DS+
+    exactly when every diagonal entry is at most 1.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != algebra.num_blocks:
@@ -448,8 +435,6 @@ def schur_multiplier(algebra: AlgebraSpec, mats) -> Channel:
         if lam[0] < -DEFAULT_TOL:
             raise ChannelConstructionError(
                 f"multiplier not PSD (min eig {lam[0]:.2e})")
-        if np.max(m.diagonal().real) > 1.0 + DEFAULT_TOL:
-            raise ChannelConstructionError("multiplier diagonal exceeds 1")
         for k in range(d):
             if lam[k] <= 0:
                 continue
@@ -462,10 +447,9 @@ def schur_multiplier(algebra: AlgebraSpec, mats) -> Channel:
 def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
     """Markov-type map on a diagonal algebra: (T x)_i = sum_j P_ij x_j.
 
-    Requires all blocks 1x1, P entrywise >= 0, row sums <= 1 and
-    weighted column sums sum_i w_i P_ij <= w_j: together these are
-    exactly subunitality and trace-nonincreasing, and entrywise
-    positivity makes the map positive on the diagonal algebra.
+    Requires all blocks 1x1.  `verify_ds` decides DS+: the block-pair
+    Choi matrices are the entries P_ij, T(1) holds the row sums and T*(1)
+    the weighted column sums sum_i w_i P_ij / w_j.
     """
     if not algebra.is_diagonal:
         raise ChannelConstructionError(
@@ -477,17 +461,6 @@ def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
         raise ChannelConstructionError(f"matrix: {exc}") from exc
     if p.shape != (n, n):
         raise ChannelConstructionError(f"matrix must be {n}x{n}")
-    if np.min(p) < -DEFAULT_TOL:
-        raise ChannelConstructionError("matrix entries must be non-negative")
-    row_sums = p.sum(axis=1)
-    if np.max(row_sums) > 1.0 + DEFAULT_TOL:
-        raise ChannelConstructionError(
-            f"row sum {row_sums.max():.6g} exceeds 1")
-    w = np.array(algebra.weights)
-    col = (w[:, None] * p).sum(axis=0) / w
-    if np.max(col) > 1.0 + DEFAULT_TOL:
-        raise ChannelConstructionError(
-            f"weighted column sum {col.max():.6g} exceeds 1")
     return Channel(algebra, p.astype(complex), kind="substochastic")
 
 

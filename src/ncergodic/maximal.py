@@ -69,8 +69,6 @@ class WitnessReport:
     mode: str
     checker_passed: bool
     found: bool = True
-    eps: float = 0.0
-    p: float = 1.0
     weight_bound: float = 1.0
 
     def within_budgets(self) -> bool:
@@ -174,7 +172,7 @@ def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
     )
 
 
-def _finalize(checker, e, trace_budget, sup_budget, method, mode, eps, p,
+def _finalize(checker, e, trace_budget, sup_budget, method, mode,
               c) -> WitnessReport:
     outcome = check_witness(checker, e, trace_budget, sup_budget, mode)
     return WitnessReport(
@@ -187,8 +185,6 @@ def _finalize(checker, e, trace_budget, sup_budget, method, mode, eps, p,
         method=method,
         mode=mode,
         checker_passed=outcome.passed,
-        eps=eps,
-        p=p,
         weight_bound=c,
     )
 
@@ -217,8 +213,7 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
     cuts = _strategy_hopf_abelian(channel, stacks,
                                   [(eps, None) for eps in eps_grid])
     checker = CheckerStacks(channel, x, horizon)
-    return [_finalize(checker, e, norm / eps, eps, "hopf", "two_sided", eps,
-                      1.0, 1.0)
+    return [_finalize(checker, e, norm / eps, eps, "hopf", "two_sided", 1.0)
             for e, eps in zip(cuts, eps_grid)]
 
 
@@ -285,8 +280,11 @@ def _strategy_level_set(channel, stacks, stops):
     each cut and its sup are built on first use and shared by the stops.
     """
     scale = complex(1.0 / len(stacks[0]))
+    # symmetrised as `eigh` does it, so the bits stay and its Hermitian
+    # check passes at any scale of x
     mean = Operator(channel.algebra,
-                    [scale * _ordered_sum(stack) for stack in stacks])
+                    [_hermitian(scale * _ordered_sum(stack))
+                     for stack in stacks])
     dec = eigh(mean)
 
     @functools.cache
@@ -436,18 +434,19 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
     the independent checker wins.  Where all strategies fall short, the
     result is the best infeasible candidate, the one with the smallest
     measured sup, with found=False; it is not a refutation since the
-    search is incomplete.
+    search is incomplete.  x >= 0 is tested here, once.
     """
+    if not x.is_positive():
+        raise NotPositiveError("yeadon witness requires x >= 0")
     return _yeadon_search(channel, x, eps_grid, horizon,
                           CheckerStacks(channel, x, horizon))
 
 
 def _yeadon_search(channel, x, eps_grid, horizon, checker):
-    """`yeadon_witness_search`, checked on the given checker stacks of x."""
+    """`yeadon_witness_search` for an x >= 0 that the caller has tested or
+    built positive, checked on the given checker stacks of x."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
-    if not x.is_positive():
-        raise NotPositiveError("yeadon witness requires x >= 0")
     norm = lp_norm(x, 1)
     stops = [(eps, norm / eps) for eps in eps_grid]
     stacks = _average_stacks(channel, x, horizon)
@@ -463,7 +462,7 @@ def _yeadon_search(channel, x, eps_grid, horizon, checker):
                 continue
             eps, trace_budget = stops[k]
             report = _finalize(checker, e, trace_budget, eps, name,
-                               "two_sided", eps, 1.0, 1.0)
+                               "two_sided", 1.0)
             if report.checker_passed:
                 results[k] = report
             elif best[k] is None or (report.sup_compression
@@ -481,11 +480,20 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
     Runs the weak (1,1) search on x^p at the levels eps^p; the spectral
     bound x <= x_eps + eps^(1-p) x^p turns that witness into
     sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p.
+    x >= 0 is tested here, once; `_lp_search` does the work.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     if not x.is_positive():
         raise NotPositiveError("lp witness requires x >= 0")
+    return _lp_search(channel, x, p, eps_grid, horizon)
+
+
+def _lp_search(channel, x, p, eps_grid, horizon):
+    """`lp_witness` for an x >= 0 that the caller has tested or built
+    positive (the parts of `weighted_witness`, h h in
+    `one_sided_witness`); neither it nor the operators it derives from x
+    are tested again."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
     checker = CheckerStacks(channel, x, horizon)
     powered = x if p == 1 else positive_power(x, p)
     # at p = 1 the search checks x itself, on the same stacks
@@ -496,15 +504,15 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
     results = []
     for base, eps in zip(bases, eps_grid):
         report = _finalize(checker, base.projection, (norm / eps) ** p,
-                           2.0 * eps, f"lp[{base.method}]", "two_sided", eps,
-                           p, 1.0)
+                           2.0 * eps, f"lp[{base.method}]", "two_sided", 1.0)
         report.found = base.found
         results.append(report)
     return results
 
 
 def _positive_parts(x):
-    """Nonzero positive parts of x; positive x stays whole."""
+    """Nonzero positive parts of x; positive x stays whole.  Each part is
+    positive by construction."""
     if x.is_positive():
         return [x]
     scale_ref = max(x.uniform_norm(), 1.0)
@@ -554,10 +562,10 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
         return _finalize(checker, e, len(parts) * (norm / eps) ** p,
                          len(parts) * per_part,
                          f"weighted[{'+'.join(w.method for w in witnesses)}]",
-                         "two_sided", eps, p, c)
+                         "two_sided", c)
 
     return _part_witnesses(
-        parts, lambda part, grid: lp_witness(channel, part, p, grid, horizon),
+        parts, lambda part, grid: _lp_search(channel, part, p, grid, horizon),
         eps_grid, finish)
 
 
@@ -599,9 +607,9 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
                           * eps)
         return _finalize(checker, e, trace_budget, sup_budget,
                          f"one-sided[{'+'.join(w.method for w in witnesses)}]",
-                         "one_sided", eps, p, c)
+                         "one_sided", c)
 
     return _part_witnesses(
-        parts, lambda h, grid: lp_witness(channel, h @ h, p / 2.0,
+        parts, lambda h, grid: _lp_search(channel, h @ h, p / 2.0,
                                           [eps ** 2 for eps in grid], horizon),
         eps_grid, finish)

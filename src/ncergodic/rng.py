@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Operator
+from .algebra import AlgebraSpec, Operator, Projection
 
 
 def stream(seed, *key) -> np.random.Generator:
@@ -78,8 +78,6 @@ def random_unitary_operator(algebra: AlgebraSpec, rng) -> Operator:
 def random_projection(algebra: AlgebraSpec, rng):
     """Random projection: per block, a coordinate subspace of
     Binomial(dim, 1/2) rank rotated by a random unitary."""
-    from .algebra import Projection
-
     u = random_unitary_operator(algebra, rng)
     blocks = []
     for i, (dim, _) in enumerate(algebra.blocks):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Operator, Projection, require_hermitian
-from .errors import NotPositiveError
 from .util import EIG_CLUSTER_TOL, MEET_KERNEL_TOL
 
 
@@ -79,9 +78,9 @@ def eigh(x: Operator) -> SpectralDecomposition:
 
 def positive_power(x: Operator, p: float) -> Operator:
     """x^p for positive x via functional calculus (tiny negative
-    eigenvalues from roundoff are clipped to zero)."""
-    if not x.is_positive():
-        raise NotPositiveError("positive_power needs a positive operator")
+    eigenvalues from roundoff are clipped to zero).  x >= 0 is not tested
+    here: its one caller, `maximal._lp_search`, is given an x that
+    `lp_witness` has tested or that is positive by construction."""
     blocks = []
     for b in x.blocks:
         lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)

@@ -4,17 +4,21 @@ On seeded DS+ channels over algebras of one to three blocks, a witness
 that a builder reports as found must pass a fresh `check_witness`
 against budgets computed here from the paper's constants, not read from
 the report.  On diagonal algebras the Hopf witness must equal the
-indicator of a brute-force maximal function.
+indicator of a brute-force maximal function.  The witnesses are
+homogeneous: certifying (c x, c eps) gives the verdicts and ratios of
+(x, eps).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncergodic.algebra import AlgebraSpec, hermitian_decompose
-from ncergodic.dynamics import random_kraus_channel, random_substochastic
+from ncergodic.dynamics import (random_kraus_channel, random_substochastic,
+                                random_unitary_mixture)
 from ncergodic.maximal import (CheckerStacks, check_witness,
                                hopf_witness_commutative, lp_witness,
                                one_sided_witness, weighted_witness,
@@ -138,3 +142,34 @@ def test_hopf_equals_brute_force_maximal_function(weights, seed, eps,
     killed = float(np.dot(weights, ~kept))
     assert killed <= lp_norm(x, 1) / eps + 1e-12
     assert report.checker_passed
+
+
+# method -> (builder on (channel, x, eps_grid, horizon), element kind);
+# lp needs x >= 0, as the CLI draws it
+SCALED_BUILDERS = {
+    "lp": (lambda ch, x, grid, n: lp_witness(ch, x, 2.0, grid, n),
+           "positive"),
+    "weighted": (lambda ch, x, grid, n: weighted_witness(
+        ch, x, 2.0, WeightSequence.constant(1.0), grid, n), "general"),
+    "one-sided": (lambda ch, x, grid, n: one_sided_witness(
+        ch, x, 2.0, WeightSequence.constant(1.0), grid, n), "general"),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
+@pytest.mark.parametrize("method", sorted(SCALED_BUILDERS))
+def test_scaled_element_same_verdicts(method, scale):
+    # one 6x6 block, a unitary mixture, horizon 64 and eps = ||x||/4
+    algebra = AlgebraSpec(((6, 1.0),))
+    build, kind = SCALED_BUILDERS[method]
+    for seed in range(3):
+        channel = random_unitary_mixture(algebra, 3, stream(seed, "channel"))
+        x = random_operator(algebra, stream(seed, "element"), kind=kind,
+                            uniform_norm=1.0)
+        [base] = build(channel, x, [0.25], 64)
+        [scaled] = build(channel, x * scale, [0.25 * scale], 64)
+        assert base.found and base.checker_passed
+        assert (scaled.found, scaled.checker_passed) == (True, True)
+        assert scaled.trace_ratio == pytest.approx(base.trace_ratio,
+                                                   rel=1e-9)
+        assert scaled.sup_ratio == pytest.approx(base.sup_ratio, rel=1e-9)

@@ -138,7 +138,7 @@ class TestChannelKinds:
         assert set(MINIMAL_SPECS) == set(CHANNEL_KINDS)
         for kind in CHANNEL_KINDS:
             channel = channel_from_spec(DIAG2, MINIMAL_SPECS[kind], run_seed=3)
-            assert channel.is_ds_plus, kind
+            assert channel.verification.is_ds_plus, kind
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
         config["channel"] = {"kind": "warp"}
         path = tmp_path / "warp.json"
@@ -303,6 +303,13 @@ MALFORMED = {
         "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
         "channel": {"kind": "substochastic",
                     "matrix": [[0.5, 0.5], [0.5]]}}),
+    # complex values that are not [re, im] pairs
+    "scaled-factor-not-complex": ("verify-channel", {"channel": {
+        "kind": "scaled", "child": {"kind": "identity"}, "factor": [0.5]}}),
+    "kraus-operator-block-not-complex": ("verify-channel", {"channel": {
+        "kind": "kraus", "operators": [{"blocks": [[1, 0, 0, 1]]}]}}),
+    "unitary-matrix-block-not-complex": ("verify-channel", {"channel": {
+        "kind": "unitary", "matrix": {"blocks": [[1, 0, 0, 1]]}}}),
 }
 
 # what the error line of a malformed config must name
@@ -328,7 +335,33 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                   "schur-matrix-wrong-length": "block lengths [5]",
                   "explicit-element-wrong-length": "block lengths [1]",
                   "diagonal-element-wrong-length": "diagonal length",
-                  "substochastic-ragged-matrix": "matrix: "}
+                  "substochastic-ragged-matrix": "matrix: ",
+                  "scaled-factor-not-complex": "$.channel.factor: ",
+                  "kraus-operator-block-not-complex":
+                      "$.channel.operators[0].blocks[0]",
+                  "unitary-matrix-block-not-complex":
+                      "$.channel.matrix.blocks[0]"}
+
+# Maps that their constructors build and `verify_ds` does not certify DS+:
+# (algebra, channel, the failing flags, the gate's reason)
+_IDENTITY_M2 = {"blocks": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}
+OUTSIDE_DS_PLUS = {
+    "kraus-expanding": (
+        {"blocks": [[2, 1.0]]},
+        {"kind": "kraus", "operators": [_IDENTITY_M2, _IDENTITY_M2]},
+        {"subunital", "trace_nonincreasing"},
+        "subunital_value 2 > 1; adjoint_unit_value 2 > 1"),
+    "substochastic-row-sum": (
+        {"blocks": [[1, 1.0], [1, 1.0]]},
+        {"kind": "substochastic", "matrix": [[1.0, 0.5], [0.0, 0.5]]},
+        {"subunital"}, "subunital_value 1.5 > 1"),
+    "schur-diagonal-2": (
+        {"blocks": [[2, 1.0]]},
+        {"kind": "schur",
+         "matrices": {"blocks": [[[2, 0], [0.5, 0], [0.5, 0], [1, 0]]]}},
+        {"subunital", "trace_nonincreasing"},
+        "subunital_value 2 > 1; adjoint_unit_value 2 > 1"),
+}
 
 
 class TestMalformedConfig:
@@ -395,6 +428,31 @@ class TestMalformedConfig:
         assert verification["subunital_value"] == pytest.approx(1.5)
         assert verification["adjoint_unit_value"] == pytest.approx(1.5)
         assert verification["is_ds_plus"] is False
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_DS_PLUS))
+    def test_constructors_build_what_the_gate_refuses(self, tmp_path, name):
+        # verify-channel reports the map; certify refuses it
+        algebra, channel, failing, reason = OUTSIDE_DS_PLUS[name]
+        config = {"seed": 3, "algebra": algebra, "channel": channel,
+                  "certify": _CERTIFY}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("verify-channel", "--config", str(path),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "verify-channel.json").read_text())
+        verification = report["summary"]["verification"]
+        assert verification["positive"] is True
+        for flag in ("subunital", "trace_nonincreasing"):
+            assert verification[flag] is (flag not in failing)
+        assert verification["is_ds_plus"] is False
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli("certify", "--config", str(path),
+                           "--out", str(tmp_path / "certify"))
+        assert code == 1
+        assert err.getvalue() == (f"error: channel {channel['kind']!r} is "
+                                  f"not DS+: {reason}\n")
+        assert not (tmp_path / "certify").exists()
 
 
 class TestCertifyContract:

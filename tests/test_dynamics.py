@@ -65,10 +65,22 @@ class TestVerifyDS:
         assert report.subunital_value == pytest.approx(1.0)
         assert report.adjoint_unit_value == pytest.approx(0.75)
 
-    def test_row_sum_violation_rejected(self):
-        p = np.array([[1.0, 0.5], [0.0, 0.5]])
-        with pytest.raises(ChannelConstructionError):
-            substochastic(DIAG2, p)
+    def test_row_sum_violation_reported(self):
+        # the constructor builds; verify_ds reads the row sum 1.5 off T(1)
+        report = substochastic(DIAG2, np.array([[1.0, 0.5],
+                                                [0.0, 0.5]])).verification
+        assert report.positive and report.trace_nonincreasing
+        assert not report.subunital
+        assert report.subunital_value == pytest.approx(1.5)
+        assert not report.is_ds_plus
+
+    def test_negative_entry_is_unverified(self):
+        # the Choi blocks of a diagonal algebra are the entries P_ij
+        report = substochastic(DIAG2, np.array([[0.5, -0.25],
+                                                [0.0, 0.5]])).verification
+        assert report.evidence == "unverified"
+        assert report.choi_min_eigenvalue == pytest.approx(-0.25)
+        assert not report.is_ds_plus
 
     def test_report_carries_failures(self):
         # a non-contractive map built directly: report, not exception
@@ -102,7 +114,7 @@ class TestVerifyDS:
         assert expanding.verification.adjoint_unit_value == \
             pytest.approx(1.8, rel=1e-12)
         assert not expanding.verification.trace_nonincreasing
-        assert not expanding.is_ds_plus
+        assert not expanding.verification.is_ds_plus
 
     def test_construction_keeps_one_dense_superoperator(self):
         # T*(1) is read from the superoperator, never from a dense copy
@@ -116,7 +128,7 @@ class TestVerifyDS:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
         assert kept <= 1.1 * dense
         assert peak < 1.5 * dense
 
@@ -124,13 +136,13 @@ class TestVerifyDS:
 class TestConstructors:
     def test_pinching_is_ds(self):
         ch = pinching(M2, [0, 1])
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
         x = mat([[1, 5], [7, 2]])
         assert ch.apply(x).allclose(mat([[1, 0], [0, 2]]), tol=1e-12)
 
     def test_schur_multiplier(self):
         ch = schur_multiplier(M2, [np.array([[1.0, 0.5], [0.5, 1.0]])])
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
         x = mat([[1, 2], [2, 1]])
         assert ch.apply(x).allclose(mat([[1, 1], [1, 1]]), tol=1e-10)
 
@@ -143,18 +155,33 @@ class TestConstructors:
         u = random_unitary_operator(M2, rng)
         ch = convex_combine([unitary_conjugation(u), pinching(M2, [0, 1])],
                             [0.5, 0.5])
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
 
     def test_compose_keeps_ds(self):
         rng = stream(72, "ctor")
         a = unitary_conjugation(random_unitary_operator(M2, rng))
         b = pinching(M2, [0, 1])
-        assert compose(a, b).is_ds_plus
+        assert compose(a, b).verification.is_ds_plus
 
-    def test_kraus_rejects_expanding_family(self):
-        ops = [M2.identity(), M2.identity()]
-        with pytest.raises(ChannelConstructionError):
-            kraus_channel(M2, ops)
+    def test_kraus_reports_expanding_family(self):
+        # T = 2 id: completely positive, neither subunital nor
+        # trace-nonincreasing; verify_ds says so, the constructor builds
+        ch = kraus_channel(M2, [M2.identity(), M2.identity()])
+        report = ch.verification
+        assert report.evidence == "kraus"
+        assert report.subunital_value == pytest.approx(2.0)
+        assert report.adjoint_unit_value == pytest.approx(2.0)
+        assert not report.subunital and not report.trace_nonincreasing
+        assert not report.is_ds_plus
+
+    def test_schur_diagonal_above_one_reported(self):
+        # T(1) = T*(1) = diag(m) for a Schur multiplier
+        report = schur_multiplier(
+            M2, [np.array([[2.0, 0.5], [0.5, 1.0]])]).verification
+        assert report.positive
+        assert report.subunital_value == pytest.approx(2.0)
+        assert report.adjoint_unit_value == pytest.approx(2.0)
+        assert not report.is_ds_plus
 
     def test_complex_multiple_is_unverified(self):
         rng = stream(73, "ctor")
@@ -163,15 +190,19 @@ class TestConstructors:
         assert ch.kraus is None
         assert ch.verification.evidence == "unverified"
         assert not ch.verification.positive
-        assert not ch.is_ds_plus
+        assert not ch.verification.is_ds_plus
 
     def test_substochastic_weighted_columns(self):
         alg = AlgebraSpec(((1, 2.0), (1, 1.0)))
-        # column j=1 weighted sum: (2*0.9)/1 = 1.8 > 1 must be rejected
-        with pytest.raises(ChannelConstructionError):
-            substochastic(alg, np.array([[0.0, 0.9], [0.0, 0.0]]))
+        # column j=1 weighted sum: (2*0.9)/1 = 1.8 > 1, read off T*(1)
+        report = substochastic(
+            alg, np.array([[0.0, 0.9], [0.0, 0.0]])).verification
+        assert report.subunital
+        assert not report.trace_nonincreasing
+        assert report.adjoint_unit_value == pytest.approx(1.8)
+        assert not report.is_ds_plus
         ok = substochastic(alg, np.array([[0.0, 0.5], [0.9, 0.0]]))
-        assert ok.is_ds_plus
+        assert ok.verification.is_ds_plus
 
 
 class TestErgodicAverage:
@@ -418,7 +449,7 @@ class TestChannelSpecs:
                 "matrix": {"blocks": [[[1, 0], [0, 0], [0, 0], [-1, 0]]]}}
         ch = channel_from_spec(M2, spec)
         assert ch.kind == "unitary"
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
 
     def test_random_specs_deterministic(self):
         spec = {"kind": "random-kraus", "num_ops": 3, "seed": 5}
@@ -433,7 +464,7 @@ class TestChannelSpecs:
                 "children": [{"kind": "identity"},
                              {"kind": "pinching", "labels": [0, 1]}],
                 "probabilities": [0.25, 0.75]}
-        assert channel_from_spec(M2, spec).is_ds_plus
+        assert channel_from_spec(M2, spec).verification.is_ds_plus
 
     def test_unknown_kind(self):
         with pytest.raises(ChannelConstructionError):
@@ -777,7 +808,7 @@ class TestChoiCertificate:
         for ch in (transpose, half, imaginary):
             assert ch.verification.evidence == "unverified"
             assert not ch.verification.positive
-            assert not ch.is_ds_plus
+            assert not ch.verification.is_ds_plus
         # the transpose fails positivity only
         assert transpose.verification.subunital
         assert transpose.verification.trace_nonincreasing
@@ -800,7 +831,7 @@ class TestChoiCertificate:
         assert len(calls) == (want == "choi")
         assert (ch.verification.choi_min_eigenvalue is None) == (
             want == "kraus")
-        assert ch.is_ds_plus
+        assert ch.verification.is_ds_plus
 
 
 def certified_channels():

@@ -618,7 +618,7 @@ class TestGridEqualsSingleEps:
         # a part searched at the eps where every earlier part was found
         channel, x, beta, horizon = mix8(workloads, "random")
         grids, forced = [], []
-        lp = maximal.lp_witness
+        lp = maximal._lp_search
 
         def failing_first_part(channel, part, p, grid, horizon):
             grids.append(list(grid))
@@ -628,7 +628,7 @@ class TestGridEqualsSingleEps:
                 forced.append(results[0])
             return results
 
-        monkeypatch.setattr(maximal, "lp_witness", failing_first_part)
+        monkeypatch.setattr(maximal, "_lp_search", failing_first_part)
         results = weighted_witness(channel, x, 2.0, beta, MIX8_GRID, horizon)
         assert grids[0] == MIX8_GRID
         assert all(grid == MIX8_GRID[1:] for grid in grids[1:])
