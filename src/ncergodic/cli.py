@@ -51,6 +51,7 @@ SUBCOMMANDS = ("verify-channel", "certify", "converge", "besicovitch",
 _COMPLEX = {"type": "array", "items": {"type": "number"},
             "minItems": 2, "maxItems": 2}
 _COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
+_COUNT = {"type": "integer", "minimum": 1}
 # an operator's blocks, each a row-major list of [re, im] pairs
 _OPERATOR_SCHEMA = {
     "type": "object",
@@ -77,6 +78,12 @@ _CHANNEL_SCHEMA = {
         "operators": {"type": "array", "items": _OPERATOR_SCHEMA},
         "matrices": _OPERATOR_SCHEMA,
         "factor": _COMPLEX,
+        "probabilities": {"type": "array", "items": {"type": "number"}},
+        "labels": {"type": "array", "items": {"type": "integer"}},
+        "num_ops": _COUNT,
+        "num": _COUNT,
+        "min_gap": {"type": "number"},
+        "margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
     },
     # the fields `channel_from_spec` reads for each kind
     "allOf": [_kind_needs("pinching", "labels"),
@@ -306,7 +313,14 @@ def element_from_spec(algebra: AlgebraSpec, spec, rng) -> Operator:
 
 
 def _norm_specs(items):
-    return [NormSpec.from_json(item) for item in items]
+    """The gauges of a norms list; a label keys both the residuals and
+    the CSV column, so no label may repeat."""
+    specs = [NormSpec.from_json(item) for item in items]
+    labels = [spec.label for spec in specs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"norms: the label {label!r} is listed twice")
+    return specs
 
 
 def _ds_plus_channel(algebra, spec, run_seed):
@@ -452,6 +466,20 @@ def run_certify(config):
     return header, rows, summary, (2 if discrepancies else 0)
 
 
+def _trajectory_rows(config, algebra, channel, cell, report, norms):
+    """One CSV row per scheduled n of a trajectory: the base columns, the
+    cell, n and the residual in each norm."""
+    return [_base(config, algebra, channel.kind) + [cell, n]
+            + [report.residuals[spec.label][i] for spec in norms]
+            for i, n in enumerate(report.schedule)]
+
+
+def _witness_json(witness):
+    return {"trace_defect": witness.trace_defect,
+            "final_profile": witness.profile[-1],
+            "profile": witness.profile}
+
+
 def run_converge(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["converge"]
@@ -464,7 +492,8 @@ def run_converge(config):
         _ds_plus_channel(algebra, config["channel"],
                          derive_seed(seed, "cell", 0))
 
-    def work(seed_idx):
+    rows, cell_summaries = [], []
+    for seed_idx in cells:
         channel = _ds_plus_channel(algebra, config["channel"],
                                    derive_seed(seed, "cell", seed_idx))
         rng = stream(seed, "element", seed_idx)
@@ -472,35 +501,24 @@ def run_converge(config):
         report = trajectory(channel, x, horizon, norms)
         au = au_witness(report, eps)
         bau = bau_witness(report, eps)
-        rows = []
-        for i, n in enumerate(report.schedule):
-            row = _base(config, algebra, channel.kind) + [seed_idx, n]
-            row += [report.residuals[spec.label][i] for spec in norms]
-            rows.append(row)
-        cell_summary = {
+        rows += _trajectory_rows(config, algebra, channel, seed_idx, report,
+                                 norms)
+        cell_summaries.append({
             "cell": seed_idx,
             "spectral_gap": channel.spectral_gap(),
             "fixed_space_dim": channel.eigenspace_dim(),
             "spectral_radius_bound": channel.spectral_radius_bound,
             "spectrum": channel.spectrum,
             "mean_convergence": report.verdicts,
-            "au": {"trace_defect": au.trace_defect,
-                   "final_profile": au.final_value,
-                   "profile": au.profile},
-            "bau": {"trace_defect": bau.trace_defect,
-                    "final_profile": bau.final_value,
-                    "profile": bau.profile},
-        }
-        return rows, cell_summary
-
-    results = [work(seed_idx) for seed_idx in cells]
+            "au": _witness_json(au),
+            "bau": _witness_json(bau),
+        })
 
     header = _BASE_COLUMNS + ["cell", "n"] + \
         [f"res_{spec.label}" for spec in norms]
-    rows = [row for cell_rows, _ in results for row in cell_rows]
     # condition (iii) depends on the norm only, not on the cell
     reports = {spec.label: condition_iii(spec) for spec in norms}
-    summary = {"cells": [s for _, s in results], "eps": eps,
+    summary = {"cells": cell_summaries, "eps": eps,
                "condition_iii": {label: asdict(r) for label, r
                                  in reports.items() if r is not None}}
     return header, rows, summary, 0
@@ -519,25 +537,21 @@ def run_besicovitch(config):
 
     header = _BASE_COLUMNS + ["cell", "n"] + \
         [f"res_{spec.label}" for spec in norms] + \
-        [f"cauchy_{spec.label}" for spec in norms] + ["cauchy_measure"]
-    rows = []
-    for i, n in enumerate(report.schedule):
-        row = _base(config, algebra, channel.kind) + [0, n]
-        row += [report.residuals[spec.label][i] for spec in norms]
-        for spec in norms:
-            row.append(report.cauchy[spec.label][i - 1] if i else "")
-        row.append(report.cauchy["measure"][i - 1] if i else "")
-        rows.append(row)
+        [f"cauchy_{label}" for label in report.cauchy]
+    rows = _trajectory_rows(config, algebra, channel, 0, report.trajectory,
+                            norms)
+    for i, row in enumerate(rows):
+        row += [distances[i - 1] if i else ""
+                for distances in report.cauchy.values()]
     summary = {
         # the limits are exact Cesaro limits; recorded summaries hold the key
         "limit_exact": True,
         "certificate_ok": report.certificate_ok,
         "weight_bound": beta.bound,
-        "witness": {"trace_defect": report.witness.trace_defect,
-                    "final_profile": report.witness.final_value,
-                    "profile": report.witness.profile},
-        "final_residuals": {spec.label: report.residuals[spec.label][-1]
-                            for spec in norms},
+        "witness": _witness_json(report.witness),
+        "final_residuals": {label: residuals[-1] for label, residuals
+                            in report.trajectory.residuals.items()},
+        "mean_convergence": report.trajectory.verdicts,
     }
     return header, rows, summary, 0
 

@@ -1,11 +1,11 @@
 """Individual and mean ergodic convergence diagnostics.
 
-Residual trajectories against the exact Cesaro limit, each with its
-mean (norm) convergence verdict; almost-uniform witnesses peeled from a
-trajectory's deviation operators under a trace budget; condition (iii)
-of the mean ergodic theorem for the L_p and Lorentz norms; and
-Besicovitch-weighted experiments with exact rotated limits for the
-trig-polynomial generator family.
+One trajectory, weighted or not: the averages M_{beta,n}(x) on the
+dyadic schedule against their exact (rotated) limit, with the mean
+convergence verdict of each norm.  Almost-uniform witnesses peeled from
+a trajectory's deviations under a trace budget; Besicovitch experiments,
+a weighted trajectory with the Cauchy distances of its averages; and
+condition (iii) of the mean ergodic theorem for L_p and Lorentz norms.
 """
 
 from __future__ import annotations
@@ -66,20 +66,10 @@ class NormSpec:
         return cls(data["kind"], data.get("p"), data.get("q"))
 
 
-def _sampled_averages(channel: Channel, x: Operator, horizon: int,
-                      beta=None) -> dict:
-    """{n: M_{beta,n}(x)} for n in the dyadic schedule of the horizon, in
-    schedule order, from a single pass of `ergodic_averages`."""
-    wanted = set(dyadic_schedule(horizon))
-    return {n: Operator.from_vec(channel.algebra, vec)
-            for n, vec in ergodic_averages(channel, x, horizon, beta)
-            if n in wanted}
-
-
 @dataclass
 class TrajectoryReport:
-    """Residuals ||x_hat - M_n(x)|| along the dyadic schedule, with the
-    sampled averages they were measured on and the verdicts of
+    """Residuals ||x_hat - M_{beta,n}(x)|| along the dyadic schedule,
+    with the sampled averages they were measured on and the verdicts of
     `trajectory`."""
 
     limit: Operator
@@ -97,27 +87,42 @@ def _verdict(residuals, floor):
             "converged": bool(final <= max(floor, 0.3 * reference))}
 
 
-def trajectory(channel: Channel, x: Operator, horizon: int,
-               norms) -> TrajectoryReport:
-    """Track convergence of the plain averages to the exact fixed point.
+def trajectory(channel: Channel, x: Operator, horizon: int, norms,
+               beta=None) -> TrajectoryReport:
+    """Track convergence of the averages M_{beta,n}(x), plain when
+    `beta` is None, to their exact limit.
 
-    The limit is computed spectrally, then every requested gauge is
-    evaluated at n in {1, 2, 4, ..., horizon}.  Every norm, but not the
-    measure metric, also gets its mean convergence verdict: converged
-    when the final residual is at most 0.3 times the residual at the
-    third point from the end of the schedule (the quarter horizon) or
-    the floor 1e-12 max(||x||_E, 1), whichever is larger; decay_ratio is
-    the quotient of the two residuals.
+    The plain limit is `fixed_point`.  For a weight of the generator
+    family it is sum_j z_j P_{lambda_j}(x) over the trig polynomial
+    part, where P_lambda is the phase-twisted Cesaro limit; a 1/(k+1)
+    decay tail averages to zero.  Every requested gauge is evaluated at
+    n in {1, 2, 4, ..., horizon}, from a single pass of
+    `ergodic_averages`.  Every norm, but not the measure metric, also
+    gets its mean convergence verdict: converged when the final residual
+    is at most 0.3 times the residual at the third point from the end of
+    the schedule (the quarter horizon) or the floor 1e-12 max(||x||_E,
+    1), whichever is larger; decay_ratio is the quotient of the two
+    residuals.
     """
-    x_hat = fixed_point(channel, x)
-    averages = _sampled_averages(channel, x, horizon)
+    if beta is None:
+        limit = fixed_point(channel, x)
+    else:
+        poly = beta.approximating_polynomial()
+        limit = channel.algebra.zero()
+        for z, lam in zip(poly.coefficients, poly.frequencies):
+            if z != 0:
+                limit = limit + rotated_fixed_point(channel, x, lam) * z
+    wanted = set(dyadic_schedule(horizon))
+    averages = {n: Operator.from_vec(channel.algebra, vec)
+                for n, vec in ergodic_averages(channel, x, horizon, beta)
+                if n in wanted}
     schedule = list(averages)
-    residuals = {spec.label: [spec.distance(x_hat, averages[n])
+    residuals = {spec.label: [spec.distance(limit, averages[n])
                               for n in schedule] for spec in norms}
     verdicts = {spec.label: _verdict(residuals[spec.label],
                                      1e-12 * max(spec.value(x), 1.0))
                 for spec in norms if spec.kind != "measure"}
-    return TrajectoryReport(x_hat, schedule, residuals, horizon, averages,
+    return TrajectoryReport(limit, schedule, residuals, horizon, averages,
                             verdicts)
 
 
@@ -133,23 +138,20 @@ class ConvergenceWitness:
     projection: Projection
     schedule: list
     profile: list
-    mode: str
-    eps: float
     trace_defect: float
 
-    @property
-    def final_value(self) -> float:
-        return self.profile[-1]
 
-
-def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
-    """Peel the tail deviations limit - M_n, n >= horizon/2, with a trace
-    budget of eps, then profile the compressed deviations."""
+def _deviation_witness(report: TrajectoryReport, eps: float,
+                       mode: str) -> ConvergenceWitness:
+    """Peel the tail deviations limit - M_n, n >= horizon/2, of the
+    trajectory `report` with a trace budget of eps, then profile the
+    compressed deviations."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    schedule = dyadic_schedule(horizon)
-    tail_points = [n for n in schedule if n >= horizon // 2]
-    tail = algebra.block_stacks([(limit - averages[n]).vec()
+    algebra = report.limit.algebra
+    schedule = report.schedule
+    tail_points = [n for n in schedule if n >= report.horizon // 2]
+    tail = algebra.block_stacks([(report.limit - report.averages[n]).vec()
                                  for n in tail_points])
     [(e, defect)] = peel(algebra, tail, [(PEEL_FLOOR, eps)], mode)
 
@@ -157,21 +159,19 @@ def _deviation_witness(algebra, eps, horizon, mode, limit, averages):
     for n in schedule:
         first = sum(m < n for m in tail_points)  # tail points m >= n
         profile.append(compressed_sup([s[first:] for s in tail], e, mode))
-    return ConvergenceWitness(e, schedule, profile, mode, eps, defect)
+    return ConvergenceWitness(e, schedule, profile, defect)
 
 
 def au_witness(report: TrajectoryReport, eps: float) -> ConvergenceWitness:
     """One-sided almost-uniform witness for the trajectory `report`:
     tau(e_perp) <= eps and the profile n -> sup of ||(x_hat - M_m(x)) e||
     over scheduled m beyond max(n, horizon/2)."""
-    return _deviation_witness(report.limit.algebra, eps, report.horizon,
-                              "one_sided", report.limit, report.averages)
+    return _deviation_witness(report, eps, "one_sided")
 
 
 def bau_witness(report: TrajectoryReport, eps: float) -> ConvergenceWitness:
     """Two-sided variant of au_witness (compressions e (.) e)."""
-    return _deviation_witness(report.limit.algebra, eps, report.horizon,
-                              "two_sided", report.limit, report.averages)
+    return _deviation_witness(report, eps, "two_sided")
 
 
 # ---------------------------------------------------------------------
@@ -210,9 +210,7 @@ def condition_iii(norm: NormSpec) -> ConditionIIIReport | None:
 
 @dataclass
 class BesicovitchReport:
-    limit: Operator
-    schedule: list
-    residuals: dict      # norm label -> list
+    trajectory: TrajectoryReport
     cauchy: dict         # norm label -> list of consecutive distances
     witness: ConvergenceWitness
     certificate_ok: bool
@@ -222,38 +220,21 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
                            horizon: int, norms) -> BesicovitchReport:
     """Weighted averages along the dyadic schedule with Cauchy checks.
 
-    For the generator family every sequence has an exact rotated-limit
-    formula: the trig polynomial part contributes
-    sum_j z_j P_{lambda_j}(x) where P_lambda is the phase-twisted Cesaro
-    limit, and a 1/(k+1) decay tail averages to zero.  The witness is a
-    two-sided deviation witness against that limit, with trace budget
-    0.05.
+    The trajectory of the weighted averages against their exact rotated
+    limit, the distances between consecutive sampled averages in every
+    gauge and in the measure metric, and a two-sided deviation witness
+    against the limit, with trace budget 0.05.
     """
     norms = list(norms)
+    # the certificate runs before the averages are held, which keeps the
+    # peak RSS lower
     certificate_ok = beta.besicovitch_certificate()
-    poly = beta.approximating_polynomial()
-    limit = channel.algebra.zero()
-    for z, lam in zip(poly.coefficients, poly.frequencies):
-        if z != 0:
-            limit = limit + rotated_fixed_point(channel, x, lam) * z
-
-    averages = _sampled_averages(channel, x, horizon, beta)
-    schedule = list(averages)
-    residuals = {spec.label: [] for spec in norms}
-    cauchy = {spec.label: [] for spec in norms}
-    cauchy["measure"] = []
-    previous = None
-    measure = NormSpec("measure")
-    for avg in averages.values():
-        for spec in norms:
-            residuals[spec.label].append(spec.distance(limit, avg))
-        if previous is not None:
-            for spec in norms:
-                cauchy[spec.label].append(spec.distance(previous, avg))
-            cauchy["measure"].append(measure.distance(previous, avg))
-        previous = avg
-
-    witness = _deviation_witness(channel.algebra, 0.05, horizon,
-                                 "two_sided", limit, averages)
-    return BesicovitchReport(limit, schedule, residuals, cauchy, witness,
+    report = trajectory(channel, x, horizon, norms, beta)
+    averages = list(report.averages.values())
+    gauges = {spec.label: spec for spec in norms}
+    gauges.setdefault("measure", NormSpec("measure"))
+    cauchy = {label: [spec.distance(a, b)
+                      for a, b in zip(averages, averages[1:])]
+              for label, spec in gauges.items()}
+    return BesicovitchReport(report, cauchy, bau_witness(report, 0.05),
                              certificate_ok)

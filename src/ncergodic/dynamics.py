@@ -673,11 +673,11 @@ def channel_from_spec(algebra: AlgebraSpec, spec, run_seed=0) -> Channel:
         return kraus_channel(algebra, ops)
     if kind == "random-kraus":
         rng = stream(run_seed, "random-kraus", spec.get("seed", 0))
-        return random_kraus_channel(algebra, spec.get("num_ops", 3), rng,
+        return random_kraus_channel(algebra, int(spec.get("num_ops", 3)), rng,
                                     margin=spec.get("margin", 1e-3))
     if kind == "unitary-mixture":
         rng = stream(run_seed, "unitary-mixture", spec.get("seed", 0))
-        return random_unitary_mixture(algebra, spec.get("num", 3), rng,
+        return random_unitary_mixture(algebra, int(spec.get("num", 3)), rng,
                                       min_gap=spec.get("min_gap"))
     if kind == "random-substochastic":
         rng = stream(run_seed, "random-substochastic", spec.get("seed", 0))

@@ -11,11 +11,15 @@ import jsonschema
 import pytest
 
 from ncergodic import cli, convergence
-from ncergodic.algebra import AlgebraSpec, Projection
-from ncergodic.dynamics import CHANNEL_KINDS, channel_from_spec
+from ncergodic.algebra import AlgebraSpec, Operator, Projection
+from ncergodic.convergence import NormSpec
+from ncergodic.dynamics import (CHANNEL_KINDS, channel_from_spec,
+                                ergodic_averages)
 from ncergodic.funcspace import BOYD_LIMIT_SCALES
 from ncergodic.maximal import WitnessReport
-from ncergodic.rng import derive_seed
+from ncergodic.rng import derive_seed, stream
+from ncergodic.util import dyadic_schedule
+from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 # Outputs of the bundled fixtures recorded for the benchmark's check.
@@ -133,6 +137,50 @@ class TestConvergeContract:
         assert set(cells) == {str(k) for k in range(num_seeds)}
 
 
+class TestBesicovitchContract:
+    # one 2x2 block, a period-4 weight and a `measure` entry in the norms
+    CONFIG = {"seed": 5, "horizon": 32, "algebra": {"blocks": [[2, 1.0]]},
+              "channel": {"kind": "unitary-mixture", "num": 2, "seed": 1},
+              "besicovitch": {
+                  "element": {"kind": "random-hermitian"},
+                  "weights": {"kind": "periodic", "period": [
+                      [1, 0], [0, 1], [-1, 0], [0, -1]]},
+                  "norms": [{"kind": "uniform"}, {"kind": "measure"}]}}
+
+    def test_cauchy_columns_are_consecutive_distances(self, tmp_path):
+        path = tmp_path / "besicovitch.json"
+        path.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        assert run_cli("besicovitch", "--config", str(path),
+                       "--out", str(out)) == 0
+        with open(out / "besicovitch.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(set(header)) == len(header)
+        cauchy = [c for c in header if c.startswith("cauchy_")]
+        assert cauchy == ["cauchy_inf", "cauchy_measure"]
+
+        # the averages the run sampled, rebuilt as the CLI builds them
+        algebra = AlgebraSpec.from_json(self.CONFIG["algebra"])
+        channel = channel_from_spec(algebra, self.CONFIG["channel"],
+                                    run_seed=self.CONFIG["seed"])
+        section = self.CONFIG["besicovitch"]
+        x = cli.element_from_spec(algebra, section["element"],
+                                  stream(self.CONFIG["seed"], "element", 0))
+        beta = WeightSequence.from_json(section["weights"])
+        schedule = dyadic_schedule(self.CONFIG["horizon"])
+        averages = [Operator.from_vec(algebra, vec) for n, vec
+                    in ergodic_averages(channel, x, schedule[-1], beta)
+                    if n in schedule]
+        assert [int(row[header.index("n")]) for row in rows] == schedule
+        for column in cauchy:
+            spec = NormSpec("uniform" if column == "cauchy_inf"
+                            else "measure")
+            cells = [row[header.index(column)] for row in rows]
+            assert cells[0] == ""
+            assert [float(c) for c in cells[1:]] == [
+                spec.distance(a, b) for a, b in zip(averages, averages[1:])]
+
+
 class TestChannelKinds:
     def test_every_kind_builds_and_unknown_kind_exits_1(self, tmp_path):
         assert set(MINIMAL_SPECS) == set(CHANNEL_KINDS)
@@ -147,6 +195,18 @@ class TestChannelKinds:
             code, _, _ = converge(path, tmp_path / "out")
         assert code == 1
         assert "does not validate" in err.getvalue()
+
+    @pytest.mark.parametrize("kind,field", [("random-kraus", "num_ops"),
+                                            ("unitary-mixture", "num")])
+    def test_count_written_as_float_builds(self, kind, field):
+        # JSON Schema counts 2.0 as an integer, so the schema lets it in
+        config = {"seed": 3, "algebra": DIAG2.to_json(),
+                  "channel": {"kind": kind, field: 2.0}}
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+        as_float = channel_from_spec(DIAG2, config["channel"], run_seed=3)
+        as_int = channel_from_spec(DIAG2, {"kind": kind, field: 2},
+                                   run_seed=3)
+        assert (as_float.superop == as_int.superop).all()
 
     def test_nested_unknown_kind_exits_1(self, tmp_path):
         # the schema checks nested channels like the top-level one, so a
@@ -310,6 +370,28 @@ MALFORMED = {
         "kind": "kraus", "operators": [{"blocks": [[1, 0, 0, 1]]}]}}),
     "unitary-matrix-block-not-complex": ("verify-channel", {"channel": {
         "kind": "unitary", "matrix": {"blocks": [[1, 0, 0, 1]]}}}),
+    # channel fields of the wrong type or out of range
+    "convex-probability-not-number": ("verify-channel", {"channel": {
+        "kind": "convex", "children": [{"kind": "identity"}],
+        "probabilities": ["a"]}}),
+    "random-kraus-num-ops-zero": ("verify-channel", {"channel": {
+        "kind": "random-kraus", "num_ops": 0}}),
+    "random-kraus-num-ops-not-integer": ("verify-channel", {"channel": {
+        "kind": "random-kraus", "num_ops": "x"}}),
+    "unitary-mixture-num-zero": ("verify-channel", {"channel": {
+        "kind": "unitary-mixture", "num": 0}}),
+    "unitary-mixture-min-gap-not-number": ("verify-channel", {"channel": {
+        "kind": "unitary-mixture", "min_gap": "x"}}),
+    "random-kraus-margin-above-1": ("verify-channel", {"channel": {
+        "kind": "random-kraus", "margin": 2}}),
+    "pinching-labels-not-integers": ("verify-channel", {"channel": {
+        "kind": "pinching", "labels": [[0], "a"]}}),
+    # a label keys both the residuals and the CSV column
+    "norms-label-repeated-converge": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "uniform"}, {"kind": "uniform"}]}}),
+    "norms-label-repeated-besicovitch": ("besicovitch", {"besicovitch": {
+        **_BESICOVITCH, "weights": {"kind": "constant", "period": [[1, 0]]},
+        "norms": [{"kind": "lp", "p": 2}, {"kind": "lp", "p": 2.0}]}}),
 }
 
 # what the error line of a malformed config must name
@@ -340,7 +422,20 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                   "kraus-operator-block-not-complex":
                       "$.channel.operators[0].blocks[0]",
                   "unitary-matrix-block-not-complex":
-                      "$.channel.matrix.blocks[0]"}
+                      "$.channel.matrix.blocks[0]",
+                  "convex-probability-not-number":
+                      "$.channel.probabilities[0]: ",
+                  "random-kraus-num-ops-zero": "$.channel.num_ops: ",
+                  "random-kraus-num-ops-not-integer": "$.channel.num_ops: ",
+                  "unitary-mixture-num-zero": "$.channel.num: ",
+                  "unitary-mixture-min-gap-not-number":
+                      "$.channel.min_gap: ",
+                  "random-kraus-margin-above-1": "$.channel.margin: ",
+                  "pinching-labels-not-integers": "$.channel.labels[",
+                  "norms-label-repeated-converge":
+                      "norms: the label 'inf' is listed twice",
+                  "norms-label-repeated-besicovitch":
+                      "norms: the label 'L2' is listed twice"}
 
 # Maps that their constructors build and `verify_ds` does not certify DS+:
 # (algebra, channel, the failing flags, the gate's reason)

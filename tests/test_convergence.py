@@ -58,7 +58,7 @@ class TestOnePassPerCell:
         beta = WeightSequence("periodic", period=[1.0, 1j, -1.0, -1j])
         report = besicovitch_experiment(channel, x, beta, 64, NORMS)
         assert len(apply_calls) == 64
-        assert report.schedule == [1, 2, 4, 8, 16, 32, 64]
+        assert report.trajectory.schedule == [1, 2, 4, 8, 16, 32, 64]
 
 
 def run_fixture_converge(tmp_path):
@@ -124,6 +124,34 @@ class TestMeanConvergence:
             assert verdict["decay_ratio"] == res[-1] / res[-3]
             assert verdict["decay_ratio"] == pytest.approx(0.342, abs=1e-3)
             assert verdict["converged"] is False
+
+
+class TestWeightedTrajectory:
+    def test_unit_weight_is_the_plain_average(self):
+        channel = random_kraus_channel(MULTI, 3, stream(307, "conv"))
+        x = random_operator(MULTI, stream(308, "conv"))
+        plain = trajectory(channel, x, 64, NORMS)
+        weighted = trajectory(channel, x, 64, NORMS,
+                              WeightSequence.constant(1.0))
+        assert weighted.schedule == plain.schedule
+        assert (weighted.limit - plain.limit).uniform_norm() <= \
+            1e-12 * plain.limit.uniform_norm()
+        for spec in NORMS:
+            assert weighted.residuals[spec.label] == pytest.approx(
+                plain.residuals[spec.label], rel=1e-12)
+
+    def test_besicovitch_experiment_runs_the_trajectory(self):
+        channel = random_kraus_channel(MULTI, 3, stream(309, "conv"))
+        x = random_operator(MULTI, stream(310, "conv"))
+        beta = WeightSequence("periodic", period=[1.0, 1j, -1.0, -1j])
+        report = besicovitch_experiment(channel, x, beta, 32, NORMS)
+        expected = trajectory(channel, x, 32, NORMS, beta)
+        got = report.trajectory
+        assert got.schedule == expected.schedule
+        assert np.array_equal(got.limit.vec(), expected.limit.vec())
+        assert got.residuals == expected.residuals
+        assert got.verdicts == expected.verdicts
+        assert set(report.cauchy) == {"inf", "L2", "measure"}
 
 
 class TestDeviationWitnesses:
