@@ -52,10 +52,6 @@ class AlgebraSpec:
         return len(self.blocks)
 
     @property
-    def total_trace(self) -> float:
-        return float(sum(w * d for d, w in self.blocks))
-
-    @property
     def vec_dim(self) -> int:
         """Dimension of the vectorized algebra (sum of dim_i^2)."""
         return int(sum(d * d for d, _ in self.blocks))

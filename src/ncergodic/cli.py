@@ -146,7 +146,10 @@ _WEIGHTS_SCHEMA = {
         "C": {"type": "number"},
     },
     "allOf": [_kind_needs(kind, field)
-              for kind, field in WEIGHT_KINDS.items()],
+              for kind, field in WEIGHT_KINDS.items()] + [
+        # a constant weight reads only the first period entry
+        {"if": {"properties": {"kind": {"const": "constant"}}},
+         "then": {"properties": {"period": {"maxItems": 1}}}}],
 }
 
 _ALGEBRA_SCHEMA = {

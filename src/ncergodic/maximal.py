@@ -22,12 +22,14 @@ element, at every eps, is measured on them, each (projection, mode) once.
 The checker shares no intermediate state with the search, and its stacks
 live only as long as the builder call that made them.
 
-Every builder returns one `WitnessReport` per eps.  Where no candidate
-meets both budgets, the report is the best infeasible candidate with
-found=False: its projection and the checker's measurements against the
-budgets, so a not-found result shows how far the search fell short.  A
-builder over several parts returns the report of the first part that
-failed.
+Every builder returns one `WitnessReport` per eps, and `check_witness`
+makes every report: the candidate, its defect and its sup measured by the
+checker, the budgets and the verdict.  Where no candidate meets both
+budgets, the report is the best infeasible candidate with found=False:
+its projection and the checker's measurements against the budgets, so a
+not-found result shows how far the search fell short.  The multi-part
+builders (`weighted_witness`, `one_sided_witness`) meet the witnesses of
+their parts; where a part fails, the report is the first failed part's.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ COMMUTING_TOL = 1e-8
 class WitnessReport:
     """A candidate projection with measured and budgeted constants.
 
-    checker_passed means the independent re-measurement satisfied both
-    trace_defect <= trace_budget + DEFAULT_TOL and
-    sup_compression <= sup_budget + DEFAULT_TOL.  found is False for
-    the best infeasible candidate of a search that met no budget.
+    checker_passed is `within_budgets` of the independent
+    re-measurement.  found is False for the best infeasible candidate of
+    a search that met no budget.
     """
 
     projection: Projection
@@ -71,11 +72,11 @@ class WitnessReport:
     found: bool = True
     weight_bound: float = 1.0
 
-    def within_budgets(self) -> bool:
-        """Whether the measured constants meet the budgets, the test
-        behind checker_passed."""
-        return bool(self.trace_defect <= self.trace_budget + DEFAULT_TOL
-                    and self.sup_compression <= self.sup_budget + DEFAULT_TOL)
+    def within_budgets(self, tol=DEFAULT_TOL) -> bool:
+        """Whether the measured constants meet the budgets within tol,
+        the test behind checker_passed."""
+        return bool(self.trace_defect <= self.trace_budget + tol
+                    and self.sup_compression <= self.sup_budget + tol)
 
     @property
     def trace_ratio(self) -> float:
@@ -89,18 +90,6 @@ class WitnessReport:
 # ---------------------------------------------------------------------
 # Independent checker.
 # ---------------------------------------------------------------------
-
-@dataclass
-class CheckOutcome:
-    trace_defect: float
-    sup_value: float
-    passed_trace: bool
-    passed_sup: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.passed_trace and self.passed_sup
-
 
 def _average_stacks(channel: Channel, x: Operator, horizon: int, beta=None):
     """Per-block stacks of M_{beta,n}(x) for n = 0..horizon, from one pass
@@ -139,54 +128,28 @@ class CheckerStacks:
         return _average_stacks(self.channel, self.x, self.horizon, self.beta)
 
     def sup(self, e: Projection, mode: str) -> float:
-        """compressed_sup of e on these stacks, measured on first use."""
+        """compressed_sup of e on these stacks, measured on first use.  A
+        zero projection measures exactly 0.0 without the pass."""
+        if e.rank() == 0:
+            return 0.0
         key = (e, mode)
         if key not in self._sups:
             self._sups[key] = compressed_sup(self.stacks, e, mode)
         return self._sups[key]
 
 
-def measure_compressions(checker: CheckerStacks, e: Projection,
-                         mode="two_sided") -> float:
-    """sup over n <= horizon of the compressed average norm, measured on
-    the checker's stacks of the element (one fresh pass per element,
-    never the search's).  A zero projection measures exactly 0.0 without
-    the pass."""
-    if e.rank() == 0:
-        return 0.0
-    return checker.sup(e, mode)
-
-
 def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
-                  sup_budget: float, mode="two_sided",
-                  tol=DEFAULT_TOL) -> CheckOutcome:
+                  sup_budget: float, mode="two_sided", tol=DEFAULT_TOL, *,
+                  method: str, weight_bound=1.0) -> WitnessReport:
     """Re-verify one candidate against its budgets: its defect, and its
     compressed sup on the checker's own stacks of the element."""
-    defect = e.defect()
-    sup_value = measure_compressions(checker, e, mode)
-    return CheckOutcome(
-        trace_defect=defect,
-        sup_value=sup_value,
-        passed_trace=bool(defect <= trace_budget + tol),
-        passed_sup=bool(sup_value <= sup_budget + tol),
-    )
-
-
-def _finalize(checker, e, trace_budget, sup_budget, method, mode,
-              c) -> WitnessReport:
-    outcome = check_witness(checker, e, trace_budget, sup_budget, mode)
-    return WitnessReport(
-        projection=e,
-        trace_defect=outcome.trace_defect,
-        trace_budget=trace_budget,
-        sup_compression=outcome.sup_value,
-        sup_budget=sup_budget,
-        horizon=checker.horizon,
-        method=method,
-        mode=mode,
-        checker_passed=outcome.passed,
-        weight_bound=c,
-    )
+    report = WitnessReport(
+        projection=e, trace_defect=e.defect(), trace_budget=trace_budget,
+        sup_compression=checker.sup(e, mode), sup_budget=sup_budget,
+        horizon=checker.horizon, method=method, mode=mode,
+        checker_passed=False, weight_bound=weight_bound)
+    report.checker_passed = report.within_budgets(tol)
+    return report
 
 
 # ---------------------------------------------------------------------
@@ -213,7 +176,7 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
     cuts = _strategy_hopf_abelian(channel, stacks,
                                   [(eps, None) for eps in eps_grid])
     checker = CheckerStacks(channel, x, horizon)
-    return [_finalize(checker, e, norm / eps, eps, "hopf", "two_sided", 1.0)
+    return [check_witness(checker, e, norm / eps, eps, method="hopf")
             for e, eps in zip(cuts, eps_grid)]
 
 
@@ -461,8 +424,8 @@ def _yeadon_search(channel, x, eps_grid, horizon, checker):
             if e is None:
                 continue
             eps, trace_budget = stops[k]
-            report = _finalize(checker, e, trace_budget, eps, name,
-                               "two_sided", 1.0)
+            report = check_witness(checker, e, trace_budget, eps,
+                                   method=name)
             if report.checker_passed:
                 results[k] = report
             elif best[k] is None or (report.sup_compression
@@ -503,29 +466,29 @@ def _lp_search(channel, x, p, eps_grid, horizon):
     norm = lp_norm(x, p)
     results = []
     for base, eps in zip(bases, eps_grid):
-        report = _finalize(checker, base.projection, (norm / eps) ** p,
-                           2.0 * eps, f"lp[{base.method}]", "two_sided", 1.0)
+        report = check_witness(checker, base.projection, (norm / eps) ** p,
+                               2.0 * eps, method=f"lp[{base.method}]")
         report.found = base.found
         results.append(report)
     return results
 
 
-def _positive_parts(x):
-    """Nonzero positive parts of x; positive x stays whole.  Each part is
-    positive by construction."""
-    if x.is_positive():
-        return [x]
+def _nonzero(parts, x):
+    """The parts of x whose norm is above 1e-14 max(||x||, 1)."""
     scale_ref = max(x.uniform_norm(), 1.0)
-    parts = [part for part in hermitian_decompose(x)
-             if part.uniform_norm() > 1e-14 * scale_ref]
-    return parts
+    return [part for part in parts
+            if part.uniform_norm() > 1e-14 * scale_ref]
 
 
-def _part_witnesses(parts, search, eps_grid, finish):
-    """Per eps, finish(eps, witnesses) on the witnesses of all parts, or
-    the not-found report of the first part that failed.  A part is
-    searched, by search(part, grid), only at the eps where every earlier
-    part was found."""
+def _meet_witnesses(channel, x, beta, parts, search, budgets, name, mode,
+                    eps_grid, horizon):
+    """Per eps, the meet of the witnesses that search(part, grid) finds
+    for the parts of x, checked on the checker stacks of x against
+    budgets(eps) = (trace budget, sup budget); or, where a part is not
+    found, that part's report.  A part is searched only at the eps where
+    every earlier part was found."""
+    checker = CheckerStacks(channel, x, horizon,
+                            None if beta.is_constant_one else beta)
     outcomes = [[] for _ in eps_grid]
     for part in parts:
         open_ = [k for k, o in enumerate(outcomes) if isinstance(o, list)]
@@ -536,8 +499,14 @@ def _part_witnesses(parts, search, eps_grid, finish):
                 outcomes[k].append(res)
             else:
                 outcomes[k] = res
-    return [finish(eps, o) if isinstance(o, list) else o
-            for eps, o in zip(eps_grid, outcomes)]
+    for k, witnesses in enumerate(outcomes):
+        if isinstance(witnesses, list):
+            e = projection_meet_all([w.projection for w in witnesses])
+            methods = "+".join(w.method for w in witnesses)
+            outcomes[k] = check_witness(checker, e, *budgets(eps_grid[k]),
+                                        mode, method=f"{name}[{methods}]",
+                                        weight_bound=beta.bound)
+    return outcomes
 
 
 def weighted_witness(channel: Channel, x: Operator, p: float, beta,
@@ -550,23 +519,21 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     coefficients Re(beta)+C, Im(beta)+C lie in [0, 2C].  Budgets are
     parts * (||x||_p/eps)^p on the trace and parts * 12 C eps on the
     sup (parts * 2 eps when beta is identically one, where the weighted
-    average is the plain one).
+    average is the plain one).  Positive x is one part; the parts of
+    other x are positive by construction.
     """
-    parts = _positive_parts(x)
-    c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
-    checker = CheckerStacks(channel, x, horizon, None if trivial else beta)
+    parts = ([x] if x.is_positive()
+             else _nonzero(hermitian_decompose(x), x))
+    c, norm = beta.bound, lp_norm(x, p)
 
-    def finish(eps, witnesses):
-        e = projection_meet_all([w.projection for w in witnesses])
-        per_part = 2.0 * eps if trivial else 12.0 * c * eps
-        return _finalize(checker, e, len(parts) * (norm / eps) ** p,
-                         len(parts) * per_part,
-                         f"weighted[{'+'.join(w.method for w in witnesses)}]",
-                         "two_sided", c)
+    def budgets(eps):
+        per_part = 2.0 * eps if beta.is_constant_one else 12.0 * c * eps
+        return len(parts) * (norm / eps) ** p, len(parts) * per_part
 
-    return _part_witnesses(
-        parts, lambda part, grid: _lp_search(channel, part, p, grid, horizon),
-        eps_grid, finish)
+    return _meet_witnesses(
+        channel, x, beta, parts,
+        lambda part, grid: _lp_search(channel, part, p, grid, horizon),
+        budgets, "weighted", "two_sided", eps_grid, horizon)
 
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
@@ -586,30 +553,19 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     """
     if p < 2:
         raise ValueError("one-sided witnesses are only available for p >= 2")
-    if x.is_hermitian():
-        parts = [x]
-    else:
-        scale_ref = max(x.uniform_norm(), 1.0)
-        parts = [h for h in (x.hermitian_part(), x.skew_part())
-                 if h.uniform_norm() > 1e-14 * scale_ref]
-    c, trivial, norm = beta.bound, beta.is_constant_one, lp_norm(x, p)
-    checker = CheckerStacks(channel, x, horizon, None if trivial else beta)
+    parts = ([x] if x.is_hermitian()
+             else _nonzero([x.hermitian_part(), x.skew_part()], x))
+    c, norm = beta.bound, lp_norm(x, p)
 
-    def finish(eps, witnesses):
-        e = projection_meet_all([w.projection for w in witnesses])
+    def budgets(eps):
         r = norm / eps
-        if trivial:
-            trace_budget = 2.0 * len(parts) * r ** p
-            sup_budget = len(parts) * np.sqrt(2.0) * eps
-        else:
-            trace_budget = 3.0 * len(parts) * r ** p
-            sup_budget = (len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c))
-                          * eps)
-        return _finalize(checker, e, trace_budget, sup_budget,
-                         f"one-sided[{'+'.join(w.method for w in witnesses)}]",
-                         "one_sided", c)
+        if beta.is_constant_one:
+            return 2.0 * len(parts) * r ** p, len(parts) * np.sqrt(2.0) * eps
+        return (3.0 * len(parts) * r ** p,
+                len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c)) * eps)
 
-    return _part_witnesses(
-        parts, lambda h, grid: _lp_search(channel, h @ h, p / 2.0,
-                                          [eps ** 2 for eps in grid], horizon),
-        eps_grid, finish)
+    return _meet_witnesses(
+        channel, x, beta, parts,
+        lambda h, grid: _lp_search(channel, h @ h, p / 2.0,
+                                   [eps ** 2 for eps in grid], horizon),
+        budgets, "one-sided", "one_sided", eps_grid, horizon)

@@ -87,11 +87,6 @@ class SingularFunction:
         total = float(np.dot(self.values ** q, increments) * (p / q))
         return total ** (1.0 / q)
 
-    def to_csv_rows(self):
-        """(t_k, v_k) rows: left endpoint and value of each step."""
-        return [(float(t), float(v))
-                for t, v in zip(self.bounds[:-1], self.values)]
-
     def __repr__(self):
         return (f"SingularFunction(steps={self.values.size}, "
                 f"support={self.total_support:.6g})")

@@ -125,20 +125,6 @@ class WeightSequence:
     def constant(cls, value=1.0) -> "WeightSequence":
         return cls("constant", period=[value])
 
-    @classmethod
-    def from_trig(cls, poly: TrigPolynomial) -> "WeightSequence":
-        return cls("trig", poly=poly)
-
-    @classmethod
-    def trig_with_decay(cls, poly: TrigPolynomial, decay) -> "WeightSequence":
-        return cls("trig_decay", poly=poly, decay=decay)
-
-    @classmethod
-    def rotation(cls, angle_fraction) -> "WeightSequence":
-        """beta_k = exp(2 pi i f k), a single-frequency polynomial."""
-        lam = np.exp(2j * np.pi * angle_fraction)
-        return cls("trig", poly=TrigPolynomial((1.0,), (lam,)))
-
     # -- evaluation -------------------------------------------------------
 
     def values(self, n_max: int) -> np.ndarray:

@@ -25,10 +25,6 @@ class TestAlgebraSpec:
         with pytest.raises(ValueError):
             AlgebraSpec(())
 
-    def test_total_trace(self):
-        assert M2.total_trace == 2.0
-        assert WEIGHTED.total_trace == 2.0
-
     def test_json_roundtrip(self):
         data = WEIGHTED.to_json()
         assert data == {"blocks": [[1, 0.5], [1, 1.5]]}

@@ -25,7 +25,7 @@ from ncergodic.maximal import (CheckerStacks, check_witness,
                                yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import random_operator, stream
-from ncergodic.weights import WeightSequence
+from ncergodic.weights import TrigPolynomial, WeightSequence
 
 SMALL = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -40,7 +40,8 @@ WEIGHTS = st.sampled_from([
     WeightSequence.constant(1.0),
     WeightSequence.constant(0.5),
     WeightSequence("periodic", period=[1, 1j, -1, -1j]),
-    WeightSequence.rotation(0.3),
+    WeightSequence("trig", poly=TrigPolynomial(
+        (1.0,), (np.exp(2j * np.pi * 0.3),))),
 ])
 
 
@@ -55,9 +56,9 @@ def channel_and_element(algebra, seed, kind):
 
 def passes(channel, x, report, horizon, trace_budget, sup_budget,
            mode="two_sided", beta=None):
-    outcome = check_witness(CheckerStacks(channel, x, horizon, beta),
-                            report.projection, trace_budget, sup_budget, mode)
-    return outcome.passed
+    return check_witness(CheckerStacks(channel, x, horizon, beta),
+                         report.projection, trace_budget, sup_budget, mode,
+                         method=report.method).checker_passed
 
 
 @SMALL

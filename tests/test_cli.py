@@ -276,6 +276,9 @@ MALFORMED = {
         **_CERTIFY, "weights": {"kind": "constant"}}}),
     "constant-weights-no-period-besicovitch": ("besicovitch", {
         "besicovitch": {**_BESICOVITCH, "weights": {"kind": "constant"}}}),
+    "constant-weights-two-values": ("besicovitch", {"besicovitch": {
+        **_BESICOVITCH, "weights": {"kind": "constant",
+                                    "period": [[1, 0], [5, 0]]}}}),
     "trig-weights-no-poly": ("besicovitch", {
         "besicovitch": {**_BESICOVITCH, "weights": {"kind": "trig"}}}),
     "unknown-weight-kind": ("besicovitch", {
@@ -396,6 +399,8 @@ MALFORMED = {
 
 # what the error line of a malformed config must name
 NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
+                  "constant-weights-two-values":
+                      "$.besicovitch.weights.period: ",
                   "hopf-element-not-positive": "method 'hopf'",
                   "not-ds-plus-certify": "subunital_value 1.5",
                   "not-ds-plus-converge": "adjoint_unit_value 1.5",
@@ -627,6 +632,33 @@ class TestCertifyContract:
         summary = json.loads((tmp_path / "certify.json").read_text())
         assert summary["summary"]["checker_discrepancies"] == 1
         assert summary["summary"]["found"] == 2
+
+
+class TestWorkloadReferences:
+    # one seed class each of the benchmark workloads outside certify: the
+    # exact limits of a 28x28 Kraus channel, and weighted averages with
+    # rotated limits on unequal block weights
+    @pytest.mark.parametrize("name,seed", [("converge-kraus28", 2),
+                                           ("besicovitch-3block", 5)])
+    def test_workload_matches_reference(self, tmp_path, workloads,
+                                        bench_check, name, seed):
+        subcommand, build = workloads.WORKLOADS[name]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(build()))
+        cli_seed = workloads.cli_seed(name, seed)
+        reference = REFERENCE / name / f"seed{cli_seed}"
+        out = tmp_path / "out"
+        code = run_cli(subcommand, "--config", str(config), "--out",
+                       str(out), "--seed", str(cli_seed))
+        assert code == 0
+        assert ((out / f"{subcommand}.csv").read_bytes()
+                == reference.with_suffix(".csv").read_bytes())
+        # the summary holds what the CSV does not (profiles, spectral
+        # gaps), compared by the benchmark's own rule
+        summary = json.loads((out / f"{subcommand}.json").read_text())
+        want = json.loads(reference.with_suffix(".json").read_text())
+        assert bench_check.compare_summary(summary["summary"],
+                                           want["summary"]) == []
 
 
 class TestNormsAndBoyd:

@@ -18,8 +18,9 @@ from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, random_kraus_channel)
 from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
                                hopf_witness_commutative, lp_witness,
-                               measure_compressions, one_sided_witness, peel,
-                               weighted_witness, yeadon_witness_search)
+                               one_sided_witness, peel, weighted_witness,
+                               yeadon_witness_search)
+from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import (derive_seed, random_operator, random_projection,
                            stream)
 from ncergodic.spectral import SpectralDecomposition, eigh
@@ -111,7 +112,7 @@ class TestCompressedSup:
             # the largest average is usually M_0; put it last as well
             assert compressed_sup(stacks(ops[::-1]), proj, mode) == expected
             checker = CheckerStacks(channel, x, len(ops) - 1, beta)
-            assert measure_compressions(checker, proj, mode) == expected
+            assert checker.sup(proj, mode) == expected
 
     def test_single_operator_norms(self):
         _, _, _, ops, rng = weighted_trajectory(401, horizon=3)
@@ -467,33 +468,50 @@ class TestCheckerRejects:
         # measured on the stacks that the found witness passed on
         checker = CheckerStacks(channel, x, report.horizon)
         assert check_witness(checker, e, report.trace_budget,
-                             report.sup_budget).passed
+                             report.sup_budget, method="peel").checker_passed
         outcome = check_witness(checker, tampered, report.trace_budget,
-                                report.sup_budget)
-        assert outcome.passed_trace
-        assert outcome.sup_value > report.sup_budget
-        assert not outcome.passed_sup and not outcome.passed
+                                report.sup_budget, method="tampered")
+        assert outcome.trace_defect <= outcome.trace_budget
+        assert outcome.sup_compression > outcome.sup_budget
+        assert not outcome.checker_passed
 
     def test_budget_just_below_measurement_fails(self):
         channel, x, report = found_yeadon_cell()
         e, checker = report.projection, CheckerStacks(channel, x,
                                                       report.horizon)
         defect, sup = report.trace_defect, report.sup_compression
-        exact = check_witness(checker, e, defect, sup, tol=0.0)
-        assert exact.passed
+        exact = check_witness(checker, e, defect, sup, tol=0.0,
+                              method="exact")
+        assert exact.checker_passed
         low_sup = check_witness(checker, e, defect, np.nextafter(sup, 0.0),
-                                tol=0.0)
-        assert low_sup.passed_trace and not low_sup.passed_sup
+                                tol=0.0, method="low-sup")
+        assert low_sup.trace_defect <= low_sup.trace_budget
+        assert low_sup.sup_compression > low_sup.sup_budget
+        assert not low_sup.checker_passed
         low_trace = check_witness(checker, e, np.nextafter(defect, 0.0), sup,
-                                  tol=0.0)
-        assert not low_trace.passed_trace and low_trace.passed_sup
+                                  tol=0.0, method="low-trace")
+        assert low_trace.trace_defect > low_trace.trace_budget
+        assert low_trace.sup_compression <= low_trace.sup_budget
+        assert not low_trace.checker_passed
+
+    def test_method_and_weight_bound_are_keywords(self):
+        # a positional mode cannot be read as a method, nor a tol as a
+        # weight bound
+        channel, x, report = found_yeadon_cell()
+        checker = CheckerStacks(channel, x, report.horizon)
+        with pytest.raises(TypeError):
+            check_witness(checker, report.projection, report.trace_budget,
+                          report.sup_budget, "two_sided", 0.0, "peel")
+        with pytest.raises(TypeError):
+            check_witness(checker, report.projection, report.trace_budget,
+                          report.sup_budget)
 
 
 class TestOneSearchPassPerCheck:
     def certify_counts(self, tmp_path, monkeypatch, eps_grid):
-        """Recurrence passes, checks and finalized candidates of one
-        yeadon certify run over `eps_grid`."""
-        counts = {"averages": 0, "check": 0, "finalize": 0}
+        """Recurrence passes and checked candidates of one yeadon certify
+        run over `eps_grid`."""
+        counts = {"averages": 0, "check": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -503,7 +521,6 @@ class TestOneSearchPassPerCheck:
 
         counting("averages", maximal.ergodic_averages)
         counting("check", maximal.check_witness)
-        counting("finalize", maximal._finalize)
         config = json.loads((FIXTURES / "m2_unitary.json").read_text())
         config["certify"] = {"methods": ["yeadon"], "eps_grid": eps_grid,
                              "p_grid": [1],
@@ -518,8 +535,7 @@ class TestOneSearchPassPerCheck:
 
     def test_yeadon_cell_counts(self, tmp_path, monkeypatch):
         counts = self.certify_counts(tmp_path, monkeypatch, [0.2])
-        assert counts["finalize"] >= 1
-        assert counts["check"] == counts["finalize"]
+        assert counts["check"] >= 1
         assert 1 <= counts["averages"] <= 2
 
     def test_one_search_pass_per_eps_grid(self, tmp_path, monkeypatch):
@@ -527,8 +543,7 @@ class TestOneSearchPassPerCheck:
         # checker at most one of its own for every candidate of the element
         counts = self.certify_counts(tmp_path, monkeypatch,
                                      [0.05, 0.2, 0.5, 1.0])
-        assert counts["finalize"] >= 4
-        assert counts["check"] == counts["finalize"]
+        assert counts["check"] >= 4
         assert 1 <= counts["averages"] <= 2
 
 
@@ -651,6 +666,51 @@ class TestGridEqualsSingleEps:
 
 
 
+def part_meet_budgets(method, parts, norm, p, c, trivial, eps):
+    """The (trace, sup) budgets of a found multi-part witness, as the
+    docstrings of `weighted_witness` and `one_sided_witness` state
+    them."""
+    r = norm / eps
+    if method == "weighted":
+        per_part = 2.0 * eps if trivial else 12.0 * c * eps
+        return parts * r ** p, parts * per_part
+    if trivial:
+        return 2.0 * parts * r ** p, parts * math.sqrt(2.0) * eps
+    return (3.0 * parts * r ** p,
+            parts * 2.0 * math.sqrt(c) * (2.0 + math.sqrt(c)) * eps)
+
+
+class TestPartMeetBudgets:
+    """Every found multi-part witness on the certify-mix8 channel carries
+    its builder's closed-form budgets for its number of parts."""
+
+    @pytest.mark.parametrize("weight", ["constant-one", "period-4"])
+    @pytest.mark.parametrize("method,kind,parts", [
+        ("weighted", "random-positive", 1),
+        ("weighted", "random-hermitian", 2),
+        ("weighted", "random", 4),
+        ("one-sided", "random-hermitian", 1),
+        ("one-sided", "random", 2)])
+    def test_found_budgets(self, workloads, method, kind, parts, weight):
+        channel, x, beta, horizon = mix8(workloads, kind)
+        if weight == "constant-one":
+            beta = WeightSequence.constant(1.0)
+        builder = weighted_witness if method == "weighted" else \
+            one_sided_witness
+        p = 2.0
+        norm = lp_norm(x, p)
+        reports = builder(channel, x, p, beta, MIX8_GRID, horizon)
+        found = [(eps, r) for eps, r in zip(MIX8_GRID, reports) if r.found]
+        assert found
+        for eps, report in found:
+            assert report.method.startswith(f"{method}[")
+            assert report.method.count("+") == parts - 1
+            assert report.weight_bound == beta.bound
+            assert (report.trace_budget, report.sup_budget) == \
+                part_meet_budgets(method, parts, norm, p, beta.bound,
+                                  beta.is_constant_one, eps)
+
+
 def fresh_sup(checker, e, mode):
     """The compressed sup of e on the stacks of a fresh recurrence pass,
     as the checker measured it before it shared one pass per element."""
@@ -707,14 +767,14 @@ class TestCheckerStacks:
         else:
             channel, x, beta, horizon = mix8(workloads, kind)
         candidates = []
-        finalize = maximal._finalize
+        check = maximal.check_witness
 
-        def recording(checker, e, *args):
-            report = finalize(checker, e, *args)
+        def recording(checker, e, *args, **kwargs):
+            report = check(checker, e, *args, **kwargs)
             candidates.append((checker, report))
             return report
 
-        monkeypatch.setattr(maximal, "_finalize", recording)
+        monkeypatch.setattr(maximal, "check_witness", recording)
         passes = count_passes(monkeypatch)
         build(channel, x, beta, horizon)
         monkeypatch.undo()
@@ -735,16 +795,18 @@ class TestCheckerStacks:
         channel, x, report = found_yeadon_cell()
         passes = count_passes(monkeypatch)
         checker = CheckerStacks(channel, x, report.horizon)
-        zero = check_witness(checker, Projection(MULTI.zero()),
-                             MULTI.total_trace, 0.0, tol=0.0)
-        assert zero.sup_value == 0.0 and zero.passed
-        assert zero.trace_defect == MULTI.total_trace
+        total_trace = sum(d * w for d, w in MULTI.blocks)
+        zero = check_witness(checker, Projection(MULTI.zero()), total_trace,
+                             0.0, tol=0.0, method="zero")
+        assert zero.sup_compression == 0.0 and zero.checker_passed
+        assert zero.trace_defect == total_trace
         assert passes["all"] == 0
         # the first nonzero candidate runs the pass; later ones reuse it
         for e in (Projection.identity(MULTI), report.projection):
             outcome = check_witness(checker, e, report.trace_budget,
-                                    report.sup_budget)
-            assert outcome.sup_value == fresh_sup(checker, e, "two_sided")
+                                    report.sup_budget, method="rechecked")
+            assert outcome.sup_compression == fresh_sup(checker, e,
+                                                        "two_sided")
         assert passes["all"] == 1
 
     def test_recheck_reads_the_first_measurement(self, workloads,

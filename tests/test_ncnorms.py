@@ -32,19 +32,22 @@ def quad_lorentz(sf: SingularFunction, p, q):
 class TestSingularFunction:
     def test_identity_m2(self):
         sf = singular_function(M2.identity())
-        assert sf.to_csv_rows() == [(0.0, 1.0)]
+        assert sf.values.tolist() == [1.0]
+        assert sf.bounds.tolist() == [0.0, 2.0]
         assert sf.total_support == pytest.approx(2.0)
 
     def test_diag_standard(self):
         sf = singular_function(diag([3, 1]))
-        assert sf.to_csv_rows() == [(0.0, 3.0), (1.0, 1.0)]
+        assert sf.values.tolist() == [3.0, 1.0]
+        assert sf.bounds.tolist() == [0.0, 1.0, 2.0]
 
     def test_diag_weighted(self):
         x = Operator(WEIGHTED, [np.array([[3.0]]), np.array([[1.0]])])
         sf = singular_function(x)
         # threshold enumeration of the inf definition:
         # tau(e_lam_perp) jumps at the weights 0.5 and 2.0
-        assert sf.to_csv_rows() == [(0.0, 3.0), (0.5, 1.0)]
+        assert sf.values.tolist() == [3.0, 1.0]
+        assert sf.bounds.tolist() == [0.0, 0.5, 2.0]
 
     def test_right_continuity_at_breakpoints(self):
         # values[k] holds on [bounds[k], bounds[k+1]): mu(1) = 1 is the
@@ -65,17 +68,19 @@ class TestSingularFunction:
     def test_support_bounded_by_total_trace(self):
         rng = stream(41, "mu")
         x = random_operator(MIXED, rng)
-        assert singular_function(x).total_support <= MIXED.total_trace + 1e-12
+        total_trace = sum(d * w for d, w in MIXED.blocks)
+        assert singular_function(x).total_support <= total_trace + 1e-12
 
     def test_construction_sorts_and_merges(self):
         # 1, 3, 1 on unit steps -> 3 on [0, 1), 1 on [1, 3)
         sf = SingularFunction([1.0, 3.0, 1.0], [1.0, 1.0, 1.0])
-        assert sf.to_csv_rows() == [(0.0, 3.0), (1.0, 1.0)]
+        assert sf.values.tolist() == [3.0, 1.0]
         assert sf.bounds.tolist() == [0.0, 1.0, 3.0]
 
     def test_construction_drops_zero_steps(self):
         sf = SingularFunction([2.0, 0.0, 1.0], [1.0, 5.0, 0.0])
-        assert sf.to_csv_rows() == [(0.0, 2.0)]
+        assert sf.values.tolist() == [2.0]
+        assert sf.bounds.tolist() == [0.0, 1.0]
         assert sf.total_support == 1.0
 
     def test_construction_is_equimeasurable(self):

@@ -35,12 +35,6 @@ NEVER_CALLED = {
     "cli._reject_non_finite",
     # tests compare operators and write the config format with these
     "algebra.Operator.allclose", "algebra.Operator.to_json",
-    # reached by tests only; ROADMAP item 10 deletes them
-    "algebra.AlgebraSpec.total_trace",
-    "ncnorms.SingularFunction.to_csv_rows",
-    "weights.WeightSequence.from_trig",
-    "weights.WeightSequence.trig_with_decay",
-    "weights.WeightSequence.rotation",
 }
 
 _POLY = {"coefficients": [[0.5, 0], [0.5, 0]],

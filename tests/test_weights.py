@@ -47,9 +47,10 @@ class TestWeightSequence:
     def test_bound_certified_on_samples(self):
         cases = [
             WeightSequence("periodic", period=[1, 1j, -1, -1j]),
-            WeightSequence.rotation(1.0 / 7.0),
-            WeightSequence.trig_with_decay(TrigPolynomial((1.0,), (-1.0,)),
-                                           1.0),
+            WeightSequence("trig", poly=TrigPolynomial(
+                (1.0,), (np.exp(2j * np.pi / 7.0),))),
+            WeightSequence("trig_decay",
+                           poly=TrigPolynomial((1.0,), (-1.0,)), decay=1.0),
         ]
         ks = np.unique(np.logspace(0, 6, 80).astype(int))
         for beta in cases:
@@ -57,8 +58,9 @@ class TestWeightSequence:
             assert np.max(np.abs(vals)) <= beta.bound + 1e-12
 
     def test_values_match_generator(self):
-        beta = WeightSequence.trig_with_decay(
-            TrigPolynomial((1.0,), (np.exp(0.6j * np.pi),)), 0.5)
+        beta = WeightSequence(
+            "trig_decay", poly=TrigPolynomial((1.0,), (np.exp(0.6j * np.pi),)),
+            decay=0.5)
         window = beta.values(50)
         for k in (0, 7, 50):
             assert window[k] == pytest.approx(
@@ -75,7 +77,7 @@ def deviation_max(beta, poly, n_max):
 class TestBesicovitchDeviation:
     def test_exact_match_profile_zero(self):
         poly = TrigPolynomial((1.0,), (-1.0,))
-        beta = WeightSequence.from_trig(poly)
+        beta = WeightSequence("trig", poly=poly)
         assert deviation_max(beta, poly, 256) < 1e-12
         assert besicovitch_deviation(beta, poly, 200) < 1e-12
 
@@ -83,7 +85,7 @@ class TestBesicovitchDeviation:
         # a_n = H_{n+1} / (n+1) falls in n, so the tail sup over
         # [500, 1000] is its value at n = 500
         poly = TrigPolynomial((1.0,), (-1.0,))
-        beta = WeightSequence.trig_with_decay(poly, 1.0)
+        beta = WeightSequence("trig_decay", poly=poly, decay=1.0)
         harmonic = np.sum(1.0 / np.arange(1, 502))
         assert besicovitch_deviation(beta, poly, 1000) == pytest.approx(
             harmonic / 501, abs=1e-12)
@@ -99,7 +101,8 @@ class TestBesicovitchCertificate:
     def test_periodic_generators_certify(self):
         for beta in (WeightSequence("periodic", period=[1, 0, 2]),
                      WeightSequence.constant(0.5),
-                     WeightSequence.rotation(1.0 / 7.0)):
+                     WeightSequence("trig", poly=TrigPolynomial(
+                         (1.0,), (np.exp(2j * np.pi / 7.0),)))):
             assert beta.besicovitch_certificate() is True
             assert besicovitch_deviation(
                 beta, beta.approximating_polynomial(),
@@ -110,7 +113,7 @@ class TestBesicovitchCertificate:
         # the tail sup is decay * H_2049 / 2049: about 4e-4 for 0.1, and
         # 4e-3 for 1.0, which lies between CERTIFICATE_EPS and 0.1
         poly = TrigPolynomial((1.0,), (-1.0,))
-        beta = WeightSequence.trig_with_decay(poly, decay)
+        beta = WeightSequence("trig_decay", poly=poly, decay=decay)
         deviation = besicovitch_deviation(beta, poly, CERTIFICATE_HORIZON)
         harmonic = np.sum(1.0 / np.arange(1, CERTIFICATE_HORIZON // 2 + 2))
         assert deviation == pytest.approx(
@@ -131,8 +134,8 @@ class TestBesicovitchCertificate:
             return besicovitch_deviation(*args)
 
         monkeypatch.setattr(weights, "besicovitch_deviation", counting)
-        beta = WeightSequence.trig_with_decay(
-            TrigPolynomial((1.0,), (-1.0,)), 1.0)
+        beta = WeightSequence("trig_decay",
+                              poly=TrigPolynomial((1.0,), (-1.0,)), decay=1.0)
         certified = beta.besicovitch_certificate()
         assert len(calls) == 1
         assert calls[0][2] == CERTIFICATE_HORIZON
