@@ -186,8 +186,8 @@ class Operator:
 
     # -- certificates ---------------------------------------------------
 
-    def is_hermitian(self, tol=DEFAULT_TOL) -> bool:
-        return all(np.linalg.norm(b - b.conj().T, 2) <= tol
+    def is_hermitian(self) -> bool:
+        return all(np.linalg.norm(b - b.conj().T, 2) <= DEFAULT_TOL
                    for b in self._blocks)
 
     def is_positive(self) -> bool:

@@ -597,7 +597,6 @@ def run_norms(config):
                 emit("projection_closed_form",
                      projection_lorentz_norm(e.trace(), p, q),
                      lorentz_norm(e.operator, p, q), p=p, q=q)
-            y = random_operator(algebra, rng)
             emit("adjoint_invariance", lp_norm(x, 2),
                  lp_norm(x.adjoint(), 2), p=2)
             emit("submajorizes_self", 1.0,

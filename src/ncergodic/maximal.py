@@ -27,9 +27,10 @@ makes every report: the candidate, its defect and its sup measured by the
 checker, the budgets and the verdict.  Where no candidate meets both
 budgets, the report is the best infeasible candidate with found=False:
 its projection and the checker's measurements against the budgets, so a
-not-found result shows how far the search fell short.  The multi-part
-builders (`weighted_witness`, `one_sided_witness`) meet the witnesses of
-their parts; where a part fails, the report is the first failed part's.
+not-found result shows how far the search fell short.  `lp_witness`,
+`weighted_witness` and `one_sided_witness` meet, per eps, the weak (1,1)
+candidates of a power of each part of x, and check the meet once on x
+against the method's own budgets; it is found where every part's was.
 """
 
 from __future__ import annotations
@@ -440,37 +441,35 @@ def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
                horizon: int) -> list:
     """Weak (p,p) witnesses for positive x, one per eps.
 
-    Runs the weak (1,1) search on x^p at the levels eps^p; the spectral
-    bound x <= x_eps + eps^(1-p) x^p turns that witness into
-    sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p.
-    x >= 0 is tested here, once; `_lp_search` does the work.
+    The weak (1,1) search on x^p at the levels eps^p gives a candidate;
+    the spectral bound x <= x_eps + eps^(1-p) x^p turns it into
+    sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p,
+    checked on x (at p = 1 the search checks on the same stacks).  x >= 0
+    is tested here, once.
     """
     if not x.is_positive():
         raise NotPositiveError("lp witness requires x >= 0")
-    return _lp_search(channel, x, p, eps_grid, horizon)
-
-
-def _lp_search(channel, x, p, eps_grid, horizon):
-    """`lp_witness` for an x >= 0 that the caller has tested or built
-    positive (the parts of `weighted_witness`, h h in
-    `one_sided_witness`); neither it nor the operators it derives from x
-    are tested again."""
     if p < 1:
         raise ValueError("p must be >= 1")
     checker = CheckerStacks(channel, x, horizon)
-    powered = x if p == 1 else positive_power(x, p)
-    # at p = 1 the search checks x itself, on the same stacks
-    bases = _yeadon_search(channel, powered, [eps ** p for eps in eps_grid],
-                           horizon, checker if p == 1 else
-                           CheckerStacks(channel, powered, horizon))
     norm = lp_norm(x, p)
-    results = []
-    for base, eps in zip(bases, eps_grid):
-        report = check_witness(checker, base.projection, (norm / eps) ** p,
-                               2.0 * eps, method=f"lp[{base.method}]")
-        report.found = base.found
-        results.append(report)
-    return results
+    return _meet_witnesses(
+        checker, [x],
+        lambda part, grid: _weak_pp(channel, part, p, grid, horizon,
+                                    checker if p == 1 else None),
+        lambda eps: ((norm / eps) ** p, 2.0 * eps), "lp", "two_sided",
+        eps_grid)
+
+
+def _weak_pp(channel, x, p, eps_grid, horizon, checker=None):
+    """The weak (1,1) search on x^p at the levels eps^p, for an x >= 0
+    that the caller has tested or built positive, checked on the given
+    checker stacks of x^p or else on fresh ones."""
+    powered = x if p == 1 else positive_power(x, p)
+    if checker is None:
+        checker = CheckerStacks(channel, powered, horizon)
+    return _yeadon_search(channel, powered, [eps ** p for eps in eps_grid],
+                          horizon, checker)
 
 
 def _nonzero(parts, x):
@@ -480,33 +479,23 @@ def _nonzero(parts, x):
             if part.uniform_norm() > 1e-14 * scale_ref]
 
 
-def _meet_witnesses(channel, x, beta, parts, search, budgets, name, mode,
-                    eps_grid, horizon):
-    """Per eps, the meet of the witnesses that search(part, grid) finds
-    for the parts of x, checked on the checker stacks of x against
-    budgets(eps) = (trace budget, sup budget); or, where a part is not
-    found, that part's report.  A part is searched only at the eps where
-    every earlier part was found."""
-    checker = CheckerStacks(channel, x, horizon,
-                            None if beta.is_constant_one else beta)
-    outcomes = [[] for _ in eps_grid]
-    for part in parts:
-        open_ = [k for k, o in enumerate(outcomes) if isinstance(o, list)]
-        if not open_:
-            break
-        for k, res in zip(open_, search(part, [eps_grid[k] for k in open_])):
-            if res.found:
-                outcomes[k].append(res)
-            else:
-                outcomes[k] = res
-    for k, witnesses in enumerate(outcomes):
-        if isinstance(witnesses, list):
-            e = projection_meet_all([w.projection for w in witnesses])
-            methods = "+".join(w.method for w in witnesses)
-            outcomes[k] = check_witness(checker, e, *budgets(eps_grid[k]),
-                                        mode, method=f"{name}[{methods}]",
-                                        weight_bound=beta.bound)
-    return outcomes
+def _meet_witnesses(checker, parts, search, budgets, name, mode, eps_grid,
+                    weight_bound=1.0):
+    """Per eps, the meet of the candidates that search(part, grid) gives
+    for each part of x, checked once on the checker stacks of x against
+    budgets(eps) = (trace budget, sup budget).  The meet is found where
+    every part's candidate was found."""
+    candidates = [search(part, eps_grid) for part in parts]
+    reports = []
+    for eps, witnesses in zip(eps_grid, zip(*candidates)):
+        e = projection_meet_all([w.projection for w in witnesses])
+        methods = "+".join(w.method for w in witnesses)
+        report = check_witness(checker, e, *budgets(eps), mode,
+                               method=f"{name}[{methods}]",
+                               weight_bound=weight_bound)
+        report.found = all(w.found for w in witnesses)
+        reports.append(report)
+    return reports
 
 
 def weighted_witness(channel: Channel, x: Operator, p: float, beta,
@@ -514,13 +503,14 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     """Witnesses for weighted averages M_{beta,n} via the four positive
     parts, one per eps.
 
-    Each part gets its own weak (p,p) witness; the meet of the four
-    projections controls the weighted averages because the shifted
-    coefficients Re(beta)+C, Im(beta)+C lie in [0, 2C].  Budgets are
-    parts * (||x||_p/eps)^p on the trace and parts * 12 C eps on the
-    sup (parts * 2 eps when beta is identically one, where the weighted
-    average is the plain one).  Positive x is one part; the parts of
-    other x are positive by construction.
+    Each part runs the weak (1,1) search on part^p at the levels eps^p;
+    the meet of the candidates, checked on the weighted averages of x,
+    controls them because the shifted coefficients Re(beta)+C,
+    Im(beta)+C lie in [0, 2C].  Budgets are parts * (||x||_p/eps)^p on
+    the trace and parts * 12 C eps on the sup (parts * 2 eps when beta
+    is identically one, where the weighted average is the plain one).
+    Positive x is one part; the parts of other x are positive by
+    construction.
     """
     parts = ([x] if x.is_positive()
              else _nonzero(hermitian_decompose(x), x))
@@ -530,10 +520,12 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
         per_part = 2.0 * eps if beta.is_constant_one else 12.0 * c * eps
         return len(parts) * (norm / eps) ** p, len(parts) * per_part
 
+    checker = CheckerStacks(channel, x, horizon,
+                            None if beta.is_constant_one else beta)
     return _meet_witnesses(
-        channel, x, beta, parts,
-        lambda part, grid: _lp_search(channel, part, p, grid, horizon),
-        budgets, "weighted", "two_sided", eps_grid, horizon)
+        checker, parts,
+        lambda part, grid: _weak_pp(channel, part, p, grid, horizon),
+        budgets, "weighted", "two_sided", eps_grid, beta.bound)
 
 
 def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
@@ -541,11 +533,12 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     """One-sided witnesses sup_n ||M_{beta,n}(x) e|| for p >= 2, one per
     eps.
 
-    For each Hermitian component h of x the witness is the weak (p/2)
-    construction for h^2 at level eps^2: Kadison's inequality applied to
-    the subunital averages turns ||e M_n(h^2) e|| <= 2 eps^2 into
+    For each Hermitian component h of x the candidate is the weak (p/2)
+    search for h^2 at level eps^2: Kadison's inequality applied to the
+    subunital averages turns ||e M_n(h^2) e|| <= 2 eps^2 into
     ||M_n(h) e|| <= sqrt(2) eps.  Bounded operators make the
-    spectral-truncation detour unnecessary.
+    spectral-truncation detour unnecessary.  The meet of the candidates
+    is checked on the averages of x.
 
     Budgets per Hermitian part: (2 (||x||_p/eps)^p, sqrt(2) eps) for
     plain averages, (3 (||x||_p/eps)^p, 2 sqrt(C)(2+sqrt(C)) eps) for
@@ -564,8 +557,10 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
         return (3.0 * len(parts) * r ** p,
                 len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c)) * eps)
 
+    checker = CheckerStacks(channel, x, horizon,
+                            None if beta.is_constant_one else beta)
     return _meet_witnesses(
-        channel, x, beta, parts,
-        lambda h, grid: _lp_search(channel, h @ h, p / 2.0,
-                                   [eps ** 2 for eps in grid], horizon),
-        budgets, "one-sided", "one_sided", eps_grid, horizon)
+        checker, parts,
+        lambda h, grid: _weak_pp(channel, h @ h, p / 2.0,
+                                 [eps ** 2 for eps in grid], horizon),
+        budgets, "one-sided", "one_sided", eps_grid, beta.bound)

@@ -79,7 +79,7 @@ def eigh(x: Operator) -> SpectralDecomposition:
 def positive_power(x: Operator, p: float) -> Operator:
     """x^p for positive x via functional calculus (tiny negative
     eigenvalues from roundoff are clipped to zero).  x >= 0 is not tested
-    here: its one caller, `maximal._lp_search`, is given an x that
+    here: its one caller, `maximal._weak_pp`, is given an x that
     `lp_witness` has tested or that is positive by construction."""
     blocks = []
     for b in x.blocks:
@@ -100,7 +100,7 @@ def projection_meet(e: Projection, f: Projection) -> Projection:
         raise ValueError("projections live in different algebras")
     obstruction = e.complement().operator + f.complement().operator
     bases = []
-    for i, d in enumerate(e.algebra.dims):
+    for i in range(e.algebra.num_blocks):
         b = obstruction.block(i)
         lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
         keep = lam <= MEET_KERNEL_TOL

@@ -106,6 +106,62 @@ def test_no_unused_private_names():
     assert unused_private_names(sources) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_locals(source):
+    """(line, function, name) of each local name that a function assigns
+    and never reads.  A nested function is read as part of the function
+    that holds it, `_`-names are left out, and so are the targets of an
+    augmented assignment, which reads the name it assigns."""
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, FUNCTIONS)]
+    nested = {id(inner) for outer in functions for inner in ast.walk(outer)
+              if inner is not outer and isinstance(inner, FUNCTIONS)}
+    found = []
+    for function in functions:
+        if id(function) in nested:
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, ast.AugAssign) \
+                    and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        found += [(line, function.name, name)
+                  for name, line in stored.items()
+                  if name not in read and not name.startswith("_")]
+    return sorted(found)
+
+
+def test_finds_unused_local():
+    source = ("def f(blocks):\n"
+              "    out, _ = [], 0\n"
+              "    y = 1\n"
+              "    for i, d in enumerate(blocks):\n"
+              "        out.append(i)\n"
+              "    for row in out:\n"
+              "        row += 1\n"
+              "    def g():\n"
+              "        z = 2\n"
+              "        return out\n"
+              "    return g\n"
+              "class A:\n"
+              "    def m(self):\n"
+              "        w = [k for k in self]\n")
+    assert unused_locals(source) == [(3, "f", "y"), (4, "f", "d"),
+                                     (9, "f", "z"), (14, "m", "w")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_locals(module):
+    assert unused_locals((PACKAGE / module).read_text()) == []
+
+
 def third_party_imports(source):
     """Top-level packages of the absolute imports that are not in the
     standard library."""

@@ -23,7 +23,8 @@ from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import (derive_seed, random_operator, random_projection,
                            stream)
-from ncergodic.spectral import SpectralDecomposition, eigh
+from ncergodic.spectral import (SpectralDecomposition, eigh,
+                                projection_meet_all)
 from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -629,30 +630,40 @@ class TestGridEqualsSingleEps:
             assert "level-set" in results[2].method
             assert "identity" in results[3].method
 
-    def test_part_failure_skips_later_parts(self, workloads, monkeypatch):
-        # a part searched at the eps where every earlier part was found
+    def test_part_failure_is_the_meet_on_x(self, workloads, monkeypatch):
+        # a part that is not found makes the cell not found, and the report
+        # is still the meet of every part's candidate, measured on x
+        # against the cell's own budgets
         channel, x, beta, horizon = mix8(workloads, "random")
-        grids, forced = [], []
-        lp = maximal._lp_search
+        candidates = []
+        weak_pp = maximal._weak_pp
 
-        def failing_first_part(channel, part, p, grid, horizon):
-            grids.append(list(grid))
-            results = lp(channel, part, p, grid, horizon)
-            if len(grids) == 1:  # the first part fails at the first eps
+        def failing_first_part(*args, **kwargs):
+            results = weak_pp(*args, **kwargs)
+            if not candidates:  # the first part fails at the first eps
                 results[0] = dataclasses.replace(results[0], found=False)
-                forced.append(results[0])
+            candidates.append(results)
             return results
 
-        monkeypatch.setattr(maximal, "_lp_search", failing_first_part)
+        monkeypatch.setattr(maximal, "_weak_pp", failing_first_part)
         results = weighted_witness(channel, x, 2.0, beta, MIX8_GRID, horizon)
-        assert grids[0] == MIX8_GRID
-        assert all(grid == MIX8_GRID[1:] for grid in grids[1:])
-        assert len(grids) == 4
-        # the failing part's own report stands for the cell
+        # every part is searched over the whole grid
+        assert [len(c) for c in candidates] == [len(MIX8_GRID)] * 4
         assert not results[0].found
-        same_result(results[0], forced[0])
-        assert results[0].method.startswith("lp[")
         assert all(r.found for r in results[1:])
+        report, eps = results[0], MIX8_GRID[0]
+        meet = projection_meet_all([c[0].projection for c in candidates])
+        assert all(np.array_equal(g, e) for g, e in
+                   zip(report.projection.operator.blocks,
+                       meet.operator.blocks))
+        assert (report.trace_budget, report.sup_budget) == \
+            part_meet_budgets("weighted", 4, lp_norm(x, 2.0), 2.0,
+                              beta.bound, beta.is_constant_one, eps)
+        assert report.weight_bound == beta.bound
+        checker = CheckerStacks(channel, x, horizon, beta)
+        assert report.sup_compression == fresh_sup(checker, meet, "two_sided")
+        assert report.trace_defect == meet.defect()
+        assert report.checker_passed == report.within_budgets()
 
     def test_hopf(self, workloads):
         channel, x, horizon = cycle96(workloads)
@@ -838,3 +849,26 @@ class TestCheckerStacks:
         channel, x, _ = found_yeadon_cell()
         with pytest.raises(ValueError):
             CheckerStacks(channel, x, -1)
+
+
+class TestPassesPerBuilder:
+    """Recurrence passes of the meet builders on the certify-mix8 channel:
+    per part one search pass and one checker pass of part^p (none of its
+    own at p = 1 for lp, whose search checks on x), and one checker pass
+    of x for the meet."""
+
+    @pytest.mark.parametrize("kind,build,passes", [
+        ("random", lambda ch, x, beta, n:
+         weighted_witness(ch, x, 2.0, beta, MIX8_GRID, n), 2 * 4 + 1),
+        ("random", lambda ch, x, beta, n:
+         one_sided_witness(ch, x, 2.0, beta, MIX8_GRID, n), 2 * 2 + 1),
+        ("random-positive", lambda ch, x, beta, n:
+         lp_witness(ch, x, 1.0, MIX8_GRID, n), 2),
+        ("random-positive", lambda ch, x, beta, n:
+         lp_witness(ch, x, 2.0, MIX8_GRID, n), 3),
+    ], ids=["weighted-4-parts", "one-sided-2-parts", "lp-p1", "lp-p2"])
+    def test_passes(self, workloads, monkeypatch, kind, build, passes):
+        channel, x, beta, horizon = mix8(workloads, kind)
+        counts = count_passes(monkeypatch)
+        build(channel, x, beta, horizon)
+        assert counts["all"] == passes
