@@ -15,7 +15,7 @@ from .dynamics import (Channel, channel_from_spec, compose, convex_combine,
                        unitary_conjugation, verify_ds)
 from .funcspace import boyd_estimate
 from .maximal import (CheckerStacks, WitnessReport, check_witness,
-                      hopf_witness_commutative, lp_witness, one_sided_witness,
+                      hopf_witness_commutative, one_sided_witness,
                       weighted_witness, yeadon_witness_search)
 from .ncnorms import (SingularFunction, lorentz_norm, lp_norm,
                       measure_distance, projection_lorentz_norm,

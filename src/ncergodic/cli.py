@@ -10,9 +10,11 @@ Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
 that cannot be built, an operator whose blocks do not fit the algebra,
 a channel that is not DS+ in `certify`, `converge` or `besicovitch`,
-and an element that is not positive for a method that needs x >= 0),
-2 checker discrepancy (a witness whose checker verdict contradicts its
-own measured trace defect and sup against its budgets; this must never
+and an element that is not positive for `yeadon` or `hopf`, which need
+x >= 0; `lp` certifies any other element through its positive parts,
+as `weighted` does), 2 checker discrepancy (a witness that is found but
+fails the checker, or whose checker verdict contradicts its own
+measured trace defect and sup against its budgets; this must never
 happen).
 """
 
@@ -36,9 +38,8 @@ from .errors import (AlgebraMismatchError, ChannelConstructionError,
                      ConfigError, NotPositiveError)
 from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
                         dilation_norm_estimate)
-from .maximal import (hopf_witness_commutative, lp_witness,
-                      one_sided_witness, weighted_witness,
-                      yeadon_witness_search)
+from .maximal import (hopf_witness_commutative, one_sided_witness,
+                      weighted_witness, yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
                       singular_function, submajorizes)
 from .rng import derive_seed, random_operator, random_projection, stream
@@ -169,6 +170,16 @@ _ALGEBRA_SCHEMA = {
     },
 }
 
+# The plain averages are the weighted ones at a weight identically one.
+_UNIT = WeightSequence.constant(1.0)
+_CERTIFY_BUILDERS = {
+    "yeadon": lambda ch, x, p, beta, grid, n: yeadon_witness_search(ch, x, grid, n),
+    "lp": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, _UNIT, grid, n),
+    "weighted": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, beta, grid, n),
+    "one-sided": lambda ch, x, p, beta, grid, n: one_sided_witness(ch, x, p, beta, grid, n),
+    "hopf": lambda ch, x, p, beta, grid, n: hopf_witness_commutative(ch, x, grid, n),
+}
+
 CONFIG_SCHEMA = {
     "$defs": {"channel": _CHANNEL_SCHEMA},
     "type": "object",
@@ -183,8 +194,7 @@ CONFIG_SCHEMA = {
             "required": ["methods", "eps_grid", "p_grid", "element"],
             "properties": {
                 "methods": {"type": "array",
-                            "items": {"enum": ["yeadon", "lp", "weighted",
-                                               "one-sided", "hopf"]}},
+                            "items": {"enum": list(_CERTIFY_BUILDERS)}},
                 "eps_grid": {"type": "array",
                              "items": {"type": "number",
                                        "exclusiveMinimum": 0}},
@@ -392,15 +402,6 @@ def run_verify_channel(config):
     return header, [row], summary, 0
 
 
-_CERTIFY_BUILDERS = {
-    "yeadon": lambda ch, x, p, beta, grid, n: yeadon_witness_search(ch, x, grid, n),
-    "hopf": lambda ch, x, p, beta, grid, n: hopf_witness_commutative(ch, x, grid, n),
-    "lp": lambda ch, x, p, beta, grid, n: lp_witness(ch, x, p, grid, n),
-    "weighted": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, beta, grid, n),
-    "one-sided": lambda ch, x, p, beta, grid, n: one_sided_witness(ch, x, p, beta, grid, n),
-}
-
-
 def _certify_task(config, algebra, channel, beta, eps_grid, task):
     """One witness search over the whole eps grid for one (method, p,
     seed_idx); returns one (row, discrepancy, found) per eps."""
@@ -421,9 +422,10 @@ def _certify_task(config, algebra, channel, beta, eps_grid, task):
         raise ConfigError(f"method {method!r}: {exc}") from exc
     cells = []
     for eps, report in zip(eps_grid, results):
-        # the builders ran the independent checker already; a verdict
-        # that its own measurements contradict is a discrepancy
-        discrepancy = report.checker_passed != report.within_budgets()
+        # the builders ran the independent checker already; a found witness
+        # it rejects, or a verdict its measurements contradict, is wrong
+        discrepancy = (report.found and not report.checker_passed
+                       or report.checker_passed != report.within_budgets())
         row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + [
             seed_idx, method, report.found, report.trace_defect,
             report.trace_budget, report.trace_ratio, report.sup_compression,

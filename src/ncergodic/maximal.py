@@ -27,7 +27,7 @@ makes every report: the candidate, its defect and its sup measured by the
 checker, the budgets and the verdict.  Where no candidate meets both
 budgets, the report is the best infeasible candidate with found=False:
 its projection and the checker's measurements against the budgets, so a
-not-found result shows how far the search fell short.  `lp_witness`,
+not-found result shows how far the search fell short.
 `weighted_witness` and `one_sided_witness` meet, per eps, the weak (1,1)
 candidates of a power of each part of x, and check the meet once on x
 against the method's own budgets; it is found where every part's was.
@@ -110,8 +110,9 @@ class CheckerStacks:
     and measures every candidate of that element on it; none is shared
     with a search or outlives the builder call.  The sup of a
     (projection, mode) is measured once and kept as long as the stacks,
-    so a projection checked again, as `lp_witness` at p = 1 does with the
-    candidates of its inner search, reads the first measurement.
+    so a projection checked again, as `weighted_witness` at p = 1 does
+    with the candidates of its inner search, reads the first measurement.
+    A weight identically one is stored as None, the plain averages.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -121,7 +122,7 @@ class CheckerStacks:
         self.channel = channel
         self.x = x
         self.horizon = horizon
-        self.beta = beta
+        self.beta = None if beta is None or beta.is_constant_one else beta
         self._sups = {}  # (projection, mode) -> sup; keys hold e alive
 
     @functools.cached_property
@@ -402,18 +403,18 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
     """
     if not x.is_positive():
         raise NotPositiveError("yeadon witness requires x >= 0")
-    return _yeadon_search(channel, x, eps_grid, horizon,
-                          CheckerStacks(channel, x, horizon))
+    return _yeadon_search(CheckerStacks(channel, x, horizon), eps_grid)
 
 
-def _yeadon_search(channel, x, eps_grid, horizon, checker):
-    """`yeadon_witness_search` for an x >= 0 that the caller has tested or
-    built positive, checked on the given checker stacks of x."""
+def _yeadon_search(checker, eps_grid):
+    """`yeadon_witness_search` for the element of plain checker stacks,
+    an x >= 0 that the caller has tested or built positive."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
+    channel, x = checker.channel, checker.x
     norm = lp_norm(x, 1)
     stops = [(eps, norm / eps) for eps in eps_grid]
-    stacks = _average_stacks(channel, x, horizon)
+    stacks = _average_stacks(channel, x, checker.horizon)
 
     results, best = [None] * len(stops), [None] * len(stops)
     for name, strategy in _STRATEGY_TABLE.items():
@@ -437,39 +438,15 @@ def _yeadon_search(channel, x, eps_grid, horizon, checker):
     return [r if r is not None else b for r, b in zip(results, best)]
 
 
-def lp_witness(channel: Channel, x: Operator, p: float, eps_grid,
-               horizon: int) -> list:
-    """Weak (p,p) witnesses for positive x, one per eps.
-
-    The weak (1,1) search on x^p at the levels eps^p gives a candidate;
-    the spectral bound x <= x_eps + eps^(1-p) x^p turns it into
-    sup_n ||e M_n(x) e|| <= 2 eps with tau(e_perp) <= (||x||_p/eps)^p,
-    checked on x (at p = 1 the search checks on the same stacks).  x >= 0
-    is tested here, once.
-    """
-    if not x.is_positive():
-        raise NotPositiveError("lp witness requires x >= 0")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    checker = CheckerStacks(channel, x, horizon)
-    norm = lp_norm(x, p)
-    return _meet_witnesses(
-        checker, [x],
-        lambda part, grid: _weak_pp(channel, part, p, grid, horizon,
-                                    checker if p == 1 else None),
-        lambda eps: ((norm / eps) ** p, 2.0 * eps), "lp", "two_sided",
-        eps_grid)
-
-
-def _weak_pp(channel, x, p, eps_grid, horizon, checker=None):
+def _weak_pp(checker, x, p, eps_grid):
     """The weak (1,1) search on x^p at the levels eps^p, for an x >= 0
-    that the caller has tested or built positive, checked on the given
-    checker stacks of x^p or else on fresh ones."""
+    that the caller has tested or built positive.  It checks on `checker`
+    where x^p is that checker's element and its averages are plain, and
+    else on fresh stacks of x^p from the checker's channel and horizon."""
     powered = x if p == 1 else positive_power(x, p)
-    if checker is None:
-        checker = CheckerStacks(channel, powered, horizon)
-    return _yeadon_search(channel, powered, [eps ** p for eps in eps_grid],
-                          horizon, checker)
+    if powered is not checker.x or checker.beta is not None:
+        checker = CheckerStacks(checker.channel, powered, checker.horizon)
+    return _yeadon_search(checker, [eps ** p for eps in eps_grid])
 
 
 def _nonzero(parts, x):
@@ -501,30 +478,34 @@ def _meet_witnesses(checker, parts, search, budgets, name, mode, eps_grid,
 def weighted_witness(channel: Channel, x: Operator, p: float, beta,
                      eps_grid, horizon: int) -> list:
     """Witnesses for weighted averages M_{beta,n} via the four positive
-    parts, one per eps.
+    parts, one per eps; at beta identically one, the weak (p,p)
+    witnesses of the plain averages.
 
-    Each part runs the weak (1,1) search on part^p at the levels eps^p;
-    the meet of the candidates, checked on the weighted averages of x,
-    controls them because the shifted coefficients Re(beta)+C,
-    Im(beta)+C lie in [0, 2C].  Budgets are parts * (||x||_p/eps)^p on
-    the trace and parts * 12 C eps on the sup (parts * 2 eps when beta
-    is identically one, where the weighted average is the plain one).
-    Positive x is one part; the parts of other x are positive by
-    construction.
+    Each part runs the weak (1,1) search on part^p at the levels eps^p.
+    For a positive part y the spectral bound y <= y_eps + eps^(1-p) y^p
+    turns its candidate into a sup of at most 2 eps over the plain
+    averages with a defect of at most (||y||_p/eps)^p.  The meet of the
+    candidates, checked on the weighted averages of x, controls them
+    because the shifted coefficients Re(beta)+C, Im(beta)+C lie in
+    [0, 2C].  Budgets are parts * (||x||_p/eps)^p on the trace and
+    parts * 12 C eps on the sup (parts * 2 eps when beta is identically
+    one, where the weighted average is the plain one).  Each part is
+    below x in every symmetric norm.  Positive x is one part, tested
+    here once; the parts of other x are positive by construction.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     parts = ([x] if x.is_positive()
              else _nonzero(hermitian_decompose(x), x))
     c, norm = beta.bound, lp_norm(x, p)
+    checker = CheckerStacks(channel, x, horizon, beta)
 
     def budgets(eps):
-        per_part = 2.0 * eps if beta.is_constant_one else 12.0 * c * eps
+        per_part = 2.0 * eps if checker.beta is None else 12.0 * c * eps
         return len(parts) * (norm / eps) ** p, len(parts) * per_part
 
-    checker = CheckerStacks(channel, x, horizon,
-                            None if beta.is_constant_one else beta)
     return _meet_witnesses(
-        checker, parts,
-        lambda part, grid: _weak_pp(channel, part, p, grid, horizon),
+        checker, parts, lambda part, grid: _weak_pp(checker, part, p, grid),
         budgets, "weighted", "two_sided", eps_grid, beta.bound)
 
 
@@ -549,18 +530,17 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     parts = ([x] if x.is_hermitian()
              else _nonzero([x.hermitian_part(), x.skew_part()], x))
     c, norm = beta.bound, lp_norm(x, p)
+    checker = CheckerStacks(channel, x, horizon, beta)
 
     def budgets(eps):
         r = norm / eps
-        if beta.is_constant_one:
+        if checker.beta is None:
             return 2.0 * len(parts) * r ** p, len(parts) * np.sqrt(2.0) * eps
         return (3.0 * len(parts) * r ** p,
                 len(parts) * 2.0 * np.sqrt(c) * (2.0 + np.sqrt(c)) * eps)
 
-    checker = CheckerStacks(channel, x, horizon,
-                            None if beta.is_constant_one else beta)
     return _meet_witnesses(
         checker, parts,
-        lambda h, grid: _weak_pp(channel, h @ h, p / 2.0,
-                                 [eps ** 2 for eps in grid], horizon),
+        lambda h, grid: _weak_pp(checker, h @ h, p / 2.0,
+                                 [eps ** 2 for eps in grid]),
         budgets, "one-sided", "one_sided", eps_grid, beta.bound)

@@ -80,7 +80,7 @@ def positive_power(x: Operator, p: float) -> Operator:
     """x^p for positive x via functional calculus (tiny negative
     eigenvalues from roundoff are clipped to zero).  x >= 0 is not tested
     here: its one caller, `maximal._weak_pp`, is given an x that
-    `lp_witness` has tested or that is positive by construction."""
+    `weighted_witness` has tested or that is positive by construction."""
     blocks = []
     for b in x.blocks:
         lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)

@@ -20,14 +20,15 @@ from ncergodic.algebra import AlgebraSpec, hermitian_decompose
 from ncergodic.dynamics import (random_kraus_channel, random_substochastic,
                                 random_unitary_mixture)
 from ncergodic.maximal import (CheckerStacks, check_witness,
-                               hopf_witness_commutative, lp_witness,
-                               one_sided_witness, weighted_witness,
-                               yeadon_witness_search)
+                               hopf_witness_commutative, one_sided_witness,
+                               weighted_witness, yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import random_operator, stream
 from ncergodic.weights import TrigPolynomial, WeightSequence
 
 SMALL = settings(max_examples=25, deadline=None, derandomize=True)
+# the weak (p,p) witnesses are the weighted ones at a weight identically one
+UNIT = WeightSequence.constant(1.0)
 
 ALGEBRAS = st.lists(st.tuples(st.integers(1, 3),
                               st.sampled_from([0.5, 1.0, 2.0])),
@@ -37,7 +38,7 @@ SEEDS = st.integers(0, 2 ** 31)
 EPS = st.sampled_from([0.3, 0.45, 0.6, 0.75])
 HORIZONS = st.sampled_from([4, 16, 32])
 WEIGHTS = st.sampled_from([
-    WeightSequence.constant(1.0),
+    UNIT,
     WeightSequence.constant(0.5),
     WeightSequence("periodic", period=[1, 1j, -1, -1j]),
     WeightSequence("trig", poly=TrigPolynomial(
@@ -75,7 +76,7 @@ def test_yeadon_weak_11(algebra, seed, eps, horizon):
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_lp_weak_pp(algebra, seed, eps, horizon, p):
     channel, x = channel_and_element(algebra, seed, "positive")
-    [report] = lp_witness(channel, x, p, [eps], horizon)
+    [report] = weighted_witness(channel, x, p, UNIT, [eps], horizon)
     if report.found:
         assert passes(channel, x, report, horizon,
                       (lp_norm(x, p) / eps) ** p, 2.0 * eps)
@@ -146,14 +147,14 @@ def test_hopf_equals_brute_force_maximal_function(weights, seed, eps,
 
 
 # method -> (builder on (channel, x, eps_grid, horizon), element kind);
-# lp needs x >= 0, as the CLI draws it
+# lp on x >= 0, as the CLI draws it
 SCALED_BUILDERS = {
-    "lp": (lambda ch, x, grid, n: lp_witness(ch, x, 2.0, grid, n),
-           "positive"),
+    "lp": (lambda ch, x, grid, n: weighted_witness(ch, x, 2.0, UNIT, grid,
+                                                   n), "positive"),
     "weighted": (lambda ch, x, grid, n: weighted_witness(
-        ch, x, 2.0, WeightSequence.constant(1.0), grid, n), "general"),
+        ch, x, 2.0, UNIT, grid, n), "general"),
     "one-sided": (lambda ch, x, grid, n: one_sided_witness(
-        ch, x, 2.0, WeightSequence.constant(1.0), grid, n), "general"),
+        ch, x, 2.0, UNIT, grid, n), "general"),
 }
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ncergodic import cli, convergence
+from ncergodic import cli, convergence, maximal
 from ncergodic.algebra import AlgebraSpec, Operator, Projection
 from ncergodic.convergence import NormSpec
 from ncergodic.dynamics import (CHANNEL_KINDS, channel_from_spec,
@@ -561,23 +561,52 @@ class TestCertifyContract:
     # 96 atoms
     WORKLOAD_SEEDS = {"certify-mix8": 3, "certify-cycle96": 5}
 
+    def certify_args(self, tmp_path, workloads, name, seed_class):
+        """The certify command line of a fixture, or of a workload at one
+        seed class, and the reference CSV of that run."""
+        if name not in workloads.WORKLOADS:
+            return (["--config", str(FIXTURES / f"{name}.json")],
+                    REFERENCE / "fixtures" / f"{name}.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(workloads.WORKLOADS[name][1]()))
+        seed = workloads.cli_seed(name, seed_class)
+        return (["--config", str(config), "--seed", str(seed)],
+                REFERENCE / name / f"seed{seed}.csv")
+
     @pytest.mark.parametrize("name", ["cycle4", "kraus8", "certify-mix8",
                                       "certify-cycle96"])
     def test_fixture_matches_reference(self, tmp_path, workloads, name):
-        config = FIXTURES / f"{name}.json"
-        reference = REFERENCE / "fixtures" / f"{name}.csv"
-        seed_args = []
-        if name in self.WORKLOAD_SEEDS:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(workloads.WORKLOADS[name][1]()))
-            seed = workloads.cli_seed(name, self.WORKLOAD_SEEDS[name])
-            reference = REFERENCE / name / f"seed{seed}.csv"
-            seed_args = ["--seed", str(seed)]
-        code = run_cli("certify", "--config", str(config),
-                       "--out", str(tmp_path), *seed_args)
+        args, reference = self.certify_args(
+            tmp_path, workloads, name, self.WORKLOAD_SEEDS.get(name, 0))
+        code = run_cli("certify", *args, "--out", str(tmp_path))
         assert code == 0
         assert ((tmp_path / "certify.csv").read_bytes()
                 == reference.read_bytes())
+
+    # recurrence passes of a whole run, the workloads at seed class 0
+    @pytest.mark.parametrize("name,passes", [
+        ("certify-mix8", 19), ("kraus8", 33), ("cycle4", 4),
+        ("certify-cycle96", 4)])
+    def test_recurrence_passes_per_run(self, tmp_path, monkeypatch,
+                                       workloads, name, passes):
+        calls = []
+
+        def counting_averages(*args, **kwargs):
+            calls.append(args)
+            return ergodic_averages(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("ncergodic") and
+                    getattr(module, "ergodic_averages", None)
+                    is ergodic_averages):
+                monkeypatch.setattr(module, "ergodic_averages",
+                                    counting_averages)
+        args, reference = self.certify_args(tmp_path, workloads, name, 0)
+        code = run_cli("certify", *args, "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == reference.read_bytes())
+        assert len(calls) == passes
 
     # results depend only on the config and the command line, not on a
     # leftover NCERG_TOL in the environment
@@ -632,6 +661,47 @@ class TestCertifyContract:
         summary = json.loads((tmp_path / "certify.json").read_text())
         assert summary["summary"]["checker_discrepancies"] == 1
         assert summary["summary"]["found"] == 2
+
+    def test_found_but_rejected_exits_2(self, tmp_path, monkeypatch):
+        # a Hopf cut that keeps every atom: the hopf witness is found, but
+        # the checker measures sup 4 against its budget eps = 2
+        monkeypatch.setattr(
+            maximal, "_strategy_hopf_abelian",
+            lambda channel, stacks, stops: [
+                Projection.identity(channel.algebra) for _ in stops])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli("certify", "--config", str(FIXTURES / "cycle4.json"),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "checker discrepancy" in err.getvalue()
+        with open(tmp_path / "certify.csv", newline="") as handle:
+            hopf = next(row for row in csv.DictReader(handle)
+                        if row["method"] == "hopf")
+        assert (hopf["found"], hopf["checker_passed"]) == ("true", "false")
+        assert (float(hopf["sup_value"]), float(hopf["sup_budget"])) == \
+            (4.0, 2.0)
+        summary = json.loads((tmp_path / "certify.json").read_text())
+        assert summary["summary"]["checker_discrepancies"] == 1
+
+    def test_lp_certifies_through_positive_parts(self, tmp_path):
+        # x = diag(1, -2) has two nonzero positive parts, so both budgets
+        # double: 2 (||x||_2 / eps)^2 = 2 * 5 / 0.25 and 2 * 2 eps
+        config = {"seed": 1, "horizon": 8,
+                  "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
+                  "channel": {"kind": "identity"},
+                  "certify": {"methods": ["lp"], "eps_grid": [0.5],
+                              "p_grid": [2], "element": {
+                                  "kind": "diagonal", "values": [1, -2]}}}
+        path = tmp_path / "lp.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("certify", "--config", str(path),
+                       "--out", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "certify.csv", newline="") as handle:
+            [row] = list(csv.DictReader(handle))
+        assert float(row["trace_budget"]) == pytest.approx(40.0)
+        assert float(row["sup_budget"]) == pytest.approx(2.0)
+        assert row["checker_passed"] == "true"
 
 
 class TestWorkloadReferences:

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every
-module-level private name is read somewhere in the package, no module
-imports anything outside the standard library and its runtime
-dependencies, and none reads the environment (parsed with `ast`, so no
-linter is needed).  The names that the benchmark's tracer binds exist."""
+module-level private name is read somewhere in the package, every
+function reads each parameter it takes, no module imports anything
+outside the standard library and its runtime dependencies, and none
+reads the environment (parsed with `ast`, so no linter is needed).  The
+names that the benchmark's tracer binds exist."""
 
 import ast
 import importlib
@@ -160,6 +161,48 @@ def test_finds_unused_local():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_locals(module):
     assert unused_locals((PACKAGE / module).read_text()) == []
+
+
+def unused_parameters(source):
+    """(line, function, name) of each parameter that a function never
+    reads; a read in a nested function or lambda counts.  `self`, `cls`
+    and `_`-names are left out, and so are the parameters of lambdas."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, FUNCTIONS):
+            continue
+        args = function.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        read = {node.id for statement in function.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [(arg.lineno, function.name, arg.arg) for arg in params
+                  if arg.arg not in read and arg.arg not in ("self", "cls")
+                  and not arg.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_finds_unused_parameter():
+    source = ("def f(a, b, *args, c, _d, e=None, **kw):\n"
+              "    def g(h, i):\n"
+              "        return b, i\n"
+              "    return g, kw, [e for _ in ()]\n"
+              "class A:\n"
+              "    def m(self, x, cls=None):\n"
+              "        return lambda y: x\n"
+              "    @classmethod\n"
+              "    def n(cls, z=1):\n"
+              "        z = 2\n")
+    assert unused_parameters(source) == [(1, "f", "a"), (1, "f", "args"),
+                                         (1, "f", "c"), (2, "g", "h"),
+                                         (9, "n", "z")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_parameters(module):
+    assert unused_parameters((PACKAGE / module).read_text()) == []
 
 
 def third_party_imports(source):

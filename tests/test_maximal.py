@@ -17,9 +17,8 @@ from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, random_kraus_channel)
 from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
-                               hopf_witness_commutative, lp_witness,
-                               one_sided_witness, peel, weighted_witness,
-                               yeadon_witness_search)
+                               hopf_witness_commutative, one_sided_witness,
+                               peel, weighted_witness, yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import (derive_seed, random_operator, random_projection,
                            stream)
@@ -30,6 +29,8 @@ from ncergodic.weights import WeightSequence
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
 MODES = ("two_sided", "one_sided")
+# the weak (p,p) witnesses are the weighted ones at a weight identically one
+UNIT = WeightSequence.constant(1.0)
 
 
 def stacks(ops):
@@ -606,11 +607,13 @@ class TestGridEqualsSingleEps:
             lambda grid: yeadon_witness_search(channel, x, grid, horizon),
             MIX8_GRID)
         lp = self.assert_grid_equals_single(
-            lambda grid: lp_witness(channel, x, 2.0, grid, horizon),
+            lambda grid: weighted_witness(channel, x, 2.0, UNIT, grid,
+                                          horizon),
             MIX8_GRID)
         assert [r.method for r in yeadon] == ["peel", "peel", "level-set",
                                               "level-set"]
-        assert [r.method for r in lp] == [f"lp[{r.method}]" for r in yeadon]
+        assert [r.method for r in lp] == [f"weighted[{r.method}]"
+                                          for r in yeadon]
 
     def test_weighted_and_one_sided(self, workloads):
         channel, x, beta, horizon = mix8(workloads, "random")
@@ -755,7 +758,7 @@ BUILDERS = {
     "yeadon": ("random-positive", lambda ch, x, beta, n:
                yeadon_witness_search(ch, x, MIX8_GRID, n)),
     "lp": ("random-positive", lambda ch, x, beta, n:
-           lp_witness(ch, x, 2.0, MIX8_GRID, n)),
+           weighted_witness(ch, x, 2.0, UNIT, MIX8_GRID, n)),
     "weighted": ("random", lambda ch, x, beta, n:
                  weighted_witness(ch, x, 2.0, beta, MIX8_GRID, n)),
     "one-sided": ("random", lambda ch, x, beta, n:
@@ -822,9 +825,10 @@ class TestCheckerStacks:
 
     def test_recheck_reads_the_first_measurement(self, workloads,
                                                  monkeypatch):
-        # at p = 1, lp_witness re-checks on x's checker stacks the
-        # candidates its inner search has checked there; every candidate
-        # is still checked, but each (projection, mode) is measured once
+        # at p = 1 and a weight identically one, weighted_witness re-checks
+        # on a positive x's checker stacks the candidates its inner search
+        # has checked there; every candidate is still checked, but each
+        # (projection, mode) is measured once
         channel, x, _, horizon = mix8(workloads, "random-positive")
         measured, checked = [], []
         sup, check = maximal.compressed_sup, maximal.check_witness
@@ -839,7 +843,7 @@ class TestCheckerStacks:
 
         monkeypatch.setattr(maximal, "compressed_sup", measuring)
         monkeypatch.setattr(maximal, "check_witness", checking)
-        lp_witness(channel, x, 1.0, MIX8_GRID, horizon)
+        weighted_witness(channel, x, 1.0, UNIT, MIX8_GRID, horizon)
         keys = [(id(stacks), id(e), mode) for stacks, e, mode in measured]
         assert len(set(keys)) == len(keys)
         rechecked = [(id(c), id(e)) for c, e in checked if e.rank()]
@@ -853,9 +857,11 @@ class TestCheckerStacks:
 
 class TestPassesPerBuilder:
     """Recurrence passes of the meet builders on the certify-mix8 channel:
-    per part one search pass and one checker pass of part^p (none of its
-    own at p = 1 for lp, whose search checks on x), and one checker pass
-    of x for the meet."""
+    per part one search pass and one checker pass of part^p, and one
+    checker pass of x for the meet.  A positive x at p = 1 and a weight
+    identically one is its own part^p with plain averages, so its search
+    checks on x's stacks and adds no checker pass; lp is this builder at
+    that weight, whatever weight the config gives."""
 
     @pytest.mark.parametrize("kind,build,passes", [
         ("random", lambda ch, x, beta, n:
@@ -863,10 +869,13 @@ class TestPassesPerBuilder:
         ("random", lambda ch, x, beta, n:
          one_sided_witness(ch, x, 2.0, beta, MIX8_GRID, n), 2 * 2 + 1),
         ("random-positive", lambda ch, x, beta, n:
-         lp_witness(ch, x, 1.0, MIX8_GRID, n), 2),
+         cli._CERTIFY_BUILDERS["lp"](ch, x, 1.0, beta, MIX8_GRID, n), 2),
         ("random-positive", lambda ch, x, beta, n:
-         lp_witness(ch, x, 2.0, MIX8_GRID, n), 3),
-    ], ids=["weighted-4-parts", "one-sided-2-parts", "lp-p1", "lp-p2"])
+         cli._CERTIFY_BUILDERS["lp"](ch, x, 2.0, beta, MIX8_GRID, n), 3),
+        ("random-positive", lambda ch, x, beta, n:
+         weighted_witness(ch, x, 1.0, UNIT, MIX8_GRID, n), 2),
+    ], ids=["weighted-4-parts", "one-sided-2-parts", "lp-p1", "lp-p2",
+            "weighted-unit-p1"])
     def test_passes(self, workloads, monkeypatch, kind, build, passes):
         channel, x, beta, horizon = mix8(workloads, kind)
         counts = count_passes(monkeypatch)
