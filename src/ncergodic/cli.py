@@ -38,8 +38,9 @@ from .errors import (AlgebraMismatchError, ChannelConstructionError,
                      ConfigError, NotPositiveError)
 from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
                         dilation_norm_estimate)
-from .maximal import (hopf_witness_commutative, one_sided_witness,
-                      weighted_witness, yeadon_witness_search)
+from .maximal import (CheckerStacks, hopf_witness_commutative,
+                      one_sided_witness, weighted_witness,
+                      yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
                       singular_function, submajorizes)
 from .rng import derive_seed, random_operator, random_projection, stream
@@ -99,18 +100,23 @@ _CHANNEL_SCHEMA = {
               _kind_needs("scaled", "child", "factor")],
 }
 
+# the random element kinds, each with the kind of operator it draws
+_RANDOM_ELEMENTS = {"random": "general", "random-hermitian": "hermitian",
+                    "random-positive": "positive"}
 _ELEMENT_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["random", "random-hermitian", "random-positive",
-                          "explicit", "diagonal"]},
+        "kind": {"enum": [*_RANDOM_ELEMENTS, "explicit", "diagonal"]},
         "uniform_norm": {"type": "number", "exclusiveMinimum": 0},
         "operator": _OPERATOR_SCHEMA,
         "values": {"type": "array", "items": {"type": "number"}},
     },
     "allOf": [_kind_needs("explicit", "operator"),
               _kind_needs("diagonal", "values")],
+    # only a random element is drawn at a norm
+    "dependentSchemas": {"uniform_norm": {
+        "properties": {"kind": {"enum": list(_RANDOM_ELEMENTS)}}}},
 }
 
 _NORM_SCHEMA = {
@@ -170,15 +176,16 @@ _ALGEBRA_SCHEMA = {
     },
 }
 
-# The plain averages are the weighted ones at a weight identically one.
-_UNIT = WeightSequence.constant(1.0)
+# Each certify method on (checker, p, eps_grid); lp checks plain averages.
 _CERTIFY_BUILDERS = {
-    "yeadon": lambda ch, x, p, beta, grid, n: yeadon_witness_search(ch, x, grid, n),
-    "lp": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, _UNIT, grid, n),
-    "weighted": lambda ch, x, p, beta, grid, n: weighted_witness(ch, x, p, beta, grid, n),
-    "one-sided": lambda ch, x, p, beta, grid, n: one_sided_witness(ch, x, p, beta, grid, n),
-    "hopf": lambda ch, x, p, beta, grid, n: hopf_witness_commutative(ch, x, grid, n),
+    "yeadon": lambda checker, p, grid: yeadon_witness_search(checker, grid),
+    "lp": weighted_witness,
+    "weighted": weighted_witness,
+    "one-sided": one_sided_witness,
+    "hopf": lambda checker, p, grid: hopf_witness_commutative(checker, grid),
 }
+# The methods that draw a `random` element positive and check it unweighted.
+_PLAIN_METHODS = ("yeadon", "lp", "hopf")
 
 CONFIG_SCHEMA = {
     "$defs": {"channel": _CHANNEL_SCHEMA},
@@ -319,9 +326,7 @@ def element_from_spec(algebra: AlgebraSpec, spec, rng) -> Operator:
         return Operator.from_json(algebra, spec["operator"])
     if kind == "diagonal":
         return algebra.diagonal(spec["values"])
-    kinds = {"random": "general", "random-hermitian": "hermitian",
-             "random-positive": "positive"}
-    return random_operator(algebra, rng, kind=kinds[kind],
+    return random_operator(algebra, rng, kind=_RANDOM_ELEMENTS[kind],
                            uniform_norm=spec.get("uniform_norm"))
 
 
@@ -357,8 +362,6 @@ def _ds_plus_channel(algebra, spec, run_seed):
 
 
 def _weights_from(config_section):
-    if config_section is None:
-        return WeightSequence.constant(1.0)
     try:
         return WeightSequence.from_json(config_section)
     except ValueError as exc:  # a WeightBoundError or a bad frequency
@@ -402,22 +405,11 @@ def run_verify_channel(config):
     return header, [row], summary, 0
 
 
-def _certify_task(config, algebra, channel, beta, eps_grid, task):
+def _certify_task(config, algebra, checker, eps_grid, method, p, seed_idx):
     """One witness search over the whole eps grid for one (method, p,
-    seed_idx); returns one (row, discrepancy, found) per eps."""
-    method, p, seed_idx = task
-    seed = config["seed"]
-    horizon = config["horizon"]
-    section = config["certify"]
-    rng = stream(seed, "element", seed_idx)
-    spec = dict(section["element"])
-    if method in ("yeadon", "hopf", "lp") and spec["kind"] == "random":
-        spec["kind"] = "random-positive"  # these constructions need x >= 0
-    x = element_from_spec(algebra, spec, rng)
-
+    seed_idx) on `checker`; returns one (row, discrepancy, found) per eps."""
     try:
-        results = _CERTIFY_BUILDERS[method](channel, x, p, beta, eps_grid,
-                                            horizon)
+        results = _CERTIFY_BUILDERS[method](checker, p, eps_grid)
     except NotPositiveError as exc:
         raise ConfigError(f"method {method!r}: {exc}") from exc
     cells = []
@@ -426,7 +418,7 @@ def _certify_task(config, algebra, channel, beta, eps_grid, task):
         # it rejects, or a verdict its measurements contradict, is wrong
         discrepancy = (report.found and not report.checker_passed
                        or report.checker_passed != report.within_budgets())
-        row = _base(config, algebra, channel.kind, p=p, q="", eps=eps) + [
+        row = _base(config, algebra, checker.channel.kind, p=p, eps=eps) + [
             seed_idx, method, report.found, report.trace_defect,
             report.trace_budget, report.trace_ratio, report.sup_compression,
             report.sup_budget, report.sup_ratio, report.checker_passed,
@@ -438,22 +430,34 @@ def _certify_task(config, algebra, channel, beta, eps_grid, task):
 def run_certify(config):
     algebra = AlgebraSpec.from_json(config["algebra"])
     section = config["certify"]
-    beta = _weights_from(section.get("weights"))
+    beta = _weights_from(section["weights"]) if "weights" in section else None
     eps_grid = [float(eps) for eps in section["eps_grid"]]
-    seeds = range(section.get("num_seeds", 1))
-    pairs = [(method, float(p)) for method in section["methods"]
-             for p in section["p_grid"]]
+    p_grid = [float(p) for p in section["p_grid"]]
+    pairs = [(method, p) for method in section["methods"] for p in p_grid]
     # an empty eps grid has no cells, so nothing to search
-    tasks = [(m, p, s) for m, p in pairs for s in seeds if eps_grid]
-    # tasks that share a seed_idx share the run seed, so the channel.  A
-    # run without cells still gates the channel of seed_idx 0.
-    channels = {seed_idx: _ds_plus_channel(
-                    algebra, config["channel"],
-                    derive_seed(config["seed"], "cell", seed_idx))
-                for seed_idx in {task[2] for task in tasks} or {0}}
-    by_task = {task: _certify_task(config, algebra, channels[task[2]], beta,
-                                   eps_grid, task)
-               for task in tasks}
+    seeds = range(section.get("num_seeds", 1)) if eps_grid and pairs else []
+    if not seeds:  # a run without cells still gates the channel of cell 0
+        _ds_plus_channel(algebra, config["channel"],
+                         derive_seed(config["seed"], "cell", 0))
+    # the methods that check one element under one weight share a checker
+    groups = {}  # (element kind, weight or None) -> methods
+    for method in section["methods"]:
+        kind, plain = section["element"]["kind"], method in _PLAIN_METHODS
+        if plain and kind == "random":
+            kind = "random-positive"  # these constructions need x >= 0
+        groups.setdefault((kind, None if plain else beta), []).append(method)
+    by_task = {}
+    for seed_idx in seeds:
+        channel = _ds_plus_channel(algebra, config["channel"], derive_seed(
+            config["seed"], "cell", seed_idx))
+        for (kind, weight), methods in groups.items():
+            x = element_from_spec(algebra, dict(section["element"], kind=kind),
+                                  stream(config["seed"], "element", seed_idx))
+            # its stacks are freed when the next group's checker replaces it
+            checker = CheckerStacks(channel, x, config["horizon"], weight)
+            for task in [(m, p, seed_idx) for m in methods for p in p_grid]:
+                by_task[task] = _certify_task(config, algebra, checker,
+                                              eps_grid, *task)
     # rows in (method, p, eps, seed_idx) order
     results = [by_task[m, p, s][k] for m, p in pairs
                for k in range(len(eps_grid)) for s in seeds]

@@ -19,8 +19,8 @@ candidate is re-measured by an independent checker.  The checker makes
 one fresh pass of the recurrence per element it checks, from the raw
 channel, into its own stacks (`CheckerStacks`); every candidate of that
 element, at every eps, is measured on them, each (projection, mode) once.
-The checker shares no intermediate state with the search, and its stacks
-live only as long as the builder call that made them.
+The checker shares no intermediate state with the search; each builder is
+handed one by its caller, which may share it between builders.
 
 Every builder returns one `WitnessReport` per eps, and `check_witness`
 makes every report: the candidate, its defect and its sup measured by the
@@ -102,17 +102,17 @@ def _average_stacks(channel: Channel, x: Operator, horizon: int, beta=None):
 
 class CheckerStacks:
     """The checker's own stacks of M_{beta,n}(x) for n = 0..horizon, one
-    (horizon+1, d_i, d_i) array per block, for one element.
+    (horizon+1, d_i, d_i) array per block, for one element and weight.
 
     They come from one fresh pass of the recurrence on the raw channel,
     run on first use: an element whose candidates are all zero
-    projections costs no pass.  A builder makes one per element it checks
-    and measures every candidate of that element on it; none is shared
-    with a search or outlives the builder call.  The sup of a
-    (projection, mode) is measured once and kept as long as the stacks,
-    so a projection checked again, as `weighted_witness` at p = 1 does
-    with the candidates of its inner search, reads the first measurement.
-    A weight identically one is stored as None, the plain averages.
+    projections costs no pass.  A builder measures every candidate of its
+    element on the checker it is handed, which lives as long as its caller
+    holds it, across builder calls; no search shares it.  Each sup of a
+    (projection, mode) is measured once and kept, so a projection checked
+    again, as `weighted_witness` at p = 1 does with the candidates of its
+    inner search, reads the first measurement.  A weight identically one
+    is stored as None, the plain averages; weight_bound keeps its bound C.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -123,6 +123,7 @@ class CheckerStacks:
         self.x = x
         self.horizon = horizon
         self.beta = None if beta is None or beta.is_constant_one else beta
+        self.weight_bound = 1.0 if beta is None else beta.bound
         self._sups = {}  # (projection, mode) -> sup; keys hold e alive
 
     @functools.cached_property
@@ -142,14 +143,14 @@ class CheckerStacks:
 
 def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
                   sup_budget: float, mode="two_sided", tol=DEFAULT_TOL, *,
-                  method: str, weight_bound=1.0) -> WitnessReport:
+                  method: str) -> WitnessReport:
     """Re-verify one candidate against its budgets: its defect, and its
     compressed sup on the checker's own stacks of the element."""
     report = WitnessReport(
         projection=e, trace_defect=e.defect(), trace_budget=trace_budget,
         sup_compression=checker.sup(e, mode), sup_budget=sup_budget,
         horizon=checker.horizon, method=method, mode=mode,
-        checker_passed=False, weight_bound=weight_bound)
+        checker_passed=False, weight_bound=checker.weight_bound)
     report.checker_passed = report.within_budgets(tol)
     return report
 
@@ -158,14 +159,15 @@ def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
 # Weak (1,1) witnesses.
 # ---------------------------------------------------------------------
 
-def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
-                             horizon: int) -> list:
-    """Constructive witnesses on a diagonal algebra, one per eps.
+def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
+    """Constructive witnesses on a diagonal algebra, one per eps, for the
+    element x of plain checker stacks.
 
     e is the indicator of the atoms where max_{n<=N} M_n(x) stays <= eps;
     the classical maximal ergodic inequality guarantees the killed trace
     is at most ||x||_1 / eps at every finite horizon.
     """
+    channel, x = checker.channel, checker.x
     if not channel.algebra.is_diagonal:
         raise ValueError("hopf witness requires a diagonal algebra")
     if any(eps <= 0 for eps in eps_grid):
@@ -174,10 +176,9 @@ def hopf_witness_commutative(channel: Channel, x: Operator, eps_grid,
         raise NotPositiveError("hopf witness requires x >= 0")
 
     norm = lp_norm(x, 1)
-    stacks = _average_stacks(channel, x, horizon)
+    stacks = _average_stacks(channel, x, checker.horizon)
     cuts = _strategy_hopf_abelian(channel, stacks,
                                   [(eps, None) for eps in eps_grid])
-    checker = CheckerStacks(channel, x, horizon)
     return [check_witness(checker, e, norm / eps, eps, method="hopf")
             for e, eps in zip(cuts, eps_grid)]
 
@@ -388,10 +389,9 @@ _STRATEGY_TABLE = {
 }
 
 
-def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
-                          horizon: int) -> list:
-    """Search for weak (1,1) witnesses, one per eps in `eps_grid`:
-    tau(e_perp) <= ||x||_1/eps and sup_{n<=N} ||e M_n(x) e|| <= eps.
+def yeadon_witness_search(checker: CheckerStacks, eps_grid) -> list:
+    """Search for weak (1,1) witnesses of a plain checker's element x, one
+    per eps: tau(e_perp) <= ||x||_1/eps and sup_{n<=N} ||e M_n(x) e|| <= eps.
 
     One pass of the recurrence serves the whole grid.  Strategies run in
     the order of _STRATEGY_TABLE, each once, on the eps values that no
@@ -401,9 +401,9 @@ def yeadon_witness_search(channel: Channel, x: Operator, eps_grid,
     measured sup, with found=False; it is not a refutation since the
     search is incomplete.  x >= 0 is tested here, once.
     """
-    if not x.is_positive():
+    if not checker.x.is_positive():
         raise NotPositiveError("yeadon witness requires x >= 0")
-    return _yeadon_search(CheckerStacks(channel, x, horizon), eps_grid)
+    return _yeadon_search(checker, eps_grid)
 
 
 def _yeadon_search(checker, eps_grid):
@@ -456,8 +456,7 @@ def _nonzero(parts, x):
             if part.uniform_norm() > 1e-14 * scale_ref]
 
 
-def _meet_witnesses(checker, parts, search, budgets, name, mode, eps_grid,
-                    weight_bound=1.0):
+def _meet_witnesses(checker, parts, search, budgets, name, mode, eps_grid):
     """Per eps, the meet of the candidates that search(part, grid) gives
     for each part of x, checked once on the checker stacks of x against
     budgets(eps) = (trace budget, sup budget).  The meet is found where
@@ -468,18 +467,16 @@ def _meet_witnesses(checker, parts, search, budgets, name, mode, eps_grid,
         e = projection_meet_all([w.projection for w in witnesses])
         methods = "+".join(w.method for w in witnesses)
         report = check_witness(checker, e, *budgets(eps), mode,
-                               method=f"{name}[{methods}]",
-                               weight_bound=weight_bound)
+                               method=f"{name}[{methods}]")
         report.found = all(w.found for w in witnesses)
         reports.append(report)
     return reports
 
 
-def weighted_witness(channel: Channel, x: Operator, p: float, beta,
-                     eps_grid, horizon: int) -> list:
-    """Witnesses for weighted averages M_{beta,n} via the four positive
-    parts, one per eps; at beta identically one, the weak (p,p)
-    witnesses of the plain averages.
+def weighted_witness(checker: CheckerStacks, p: float, eps_grid) -> list:
+    """Witnesses for the weighted averages M_{beta,n}(x) of the checker's
+    element and weight via the four positive parts of x, one per eps; on
+    plain checker stacks, the weak (p,p) witnesses of the plain averages.
 
     Each part runs the weak (1,1) search on part^p at the levels eps^p.
     For a positive part y the spectral bound y <= y_eps + eps^(1-p) y^p
@@ -488,17 +485,17 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
     candidates, checked on the weighted averages of x, controls them
     because the shifted coefficients Re(beta)+C, Im(beta)+C lie in
     [0, 2C].  Budgets are parts * (||x||_p/eps)^p on the trace and
-    parts * 12 C eps on the sup (parts * 2 eps when beta is identically
-    one, where the weighted average is the plain one).  Each part is
+    parts * 12 C eps on the sup (parts * 2 eps when the checker's
+    averages are plain, the weight identically one).  Each part is
     below x in every symmetric norm.  Positive x is one part, tested
     here once; the parts of other x are positive by construction.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    x = checker.x
     parts = ([x] if x.is_positive()
              else _nonzero(hermitian_decompose(x), x))
-    c, norm = beta.bound, lp_norm(x, p)
-    checker = CheckerStacks(channel, x, horizon, beta)
+    c, norm = checker.weight_bound, lp_norm(x, p)
 
     def budgets(eps):
         per_part = 2.0 * eps if checker.beta is None else 12.0 * c * eps
@@ -506,13 +503,12 @@ def weighted_witness(channel: Channel, x: Operator, p: float, beta,
 
     return _meet_witnesses(
         checker, parts, lambda part, grid: _weak_pp(checker, part, p, grid),
-        budgets, "weighted", "two_sided", eps_grid, beta.bound)
+        budgets, "weighted", "two_sided", eps_grid)
 
 
-def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
-                      eps_grid, horizon: int) -> list:
-    """One-sided witnesses sup_n ||M_{beta,n}(x) e|| for p >= 2, one per
-    eps.
+def one_sided_witness(checker: CheckerStacks, p: float, eps_grid) -> list:
+    """One-sided witnesses sup_n ||M_{beta,n}(x) e|| for the checker's
+    element x and weight beta and p >= 2, one per eps.
 
     For each Hermitian component h of x the candidate is the weak (p/2)
     search for h^2 at level eps^2: Kadison's inequality applied to the
@@ -527,10 +523,10 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
     """
     if p < 2:
         raise ValueError("one-sided witnesses are only available for p >= 2")
+    x = checker.x
     parts = ([x] if x.is_hermitian()
              else _nonzero([x.hermitian_part(), x.skew_part()], x))
-    c, norm = beta.bound, lp_norm(x, p)
-    checker = CheckerStacks(channel, x, horizon, beta)
+    c, norm = checker.weight_bound, lp_norm(x, p)
 
     def budgets(eps):
         r = norm / eps
@@ -543,4 +539,4 @@ def one_sided_witness(channel: Channel, x: Operator, p: float, beta,
         checker, parts,
         lambda h, grid: _weak_pp(checker, h @ h, p / 2.0,
                                  [eps ** 2 for eps in grid]),
-        budgets, "one-sided", "one_sided", eps_grid, beta.bound)
+        budgets, "one-sided", "one_sided", eps_grid)

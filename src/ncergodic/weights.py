@@ -119,12 +119,6 @@ class WeightSequence:
             # the decomposition through Re/Im shifts needs C > 0
             self.bound = max(self.bound, 1.0)
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def constant(cls, value=1.0) -> "WeightSequence":
-        return cls("constant", period=[value])
-
     # -- evaluation -------------------------------------------------------
 
     def values(self, n_max: int) -> np.ndarray:

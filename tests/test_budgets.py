@@ -27,8 +27,8 @@ from ncergodic.rng import random_operator, stream
 from ncergodic.weights import TrigPolynomial, WeightSequence
 
 SMALL = settings(max_examples=25, deadline=None, derandomize=True)
-# the weak (p,p) witnesses are the weighted ones at a weight identically one
-UNIT = WeightSequence.constant(1.0)
+# a weight identically one: its checker averages are the plain ones
+UNIT = WeightSequence("constant", period=[1.0])
 
 ALGEBRAS = st.lists(st.tuples(st.integers(1, 3),
                               st.sampled_from([0.5, 1.0, 2.0])),
@@ -39,7 +39,7 @@ EPS = st.sampled_from([0.3, 0.45, 0.6, 0.75])
 HORIZONS = st.sampled_from([4, 16, 32])
 WEIGHTS = st.sampled_from([
     UNIT,
-    WeightSequence.constant(0.5),
+    WeightSequence("constant", period=[0.5]),
     WeightSequence("periodic", period=[1, 1j, -1, -1j]),
     WeightSequence("trig", poly=TrigPolynomial(
         (1.0,), (np.exp(2j * np.pi * 0.3),))),
@@ -66,7 +66,8 @@ def passes(channel, x, report, horizon, trace_budget, sup_budget,
 @given(algebra=ALGEBRAS, seed=SEEDS, eps=EPS, horizon=HORIZONS)
 def test_yeadon_weak_11(algebra, seed, eps, horizon):
     channel, x = channel_and_element(algebra, seed, "positive")
-    [report] = yeadon_witness_search(channel, x, [eps], horizon)
+    [report] = yeadon_witness_search(CheckerStacks(channel, x, horizon),
+                                     [eps])
     if report.found:
         assert passes(channel, x, report, horizon, lp_norm(x, 1) / eps, eps)
 
@@ -76,7 +77,7 @@ def test_yeadon_weak_11(algebra, seed, eps, horizon):
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_lp_weak_pp(algebra, seed, eps, horizon, p):
     channel, x = channel_and_element(algebra, seed, "positive")
-    [report] = weighted_witness(channel, x, p, UNIT, [eps], horizon)
+    [report] = weighted_witness(CheckerStacks(channel, x, horizon), p, [eps])
     if report.found:
         assert passes(channel, x, report, horizon,
                       (lp_norm(x, p) / eps) ** p, 2.0 * eps)
@@ -89,7 +90,8 @@ def test_weighted(algebra, seed, eps, horizon, p, beta):
     channel, x = channel_and_element(algebra, seed, "general")
     # x = (x1 - x2) + i(x3 - x4); a part is zero exactly when its trace is
     parts = sum(part.trace().real > 1e-12 for part in hermitian_decompose(x))
-    [report] = weighted_witness(channel, x, p, beta, [eps], horizon)
+    [report] = weighted_witness(CheckerStacks(channel, x, horizon, beta), p,
+                                [eps])
     if report.found:
         assert passes(channel, x, report, horizon,
                       parts * (lp_norm(x, p) / eps) ** p,
@@ -111,7 +113,8 @@ def test_one_sided(algebra, seed, eps, horizon, p, beta, kind):
     else:
         trace_budget = 3 * parts * r ** p
         sup_budget = parts * 2 * math.sqrt(c) * (2 + math.sqrt(c)) * eps
-    [report] = one_sided_witness(channel, x, p, beta, [eps], horizon)
+    [report] = one_sided_witness(CheckerStacks(channel, x, horizon, beta), p,
+                                 [eps])
     if report.found:
         assert passes(channel, x, report, horizon, trace_budget, sup_budget,
                       "one_sided", beta)
@@ -137,7 +140,8 @@ def test_hopf_equals_brute_force_maximal_function(weights, seed, eps,
     assume(np.all(np.abs(maximal - eps) > 1e-9))
     kept = maximal <= eps
 
-    [report] = hopf_witness_commutative(channel, x, [eps], horizon)
+    [report] = hopf_witness_commutative(CheckerStacks(channel, x, horizon),
+                                        [eps])
     got = np.array([b[0, 0].real > 0.5
                     for b in report.projection.operator.blocks])
     assert np.array_equal(got, kept)
@@ -146,15 +150,15 @@ def test_hopf_equals_brute_force_maximal_function(weights, seed, eps,
     assert report.checker_passed
 
 
-# method -> (builder on (channel, x, eps_grid, horizon), element kind);
-# lp on x >= 0, as the CLI draws it
+# method -> (builder on (checker, eps_grid), element kind); lp on x >= 0,
+# as the CLI draws it
 SCALED_BUILDERS = {
-    "lp": (lambda ch, x, grid, n: weighted_witness(ch, x, 2.0, UNIT, grid,
-                                                   n), "positive"),
-    "weighted": (lambda ch, x, grid, n: weighted_witness(
-        ch, x, 2.0, UNIT, grid, n), "general"),
-    "one-sided": (lambda ch, x, grid, n: one_sided_witness(
-        ch, x, 2.0, UNIT, grid, n), "general"),
+    "lp": (lambda checker, grid: weighted_witness(checker, 2.0, grid),
+           "positive"),
+    "weighted": (lambda checker, grid: weighted_witness(checker, 2.0, grid),
+                 "general"),
+    "one-sided": (lambda checker, grid: one_sided_witness(checker, 2.0, grid),
+                  "general"),
 }
 
 
@@ -168,8 +172,9 @@ def test_scaled_element_same_verdicts(method, scale):
         channel = random_unitary_mixture(algebra, 3, stream(seed, "channel"))
         x = random_operator(algebra, stream(seed, "element"), kind=kind,
                             uniform_norm=1.0)
-        [base] = build(channel, x, [0.25], 64)
-        [scaled] = build(channel, x * scale, [0.25 * scale], 64)
+        [base] = build(CheckerStacks(channel, x, 64), [0.25])
+        [scaled] = build(CheckerStacks(channel, x * scale, 64),
+                         [0.25 * scale])
         assert base.found and base.checker_passed
         assert (scaled.found, scaled.checker_passed) == (True, True)
         assert scaled.trace_ratio == pytest.approx(base.trace_ratio,

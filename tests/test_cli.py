@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from ncergodic import cli, convergence, maximal
@@ -362,6 +363,16 @@ MALFORMED = {
                                  "operator": {"blocks": [[[1, 0]]]}}}}),
     "diagonal-element-wrong-length": ("converge", {"converge": {
         **_CONVERGE, "element": {"kind": "diagonal", "values": [1.0]}}}),
+    # only a random element is drawn at a norm; the others would ignore it
+    "diagonal-element-uniform-norm": ("certify", {
+        "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
+        "channel": {"kind": "identity"},
+        "certify": {**_CERTIFY, "element": {
+            "kind": "diagonal", "values": [4.0, 0.0], "uniform_norm": 0.5}}}),
+    "explicit-element-uniform-norm": ("converge", {"converge": {
+        **_CONVERGE, "element": {
+            "kind": "explicit", "uniform_norm": 0.5, "operator": {
+                "blocks": [[[0, 0], [1, 0], [1, 0], [0, 0]]]}}}}),
     "substochastic-ragged-matrix": ("verify-channel", {
         "algebra": {"blocks": [[1, 1.0], [1, 1.0]]},
         "channel": {"kind": "substochastic",
@@ -422,6 +433,10 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                   "schur-matrix-wrong-length": "block lengths [5]",
                   "explicit-element-wrong-length": "block lengths [1]",
                   "diagonal-element-wrong-length": "diagonal length",
+                  "diagonal-element-uniform-norm":
+                      "$.certify.element.kind: 'diagonal' is not one of",
+                  "explicit-element-uniform-norm":
+                      "$.converge.element.kind: 'explicit' is not one of",
                   "substochastic-ragged-matrix": "matrix: ",
                   "scaled-factor-not-complex": "$.channel.factor: ",
                   "kraus-operator-block-not-complex":
@@ -583,10 +598,11 @@ class TestCertifyContract:
         assert ((tmp_path / "certify.csv").read_bytes()
                 == reference.read_bytes())
 
-    # recurrence passes of a whole run, the workloads at seed class 0
+    # recurrence passes of a whole run, the workloads at seed class 0; the
+    # methods that check one element under one weight share its checker
     @pytest.mark.parametrize("name,passes", [
-        ("certify-mix8", 19), ("kraus8", 33), ("cycle4", 4),
-        ("certify-cycle96", 4)])
+        ("certify-mix8", 17), ("kraus8", 27), ("cycle4", 3),
+        ("certify-cycle96", 3)])
     def test_recurrence_passes_per_run(self, tmp_path, monkeypatch,
                                        workloads, name, passes):
         calls = []
@@ -607,6 +623,77 @@ class TestCertifyContract:
         assert ((tmp_path / "certify.csv").read_bytes()
                 == reference.read_bytes())
         assert len(calls) == passes
+
+    @pytest.mark.parametrize("name,checkers", [("kraus8", 6),
+                                               ("certify-mix8", 2)])
+    def test_one_checker_per_element_and_weight(self, tmp_path, monkeypatch,
+                                                workloads, name, checkers):
+        # kraus8: 3 seed classes x (lp, weighted) at p = 1 and 2;
+        # certify-mix8: one seed class x (yeadon, lp | weighted, one-sided)
+        received = []
+        for method, build in list(cli._CERTIFY_BUILDERS.items()):
+            def recording(checker, p, eps_grid, method=method, build=build):
+                received.append((method, checker))
+                return build(checker, p, eps_grid)
+            monkeypatch.setitem(cli._CERTIFY_BUILDERS, method, recording)
+        run_seeds = {}  # id(channel) -> run seed
+
+        def recording_channel(*args, **kwargs):
+            channel = channel_from_spec(*args, **kwargs)
+            run_seeds[id(channel)] = kwargs["run_seed"]
+            return channel
+
+        monkeypatch.setattr(cli, "channel_from_spec", recording_channel)
+        args, reference = self.certify_args(tmp_path, workloads, name, 0)
+        code = run_cli("certify", *args, "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == reference.read_bytes())
+
+        config = json.loads(Path(args[1]).read_text())
+        if "--seed" in args:
+            config["seed"] = int(args[args.index("--seed") + 1])
+        section, algebra = config["certify"], AlgebraSpec.from_json(
+            config["algebra"])
+        beta = WeightSequence.from_json(section["weights"])
+        assert len({id(checker) for _, checker in received}) == checkers
+        for method, checker in received:
+            plain = method in cli._PLAIN_METHODS
+            assert (checker.beta is None) == plain
+            assert checker.weight_bound == (1.0 if plain else beta.bound)
+            if not plain:
+                assert checker.beta.period == beta.period
+            # the element of one seed class, on that class's channel
+            spec = dict(section["element"])
+            if plain and spec["kind"] == "random":
+                spec["kind"] = "random-positive"
+            [seed_idx] = [s for s in range(section["num_seeds"])
+                          if np.array_equal(cli.element_from_spec(
+                              algebra, spec,
+                              stream(config["seed"], "element", s)).vec(),
+                              checker.x.vec())]
+            assert run_seeds[id(checker.channel)] == derive_seed(
+                config["seed"], "cell", seed_idx)
+
+    def test_weight_bound_of_a_unit_weight(self, tmp_path):
+        # a weight identically one declared with C = 2: weighted checks the
+        # plain averages (sup budget 2 eps for one part) and prints C; lp
+        # prints 1
+        config = json.loads((FIXTURES / "kraus8.json").read_text())
+        config["certify"].update(p_grid=[2], weights={
+            "kind": "constant", "period": [[1, 0]], "C": 2})
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("certify", "--config", str(path),
+                       "--out", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "certify.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert sorted({row["method"] for row in rows}) == ["lp", "weighted"]
+        for row in rows:
+            assert float(row["weight_bound"]) == \
+                (2.0 if row["method"] == "weighted" else 1.0)
+            assert float(row["sup_budget"]) == 2.0 * float(row["eps"])
 
     # results depend only on the config and the command line, not on a
     # leftover NCERG_TOL in the environment
@@ -640,11 +727,12 @@ class TestCertifyContract:
         assert len(rows) > num_seeds
 
     def test_contradicted_verdict_exits_2(self, tmp_path, monkeypatch):
-        def overclaiming(ch, x, p, beta, eps_grid, n):
+        def overclaiming(checker, p, eps_grid):
             return [WitnessReport(
-                projection=Projection.identity(ch.algebra),
+                projection=Projection.identity(checker.channel.algebra),
                 trace_defect=0.0, trace_budget=1.0,
-                sup_compression=2.0 * eps, sup_budget=eps, horizon=n,
+                sup_compression=2.0 * eps, sup_budget=eps,
+                horizon=checker.horizon,
                 method="overclaiming", mode="two_sided",
                 checker_passed=True) for eps in eps_grid]
 

@@ -132,7 +132,7 @@ class TestWeightedTrajectory:
         x = random_operator(MULTI, stream(308, "conv"))
         plain = trajectory(channel, x, 64, NORMS)
         weighted = trajectory(channel, x, 64, NORMS,
-                              WeightSequence.constant(1.0))
+                              WeightSequence("constant", period=[1.0]))
         assert weighted.schedule == plain.schedule
         assert (weighted.limit - plain.limit).uniform_norm() <= \
             1e-12 * plain.limit.uniform_norm()

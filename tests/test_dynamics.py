@@ -294,7 +294,7 @@ class TestWeightedAverage:
         rng = stream(79, "wavg")
         ch = random_kraus_channel(M2, 2, rng)
         x = random_operator(M2, rng)
-        beta = WeightSequence.constant(1.0)
+        beta = WeightSequence("constant", period=[1.0])
         assert average(ch, x, 7, beta).allclose(average(ch, x, 7),
                                                 tol=1e-12)
 

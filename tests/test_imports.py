@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, every
 module-level private name is read somewhere in the package, every
 function reads each parameter it takes, no module imports anything
-outside the standard library and its runtime dependencies, and none
-reads the environment (parsed with `ast`, so no linter is needed).  The
-names that the benchmark's tracer binds exist."""
+outside the standard library and its runtime dependencies, none reads
+the environment, and only the CLI and `maximal._weak_pp` build a
+`CheckerStacks` (parsed with `ast`, so no linter is needed).  The names
+that the benchmark's tracer binds exist."""
 
 import ast
 import importlib
@@ -203,6 +204,53 @@ def test_finds_unused_parameter():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_parameters(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
+
+
+def checker_constructions(source):
+    """The scope of each call of `CheckerStacks(`: the dotted names of
+    the classes and functions that hold it, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and "CheckerStacks" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_finds_checker_constructions():
+    source = ("from . import maximal\n"
+              "from .maximal import CheckerStacks\n"
+              "C = CheckerStacks(1, 2, 3)\n"
+              "def f(x):\n"
+              "    return maximal.CheckerStacks(x, x, f(CheckerStacks))\n"
+              "class A:\n"
+              "    def m(self):\n"
+              "        def g():\n"
+              "            return [CheckerStacks(self, 0, 1)]\n"
+              "        return g\n")
+    assert checker_constructions(source) == ["", "f", "A.m.g"]
+
+
+# Where the package may build a CheckerStacks besides the CLI, which
+# builds one per element and weight and hands it to the builders:
+# `_weak_pp` checks the powers of a part on stacks of their own.
+CHECKER_SCOPES = {"maximal.py": {"_weak_pp"}}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_checker_stacks_built_only_by_cli_and_weak_pp(module):
+    scopes = set(checker_constructions((PACKAGE / module).read_text()))
+    if module != "cli.py":
+        assert scopes <= CHECKER_SCOPES.get(module, set())
 
 
 def third_party_imports(source):

@@ -29,8 +29,8 @@ from ncergodic.weights import WeightSequence
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
 MODES = ("two_sided", "one_sided")
-# the weak (p,p) witnesses are the weighted ones at a weight identically one
-UNIT = WeightSequence.constant(1.0)
+# a weight identically one: its checker averages are the plain ones
+UNIT = WeightSequence("constant", period=[1.0])
 
 
 def stacks(ops):
@@ -450,7 +450,7 @@ def found_yeadon_cell():
     rng = stream(430, "checker")
     channel = random_kraus_channel(MULTI, 3, rng)
     x = random_operator(MULTI, rng, kind="positive", uniform_norm=1.0)
-    [report] = yeadon_witness_search(channel, x, [0.5], 32)
+    [report] = yeadon_witness_search(CheckerStacks(channel, x, 32), [0.5])
     assert report.found
     assert 0 < report.projection.rank(0) < MULTI.dims[0]
     return channel, x, report
@@ -496,9 +496,8 @@ class TestCheckerRejects:
         assert low_trace.sup_compression <= low_trace.sup_budget
         assert not low_trace.checker_passed
 
-    def test_method_and_weight_bound_are_keywords(self):
-        # a positional mode cannot be read as a method, nor a tol as a
-        # weight bound
+    def test_method_is_a_keyword(self):
+        # a positional mode cannot be read as a method
         channel, x, report = found_yeadon_cell()
         checker = CheckerStacks(channel, x, report.horizon)
         with pytest.raises(TypeError):
@@ -507,6 +506,22 @@ class TestCheckerRejects:
         with pytest.raises(TypeError):
             check_witness(checker, report.projection, report.trace_budget,
                           report.sup_budget)
+
+    @pytest.mark.parametrize("beta,bound", [
+        (None, 1.0), (UNIT, 1.0),
+        (WeightSequence("constant", period=[1.0], bound=2.0), 2.0),
+        (WeightSequence("periodic", period=[1, 1j, -1, -1j]), 1.0)])
+    def test_weight_bound_is_the_checkers(self, beta, bound):
+        # a weight identically one checks the plain averages, but its
+        # reports keep its declared bound
+        channel, x, report = found_yeadon_cell()
+        checker = CheckerStacks(channel, x, report.horizon, beta)
+        assert (checker.beta is None) == (beta is None
+                                          or beta.is_constant_one)
+        checked = check_witness(checker, report.projection,
+                                report.trace_budget, report.sup_budget,
+                                method="peel")
+        assert checked.weight_bound == checker.weight_bound == bound
 
 
 class TestOneSearchPassPerCheck:
@@ -604,11 +619,12 @@ class TestGridEqualsSingleEps:
     def test_yeadon_and_lp(self, workloads):
         channel, x, _, horizon = mix8(workloads, "random-positive")
         yeadon = self.assert_grid_equals_single(
-            lambda grid: yeadon_witness_search(channel, x, grid, horizon),
+            lambda grid: yeadon_witness_search(
+                CheckerStacks(channel, x, horizon), grid),
             MIX8_GRID)
         lp = self.assert_grid_equals_single(
-            lambda grid: weighted_witness(channel, x, 2.0, UNIT, grid,
-                                          horizon),
+            lambda grid: weighted_witness(
+                CheckerStacks(channel, x, horizon), 2.0, grid),
             MIX8_GRID)
         assert [r.method for r in yeadon] == ["peel", "peel", "level-set",
                                               "level-set"]
@@ -618,12 +634,12 @@ class TestGridEqualsSingleEps:
     def test_weighted_and_one_sided(self, workloads):
         channel, x, beta, horizon = mix8(workloads, "random")
         weighted = self.assert_grid_equals_single(
-            lambda grid: weighted_witness(channel, x, 2.0, beta, grid,
-                                          horizon),
+            lambda grid: weighted_witness(
+                CheckerStacks(channel, x, horizon, beta), 2.0, grid),
             MIX8_GRID)
         one_sided = self.assert_grid_equals_single(
-            lambda grid: one_sided_witness(channel, x, 2.0, beta, grid,
-                                           horizon),
+            lambda grid: one_sided_witness(
+                CheckerStacks(channel, x, horizon, beta), 2.0, grid),
             MIX8_GRID)
         # identity wins at eps = 1, peel or level-set below
         for results in (weighted, one_sided):
@@ -649,7 +665,8 @@ class TestGridEqualsSingleEps:
             return results
 
         monkeypatch.setattr(maximal, "_weak_pp", failing_first_part)
-        results = weighted_witness(channel, x, 2.0, beta, MIX8_GRID, horizon)
+        results = weighted_witness(CheckerStacks(channel, x, horizon, beta),
+                                   2.0, MIX8_GRID)
         # every part is searched over the whole grid
         assert [len(c) for c in candidates] == [len(MIX8_GRID)] * 4
         assert not results[0].found
@@ -672,7 +689,8 @@ class TestGridEqualsSingleEps:
         channel, x, horizon = cycle96(workloads)
         grid = [1.0, 2.0, 4.0, 8.0]
         results = self.assert_grid_equals_single(
-            lambda g: hopf_witness_commutative(channel, x, g, horizon),
+            lambda g: hopf_witness_commutative(
+                CheckerStacks(channel, x, horizon), g),
             grid)
         ranks = [r.projection.rank() for r in results]
         assert ranks == sorted(ranks) and ranks[0] < ranks[-1]
@@ -708,12 +726,13 @@ class TestPartMeetBudgets:
     def test_found_budgets(self, workloads, method, kind, parts, weight):
         channel, x, beta, horizon = mix8(workloads, kind)
         if weight == "constant-one":
-            beta = WeightSequence.constant(1.0)
+            beta = UNIT
         builder = weighted_witness if method == "weighted" else \
             one_sided_witness
         p = 2.0
         norm = lp_norm(x, p)
-        reports = builder(channel, x, p, beta, MIX8_GRID, horizon)
+        reports = builder(CheckerStacks(channel, x, horizon, beta), p,
+                          MIX8_GRID)
         found = [(eps, r) for eps, r in zip(MIX8_GRID, reports) if r.found]
         assert found
         for eps, report in found:
@@ -756,15 +775,15 @@ def count_passes(monkeypatch):
 
 BUILDERS = {
     "yeadon": ("random-positive", lambda ch, x, beta, n:
-               yeadon_witness_search(ch, x, MIX8_GRID, n)),
+               yeadon_witness_search(CheckerStacks(ch, x, n), MIX8_GRID)),
     "lp": ("random-positive", lambda ch, x, beta, n:
-           weighted_witness(ch, x, 2.0, UNIT, MIX8_GRID, n)),
-    "weighted": ("random", lambda ch, x, beta, n:
-                 weighted_witness(ch, x, 2.0, beta, MIX8_GRID, n)),
-    "one-sided": ("random", lambda ch, x, beta, n:
-                  one_sided_witness(ch, x, 2.0, beta, MIX8_GRID, n)),
-    "hopf": (None, lambda ch, x, beta, n:
-             hopf_witness_commutative(ch, x, [1.0, 2.0, 4.0, 8.0], n)),
+           weighted_witness(CheckerStacks(ch, x, n), 2.0, MIX8_GRID)),
+    "weighted": ("random", lambda ch, x, beta, n: weighted_witness(
+        CheckerStacks(ch, x, n, beta), 2.0, MIX8_GRID)),
+    "one-sided": ("random", lambda ch, x, beta, n: one_sided_witness(
+        CheckerStacks(ch, x, n, beta), 2.0, MIX8_GRID)),
+    "hopf": (None, lambda ch, x, beta, n: hopf_witness_commutative(
+        CheckerStacks(ch, x, n), [1.0, 2.0, 4.0, 8.0])),
 }
 
 
@@ -843,7 +862,8 @@ class TestCheckerStacks:
 
         monkeypatch.setattr(maximal, "compressed_sup", measuring)
         monkeypatch.setattr(maximal, "check_witness", checking)
-        weighted_witness(channel, x, 1.0, UNIT, MIX8_GRID, horizon)
+        weighted_witness(CheckerStacks(channel, x, horizon, UNIT), 1.0,
+                         MIX8_GRID)
         keys = [(id(stacks), id(e), mode) for stacks, e, mode in measured]
         assert len(set(keys)) == len(keys)
         rechecked = [(id(c), id(e)) for c, e in checked if e.rank()]
@@ -860,22 +880,34 @@ class TestPassesPerBuilder:
     per part one search pass and one checker pass of part^p, and one
     checker pass of x for the meet.  A positive x at p = 1 and a weight
     identically one is its own part^p with plain averages, so its search
-    checks on x's stacks and adds no checker pass; lp is this builder at
-    that weight, whatever weight the config gives."""
+    checks on x's stacks and adds no checker pass; lp is this builder on
+    plain checker stacks.  Builders handed one checker share its pass."""
 
     @pytest.mark.parametrize("kind,build,passes", [
-        ("random", lambda ch, x, beta, n:
-         weighted_witness(ch, x, 2.0, beta, MIX8_GRID, n), 2 * 4 + 1),
-        ("random", lambda ch, x, beta, n:
-         one_sided_witness(ch, x, 2.0, beta, MIX8_GRID, n), 2 * 2 + 1),
-        ("random-positive", lambda ch, x, beta, n:
-         cli._CERTIFY_BUILDERS["lp"](ch, x, 1.0, beta, MIX8_GRID, n), 2),
-        ("random-positive", lambda ch, x, beta, n:
-         cli._CERTIFY_BUILDERS["lp"](ch, x, 2.0, beta, MIX8_GRID, n), 3),
-        ("random-positive", lambda ch, x, beta, n:
-         weighted_witness(ch, x, 1.0, UNIT, MIX8_GRID, n), 2),
+        ("random", lambda ch, x, beta, n: weighted_witness(
+            CheckerStacks(ch, x, n, beta), 2.0, MIX8_GRID), 2 * 4 + 1),
+        ("random", lambda ch, x, beta, n: one_sided_witness(
+            CheckerStacks(ch, x, n, beta), 2.0, MIX8_GRID), 2 * 2 + 1),
+        ("random-positive", lambda ch, x, beta, n: cli._CERTIFY_BUILDERS[
+            "lp"](CheckerStacks(ch, x, n), 1.0, MIX8_GRID), 2),
+        ("random-positive", lambda ch, x, beta, n: cli._CERTIFY_BUILDERS[
+            "lp"](CheckerStacks(ch, x, n), 2.0, MIX8_GRID), 3),
+        ("random-positive", lambda ch, x, beta, n: weighted_witness(
+            CheckerStacks(ch, x, n, UNIT), 1.0, MIX8_GRID), 2),
+        # x's weighted stacks once for both methods: 9 + 5 - 1
+        ("random", lambda ch, x, beta, n: [
+            build(checker, 2.0, MIX8_GRID)
+            for checker in [CheckerStacks(ch, x, n, beta)]
+            for build in (weighted_witness, one_sided_witness)], 13),
+        # yeadon's checker pass of x serves lp at p = 1 and 2: 2 + 1 + 2
+        ("random-positive", lambda ch, x, beta, n: [
+            cli._CERTIFY_BUILDERS[method](checker, p, MIX8_GRID)
+            for checker in [CheckerStacks(ch, x, n)]
+            for method, p in [("yeadon", 1.0), ("lp", 1.0), ("lp", 2.0)]],
+         5),
     ], ids=["weighted-4-parts", "one-sided-2-parts", "lp-p1", "lp-p2",
-            "weighted-unit-p1"])
+            "weighted-unit-p1", "weighted-one-sided-shared",
+            "yeadon-lp-shared"])
     def test_passes(self, workloads, monkeypatch, kind, build, passes):
         channel, x, beta, horizon = mix8(workloads, kind)
         counts = count_passes(monkeypatch)

@@ -41,7 +41,7 @@ class TestWeightSequence:
         assert beta.bound == pytest.approx(1.0)
 
     def test_constant_one_flag(self):
-        assert WeightSequence.constant(1.0).is_constant_one
+        assert WeightSequence("constant", period=[1.0]).is_constant_one
         assert not WeightSequence("periodic", period=[1, 0]).is_constant_one
 
     def test_bound_certified_on_samples(self):
@@ -100,7 +100,7 @@ class TestBesicovitchDeviation:
 class TestBesicovitchCertificate:
     def test_periodic_generators_certify(self):
         for beta in (WeightSequence("periodic", period=[1, 0, 2]),
-                     WeightSequence.constant(0.5),
+                     WeightSequence("constant", period=[0.5]),
                      WeightSequence("trig", poly=TrigPolynomial(
                          (1.0,), (np.exp(2j * np.pi / 7.0),)))):
             assert beta.besicovitch_certificate() is True
@@ -123,7 +123,7 @@ class TestBesicovitchCertificate:
         assert beta.besicovitch_certificate() is certified
 
     def test_nan_deviation_is_not_certified(self):
-        beta = WeightSequence.constant(float("nan"))
+        beta = WeightSequence("constant", period=[float("nan")])
         assert beta.besicovitch_certificate() is False
 
     def test_one_deviation_per_certificate(self, monkeypatch):
