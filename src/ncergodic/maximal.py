@@ -14,13 +14,13 @@ LAPACK treats every matrix of a batch alone, so the sup, the argmax and
 its vector are the bits an unscreened call gives.  Each search takes a
 grid of eps and returns one result per eps: only a strategy's stopping
 test depends on the level and the trace budget, so one pass of the
-recurrence and one run of each strategy serve the whole grid.  Every
-candidate is re-measured by an independent checker.  The checker makes
-one fresh pass of the recurrence per element it checks, from the raw
-channel, into its own stacks (`CheckerStacks`); every candidate of that
-element, at every eps, is measured on them, each (projection, mode) once.
-The checker shares no intermediate state with the search; each builder is
-handed one by its caller, which may share it between builders.
+recurrence and one run of each strategy serve the whole grid.  That
+pass is the checker's: `CheckerStacks` holds one read-only pass per
+element and weight, from the raw channel, and a weak (1,1) search reads
+it as input.  The checker re-measures every candidate apart from the
+strategies' own `compressed_sup` calls, each (projection, mode) once,
+against its budgets.  Each builder is handed a checker by its caller,
+which may share it between builders.
 
 Every builder returns one `WitnessReport` per eps, and `check_witness`
 makes every report: the candidate, its defect and its sup measured by the
@@ -92,27 +92,20 @@ class WitnessReport:
 # Independent checker.
 # ---------------------------------------------------------------------
 
-def _average_stacks(channel: Channel, x: Operator, horizon: int, beta=None):
-    """Per-block stacks of M_{beta,n}(x) for n = 0..horizon, from one pass
-    of `ergodic_averages`."""
-    vecs = np.array([vec for _, vec in ergodic_averages(channel, x, horizon,
-                                                        beta)])
-    return channel.algebra.block_stacks(vecs)
-
-
 class CheckerStacks:
-    """The checker's own stacks of M_{beta,n}(x) for n = 0..horizon, one
+    """The stacks of M_{beta,n}(x) for n = 0..horizon, one read-only
     (horizon+1, d_i, d_i) array per block, for one element and weight.
 
     They come from one fresh pass of the recurrence on the raw channel,
     run on first use: an element whose candidates are all zero
     projections costs no pass.  A builder measures every candidate of its
     element on the checker it is handed, which lives as long as its caller
-    holds it, across builder calls; no search shares it.  Each sup of a
-    (projection, mode) is measured once and kept, so a projection checked
-    again, as `weighted_witness` at p = 1 does with the candidates of its
-    inner search, reads the first measurement.  A weight identically one
-    is stored as None, the plain averages; weight_bound keeps its bound C.
+    holds it, across builder calls; a weak (1,1) search reads these stacks
+    as its input.  Each sup of a (projection, mode) is measured once and
+    kept, so a projection checked again, as `weighted_witness` at p = 1
+    does with the candidates of its inner search, reads the first
+    measurement.  A weight identically one is stored as None, the plain
+    averages; weight_bound keeps its bound C.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -128,7 +121,10 @@ class CheckerStacks:
 
     @functools.cached_property
     def stacks(self):
-        return _average_stacks(self.channel, self.x, self.horizon, self.beta)
+        vecs = np.array([vec for _, vec in ergodic_averages(
+            self.channel, self.x, self.horizon, self.beta)])
+        vecs.flags.writeable = False  # the block views inherit it
+        return self.channel.algebra.block_stacks(vecs)
 
     def sup(self, e: Projection, mode: str) -> float:
         """compressed_sup of e on these stacks, measured on first use.  A
@@ -161,7 +157,7 @@ def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
 
 def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
     """Constructive witnesses on a diagonal algebra, one per eps, for the
-    element x of plain checker stacks.
+    element x of plain checker stacks, cut from those stacks.
 
     e is the indicator of the atoms where max_{n<=N} M_n(x) stays <= eps;
     the classical maximal ergodic inequality guarantees the killed trace
@@ -170,14 +166,15 @@ def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
     channel, x = checker.channel, checker.x
     if not channel.algebra.is_diagonal:
         raise ValueError("hopf witness requires a diagonal algebra")
+    if checker.beta is not None:
+        raise ValueError("hopf witness requires plain checker stacks")
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     if not x.is_positive():
         raise NotPositiveError("hopf witness requires x >= 0")
 
     norm = lp_norm(x, 1)
-    stacks = _average_stacks(channel, x, checker.horizon)
-    cuts = _strategy_hopf_abelian(channel, stacks,
+    cuts = _strategy_hopf_abelian(channel, checker.stacks,
                                   [(eps, None) for eps in eps_grid])
     return [check_witness(checker, e, norm / eps, eps, method="hopf")
             for e, eps in zip(cuts, eps_grid)]
@@ -393,14 +390,16 @@ def yeadon_witness_search(checker: CheckerStacks, eps_grid) -> list:
     """Search for weak (1,1) witnesses of a plain checker's element x, one
     per eps: tau(e_perp) <= ||x||_1/eps and sup_{n<=N} ||e M_n(x) e|| <= eps.
 
-    One pass of the recurrence serves the whole grid.  Strategies run in
-    the order of _STRATEGY_TABLE, each once, on the eps values that no
-    earlier strategy has won; per eps the first candidate that passes
-    the independent checker wins.  Where all strategies fall short, the
+    The checker's one pass of the recurrence serves the whole grid.
+    Strategies run in the order of _STRATEGY_TABLE, each once, on the eps
+    values that no earlier strategy has won; per eps the first candidate
+    that passes the checker wins.  Where all strategies fall short, the
     result is the best infeasible candidate, the one with the smallest
     measured sup, with found=False; it is not a refutation since the
     search is incomplete.  x >= 0 is tested here, once.
     """
+    if checker.beta is not None:
+        raise ValueError("yeadon witness requires plain checker stacks")
     if not checker.x.is_positive():
         raise NotPositiveError("yeadon witness requires x >= 0")
     return _yeadon_search(checker, eps_grid)
@@ -408,13 +407,14 @@ def yeadon_witness_search(checker: CheckerStacks, eps_grid) -> list:
 
 def _yeadon_search(checker, eps_grid):
     """`yeadon_witness_search` for the element of plain checker stacks,
-    an x >= 0 that the caller has tested or built positive."""
+    an x >= 0 that the caller has tested or built positive.  The
+    strategies read the checker's stacks; it measures each candidate."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     channel, x = checker.channel, checker.x
     norm = lp_norm(x, 1)
     stops = [(eps, norm / eps) for eps in eps_grid]
-    stacks = _average_stacks(channel, x, checker.horizon)
+    stacks = checker.stacks
 
     results, best = [None] * len(stops), [None] * len(stops)
     for name, strategy in _STRATEGY_TABLE.items():

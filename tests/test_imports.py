@@ -2,9 +2,10 @@
 module-level private name is read somewhere in the package, every
 function reads each parameter it takes, no module imports anything
 outside the standard library and its runtime dependencies, none reads
-the environment, and only the CLI and `maximal._weak_pp` build a
-`CheckerStacks` (parsed with `ast`, so no linter is needed).  The names
-that the benchmark's tracer binds exist."""
+the environment, only the CLI and `maximal._weak_pp` build a
+`CheckerStacks`, and inside `maximal.py` only `CheckerStacks.stacks`
+runs the recurrence (parsed with `ast`, so no linter is needed).  The
+names that the benchmark's tracer binds exist."""
 
 import ast
 import importlib
@@ -206,9 +207,10 @@ def test_no_unused_parameters(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
 
 
-def checker_constructions(source):
-    """The scope of each call of `CheckerStacks(`: the dotted names of
-    the classes and functions that hold it, "" at module level."""
+def call_scopes(source, name):
+    """The scope of each call of `name(`, bare or as an attribute: the
+    dotted names of the classes and functions that hold it, "" at module
+    level."""
     found = []
 
     def visit(node, scope):
@@ -216,7 +218,7 @@ def checker_constructions(source):
             if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call) and "CheckerStacks" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None),
                     getattr(child.func, "attr", None)):
                 found.append(scope)
@@ -237,7 +239,7 @@ def test_finds_checker_constructions():
               "        def g():\n"
               "            return [CheckerStacks(self, 0, 1)]\n"
               "        return g\n")
-    assert checker_constructions(source) == ["", "f", "A.m.g"]
+    assert call_scopes(source, "CheckerStacks") == ["", "f", "A.m.g"]
 
 
 # Where the package may build a CheckerStacks besides the CLI, which
@@ -248,9 +250,31 @@ CHECKER_SCOPES = {"maximal.py": {"_weak_pp"}}
 
 @pytest.mark.parametrize("module", MODULES)
 def test_checker_stacks_built_only_by_cli_and_weak_pp(module):
-    scopes = set(checker_constructions((PACKAGE / module).read_text()))
+    scopes = set(call_scopes((PACKAGE / module).read_text(),
+                             "CheckerStacks"))
     if module != "cli.py":
         assert scopes <= CHECKER_SCOPES.get(module, set())
+
+
+def test_finds_recurrence_calls():
+    source = ("from .dynamics import ergodic_averages\n"
+              "class CheckerStacks:\n"
+              "    @property\n"
+              "    def stacks(self):\n"
+              "        return list(ergodic_averages(self, 0, 1))\n"
+              "def _search(checker):\n"
+              "    return [v for _, v in ergodic_averages(checker, 1, 2)]\n"
+              "def _reads(stacks=ergodic_averages):\n"
+              "    return stacks\n")
+    assert call_scopes(source, "ergodic_averages") == [
+        "CheckerStacks.stacks", "_search"]
+
+
+def test_recurrence_pass_only_in_checker_stacks():
+    # the witness search reads its checker's stacks; no builder runs a
+    # recurrence pass of its own
+    source = (PACKAGE / "maximal.py").read_text()
+    assert call_scopes(source, "ergodic_averages") == ["CheckerStacks.stacks"]
 
 
 def third_party_imports(source):
