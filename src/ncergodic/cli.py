@@ -6,6 +6,10 @@ config hash and seed; identical config and seed produce byte-identical
 CSV output, because each cell draws from its own keyed random stream and
 rows are written in key order.  Cells run one after another.
 
+Configs are validated in-package against the one `CONFIG_SCHEMA` dict,
+by a validator for the JSON Schema (Draft 2020-12) keywords that the
+schema uses; it reports the error that `jsonschema`'s `best_match` would.
+
 Exit codes: 0 success (including not-found witness searches, which are
 data not errors), 1 invalid configuration (including a channel spec
 that cannot be built, an operator whose blocks do not fit the algebra,
@@ -27,7 +31,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import jsonschema
+import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, Operator
@@ -42,9 +46,9 @@ from .maximal import (CheckerStacks, hopf_witness_commutative,
                       one_sided_witness, weighted_witness,
                       yeadon_witness_search)
 from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
-                      singular_function, submajorizes)
+                      singular_function)
 from .rng import derive_seed, random_operator, random_projection, stream
-from .util import fmt_cell, short_hash
+from .util import DEFAULT_TOL, fmt_cell, short_hash
 from .weights import WEIGHT_KINDS, WeightSequence
 
 SUBCOMMANDS = ("verify-channel", "certify", "converge", "besicovitch",
@@ -266,8 +270,147 @@ CONFIG_SCHEMA = {
         },
     },
 }
-# The tests check the constant schema; a run validates only the config.
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+# ---------------------------------------------------------------------
+# Validation against CONFIG_SCHEMA: the Draft 2020-12 keywords it uses,
+# each as jsonschema implements it, down to the error messages.  The
+# tests check the schema against the metaschema and this validator
+# against jsonschema's.
+# ---------------------------------------------------------------------
+
+_JSON_TYPES = {"object": dict, "array": list, "number": (int, float),
+               "integer": int}
+
+
+def _has_type(instance, name):
+    """JSON Schema's types of a JSON value: a bool is neither a number
+    nor an integer, and a float with no fraction, such as 2.0, is an
+    integer."""
+    if name == "integer" and isinstance(instance, float):
+        return instance.is_integer()
+    return (isinstance(instance, _JSON_TYPES[name])
+            and not isinstance(instance, bool))
+
+
+def _same(value, constant):
+    """`const` and `enum` equality of a value and a scalar constant of
+    the schema: True is not 1 and False is not 0."""
+    return isinstance(value, bool) == isinstance(constant, bool) \
+        and value == constant
+
+
+def _is_valid(instance, schema):
+    """Whether `instance` meets `schema` (for `if` and `contains`)."""
+    return next(_schema_errors(instance, schema, ()), None) is None
+
+
+# keyword -> (the type it constrains, None for any; (its value, the
+# instance) -> the messages of its errors)
+_ASSERTIONS = {
+    "type": (None, lambda name, x: [] if _has_type(x, name)
+             else [f"{x!r} is not of type {name!r}"]),
+    "required": ("object", lambda names, x: [
+        f"{name!r} is a required property" for name in names
+        if name not in x]),
+    "minItems": ("array", lambda low, x: [
+        f"{x!r} should be non-empty" if low == 1 else f"{x!r} is too short"]
+        if len(x) < low else []),
+    "maxItems": ("array", lambda high, x: [
+        f"{x!r} is expected to be empty" if high == 0
+        else f"{x!r} is too long"] if len(x) > high else []),
+    "minimum": ("number", lambda low, x: [
+        f"{x!r} is less than the minimum of {low!r}"] if x < low else []),
+    "maximum": ("number", lambda high, x: [
+        f"{x!r} is greater than the maximum of {high!r}"]
+        if x > high else []),
+    "exclusiveMinimum": ("number", lambda low, x: [
+        f"{x!r} is less than or equal to the minimum of {low!r}"]
+        if x <= low else []),
+    "exclusiveMaximum": ("number", lambda high, x: [
+        f"{x!r} is greater than or equal to the maximum of {high!r}"]
+        if x >= high else []),
+    "const": (None, lambda constant, x: [] if _same(x, constant)
+              else [f"{constant!r} was expected"]),
+    "enum": (None, lambda constants, x: [] if any(
+        _same(x, constant) for constant in constants)
+        else [f"{x!r} is not one of {constants!r}"]),
+    "contains": ("array", lambda sub, x: [] if any(
+        _is_valid(item, sub) for item in x)
+        else [f"{x!r} does not contain items matching the given schema"]),
+}
+
+# keyword -> (the type it applies to, None for any; (its value, the
+# instance, its schema, the instance's path) -> the (instance, schema,
+# path) triples to validate in its place)
+_APPLICATORS = {
+    "properties": ("object", lambda subs, x, schema, path: [
+        (x[name], sub, path + (name,)) for name, sub in subs.items()
+        if name in x]),
+    "items": ("array", lambda sub, x, schema, path: [
+        (x[index], sub, path + (index,))
+        for index in range(len(schema.get("prefixItems", ())), len(x))]),
+    "prefixItems": ("array", lambda subs, x, schema, path: [
+        (item, sub, path + (index,))
+        for index, (item, sub) in enumerate(zip(x, subs))]),
+    "allOf": (None, lambda subs, x, schema, path: [
+        (x, sub, path) for sub in subs]),
+    "if": (None, lambda test, x, schema, path: [(x, schema["then"], path)]
+           if "then" in schema and _is_valid(x, test) else []),
+    "dependentSchemas": ("object", lambda subs, x, schema, path: [
+        (x, sub, path) for name, sub in subs.items() if name in x]),
+    # only references into CONFIG_SCHEMA's own $defs
+    "$ref": (None, lambda ref, x, schema, path: [
+        (x, CONFIG_SCHEMA["$defs"][ref.removeprefix("#/$defs/")], path)]),
+}
+# read by `$ref` and `if`
+_READ_BY_OTHERS = {"$defs", "then"}
+
+
+def _schema_errors(instance, schema, path):
+    """Each way `instance`, at `path` in the config, fails `schema`, as
+    (path, mismatch, message), in the order of jsonschema's validator:
+    keywords in the order the schema lists them, an applicator's
+    subschemas validated where it meets them.  `mismatch` is set when
+    the instance lacks the type that the failing keyword's own schema
+    names.  A keyword not implemented here raises, so that no schema
+    edit goes unchecked."""
+    if isinstance(schema, bool):
+        if not schema:
+            yield path, True, f"False schema does not allow {instance!r}"
+        return
+    mismatch = "type" not in schema or not _has_type(instance,
+                                                     schema["type"])
+    for keyword, value in schema.items():
+        if keyword in _ASSERTIONS:
+            kind, check = _ASSERTIONS[keyword]
+            if kind is None or _has_type(instance, kind):
+                for message in check(value, instance):
+                    yield path, mismatch, message
+        elif keyword in _APPLICATORS:
+            kind, apply = _APPLICATORS[keyword]
+            if kind is None or _has_type(instance, kind):
+                for sub in apply(value, instance, schema, path):
+                    yield from _schema_errors(*sub)
+        elif keyword not in _READ_BY_OTHERS:
+            raise NotImplementedError(
+                f"config schema keyword {keyword!r} is not implemented")
+
+
+def _config_error(config):
+    """(JSON path, message) of the error that `jsonschema`'s `best_match`
+    picks for a schema without `anyOf` or `oneOf`, or None for a valid
+    config.  Its relevance key prefers the shallowest path, then the
+    greatest path, then an error whose schema's type the instance
+    lacks; `max` keeps the first of equals, as `best_match` does."""
+    error = max(_schema_errors(config, CONFIG_SCHEMA, ()), default=None,
+                key=lambda found: (-len(found[0]), found[0], found[1]))
+    if error is None:
+        return None
+    path, _, message = error
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                         for key in path), message
+
 
 _SECTION_NEEDS = {
     "verify-channel": ("algebra", "channel"),
@@ -294,11 +437,9 @@ def load_config(path, subcommand, seed_override=None, horizon_override=None):
     for key, value in (("seed", seed_override), ("horizon", horizon_override)):
         if value is not None and isinstance(config, dict):
             config[key] = value
-    error = jsonschema.exceptions.best_match(
-        _CONFIG_VALIDATOR.iter_errors(config))
+    error = _config_error(config)
     if error is not None:
-        raise ConfigError(f"config does not validate at {error.json_path}: "
-                          f"{error.message}")
+        raise ConfigError("config does not validate at %s: %s" % error)
     for section in _SECTION_NEEDS[subcommand]:
         if section not in config:
             raise ConfigError(
@@ -605,8 +746,6 @@ def run_norms(config):
                      lorentz_norm(e.operator, p, q), p=p, q=q)
             emit("adjoint_invariance", lp_norm(x, 2),
                  lp_norm(x.adjoint(), 2), p=2)
-            emit("submajorizes_self", 1.0,
-                 1.0 if submajorizes(x, x) else 0.0)
     summary = {"all_green": all_green, "rows": len(rows)}
     return header, rows, summary, 0
 
@@ -662,6 +801,7 @@ def _write_outputs(out_dir, subcommand, config, header, rows, summary):
         "seed": config["seed"],
         "horizon": config.get("horizon"),
         "config_hash": short_hash(config),
+        "provenance": {"tol": DEFAULT_TOL, "numpy": np.__version__},
         "summary": summary,
     }
     with open(json_path, "w") as fh:

@@ -1,5 +1,5 @@
-"""Generalized singular numbers, L_p and Lorentz norms, the measure
-metric and the submajorization order.
+"""Generalized singular numbers, L_p and Lorentz norms and the measure
+metric.
 
 The singular-number function of x is the right-continuous non-increasing
 step function mu_t(x) = inf{ lam > 0 : tau(e_lam_perp) <= t } built from
@@ -54,13 +54,6 @@ class SingularFunction:
     def total_support(self) -> float:
         """Length of {mu > 0}."""
         return float(self.bounds[-1])
-
-    def cumulative(self, s: float) -> float:
-        """Exact integral of mu over (0, s]."""
-        if s <= 0:
-            return 0.0
-        lengths = np.diff(np.minimum(self.bounds, s))
-        return float(np.dot(self.values, lengths))
 
     def lp_norm(self, p: float) -> float:
         """(integral of mu^p)^(1/p); p = inf gives the top value."""
@@ -152,21 +145,6 @@ def projection_lorentz_norm(trace_value: float, p: float, q: float) -> float:
     if trace_value == 0:
         return 0.0
     return (p / q) ** (1.0 / q) * trace_value ** (1.0 / p)
-
-
-def submajorizes(x: Operator, y: Operator) -> bool:
-    """True iff integral_0^s mu(y) <= integral_0^s mu(x) for all s > 0.
-
-    Both cumulatives are piecewise linear with kinks only at the two
-    breakpoint sets, so checking the union of breakpoints (plus the far
-    end) is exact, up to an absolute 1e-12.
-    """
-    mx, my = singular_function(x), singular_function(y)
-    points = np.union1d(mx.bounds, my.bounds)
-    points = points[points > 0]
-    far = max(mx.total_support, my.total_support, 1.0)
-    points = np.append(points, far)
-    return all(my.cumulative(s) <= mx.cumulative(s) + 1e-12 for s in points)
 
 
 def measure_distance(x: Operator, y: Operator) -> float:

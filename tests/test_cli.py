@@ -19,7 +19,7 @@ from ncergodic.dynamics import (CHANNEL_KINDS, channel_from_spec,
 from ncergodic.funcspace import BOYD_LIMIT_SCALES
 from ncergodic.maximal import WitnessReport
 from ncergodic.rng import derive_seed, stream
-from ncergodic.util import dyadic_schedule
+from ncergodic.util import DEFAULT_TOL, dyadic_schedule
 from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -66,7 +66,11 @@ class TestConvergeContract:
         path = FIXTURES / "m2_unitary.json"
         code, _, json_path = converge(path, tmp_path)
         assert code == 0
-        cell = json.loads(json_path.read_text())["summary"]["cells"][0]
+        payload = json.loads(json_path.read_text())
+        # the summary JSON records what the numbers were computed with
+        assert payload["provenance"] == {"tol": DEFAULT_TOL,
+                                         "numpy": np.__version__}
+        cell = payload["summary"]["cells"][0]
         config = json.loads(path.read_text())
         channel = channel_from_spec(
             AlgebraSpec.from_json(config["algebra"]), config["channel"],
@@ -203,7 +207,7 @@ class TestChannelKinds:
         # JSON Schema counts 2.0 as an integer, so the schema lets it in
         config = {"seed": 3, "algebra": DIAG2.to_json(),
                   "channel": {"kind": kind, field: 2.0}}
-        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+        assert cli._config_error(config) is None
         as_float = channel_from_spec(DIAG2, config["channel"], run_seed=3)
         as_int = channel_from_spec(DIAG2, {"kind": kind, field: 2},
                                    run_seed=3)
@@ -479,6 +483,29 @@ OUTSIDE_DS_PLUS = {
 }
 
 
+def malformed_config(name):
+    """(subcommand, config) of the MALFORMED case `name`."""
+    subcommand, sections = MALFORMED[name]
+    config = json.loads((FIXTURES / "m2_unitary.json").read_text())
+    for key, section in sections.items():
+        if section is None:
+            del config[key]
+        else:
+            config[key] = section
+    return subcommand, config
+
+
+# (subcommand, fixture, override, JSON path of the error): command-line
+# overrides are validated with the rest of the config; a config that is
+# not an object (fixture None: the config `[]`) fails validation
+# whatever they are
+OVERRIDES = [
+    ("converge", "m2_unitary", ["--horizon", "0"], "$.horizon"),
+    ("certify", "kraus8", ["--horizon", "-3"], "$.horizon"),
+    ("certify", "kraus8", ["--seed", "-1"], "$.seed"),
+    ("certify", None, ["--seed", "3"], "$")]
+
+
 class TestMalformedConfig:
     def test_schema_is_valid(self):
         # a run skips this check of the constant schema
@@ -486,13 +513,7 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_exits_1_with_one_error_line(self, tmp_path, name):
-        subcommand, sections = MALFORMED[name]
-        config = json.loads((FIXTURES / "m2_unitary.json").read_text())
-        for key, section in sections.items():
-            if section is None:
-                del config[key]
-            else:
-                config[key] = section
+        subcommand, config = malformed_config(name)
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -504,13 +525,8 @@ class TestMalformedConfig:
         assert NAMED_IN_ERROR.get(name, "") in err.getvalue()
         assert not (tmp_path / "out").exists()
 
-    # command-line overrides are validated with the rest of the config;
-    # a config that is not an object fails validation whatever they are
-    @pytest.mark.parametrize("subcommand,config,override,json_path", [
-        ("converge", "m2_unitary", ["--horizon", "0"], "$.horizon"),
-        ("certify", "kraus8", ["--horizon", "-3"], "$.horizon"),
-        ("certify", "kraus8", ["--seed", "-1"], "$.seed"),
-        ("certify", None, ["--seed", "3"], "$")])
+    @pytest.mark.parametrize("subcommand,config,override,json_path",
+                             OVERRIDES)
     def test_invalid_override_exits_1(self, tmp_path, subcommand, config,
                                       override, json_path):
         if config is None:
@@ -863,20 +879,37 @@ class TestNormsAndBoyd:
         code, rows, summary = self.run(tmp_path, "norms", section)
         assert code == 0
         assert summary["all_green"] is True
-        # per operator: two checks per p, one per (p, q), and two more
-        assert len(rows) == summary["rows"] == 3 * (2 * 3 + 3 + 2)
+        # per operator: two checks per p, one per (p, q), and one more
+        assert len(rows) == summary["rows"] == 3 * (2 * 3 + 3 + 1)
         assert all(row["passed"] == "true" for row in rows)
 
 
 class TestRuntimeImports:
-    def test_runtime_never_imports_scipy(self):
-        # scipy is a test extra only; importing it costs start-up time
-        # and resident memory on every CLI run
-        code = ("import sys, ncergodic, ncergodic.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
+    # scipy and jsonschema are test extras only; importing them costs
+    # start-up time and resident memory on every CLI run
+
+    @staticmethod
+    def imported(code, packages):
+        """The modules of `packages` loaded after running `code` in a
+        fresh interpreter."""
+        code += ("; import sys; print(sorted(m for m in sys.modules "
+                 f"if m.split('.')[0] in {sorted(packages)!r}))")
         src = Path(cli.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_runtime_never_imports_scipy(self):
+        assert self.imported("import ncergodic, ncergodic.cli",
+                             {"scipy"}) == "[]"
+
+    def test_config_validation_never_imports_jsonschema(self):
+        # the CLI validates configs in-package; jsonschema and the
+        # packages it loads stay out of the process
+        code = ("from ncergodic import cli; "
+                f"cli.load_config({str(FIXTURES / 'm2_unitary.json')!r}, "
+                "'converge')")
+        assert self.imported(code, {"jsonschema", "referencing", "rpds",
+                                    "attrs", "jsonschema_specifications"}) \
+            == "[]"

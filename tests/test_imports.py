@@ -18,8 +18,9 @@ import pytest
 PACKAGE = Path(__file__).parents[1] / "src" / "ncergodic"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
-# The `dependencies` of pyproject.toml; scipy is a test extra only.
-RUNTIME_DEPENDENCIES = {"numpy", "jsonschema"}
+# The `dependencies` of pyproject.toml; scipy and jsonschema are test
+# extras only.
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 def _annotation_names(node):

@@ -6,7 +6,7 @@ from ncergodic.algebra import AlgebraSpec, Operator
 from ncergodic.errors import UnsupportedNormError
 from ncergodic.ncnorms import (SingularFunction, lorentz_norm, lp_norm,
                                measure_distance, projection_lorentz_norm,
-                               singular_function, submajorizes)
+                               singular_function)
 from ncergodic.rng import random_operator, stream
 
 M2 = AlgebraSpec(((2, 1.0),))
@@ -16,6 +16,30 @@ MIXED = AlgebraSpec(((3, 1.0), (2, 0.5)))
 
 def diag(values, algebra=M2):
     return Operator(algebra, [np.diag(np.asarray(values, dtype=complex))])
+
+
+def cumulative(sf: SingularFunction, s):
+    """Exact integral of mu over (0, s]."""
+    if s <= 0:
+        return 0.0
+    return float(np.dot(sf.values, np.diff(np.minimum(sf.bounds, s))))
+
+
+def submajorizes(x: Operator, y: Operator) -> bool:
+    """Oracle for the submajorization order: True iff integral_0^s mu(y)
+    <= integral_0^s mu(x) for all s > 0.
+
+    Both cumulatives are piecewise linear with kinks only at the two
+    breakpoint sets, so checking the union of breakpoints (plus the far
+    end) is exact, up to an absolute 1e-12.
+    """
+    mx, my = singular_function(x), singular_function(y)
+    points = np.union1d(mx.bounds, my.bounds)
+    points = points[points > 0]
+    far = max(mx.total_support, my.total_support, 1.0)
+    points = np.append(points, far)
+    return all(cumulative(my, s) <= cumulative(mx, s) + 1e-12
+               for s in points)
 
 
 def quad_lorentz(sf: SingularFunction, p, q):
@@ -206,8 +230,8 @@ class TestSubmajorization:
 
     def test_worked_example(self):
         x, y = diag([3, 1]), diag([2, 2])
-        assert singular_function(x).cumulative(1.0) == pytest.approx(3.0)
-        assert singular_function(x).cumulative(2.0) == pytest.approx(4.0)
+        assert cumulative(singular_function(x), 1.0) == pytest.approx(3.0)
+        assert cumulative(singular_function(x), 2.0) == pytest.approx(4.0)
         assert submajorizes(x, y)
         assert not submajorizes(y, x)
 
