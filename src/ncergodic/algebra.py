@@ -268,6 +268,20 @@ def hermitian_decompose(x: Operator):
     return tuple(parts)
 
 
+def _defect_norm(a) -> float:
+    """||a||_2 where it may exceed DEFAULT_TOL, else an upper bound on it.
+
+    The Frobenius norm is at least the 2-norm, so one of at most
+    DEFAULT_TOL/2 stands in for it: the half-tol margin covers the rounding
+    of both norms, so a test against DEFAULT_TOL gives the 2-norm's verdict
+    without its SVD.  A larger defect is the 2-norm itself, as an error
+    message prints it."""
+    frobenius = float(np.linalg.norm(a))
+    if frobenius <= DEFAULT_TOL / 2:
+        return frobenius
+    return float(np.linalg.norm(a, 2))
+
+
 class Projection:
     """Certified self-adjoint idempotent.
 
@@ -282,8 +296,8 @@ class Projection:
         bases = []
         clean_blocks = []
         for b in op.blocks:
-            herm_defect = float(np.linalg.norm(b - b.conj().T, 2))
-            idem_defect = float(np.linalg.norm(b @ b - b, 2))
+            herm_defect = _defect_norm(b - b.conj().T)
+            idem_defect = _defect_norm(b @ b - b)
             if herm_defect > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"not self-adjoint (defect {herm_defect:.2e})")

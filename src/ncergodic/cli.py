@@ -25,6 +25,7 @@ happen).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import sys
@@ -548,7 +549,8 @@ def run_verify_channel(config):
 
 def _certify_task(config, algebra, checker, eps_grid, method, p, seed_idx):
     """One witness search over the whole eps grid for one (method, p,
-    seed_idx) on `checker`; returns one (row, discrepancy, found) per eps."""
+    seed_idx) on `checker`; returns one (row, discrepancy, won_by) per eps,
+    won_by the method label of a found witness and None if none was."""
     try:
         results = _CERTIFY_BUILDERS[method](checker, p, eps_grid)
     except NotPositiveError as exc:
@@ -564,7 +566,8 @@ def _certify_task(config, algebra, checker, eps_grid, method, p, seed_idx):
             report.trace_budget, report.trace_ratio, report.sup_compression,
             report.sup_budget, report.sup_ratio, report.checker_passed,
             report.weight_bound]
-        cells.append((row, discrepancy, report.found))
+        cells.append((row, discrepancy,
+                      report.method if report.found else None))
     return cells
 
 
@@ -580,18 +583,23 @@ def run_certify(config):
     if not seeds:  # a run without cells still gates the channel of cell 0
         _ds_plus_channel(algebra, config["channel"],
                          derive_seed(config["seed"], "cell", 0))
-    # the methods that check one element under one weight share a checker
-    groups = {}  # (element kind, weight or None) -> methods
+    # the methods that check one element under one weight share a checker;
+    # a group is keyed by the weight its checker holds, so a unit weight
+    # at bound 1 checks with the plain methods
+    groups = {}  # (element kind, checked weight) -> (weight, methods)
     for method in section["methods"]:
-        kind, plain = section["element"]["kind"], method in _PLAIN_METHODS
-        if plain and kind == "random":
-            kind = "random-positive"  # these constructions need x >= 0
-        groups.setdefault((kind, None if plain else beta), []).append(method)
+        kind, weight = section["element"]["kind"], beta
+        if method in _PLAIN_METHODS:
+            weight = None
+            if kind == "random":
+                kind = "random-positive"  # these constructions need x >= 0
+        key = (kind, CheckerStacks.checked_weight(weight))
+        groups.setdefault(key, (weight, []))[1].append(method)
     by_task = {}
     for seed_idx in seeds:
         channel = _ds_plus_channel(algebra, config["channel"], derive_seed(
             config["seed"], "cell", seed_idx))
-        for (kind, weight), methods in groups.items():
+        for (kind, _), (weight, methods) in groups.items():
             x = element_from_spec(algebra, dict(section["element"], kind=kind),
                                   stream(config["seed"], "element", seed_idx))
             # its stacks are freed when the next group's checker replaces it
@@ -609,10 +617,13 @@ def run_certify(config):
                               "weight_bound"]
     rows = [r for r, _, _ in results]
     discrepancies = sum(1 for _, d, _ in results if d)
-    found = sum(1 for _, _, f in results if f)
+    # found cells per winning strategy, e.g. "floor" or "weighted[identity]"
+    won_by = collections.Counter(won for _, _, won in results if won)
+    found = sum(won_by.values())
     summary = {"cells": len(results), "found": found,
                "not_found": len(results) - found,
-               "checker_discrepancies": discrepancies}
+               "checker_discrepancies": discrepancies,
+               "won_by": dict(won_by)}
     return header, rows, summary, (2 if discrepancies else 0)
 
 

@@ -31,6 +31,20 @@ not-found result shows how far the search fell short.
 `weighted_witness` and `one_sided_witness` meet, per eps, the weak (1,1)
 candidates of a power of each part of x, and check the meet once on x
 against the method's own budgets; it is found where every part's was.
+
+Before any strategy runs, the weak (1,1) search closes the stops that a
+floor bound proves empty.  With f_i = max_n lambda_min(Herm M_n(x)_i)
+(`CheckerStacks.floors`), a projection e != 0 has a block i with
+e_i != 0, and a unit vector v in its range gives
+||e M_n(x) e|| >= <v, Herm M_n(x) v> >= f_i at the n where block i
+attains f_i.  So at a level eps < min_i f_i no nonzero e is a witness.
+A stop (eps, budget) with min_i f_i > eps + 2 DEFAULT_TOL and
+budget >= tau(1) + DEFAULT_TOL gets the zero projection, reported with
+method "floor"; a stop that misses either margin, a tie included, runs
+the strategies as before, and `peel` is the fallback that gives each of
+them a candidate.  Where the bound fires, `peel` would remove every
+direction and return that same zero projection, so the report differs
+from the one `peel` gave only in its method label.
 """
 
 from __future__ import annotations
@@ -50,6 +64,10 @@ from .util import DEFAULT_TOL
 
 # Off-diagonal tolerance when testing that all averages commute.
 COMMUTING_TOL = 1e-8
+
+# Most entries of a stack whose Hermitian parts `CheckerStacks.floors`
+# holds at once (16 bytes each).
+FLOOR_SLICE = 2 ** 16
 
 
 @dataclass
@@ -104,8 +122,7 @@ class CheckerStacks:
     as its input.  Each sup of a (projection, mode) is measured once and
     kept, so a projection checked again, as `weighted_witness` at p = 1
     does with the candidates of its inner search, reads the first
-    measurement.  A weight identically one is stored as None, the plain
-    averages; weight_bound keeps its bound C.
+    measurement.  A weight is held as `checked_weight` gives it.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -115,9 +132,18 @@ class CheckerStacks:
         self.channel = channel
         self.x = x
         self.horizon = horizon
-        self.beta = None if beta is None or beta.is_constant_one else beta
-        self.weight_bound = 1.0 if beta is None else beta.bound
+        self.beta, self.weight_bound = self.checked_weight(beta)
         self._sups = {}  # (projection, mode) -> sup; keys hold e alive
+
+    @staticmethod
+    def checked_weight(beta):
+        """(beta, weight_bound) of a checker of weight beta: a weight
+        identically one is None, the plain averages, and keeps its bound C;
+        no weight has bound 1.  Two checkers of one element with equal
+        pairs check the same averages against the same bound."""
+        if beta is None:
+            return None, 1.0
+        return (None if beta.is_constant_one else beta), beta.bound
 
     @functools.cached_property
     def stacks(self):
@@ -125,6 +151,23 @@ class CheckerStacks:
             self.channel, self.x, self.horizon, self.beta)])
         vecs.flags.writeable = False  # the block views inherit it
         return self.channel.algebra.block_stacks(vecs)
+
+    @functools.cached_property
+    def floors(self):
+        """f_i = max_n lambda_min(Herm M_n(x)_i) per block i: every
+        projection e with e_i != 0 has sup_n ||e M_n(x) e|| >= f_i.
+
+        One batched eigvalsh per block over these stacks, shared by every
+        search on the checker.  The Hermitian parts are formed in slices
+        of at most FLOOR_SLICE entries, so the floors hold no second copy
+        of a large stack; a smaller block is one call."""
+        floors = []
+        for stack in self.stacks:
+            step = max(1, FLOOR_SLICE // stack[0].size)
+            floors.append(np.max([
+                np.linalg.eigvalsh(_hermitian(stack[n:n + step]))[:, 0].max()
+                for n in range(0, len(stack), step)]))
+        return np.array(floors)
 
     def sup(self, e: Projection, mode: str) -> float:
         """compressed_sup of e on these stacks, measured on first use.  A
@@ -390,13 +433,15 @@ def yeadon_witness_search(checker: CheckerStacks, eps_grid) -> list:
     """Search for weak (1,1) witnesses of a plain checker's element x, one
     per eps: tau(e_perp) <= ||x||_1/eps and sup_{n<=N} ||e M_n(x) e|| <= eps.
 
-    The checker's one pass of the recurrence serves the whole grid.
-    Strategies run in the order of _STRATEGY_TABLE, each once, on the eps
-    values that no earlier strategy has won; per eps the first candidate
-    that passes the checker wins.  Where all strategies fall short, the
-    result is the best infeasible candidate, the one with the smallest
-    measured sup, with found=False; it is not a refutation since the
-    search is incomplete.  x >= 0 is tested here, once.
+    The checker's one pass of the recurrence serves the whole grid.  An
+    eps below the floor of the averages, by the margins `_yeadon_search`
+    states, gets the zero projection at once.  Strategies run in the
+    order of _STRATEGY_TABLE, each once, on the eps values that neither
+    the floor bound nor an earlier strategy has won; per eps the first
+    candidate that passes the checker wins.  Where all strategies fall
+    short, the result is the best infeasible candidate, the one with the
+    smallest measured sup, with found=False; it is not a refutation since
+    the search is incomplete.  x >= 0 is tested here, once.
     """
     if checker.beta is not None:
         raise ValueError("yeadon witness requires plain checker stacks")
@@ -408,7 +453,16 @@ def yeadon_witness_search(checker: CheckerStacks, eps_grid) -> list:
 def _yeadon_search(checker, eps_grid):
     """`yeadon_witness_search` for the element of plain checker stacks,
     an x >= 0 that the caller has tested or built positive.  The
-    strategies read the checker's stacks; it measures each candidate."""
+    strategies read the checker's stacks; it measures each candidate.
+
+    First the floor bound closes the stops it proves empty: with
+    f = min_i f_i over the checker's `floors`, a stop (eps, budget) with
+    f > eps + 2 DEFAULT_TOL admits no nonzero witness, and with
+    budget >= tau(1) + DEFAULT_TOL the zero projection meets both
+    budgets.  Where both hold, the stop is reported as the zero
+    projection, built as `peel` builds it, with method "floor"; on a tie
+    it stays open.  The strategies then run on the open stops only, and
+    `peel` is the fallback that gives each of them a candidate."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     channel, x = checker.channel, checker.x
@@ -417,6 +471,14 @@ def _yeadon_search(checker, eps_grid):
     stacks = checker.stacks
 
     results, best = [None] * len(stops), [None] * len(stops)
+    floor, zero = checker.floors.min(), None
+    for k, (eps, trace_budget) in enumerate(stops):
+        if floor > eps + 2.0 * DEFAULT_TOL:
+            zero = zero or Projection.from_basis(channel.algebra, [
+                np.zeros((d, 0)) for d in channel.algebra.dims])
+            if trace_budget >= zero.defect() + DEFAULT_TOL:
+                results[k] = check_witness(checker, zero, trace_budget, eps,
+                                           method="floor")
     for name, strategy in _STRATEGY_TABLE.items():
         open_ = [k for k, r in enumerate(results) if r is None]
         if not open_:
@@ -434,7 +496,8 @@ def _yeadon_search(checker, eps_grid):
                                      < best[k].sup_compression):
                 report.found = False
                 best[k] = report
-    # peel gives a candidate at every stop, so each eps holds a report
+    # the floor bound closed a stop or peel gave it a candidate, so each
+    # eps holds a report
     return [r if r is not None else b for r, b in zip(results, best)]
 
 

@@ -6,7 +6,8 @@ from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
 from ncergodic.errors import (AlgebraMismatchError,
                               ProjectionCertificateError)
 from ncergodic.ncnorms import lp_norm
-from ncergodic.rng import random_operator, stream
+from ncergodic.rng import random_operator, random_projection, stream
+from ncergodic.util import DEFAULT_TOL
 
 M2 = AlgebraSpec(((2, 1.0),))
 WEIGHTED = AlgebraSpec(((1, 0.5), (1, 1.5)))
@@ -208,3 +209,66 @@ class TestProjection:
         e = Projection(Operator(WEIGHTED, [np.array([[0.0]]),
                                            np.array([[1.0]])]))
         assert e.defect() == pytest.approx(0.5)
+
+
+def two_norm_verdict(b):
+    """The certificate's error message for block b as two 2-norms decide
+    it, or None where it accepts b."""
+    herm = float(np.linalg.norm(b - b.conj().T, 2))
+    idem = float(np.linalg.norm(b @ b - b, 2))
+    if herm > DEFAULT_TOL:
+        return f"not self-adjoint (defect {herm:.2e})"
+    if idem > DEFAULT_TOL:
+        return f"not idempotent (defect {idem:.2e})"
+    lam = np.linalg.eigvalsh((b + b.conj().T) / 2.0)
+    dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
+    if float(dist.max()) > DEFAULT_TOL:
+        return f"eigenvalue {lam[np.argmax(dist)]:.6g} not in {{0,1}}"
+    return None
+
+
+class TestProjectionDefectScreen:
+    """The Frobenius screen of the certificate keeps the verdict and the
+    message of its 2-norms, and skips their SVDs on a clean projection."""
+
+    @pytest.mark.parametrize("kind", ["hermitian", "skew", "rank-one"])
+    @pytest.mark.parametrize("scale", [0.05, 0.2, 0.45, 0.5, 0.55, 0.9,
+                                       0.99, 1.01, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_and_message_of_the_two_norms(self, kind, scale, seed):
+        # a perturbation of 2-norm scale * tol whose Frobenius norm is up
+        # to sqrt(6) times larger, so the screen passes, or hands over to
+        # the SVD, on either side of the tolerance
+        d, rng = 6, stream(seed, "defect-screen")
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kind == "rank-one":
+            g = np.outer(g[0], g[1].conj())
+        elif kind == "hermitian":
+            g = g + g.conj().T
+        else:
+            g = g - g.conj().T
+        g *= scale * DEFAULT_TOL / np.linalg.norm(g, 2)
+        b = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex) + g
+        algebra = AlgebraSpec(((d, 1.0),))
+        expected = two_norm_verdict(b)
+        if expected is None:
+            e = Projection(Operator(algebra, [b]))
+            assert e.rank() == 3
+        else:
+            with pytest.raises(ProjectionCertificateError) as info:
+                Projection(Operator(algebra, [b]))
+            assert str(info.value) == expected
+
+    def test_clean_projection_takes_no_svd(self, monkeypatch):
+        orders, norm = [], np.linalg.norm
+
+        def recording(a, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return norm(a, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        Projection.from_basis(WEIGHTED, [np.ones((1, 1)), np.zeros((1, 0))])
+        e = random_projection(AlgebraSpec(((5, 1.0), (3, 2.0))),
+                              stream(3, "projection"))
+        assert e.rank() > 0
+        assert orders and 2 not in orders

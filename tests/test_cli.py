@@ -613,15 +613,15 @@ class TestCertifyContract:
         assert code == 0
         assert ((tmp_path / "certify.csv").read_bytes()
                 == reference.read_bytes())
+        # the summary counts the found cells by the strategy that won them
+        summary = json.loads((tmp_path / "certify.json").read_text())
+        won_by = summary["summary"]["won_by"]
+        assert sum(won_by.values()) == summary["summary"]["found"]
+        assert won_by.get("floor", 0) == {"certify-mix8": 2}.get(name, 0)
 
-    # recurrence passes of a whole run, the workloads at seed class 0; the
-    # methods that check one element under one weight share its checker,
-    # and a weak (1,1) search reads the stacks of its checker
-    @pytest.mark.parametrize("name,passes", [
-        ("certify-mix8", 9), ("kraus8", 15), ("cycle4", 1),
-        ("certify-cycle96", 1)])
-    def test_recurrence_passes_per_run(self, tmp_path, monkeypatch,
-                                       workloads, name, passes):
+    @staticmethod
+    def recurrence_passes(monkeypatch):
+        """A list that gains one entry per recurrence pass from now on."""
         calls = []
 
         def counting_averages(*args, **kwargs):
@@ -634,6 +634,17 @@ class TestCertifyContract:
                     is ergodic_averages):
                 monkeypatch.setattr(module, "ergodic_averages",
                                     counting_averages)
+        return calls
+
+    # recurrence passes of a whole run, the workloads at seed class 0; the
+    # methods that check one element under one weight share its checker,
+    # and a weak (1,1) search reads the stacks of its checker
+    @pytest.mark.parametrize("name,passes", [
+        ("certify-mix8", 9), ("kraus8", 15), ("cycle4", 1),
+        ("certify-cycle96", 1)])
+    def test_recurrence_passes_per_run(self, tmp_path, monkeypatch,
+                                       workloads, name, passes):
+        calls = self.recurrence_passes(monkeypatch)
         args, reference = self.certify_args(tmp_path, workloads, name, 0)
         code = run_cli("certify", *args, "--out", str(tmp_path))
         assert code == 0
@@ -691,6 +702,29 @@ class TestCertifyContract:
                               checker.x.vec())]
             assert run_seeds[id(checker.channel)] == derive_seed(
                 config["seed"], "cell", seed_idx)
+
+    def test_unit_weight_at_bound_one_checks_with_the_plain_methods(
+            self, tmp_path, monkeypatch):
+        # weighted under the unit weight checks the plain averages against
+        # bound 1, so it shares lp's checker: one pass of x for both, and
+        # one of x^2 each, as when the config has no weight at all
+        config = json.loads((FIXTURES / "kraus8.json").read_text())
+        config["certify"]["num_seeds"] = 1
+        del config["certify"]["weights"]
+        unit = {"weights": {"kind": "constant", "period": [[1, 0]]}}
+        outputs = {}
+        for name, weights in [("unit", unit), ("none", {})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                dict(config, certify={**config["certify"], **weights})))
+            with monkeypatch.context() as patch:
+                calls = self.recurrence_passes(patch)
+                code = run_cli("certify", "--config", str(path),
+                               "--out", str(tmp_path / name))
+            assert code == 0
+            assert len(calls) == 3
+            outputs[name] = (tmp_path / name / "certify.csv").read_bytes()
+        assert outputs["unit"] == outputs["none"]
 
     def test_weight_bound_of_a_unit_weight(self, tmp_path):
         # a weight identically one declared with C = 2: weighted checks the

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import inspect
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -16,7 +17,9 @@ from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_sup)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
-                                identity_channel, random_kraus_channel)
+                                identity_channel, random_kraus_channel,
+                                random_substochastic, random_unitary_mixture,
+                                scale_channel)
 from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
                                hopf_witness_commutative, one_sided_witness,
                                peel, weighted_witness, yeadon_witness_search)
@@ -25,6 +28,7 @@ from ncergodic.rng import (derive_seed, random_operator, random_projection,
                            stream)
 from ncergodic.spectral import (SpectralDecomposition, eigh,
                                 projection_meet_all)
+from ncergodic.util import DEFAULT_TOL
 from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -662,7 +666,7 @@ class TestGridEqualsSingleEps:
             lambda grid: weighted_witness(
                 CheckerStacks(channel, x, horizon), 2.0, grid),
             MIX8_GRID)
-        assert [r.method for r in yeadon] == ["peel", "peel", "level-set",
+        assert [r.method for r in yeadon] == ["floor", "floor", "level-set",
                                               "level-set"]
         assert [r.method for r in lp] == [f"weighted[{r.method}]"
                                           for r in yeadon]
@@ -677,11 +681,11 @@ class TestGridEqualsSingleEps:
             lambda grid: one_sided_witness(
                 CheckerStacks(channel, x, horizon, beta), 2.0, grid),
             MIX8_GRID)
-        # identity wins at eps = 1, peel or level-set below
+        # identity wins at eps = 1, the floor bound or level-set below
         for results in (weighted, one_sided):
             assert all(r.found for r in results)
             assert "identity" not in " ".join(r.method for r in results[:3])
-            assert "peel" in results[0].method
+            assert "floor" in results[0].method
             assert "level-set" in results[2].method
             assert "identity" in results[3].method
 
@@ -984,3 +988,138 @@ class TestPassesPerBuilder:
         counts = count_passes(monkeypatch)
         build(channel, x, beta, horizon)
         assert counts["all"] == passes
+
+
+FLOOR_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+FLOOR_ALGEBRAS = st.lists(st.tuples(st.integers(1, 3),
+                                    st.sampled_from([0.5, 1.0, 2.0])),
+                          min_size=1, max_size=3).map(
+                              lambda blocks: AlgebraSpec(tuple(blocks)))
+
+
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the stacks that `maximal` hands to eigvalsh, one per
+    call."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if inspect.currentframe().f_back.f_code.co_filename \
+                == maximal.__file__:
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+class TestFloorBound:
+    """The floor bound closes a weak (1,1) stop only where e = 0 is the
+    one witness, with the report `peel` gives there."""
+
+    @FLOOR_SETTINGS
+    @given(algebra=FLOOR_ALGEBRAS, seed=st.integers(0, 2 ** 31),
+           mixture=st.booleans(), horizon=st.sampled_from([4, 16, 32]))
+    def test_peel_returns_the_zero_projection_where_it_fires(
+            self, algebra, seed, mixture, horizon):
+        rng = stream(seed, "floor")
+        channel = (random_unitary_mixture(algebra, 2, rng) if mixture
+                   else random_kraus_channel(algebra, 1 + seed % 3, rng))
+        x = random_operator(algebra, rng, kind="positive", uniform_norm=1.0)
+        checker = CheckerStacks(channel, x, horizon)
+        floor = checker.floors.min()
+        top = checker.sup(Projection.identity(algebra), "two_sided")
+        grid = [eps for eps in (floor / 2, floor * (1 - 1e-6), top / 2,
+                                0.9 * top, 0.99 * top) if eps > 0]
+        reports = yeadon_witness_search(checker, grid)
+        for eps, report in zip(grid, reports):
+            if report.method != "floor":
+                continue
+            [(e, _)] = peel(algebra, checker.stacks,
+                            [(eps, report.trace_budget)], "hermitian")
+            assert e.rank() == 0
+            peeled = check_witness(checker, e, report.trace_budget, eps,
+                                   method="peel")
+            same_result(report, dataclasses.replace(peeled, method="floor"))
+        # on one block tau(x) >= floor * tau(1), so half the floor fires
+        if algebra.num_blocks == 1 and floor > 4 * DEFAULT_TOL:
+            assert reports[0].method == "floor"
+
+    @FLOOR_SETTINGS
+    @given(weights=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1,
+                            max_size=5),
+           seed=st.integers(0, 2 ** 31), horizon=st.sampled_from([2, 8, 16]))
+    def test_never_fires_where_a_nonzero_witness_exists(self, weights, seed,
+                                                        horizon):
+        # every nonzero projection of a diagonal algebra is an atom subset
+        algebra = AlgebraSpec(tuple((1, w) for w in weights))
+        channel = random_substochastic(algebra, stream(seed, "channel"))
+        x = algebra.diagonal(stream(seed, "element").random(len(weights)))
+        checker = CheckerStacks(channel, x, horizon)
+        floor = checker.floors.min()
+        grid = [eps for eps in (floor / 2, floor - 3 * DEFAULT_TOL,
+                                floor - DEFAULT_TOL / 2, floor, 1.5 * floor)
+                if eps > 0]
+        for eps, report in zip(grid, yeadon_witness_search(checker, grid)):
+            witnesses = [
+                mask for mask in itertools.product((0, 1), repeat=len(weights))
+                if any(mask) and check_witness(
+                    checker, Projection.from_indicator(algebra, mask),
+                    report.trace_budget, eps, method="oracle").checker_passed]
+            if witnesses:
+                assert report.method != "floor"
+            assert report.found and report.checker_passed
+
+    @pytest.mark.parametrize("gap,fires", [
+        (-DEFAULT_TOL, False), (0.0, False), (DEFAULT_TOL / 2, False),
+        (1.5 * DEFAULT_TOL, False), (2.5 * DEFAULT_TOL, True),
+        (0.5, True)])
+    def test_margin_and_tie(self, gap, fires):
+        # every average of x = 1 under the identity map is 1, so the floor
+        # is 1 and eps = 1 - gap; within the margin the search runs
+        algebra = AlgebraSpec(((2, 1.0), (1, 0.5)))
+        checker = CheckerStacks(identity_channel(algebra), algebra.identity(),
+                                4)
+        assert checker.floors.tolist() == [1.0, 1.0]
+        [report] = yeadon_witness_search(checker, [1.0 - gap])
+        assert (report.method == "floor") == fires
+        assert report.found and report.checker_passed
+        if fires:
+            assert report.projection.rank() == 0
+
+    def test_budget_below_the_total_trace_stays_open(self):
+        # 2 T on x = 1 is not DS+: its averages grow above every eps, while
+        # ||x||_1 / eps stays below tau(1); e = 0 would fail its budget
+        algebra = AlgebraSpec(((2, 1.0),))
+        channel = scale_channel(identity_channel(algebra), 2.0)
+        checker = CheckerStacks(channel, algebra.identity(), 8)
+        assert checker.floors.min() > 4.0
+        [report] = maximal._yeadon_search(checker, [4.0])
+        assert report.trace_budget < 2.0
+        assert report.method != "floor" and not report.found
+
+    def test_one_eigvalsh_per_block_however_many_searches(self, workloads,
+                                                          monkeypatch):
+        channel, x, _, horizon = mix8(workloads, "random-positive")
+        calls = eigvalsh_calls(monkeypatch)
+        checker = CheckerStacks(channel, x, horizon)
+        yeadon_witness_search(checker, MIX8_GRID)
+        weighted_witness(checker, 1.0, MIX8_GRID)
+        yeadon_witness_search(checker, [0.05])
+        assert calls == [(horizon + 1, 8, 8)]
+        rng = stream(7, "floor")
+        multi = CheckerStacks(random_kraus_channel(MULTI, 2, rng),
+                              random_operator(MULTI, rng, kind="positive"), 8)
+        yeadon_witness_search(multi, [0.1, 1.0])
+        yeadon_witness_search(multi, [0.5])
+        assert calls[1:] == [(9, d, d) for d in MULTI.dims]
+
+    def test_slices_hold_no_copy_of_the_stack(self, workloads, monkeypatch):
+        # slices of at most FLOOR_SLICE entries give the floors of one
+        # whole-stack call
+        channel, x, _, horizon = mix8(workloads, "random-positive")
+        whole = CheckerStacks(channel, x, horizon).floors
+        monkeypatch.setattr(maximal, "FLOOR_SLICE", 200)
+        calls = eigvalsh_calls(monkeypatch)
+        sliced = CheckerStacks(channel, x, horizon).floors
+        assert np.array_equal(sliced, whole)
+        assert [n for n, _, _ in calls] == [3] * (horizon // 3) + [2]

@@ -75,6 +75,13 @@ def runs():
             "methods": ["weighted", "one-sided"], "eps_grid": [0.25, 1.0],
             "p_grid": [2], "element": {"kind": "random"},
             "weights": weights}}
+    # a weak (1,1) search that the floor bound leaves open, so peel runs
+    yield "certify", {"seed": 2, "algebra": {"blocks": [[3, 1.0]]},
+                      "channel": {"kind": "random-kraus", "seed": 0,
+                                  "num_ops": 2},
+                      "certify": {"methods": ["yeadon"], "eps_grid": [0.7],
+                                  "p_grid": [1],
+                                  "element": {"kind": "random"}}}
     yield "norms", {"seed": 7, "algebra": {"blocks": [[2, 1.0], [1, 0.5]]},
                     "norms": {"num_operators": 1, "p_grid": [1, 2],
                               "pq_grid": [[2, 1], [3, 2]]}}
