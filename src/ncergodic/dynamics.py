@@ -22,6 +22,16 @@ Constructors build: they check only what their data and kind need
 multiplier, a unitary), and `verify_ds` alone decides DS+, once per
 channel.
 
+Each superoperator is built once, in place, and never copied: a Kraus
+map adds its terms a row of kron(a, conj(a)) at a time into its block,
+a mixture adds its channels one at a time into one accumulator, and
+`Channel` keeps a read-only, C-contiguous complex128 array that owns its
+data as it is.  Building a channel therefore holds one dense
+superoperator and temporaries of a few rows; a mixture holds two, its
+accumulator and the channel being added.  Any other array, a caller's
+writeable one or a view of it included, is copied, so a channel never
+freezes or aliases an array that its caller can still write.
+
 `verify_ds` certifies positivity as complete positivity: by Kraus data,
 which compositions, mixtures and multiples by c >= 0 pass on, or by
 Choi's theorem (Choi, Linear Algebra Appl. 1975), under which a map on
@@ -69,6 +79,10 @@ class Channel:
 
     Vectorization is row-major per block, blocks concatenated.
     `verification` is the `verify_ds` report taken at construction.
+    `superop` is read-only.  A read-only, C-contiguous complex128 ndarray
+    that owns its data is kept as it is, which is how the constructors
+    hand over the one array they build; anything else, a view included,
+    is copied, so a caller's writeable array is never frozen or aliased.
     """
 
     __slots__ = ("algebra", "superop", "kraus", "kind", "verification",
@@ -77,11 +91,18 @@ class Channel:
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
                  kind="custom"):
         n = algebra.vec_dim
-        superop = np.array(superop, dtype=complex)
+        if not (type(superop) is np.ndarray and superop.dtype == complex
+                and superop.flags.c_contiguous and superop.flags.owndata
+                and not superop.flags.writeable):
+            try:
+                superop = np.array(superop, dtype=complex)
+            except ValueError as exc:  # a ragged matrix
+                raise ChannelConstructionError(
+                    f"superoperator: {exc}") from exc
+            superop.flags.writeable = False
         if superop.shape != (n, n):
             raise ChannelConstructionError(
                 f"superoperator must be {n}x{n}, got {superop.shape}")
-        superop.flags.writeable = False
         self.algebra = algebra
         self.superop = superop
         self.kraus = tuple(kraus) if kraus else None
@@ -215,9 +236,16 @@ def _krylov_spectral_radius(superop, start):
     return None
 
 
-# Rows of Q* S Q built per step (`_hermitian_superop`): its complex
-# temporaries stay a small fraction of the superoperator.
-_HERMITIAN_CHUNK_ROWS = 64
+# Rows of a dense n x n result built per step (`_hermitian_superop`,
+# `convex_combine`): their temporaries stay a small fraction of the
+# superoperator.
+_CHUNK_ROWS = 64
+
+
+def _row_chunks(n):
+    """Slices of at most _CHUNK_ROWS rows covering range(n) in order."""
+    return [slice(start, start + _CHUNK_ROWS)
+            for start in range(0, n, _CHUNK_ROWS)]
 
 
 def _hermitian_superop(algebra: AlgebraSpec, superop):
@@ -249,8 +277,7 @@ def _hermitian_superop(algebra: AlgebraSpec, superop):
     n = p.size
     out = np.empty((n, n))
     max_imag = max_entry = 0.0
-    for start in range(0, n, _HERMITIAN_CHUNK_ROWS):
-        rows = slice(start, start + _HERMITIAN_CHUNK_ROWS)
+    for rows in _row_chunks(n):
         left = (u[rows, None].conj() * superop[p[rows]]
                 + v[rows, None].conj() * superop[q[rows]])
         chunk = left[:, p] * u + left[:, q] * v
@@ -268,27 +295,37 @@ def _choi_min_eigenvalue(algebra: AlgebraSpec, superop):
 
     The pair (i, j) restricts the map to M_{d_j} -> M_{d_i}; its Choi
     matrix sum_ce E_ce (x) T(E_ce) has entries C_ij[(c,a),(e,b)] =
-    S_ij[(a,b),(c,e)], S_ij its block of the superoperator.  The pairs of
-    equal (d_i, d_j) form one stack; every stack is checked for
-    Hermiticity before one batched `eigvalsh` per stack.
+    S_ij[(a,b),(c,e)], S_ij its block of the superoperator.  So every
+    C_ij is Hermitian exactly when S[(a,b),(c,e)] = conj S[(b,a),(e,c)]
+    throughout, T(x*) = T(x)*; that is tested on the superoperator in
+    row chunks, entry for entry the differences of C - C^H, without a
+    full-size temporary.  The pairs of equal (d_i, d_j) then form one
+    stack, gathered by one fancy index straight into Choi order and
+    handed to one batched `eigvalsh` before the next stack is gathered.
     """
+    offsets = algebra.block_offsets()
+    swap = np.concatenate([off + np.arange(d * d).reshape(d, d).T.ravel()
+                           for off, d in zip(offsets, algebra.dims)])
+    for rows in _row_chunks(swap.size):
+        mirror = superop[swap[rows]][:, swap]
+        if np.abs(superop[rows] - mirror.conj()).max() > DEFAULT_TOL:
+            return None
     groups = {}
-    for off, d in zip(algebra.block_offsets(), algebra.dims):
+    for off, d in zip(offsets, algebra.dims):
         groups.setdefault(d, []).append(off)
-    stacks = []
+    minima = []
     for d_out, out_offs in groups.items():
-        rows = np.add.outer(out_offs, np.arange(d_out * d_out))
+        # index axes (out block, in block, c, a, e, b): rows give the
+        # output entry (a, b), cols the input entry (c, e)
+        rows = np.add.outer(out_offs, np.arange(d_out * d_out)).reshape(
+            -1, 1, 1, d_out, 1, d_out)
         for d_in, in_offs in groups.items():
-            cols = np.add.outer(in_offs, np.arange(d_in * d_in))
-            blocks = superop[rows[:, None, :, None], cols[None, :, None, :]]
-            choi = blocks.reshape(-1, d_out, d_out, d_in, d_in).transpose(
-                0, 3, 1, 4, 2).reshape(-1, d_in * d_out, d_in * d_out)
-            if np.abs(choi - choi.conj().transpose(0, 2, 1)).max() \
-                    > DEFAULT_TOL:
-                return None
-            stacks.append(choi)
-    return min(float(np.linalg.eigvalsh(choi)[:, 0].min())
-               for choi in stacks)
+            cols = np.add.outer(in_offs, np.arange(d_in * d_in)).reshape(
+                1, -1, d_in, 1, d_in, 1)
+            m = d_in * d_out
+            choi = superop[rows, cols].reshape(-1, m, m)
+            minima.append(float(np.linalg.eigvalsh(choi)[:, 0].min()))
+    return min(minima)
 
 
 @dataclass
@@ -360,16 +397,33 @@ def verify_ds(channel: Channel) -> DSVerification:
 # Constructors.  Each returns a channel carrying its DS+ verification.
 # ---------------------------------------------------------------------
 
+def _frozen(superop: np.ndarray) -> np.ndarray:
+    """superop, which the caller has just built, marked read-only, so
+    that `Channel` keeps it without a copy."""
+    superop.flags.writeable = False
+    return superop
+
+
 def _kraus_superop(algebra: AlgebraSpec, ops) -> np.ndarray:
     """Superoperator of x -> sum_k a_k x a_k*: per block, the sum of
-    kron(a_k, conj(a_k)) in the order of ops."""
+    kron(a_k, conj(a_k)) in the order of ops, returned read-only.
+
+    Row (r, k) of kron(a, conj(a)) holds a[r, j] conj(a)[k, l] at
+    column (j, l), so each Kraus term is added one r at a time into the
+    block's (d, d, d, d) view of the output, with the products and the
+    additions of `np.kron`: no d^2 x d^2 temporary is built.
+    """
     n = algebra.vec_dim
     out = np.zeros((n, n), dtype=complex)
     for i, (off, d) in enumerate(zip(algebra.block_offsets(), algebra.dims)):
         sl = slice(off, off + d * d)
+        view = out[sl, sl].reshape(d, d, d, d)
         for a in ops:
-            out[sl, sl] += np.kron(a.block(i), a.block(i).conj())
-    return out
+            blk = a.block(i)
+            conj = blk.conj()[:, None, :]
+            for r in range(d):
+                view[r] += np.multiply(blk[r][None, :, None], conj)
+    return _frozen(out)
 
 
 def kraus_channel(algebra: AlgebraSpec, ops, kind="kraus") -> Channel:
@@ -379,7 +433,7 @@ def kraus_channel(algebra: AlgebraSpec, ops, kind="kraus") -> Channel:
 
 
 def identity_channel(algebra: AlgebraSpec) -> Channel:
-    return Channel(algebra, np.eye(algebra.vec_dim, dtype=complex),
+    return Channel(algebra, _frozen(np.eye(algebra.vec_dim, dtype=complex)),
                    kraus=[algebra.identity()], kind="identity")
 
 
@@ -461,24 +515,48 @@ def substochastic(algebra: AlgebraSpec, matrix) -> Channel:
         raise ChannelConstructionError(f"matrix: {exc}") from exc
     if p.shape != (n, n):
         raise ChannelConstructionError(f"matrix must be {n}x{n}")
-    return Channel(algebra, p.astype(complex), kind="substochastic")
+    return Channel(algebra, _frozen(p.astype(complex)), kind="substochastic")
 
 
 def convex_combine(channels, probabilities) -> Channel:
-    """Convex combination of channels (DS+ is closed under these)."""
+    """Convex combination of channels (DS+ is closed under these), all on
+    one algebra.
+
+    `channels` may be any iterable, a generator included, and is read
+    one channel at a time: p_k S_k is added into one zeroed accumulator
+    in row chunks, so that the accumulator, the current channel and one
+    chunk are alive, and no channel is kept once it is added.  The sums
+    are those of sum(p_k S_k), 0 + p_0 S_0 + p_1 S_1 + ..., bit for bit.
+    """
     probabilities = np.asarray(probabilities, dtype=float)
-    if len(channels) != probabilities.size or len(channels) == 0:
-        raise ChannelConstructionError("need matching channels/probabilities")
+    mismatch = "need matching channels/probabilities"
+    if probabilities.size == 0:
+        raise ChannelConstructionError(mismatch)
     if np.any(probabilities < 0) or abs(probabilities.sum() - 1.0) > 1e-12:
         raise ChannelConstructionError("probabilities must be a distribution")
-    algebra = channels[0].algebra
-    superop = sum(p * ch.superop for p, ch in zip(probabilities, channels))
-    kraus = None
-    if all(ch.kraus for ch in channels):
-        kraus = []
-        for p, ch in zip(probabilities, channels):
+    count, algebra, superop, kraus = 0, None, None, []
+    # a plain loop with `del`, not zip or enumerate, whose reused result
+    # tuple would keep the last channel alive while the next is built
+    for ch in channels:
+        if count == probabilities.size:
+            raise ChannelConstructionError(mismatch)
+        if algebra is None:
+            algebra, n = ch.algebra, ch.algebra.vec_dim
+            superop = np.zeros((n, n), dtype=complex)
+        elif ch.algebra != algebra:
+            raise ChannelConstructionError("channels on different algebras")
+        p = probabilities[count]
+        for rows in _row_chunks(n):
+            superop[rows] += p * ch.superop[rows]
+        if kraus is not None and ch.kraus:
             kraus.extend(a * np.sqrt(p) for a in ch.kraus)
-    return Channel(algebra, superop, kraus=kraus, kind="convex")
+        else:
+            kraus = None
+        count += 1
+        del ch
+    if count != probabilities.size:
+        raise ChannelConstructionError(mismatch)
+    return Channel(algebra, _frozen(superop), kraus=kraus, kind="convex")
 
 
 def scale_channel(channel: Channel, factor) -> Channel:
@@ -489,8 +567,8 @@ def scale_channel(channel: Channel, factor) -> Channel:
     kraus = None
     if factor.imag == 0 and factor.real >= 0 and channel.kraus:
         kraus = [a * np.sqrt(factor.real) for a in channel.kraus]
-    return Channel(channel.algebra, factor * channel.superop, kraus=kraus,
-                   kind=f"scaled-{channel.kind}")
+    return Channel(channel.algebra, _frozen(factor * channel.superop),
+                   kraus=kraus, kind=f"scaled-{channel.kind}")
 
 
 def compose(outer: Channel, inner: Channel) -> Channel:
@@ -500,7 +578,7 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     kraus = None
     if outer.kraus and inner.kraus:
         kraus = [a @ b for a in outer.kraus for b in inner.kraus]
-    return Channel(outer.algebra, outer.superop @ inner.superop,
+    return Channel(outer.algebra, _frozen(outer.superop @ inner.superop),
                    kraus=kraus, kind="compose")
 
 
@@ -534,8 +612,8 @@ def random_unitary_mixture(algebra: AlgebraSpec, num_unitaries, rng,
     trace-preserving DS+).  With min_gap set, redraws, at most 64 times,
     until the superoperator spectral gap reaches it."""
     for _ in range(64):
-        parts = [unitary_conjugation(random_unitary_operator(algebra, rng))
-                 for _ in range(num_unitaries)]
+        parts = (unitary_conjugation(random_unitary_operator(algebra, rng))
+                 for _ in range(num_unitaries))
         ch = convex_combine(parts, np.full(num_unitaries,
                                            1.0 / num_unitaries))
         if min_gap is None or ch.spectral_gap() >= min_gap:
@@ -683,8 +761,8 @@ def channel_from_spec(algebra: AlgebraSpec, spec, run_seed=0) -> Channel:
         rng = stream(run_seed, "random-substochastic", spec.get("seed", 0))
         return random_substochastic(algebra, rng)
     if kind == "convex":
-        children = [channel_from_spec(algebra, c, run_seed)
-                    for c in spec["children"]]
+        children = (channel_from_spec(algebra, c, run_seed)
+                    for c in spec["children"])
         return convex_combine(children, spec["probabilities"])
     if kind == "compose":
         children = [channel_from_spec(algebra, c, run_seed)

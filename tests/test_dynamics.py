@@ -968,3 +968,178 @@ class TestTrajectoryOracle:
             want = spec.distance(limit, final)
             assert report.residuals[spec.label][-1] == pytest.approx(
                 want, rel=1e-9, abs=1e-12)
+
+
+def kron_superop(algebra, ops):
+    """Superoperator of x -> sum_k a_k x a_k* by the np.kron formula: one
+    d^2 x d^2 temporary per Kraus term and block, added into zeros."""
+    n = algebra.vec_dim
+    out = np.zeros((n, n), dtype=complex)
+    for i, (off, d) in enumerate(zip(algebra.block_offsets(), algebra.dims)):
+        sl = slice(off, off + d * d)
+        for a in ops:
+            out[sl, sl] += np.kron(a.block(i), a.block(i).conj())
+    return out
+
+
+def summed_superop(algebra, spec, run_seed):
+    """Oracle superoperator of `spec`: `kron_superop` for Kraus data,
+    sum(p * S) for mixtures, whole-matrix products for `compose` and
+    `scaled`.  The Kraus operators are the constructor's, which this does
+    not test, except that a unitary mixture redraws its unitaries."""
+    kind = spec["kind"]
+    if kind == "identity":
+        return np.eye(algebra.vec_dim, dtype=complex)
+    if kind == "unitary-mixture":
+        rng = stream(run_seed, "unitary-mixture", spec.get("seed", 0))
+        num = int(spec.get("num", 3))
+        parts = [kron_superop(algebra,
+                              [random_unitary_operator(algebra, rng).adjoint()])
+                 for _ in range(num)]
+        return sum(p * s for p, s in zip(np.full(num, 1.0 / num), parts))
+    if kind == "convex":
+        probabilities = np.asarray(spec["probabilities"], dtype=float)
+        return sum(p * summed_superop(algebra, child, run_seed)
+                   for p, child in zip(probabilities, spec["children"]))
+    if kind == "compose":
+        outer, inner = (summed_superop(algebra, child, run_seed)
+                        for child in spec["children"])
+        return outer @ inner
+    if kind == "scaled":
+        re, im = spec["factor"]
+        return complex(re, im) * summed_superop(algebra, spec["child"],
+                                                run_seed)
+    return kron_superop(algebra, channel_from_spec(algebra, spec,
+                                                   run_seed).kraus)
+
+
+BLOCK3 = AlgebraSpec(((4, 1.0), (3, 0.5), (2, 2.0)))
+BUILT_KINDS = ("kraus", "pinching", "schur", "unitary", "unitary-mixture",
+               "convex", "compose", "scaled")
+# a mixture whose second child has no Kraus data, and a nested mixture
+MIXED_CONVEX = {"kind": "convex", "probabilities": [0.25, 0.5, 0.25],
+                "children": [{"kind": "random-kraus", "seed": 1},
+                             {"kind": "scaled", "child": {"kind": "unitary"},
+                              "factor": [0.5, 0.5]},
+                             {"kind": "convex", "probabilities": [0.5, 0.5],
+                              "children": [{"kind": "identity"},
+                                           {"kind": "unitary-mixture"}]}]}
+# children that are -0.0 off their blocks: the sum starts from +0, so
+# the mixture is +0.0 there
+NEGATIVE_CONVEX = {"kind": "convex", "probabilities": [0.5, 0.5],
+                   "children": [{"kind": "scaled", "factor": [-0.5, 0.0],
+                                 "child": {"kind": "unitary"}},
+                                {"kind": "scaled", "factor": [-1.0, 0.0],
+                                 "child": {"kind": "random-kraus"}}]}
+
+
+def traced_peak(build):
+    """(build(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestOneSuperoperatorBuild:
+    @pytest.mark.parametrize("algebra", [MULTI, BLOCK3])
+    @pytest.mark.parametrize("kind", BUILT_KINDS)
+    def test_bytes_equal_kron_and_sum_oracle(self, kind, algebra):
+        for run_seed in (0, 7):
+            spec = kind_spec(kind, algebra, stream(run_seed, "bytes", kind))
+            ch = channel_from_spec(algebra, spec, run_seed)
+            want = summed_superop(algebra, spec, run_seed)
+            assert ch.superop.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("algebra", [MULTI, BLOCK3])
+    @pytest.mark.parametrize("spec", [MIXED_CONVEX, NEGATIVE_CONVEX])
+    def test_convex_without_kraus_data_bytes(self, spec, algebra):
+        ch = channel_from_spec(algebra, spec, 3)
+        assert ch.kraus is None
+        want = summed_superop(algebra, spec, 3)
+        assert ch.superop.tobytes() == want.tobytes()
+
+    def test_generator_and_list_give_the_same_mixture(self):
+        def parts():
+            rng = stream(9, "parts")
+            return [random_kraus_channel(BLOCK3, 2, rng),
+                    unitary_conjugation(random_unitary_operator(BLOCK3, rng)),
+                    identity_channel(BLOCK3)]
+        probabilities = [0.2, 0.3, 0.5]
+        listed = convex_combine(parts(), probabilities)
+        streamed = convex_combine(iter(parts()), probabilities)
+        assert listed.superop.tobytes() == streamed.superop.tobytes()
+        assert len(listed.kraus) == len(streamed.kraus) == 4
+
+    def test_kraus_build_holds_one_superoperator(self):
+        algebra = AlgebraSpec(((28, 1.0),))
+        random_kraus_channel(M2, 3, stream(1, "warm"))
+        ch, peak = traced_peak(
+            lambda: random_kraus_channel(algebra, 3, stream(2, "peak")))
+        assert ch.superop.nbytes == 784 ** 2 * 16
+        assert peak <= 1.25 * ch.superop.nbytes
+
+    def test_mixture_build_holds_two_superoperators(self):
+        algebra = AlgebraSpec(((16, 1.0), (8, 0.5), (4, 2.0)))
+        random_unitary_mixture(M2, 3, stream(1, "warm"))
+        ch, peak = traced_peak(
+            lambda: random_unitary_mixture(algebra, 3, stream(4, "peak")))
+        assert ch.kind == "convex" and len(ch.kraus) == 3
+        assert peak <= 2.5 * ch.superop.nbytes
+
+    def test_callers_writeable_array_is_copied(self):
+        mine = np.eye(4, dtype=complex)
+        ch = Channel(M2, mine)
+        assert mine.flags.writeable
+        assert not np.shares_memory(ch.superop, mine)
+        mine[0, 0] = 5.0
+        assert ch.superop[0, 0] == 1.0
+        assert not ch.superop.flags.writeable
+
+    def test_read_only_complex_array_is_kept(self):
+        frozen = np.eye(4, dtype=complex)
+        frozen.flags.writeable = False
+        assert Channel(M2, frozen).superop is frozen
+        # another dtype, a Fortran-ordered array or a read-only view of a
+        # writeable array is copied, read-only
+        writeable = np.eye(4, dtype=complex)
+        for other in (np.eye(4), np.asfortranarray(frozen + 1j * frozen.T),
+                      writeable[:]):
+            other.flags.writeable = False
+            kept = Channel(M2, other).superop
+            assert kept is not other and not kept.flags.writeable
+            assert kept.dtype == complex and np.array_equal(kept, other)
+
+    def test_derived_channels_hold_one_new_superoperator(self):
+        algebra = AlgebraSpec(((16, 1.0),))
+        a = random_kraus_channel(algebra, 2, stream(5, "own"))
+        for build in (lambda: scale_channel(a, 0.5), lambda: compose(a, a),
+                      lambda: identity_channel(algebra)):
+            ch, peak = traced_peak(build)
+            assert not ch.superop.flags.writeable
+            assert peak <= 1.25 * ch.superop.nbytes, ch.kind
+
+    def test_ragged_superoperator_is_a_construction_error(self):
+        with pytest.raises(ChannelConstructionError, match="superoperator"):
+            Channel(M2, [[1, 2], [3]])
+
+    def test_convex_refuses_another_algebra_of_equal_size(self):
+        diag4 = AlgebraSpec(((1, 1.0),) * 4)
+        assert diag4.vec_dim == M2.vec_dim
+        for children in ([identity_channel(diag4), identity_channel(M2)],
+                         (identity_channel(a) for a in (M2, diag4))):
+            with pytest.raises(ChannelConstructionError,
+                               match="different algebras"):
+                convex_combine(children, [0.5, 0.5])
+
+    @pytest.mark.parametrize("count, probabilities", [
+        (0, []), (0, [1.0]), (2, [0.5, 0.25, 0.25]), (3, [0.5, 0.5]),
+        (1, [])])
+    def test_convex_counts_generator_input(self, count, probabilities):
+        for children in ([identity_channel(M2)] * count,
+                         (identity_channel(M2) for _ in range(count))):
+            with pytest.raises(ChannelConstructionError, match="matching"):
+                convex_combine(children, probabilities)
