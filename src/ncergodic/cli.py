@@ -159,7 +159,7 @@ _WEIGHTS_SCHEMA = {
     },
     "allOf": [_kind_needs(kind, field)
               for kind, field in WEIGHT_KINDS.items()] + [
-        # a constant weight reads only the first period entry
+        # a constant weight is a period of one entry
         {"if": {"properties": {"kind": {"const": "constant"}}},
          "then": {"properties": {"period": {"maxItems": 1}}}}],
 }

@@ -32,6 +32,9 @@ not-found result shows how far the search fell short.
 candidates of a power of each part of x, and check the meet once on x
 against the method's own budgets; it is found where every part's was.
 
+The weak (1,1) search tries, in order, the identity, the classical Hopf
+cut (on a diagonal algebra only), a spectral cut and greedy peeling.
+
 Before any strategy runs, the weak (1,1) search closes the stops that a
 floor bound proves empty.  With f_i = max_n lambda_min(Herm M_n(x)_i)
 (`CheckerStacks.floors`), a projection e != 0 has a block i with
@@ -61,9 +64,6 @@ from .errors import NotPositiveError
 from .ncnorms import lp_norm
 from .spectral import eigh, positive_power, projection_meet_all
 from .util import DEFAULT_TOL
-
-# Off-diagonal tolerance when testing that all averages commute.
-COMMUTING_TOL = 1e-8
 
 # Most entries of a stack whose Hermitian parts `CheckerStacks.floors`
 # holds at once (16 bytes each).
@@ -203,8 +203,9 @@ def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
     element x of plain checker stacks, cut from those stacks.
 
     e is the indicator of the atoms where max_{n<=N} M_n(x) stays <= eps;
-    the classical maximal ergodic inequality guarantees the killed trace
-    is at most ||x||_1 / eps at every finite horizon.
+    Hopf's maximal ergodic inequality guarantees the killed trace is at
+    most ||x||_1 / eps at every finite horizon.  It is the cut of the
+    `hopf-abelian` strategy, reported here whether or not it passes.
     """
     channel, x = checker.channel, checker.x
     if not channel.algebra.is_diagonal:
@@ -223,12 +224,6 @@ def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
             for e, eps in zip(cuts, eps_grid)]
 
 
-def _ordered_sum(stack):
-    """Sum over the first axis, added in stack order (cumsum is
-    sequential; a plain reduction may pair the terms differently)."""
-    return np.cumsum(stack, axis=0)[-1]
-
-
 def _hermitian(stack):
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
@@ -243,34 +238,16 @@ def _strategy_identity(channel, stacks, stops):
 
 
 def _strategy_hopf_abelian(channel, stacks, stops):
-    """Hopf indicator in the joint eigenbasis, when all averages commute.
-
-    Diagonal algebras short-circuit to the classical construction; in a
-    general algebra the averages are rotated to the eigenbasis of their
-    sum and must all be diagonal there within tolerance.  The running
-    maxima are computed once; each level is one cut of them.
+    """The classical Hopf cut on a diagonal algebra: the indicator of
+    the atoms whose running maximum max_n M_n(x) stays <= the level, one
+    cut per level of maxima computed once.  None per stop elsewhere.
     """
     algebra = channel.algebra
-    if algebra.is_diagonal:
-        running = np.array([s[:, 0, 0].real.max() for s in stacks])
-        return [Projection.from_indicator(algebra,
-                                          (running <= level).astype(float))
-                for level, _ in stops]
-
-    rotations = []
-    for stack in stacks:
-        _, q = np.linalg.eigh(_hermitian(_ordered_sum(stack)))
-        rotated = q.conj().T @ stack @ q
-        size = np.abs(rotated)
-        scale_ref = np.maximum(1.0, size.max(axis=(1, 2)))
-        diagonal = np.arange(q.shape[0])
-        size[:, diagonal, diagonal] = 0.0
-        if np.any(size.max(axis=(1, 2)) > COMMUTING_TOL * scale_ref):
-            return [None] * len(stops)  # not simultaneously diagonal
-        rotations.append(
-            (q, np.diagonal(rotated, axis1=1, axis2=2).real.max(axis=0)))
-    return [Projection.from_basis(algebra, [q[:, running <= level]
-                                            for q, running in rotations])
+    if not algebra.is_diagonal:
+        return [None] * len(stops)
+    running = np.array([s[:, 0, 0].real.max() for s in stacks])
+    return [Projection.from_indicator(algebra,
+                                      (running <= level).astype(float))
             for level, _ in stops]
 
 
@@ -286,10 +263,11 @@ def _strategy_level_set(channel, stacks, stops):
     each cut and its sup are built on first use and shared by the stops.
     """
     scale = complex(1.0 / len(stacks[0]))
-    # symmetrised as `eigh` does it, so the bits stay and its Hermitian
-    # check passes at any scale of x
+    # summed in stack order (cumsum is sequential; a plain reduction may
+    # pair the terms differently), and symmetrised as `eigh` does it, so
+    # the bits stay and its Hermitian check passes at any scale of x
     mean = Operator(channel.algebra,
-                    [_hermitian(scale * _ordered_sum(stack))
+                    [_hermitian(scale * np.cumsum(stack, axis=0)[-1])
                      for stack in stacks])
     dec = eigh(mean)
 

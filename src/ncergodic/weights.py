@@ -89,9 +89,11 @@ class TrigPolynomial:
 class WeightSequence:
     """Bounded weight sequence beta_k with a certified bound C.
 
-    Generators: constant value, periodic list, trigonometric polynomial,
-    or trig polynomial plus a c/(k+1) decay term.  The bound is certified
-    structurally by the generator (|beta_k| <= C for every k).
+    Generators: periodic list (a constant weight is a periodic weight of
+    period 1), trigonometric polynomial, or trig polynomial plus a
+    c/(k+1) decay term.  The kind picks the generator, so a period given
+    with a trig kind is ignored.  The bound is certified structurally by
+    the generator (|beta_k| <= C for every k).
     """
 
     __slots__ = ("kind", "period", "poly", "decay", "bound")
@@ -101,9 +103,7 @@ class WeightSequence:
         self.period = None if period is None else tuple(complex(v) for v in period)
         self.poly = poly
         self.decay = complex(decay)
-        if kind == "constant":
-            certified = abs(self.period[0])
-        elif kind == "periodic":
+        if kind in ("constant", "periodic"):
             certified = max(abs(v) for v in self.period)
         elif kind == "trig":
             certified = poly.bound()
@@ -123,11 +123,9 @@ class WeightSequence:
 
     def values(self, n_max: int) -> np.ndarray:
         """beta_0 ... beta_n as one array."""
-        ks = np.arange(n_max + 1)
-        if self.kind == "constant":
-            return np.full(n_max + 1, self.period[0], dtype=complex)
-        if self.kind == "periodic":
+        if self.kind in ("constant", "periodic"):
             return np.resize(np.array(self.period, dtype=complex), n_max + 1)
+        ks = np.arange(n_max + 1)
         base = self.poly.eval(ks)
         if self.kind == "trig_decay":
             base = base + self.decay / (ks + 1)
@@ -135,16 +133,15 @@ class WeightSequence:
 
     @property
     def is_constant_one(self) -> bool:
-        return self.kind == "constant" and self.period[0] == 1
+        return (self.kind in ("constant", "periodic")
+                and all(v == 1 for v in self.period))
 
     # -- Besicovitch certification ----------------------------------------
 
     def approximating_polynomial(self) -> TrigPolynomial:
         """Trig polynomial the generator is built from (exact for
         constant/periodic/trig; drops the decay tail for trig_decay)."""
-        if self.kind == "constant":
-            return TrigPolynomial((self.period[0],), (1.0,))
-        if self.kind == "periodic":
+        if self.kind in ("constant", "periodic"):
             return TrigPolynomial.from_periodic(self.period)
         return self.poly
 

@@ -17,7 +17,8 @@ from ncergodic import cli, maximal
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_sup)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
-                                identity_channel, random_kraus_channel,
+                                identity_channel, kraus_channel,
+                                random_kraus_channel,
                                 random_substochastic, random_unitary_mixture,
                                 scale_channel)
 from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
@@ -25,7 +26,7 @@ from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
                                peel, weighted_witness, yeadon_witness_search)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import (derive_seed, random_operator, random_projection,
-                           stream)
+                           random_unitary_operator, stream)
 from ncergodic.spectral import (SpectralDecomposition, eigh,
                                 projection_meet_all)
 from ncergodic.util import DEFAULT_TOL
@@ -359,9 +360,10 @@ class TestScreenedTop:
 
 
 def level_set_cuts(channel, stacks):
-    """Every cut of the level-set strategy, ascending threshold."""
+    """Every cut of the level-set strategy, ascending threshold; each
+    stack is summed in order, as the strategy sums it."""
     mean = Operator(channel.algebra, [complex(1.0 / len(stacks[0]))
-                                      * maximal._ordered_sum(stack)
+                                      * np.cumsum(stack, axis=0)[-1]
                                       for stack in stacks])
     dec = eigh(mean)
     return [dec.projection_where(lambda lam, t=t: lam <= t)
@@ -1123,3 +1125,54 @@ class TestFloorBound:
         sliced = CheckerStacks(channel, x, horizon).floors
         assert np.array_equal(sliced, whole)
         assert [n for n, _, _ in calls] == [3] * (horizon // 3) + [2]
+
+
+def hopf_cut_defect(checker, u):
+    """Defect of the Hopf cut in the joint eigenbasis u of averages that
+    commute: the trace of the columns of u whose running maximum
+    max_n <u_j, M_n(x) u_j> exceeds the level, per level."""
+    running = [np.einsum("kj,nkl,lj->nj", ub.conj(), stack, ub).real.max(axis=0)
+               for ub, stack in zip(u.blocks, checker.stacks)]
+    weights = checker.channel.algebra.weights
+    return lambda eps: sum(w * np.count_nonzero(r > eps)
+                           for w, r in zip(weights, running))
+
+
+class TestCommutingNonDiagonal:
+    """Averages that commute but are not diagonal: the search finds every
+    eps with the defect of the Hopf cut in their joint eigenbasis, though
+    no strategy rotates into that basis."""
+
+    def check(self, channel, x, u, grid, horizon=24):
+        checker = CheckerStacks(channel, x, horizon)
+        defect = hopf_cut_defect(checker, u)
+        reports = yeadon_witness_search(checker, grid)
+        for eps, report in zip(grid, reports):
+            assert report.found and report.checker_passed, eps
+            assert report.trace_defect == pytest.approx(defect(eps), abs=1e-9)
+        return [defect(eps) for eps in grid]
+
+    def test_rotated_cyclic_shift(self):
+        # the Kraus maps u E_{j+1,j} u* move x = u e_11 u* round the
+        # cycle; direction j has running maximum 1/(j+1), and the grid
+        # avoids those ties (0.2 would be one)
+        algebra = AlgebraSpec(((6, 1.0),))
+        u = random_unitary_operator(algebra, stream(3, "commuting"))
+        [ub] = u.blocks
+        shift = [Operator(algebra, [ub @ np.outer(np.eye(6)[(j + 1) % 6],
+                                                  np.eye(6)[j]) @ ub.conj().T])
+                 for j in range(6)]
+        x = Operator(algebra, [ub @ np.diag([1.0, 0, 0, 0, 0, 0]) @ ub.conj().T])
+        grid = [0.1, 0.22, 0.4, 0.6, 0.9]
+        assert self.check(kraus_channel(algebra, shift), x, u, grid) == \
+            [6, 4, 2, 1, 1]
+
+    def test_identity_on_two_blocks(self):
+        algebra = AlgebraSpec(((4, 1.0), (3, 0.5)))
+        u = random_unitary_operator(algebra, stream(4, "commuting"))
+        spectra = ([0.9, 0.5, 0.3, 0.05], [0.7, 0.2, 0.1])
+        x = Operator(algebra, [ub @ np.diag(d) @ ub.conj().T
+                               for ub, d in zip(u.blocks, spectra)])
+        grid = [0.15, 0.35, 0.6, 0.8, 0.95]
+        assert self.check(identity_channel(algebra), x, u, grid) == \
+            [4.0, 2.5, 1.5, 1.0, 0.0]

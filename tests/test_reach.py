@@ -5,17 +5,22 @@ a short allow-list.
 cover every subcommand, channel kind, weight kind, element kind and
 certify method.  Each called code object is mapped to its function by
 (file, first line) against an `ast` walk of the package (`co_qualname`
-needs Python 3.11).
+needs Python 3.11).  The same pass sums the certify runs' `won_by`, so
+a weak (1,1) strategy that wins no check there fails a test.
 """
 
 import ast
+import collections
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
-from ncergodic import cli
+import pytest
+
+from ncergodic import cli, maximal
 from ncergodic.dynamics import CHANNEL_KINDS
 from ncergodic.weights import WEIGHT_KINDS
 from test_cli import DIAG2, MINIMAL_SPECS
@@ -115,10 +120,14 @@ def defined_functions():
     return functions
 
 
-def called_code(tmp_path):
-    """(file, first line) of every code object the runs call, each run
-    at horizon 32."""
-    called = set()
+@pytest.fixture(scope="module")
+def cli_pass(tmp_path_factory):
+    """One pass of the runs, each at horizon 32: the (file, first line)
+    of every code object called, and the found certify cells per
+    strategy, a meet label such as "weighted[floor+level-set]" counting
+    for each of its names."""
+    tmp_path = tmp_path_factory.mktemp("reach")
+    called, wins = set(), collections.Counter()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -131,8 +140,9 @@ def called_code(tmp_path):
         else:
             path = tmp_path / f"config{k}.json"
             path.write_text(json.dumps(config))
+        out = tmp_path / f"out{k}"
         args = [subcommand, "--config", str(path),
-                "--out", str(tmp_path / f"out{k}"), "--horizon", "32"]
+                "--out", str(out), "--horizon", "32"]
         sys.setprofile(profile)
         try:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -140,11 +150,24 @@ def called_code(tmp_path):
         finally:
             sys.setprofile(None)
         assert code == 0, (subcommand, config)
-    return called
+        if subcommand == "certify":
+            summary = json.loads((out / "certify.json").read_text())
+            for label, count in summary["summary"]["won_by"].items():
+                for name in filter(None, re.split(r"[\[+\]]", label)):
+                    wins[name] += count
+    return called, wins
 
 
-def test_every_function_is_called_but_the_allow_list(tmp_path):
+def test_every_function_is_called_but_the_allow_list(cli_pass):
     functions = defined_functions()
-    called = called_code(tmp_path)
+    called, _ = cli_pass
     never = {name for key, name in functions.items() if key not in called}
     assert never == NEVER_CALLED
+
+
+def test_every_strategy_wins_a_check(cli_pass):
+    # a strategy that wins nothing here is a candidate for deletion
+    _, wins = cli_pass
+    losers = {name for name in ("floor", *maximal._STRATEGY_TABLE)
+              if wins[name] == 0}
+    assert not losers, dict(wins)

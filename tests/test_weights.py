@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ncergodic import weights
 from ncergodic.weights import (CERTIFICATE_EPS, CERTIFICATE_HORIZON,
                                TrigPolynomial, WeightSequence,
                                besicovitch_deviation)
+from test_cli import run_cli
 
 
 class TestTrigPolynomial:
@@ -42,7 +45,29 @@ class TestWeightSequence:
 
     def test_constant_one_flag(self):
         assert WeightSequence("constant", period=[1.0]).is_constant_one
+        assert WeightSequence("periodic", period=[1, 1]).is_constant_one
         assert not WeightSequence("periodic", period=[1, 0]).is_constant_one
+
+    @pytest.mark.parametrize("z", [1.0, 0.5, -2.0, 1j, 0.3 - 0.4j])
+    def test_constant_is_period_one(self, z):
+        # the periodic path on one entry gives the bits of the former
+        # constant path: np.full, and the polynomial z * 1^k
+        beta = WeightSequence("constant", period=[z])
+        assert beta.bound == abs(z)
+        assert beta.values(9).tobytes() == np.full(10, z, complex).tobytes()
+        assert beta.approximating_polynomial() == TrigPolynomial((z,), (1.0,))
+
+    def test_trig_ignores_a_stray_period(self):
+        poly = {"coefficients": [[0.5, 0], [0.5, 0]],
+                "frequencies": [[1, 0], [0, 1]]}
+        plain = WeightSequence.from_json({"kind": "trig", "poly": poly})
+        stray = WeightSequence.from_json({"kind": "trig", "poly": poly,
+                                          "period": [[3, 0]]})
+        assert stray.values(16).tobytes() == plain.values(16).tobytes()
+        assert stray.bound == plain.bound
+        assert stray.approximating_polynomial() == \
+            plain.approximating_polynomial()
+        assert not stray.is_constant_one
 
     def test_bound_certified_on_samples(self):
         cases = [
@@ -141,3 +166,43 @@ class TestBesicovitchCertificate:
         assert calls[0][2] == CERTIFICATE_HORIZON
         assert certified == (besicovitch_deviation(*calls[0])
                              < CERTIFICATE_EPS)
+
+
+_MIX = {"seed": 5, "algebra": {"blocks": [[2, 1.0], [1, 0.5]]},
+        "channel": {"kind": "unitary-mixture", "num": 2, "seed": 1}}
+_SECTIONS = {
+    "certify": {"methods": ["yeadon", "lp", "weighted", "one-sided"],
+                "eps_grid": [0.25, 1.0], "p_grid": [2],
+                "element": {"kind": "random"}},
+    "besicovitch": {"element": {"kind": "random-hermitian"},
+                    "norms": [{"kind": "uniform"}, {"kind": "lp", "p": 2}]},
+}
+
+
+def csv_bytes(tmp_path, subcommand, weights, tag):
+    config = {**_MIX, subcommand: {**_SECTIONS[subcommand],
+                                   "weights": weights}}
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(subcommand, "--config", str(path), "--out",
+                   str(tmp_path / tag), "--horizon", "32") == 0
+    return (tmp_path / tag / f"{subcommand}.csv").read_bytes()
+
+
+class TestConstantIsPeriodic:
+    """A constant weight is a periodic weight of period 1, on the CLI."""
+
+    def test_unit_period_certifies_as_constant_one(self, tmp_path):
+        # both are identically one, so both check plain averages at C = 1
+        assert csv_bytes(tmp_path, "certify", {
+            "kind": "periodic", "period": [[1, 0], [1, 0]]}, "periodic") \
+            == csv_bytes(tmp_path, "certify", {
+                "kind": "constant", "period": [[1, 0]]}, "constant")
+
+    @pytest.mark.parametrize("subcommand", ["certify", "besicovitch"])
+    def test_constant_equals_period_one(self, tmp_path, subcommand):
+        constant, periodic = (
+            csv_bytes(tmp_path, subcommand,
+                      {"kind": kind, "period": [[0, 1]], "C": 2}, kind)
+            for kind in ("constant", "periodic"))
+        assert constant == periodic
