@@ -155,10 +155,10 @@ def _deviation_witness(report: TrajectoryReport, eps: float,
                                  for n in tail_points])
     [(e, defect)] = peel(algebra, tail, [(PEEL_FLOOR, eps)], mode)
 
-    profile = []
-    for n in schedule:
-        first = sum(m < n for m in tail_points)  # tail points m >= n
-        profile.append(compressed_sup([s[first:] for s in tail], e, mode))
+    # each suffix of the tail measured once; n reads that of the m >= n
+    sups = [compressed_sup([s[j:] for s in tail], e, mode)
+            for j in range(len(tail_points))]
+    profile = [sups[sum(m < n for m in tail_points)] for n in schedule]
     return ConvergenceWitness(e, schedule, profile, defect)
 
 

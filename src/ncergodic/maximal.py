@@ -17,10 +17,10 @@ test depends on the level and the trace budget, so one pass of the
 recurrence and one run of each strategy serve the whole grid.  That
 pass is the checker's: `CheckerStacks` holds one read-only pass per
 element and weight, from the raw channel, and a weak (1,1) search reads
-it as input.  The checker re-measures every candidate apart from the
-strategies' own `compressed_sup` calls, each (projection, mode) once,
-against its budgets.  Each builder is handed a checker by its caller,
-which may share it between builders.
+it as input.  The strategies measure through the checker, which measures
+each (projection, mode) once and checks every candidate against its
+budgets.  Each builder is handed a checker by its caller, which may
+share it between builders.
 
 Every builder returns one `WitnessReport` per eps, and `check_witness`
 makes every report: the candidate, its defect and its sup measured by the
@@ -119,10 +119,11 @@ class CheckerStacks:
     projections costs no pass.  A builder measures every candidate of its
     element on the checker it is handed, which lives as long as its caller
     holds it, across builder calls; a weak (1,1) search reads these stacks
-    as its input.  Each sup of a (projection, mode) is measured once and
-    kept, so a projection checked again, as `weighted_witness` at p = 1
-    does with the candidates of its inner search, reads the first
-    measurement.  A weight is held as `checked_weight` gives it.
+    as its input and measures through `sup`.  Each sup of a (projection,
+    mode) is measured once and kept: the check of a strategy's candidate,
+    and a second check, as `weighted_witness` at p = 1 makes of its inner
+    search's candidates, read the first measurement.  A weight is held as
+    `checked_weight` gives it.
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -218,8 +219,7 @@ def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
         raise NotPositiveError("hopf witness requires x >= 0")
 
     norm = lp_norm(x, 1)
-    cuts = _strategy_hopf_abelian(channel, checker.stacks,
-                                  [(eps, None) for eps in eps_grid])
+    cuts = _strategy_hopf_abelian(checker, [(eps, None) for eps in eps_grid])
     return [check_witness(checker, e, norm / eps, eps, method="hopf")
             for e, eps in zip(cuts, eps_grid)]
 
@@ -228,30 +228,31 @@ def _hermitian(stack):
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
 
-# A strategy maps (channel, stacks, stops) to one candidate projection
-# or None per (level, budget) stop; its level-free work runs once.
+# A strategy maps (checker, stops) to one candidate projection or None
+# per (level, budget) stop; its level-free work runs once.  It measures
+# through `checker.sup`, once per (projection, mode), as the check does.
 
-def _strategy_identity(channel, stacks, stops):
-    e = Projection.identity(channel.algebra)
-    sup = compressed_sup(stacks, e)
+def _strategy_identity(checker, stops):
+    e = Projection.identity(checker.channel.algebra)
+    sup = checker.sup(e, "two_sided")
     return [e if sup <= level else None for level, _ in stops]
 
 
-def _strategy_hopf_abelian(channel, stacks, stops):
+def _strategy_hopf_abelian(checker, stops):
     """The classical Hopf cut on a diagonal algebra: the indicator of
     the atoms whose running maximum max_n M_n(x) stays <= the level, one
     cut per level of maxima computed once.  None per stop elsewhere.
     """
-    algebra = channel.algebra
+    algebra = checker.channel.algebra
     if not algebra.is_diagonal:
         return [None] * len(stops)
-    running = np.array([s[:, 0, 0].real.max() for s in stacks])
+    running = np.array([s[:, 0, 0].real.max() for s in checker.stacks])
     return [Projection.from_indicator(algebra,
                                       (running <= level).astype(float))
             for level, _ in stops]
 
 
-def _strategy_level_set(channel, stacks, stops):
+def _strategy_level_set(checker, stops):
     """Spectral cut of the mean of the averages.
 
     Thresholds run over the clustered spectrum of B = mean_n M_n(x); the
@@ -259,25 +260,24 @@ def _strategy_level_set(channel, stacks, stops):
     shrinks, by at least the smallest block weight per step.  Per stop,
     one binary search finds the smallest threshold within the trace
     budget, and a second the largest threshold (smallest defect) whose
-    measured sup stays below the level.  The spectrum is computed once;
-    each cut and its sup are built on first use and shared by the stops.
+    `checker.sup` stays below the level.  The spectrum is computed once;
+    each cut is built on first use and shared by the stops.
     """
-    scale = complex(1.0 / len(stacks[0]))
+    scale = complex(1.0 / len(checker.stacks[0]))
     # summed in stack order (cumsum is sequential; a plain reduction may
     # pair the terms differently), and symmetrised as `eigh` does it, so
     # the bits stay and its Hermitian check passes at any scale of x
-    mean = Operator(channel.algebra,
+    mean = Operator(checker.channel.algebra,
                     [_hermitian(scale * np.cumsum(stack, axis=0)[-1])
-                     for stack in stacks])
+                     for stack in checker.stacks])
     dec = eigh(mean)
 
     @functools.cache
     def cut(k):  # k-th threshold, ascending; defect descending
         return dec.projection_where(lambda lam, t=dec.eigenvalues[k]: lam <= t)
 
-    @functools.cache
     def sup(k):
-        return compressed_sup(stacks, cut(k))
+        return checker.sup(cut(k), "two_sided")
 
     num = len(dec.eigenvalues)
 
@@ -395,8 +395,9 @@ def peel(algebra, stacks, stops, mode):
         defect += weights[i]
 
 
-def _strategy_peel(channel, stacks, stops):
-    return [e for e, _ in peel(channel.algebra, stacks, stops, "hermitian")]
+def _strategy_peel(checker, stops):
+    return [e for e, _ in peel(checker.channel.algebra, checker.stacks,
+                               stops, "hermitian")]
 
 
 _STRATEGY_TABLE = {
@@ -443,17 +444,16 @@ def _yeadon_search(checker, eps_grid):
     `peel` is the fallback that gives each of them a candidate."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
-    channel, x = checker.channel, checker.x
-    norm = lp_norm(x, 1)
+    norm = lp_norm(checker.x, 1)
     stops = [(eps, norm / eps) for eps in eps_grid]
-    stacks = checker.stacks
 
     results, best = [None] * len(stops), [None] * len(stops)
     floor, zero = checker.floors.min(), None
+    algebra = checker.channel.algebra
     for k, (eps, trace_budget) in enumerate(stops):
         if floor > eps + 2.0 * DEFAULT_TOL:
-            zero = zero or Projection.from_basis(channel.algebra, [
-                np.zeros((d, 0)) for d in channel.algebra.dims])
+            zero = zero or Projection.from_basis(algebra, [
+                np.zeros((d, 0)) for d in algebra.dims])
             if trace_budget >= zero.defect() + DEFAULT_TOL:
                 results[k] = check_witness(checker, zero, trace_budget, eps,
                                            method="floor")
@@ -461,7 +461,7 @@ def _yeadon_search(checker, eps_grid):
         open_ = [k for k, r in enumerate(results) if r is None]
         if not open_:
             break
-        candidates = strategy(channel, stacks, [stops[k] for k in open_])
+        candidates = strategy(checker, [stops[k] for k in open_])
         for k, e in zip(open_, candidates):
             if e is None:
                 continue

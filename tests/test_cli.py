@@ -652,6 +652,30 @@ class TestCertifyContract:
                 == reference.read_bytes())
         assert len(calls) == passes
 
+    # compressed sups of a whole run, the workloads at seed class 0: the
+    # strategies measure through the checker, which measures each
+    # (projection, mode) of its stacks once
+    @pytest.mark.parametrize("name,sups", [
+        ("certify-mix8", 49), ("kraus8", 82), ("cycle4", 3),
+        ("certify-cycle96", 5)])
+    def test_each_sup_measured_once_per_run(self, tmp_path, monkeypatch,
+                                            workloads, name, sups):
+        measured = []  # holds the stacks and projections, so no id is reused
+        sup = maximal.compressed_sup
+
+        def measuring(stacks, e, mode="two_sided"):
+            measured.append((stacks, e, mode))
+            return sup(stacks, e, mode)
+
+        monkeypatch.setattr(maximal, "compressed_sup", measuring)
+        args, reference = self.certify_args(tmp_path, workloads, name, 0)
+        code = run_cli("certify", *args, "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == reference.read_bytes())
+        keys = {(id(stacks), id(e), mode) for stacks, e, mode in measured}
+        assert len(keys) == len(measured) == sups
+
     @pytest.mark.parametrize("name,checkers", [("kraus8", 6),
                                                ("certify-mix8", 2)])
     def test_one_checker_per_element_and_weight(self, tmp_path, monkeypatch,
@@ -806,8 +830,8 @@ class TestCertifyContract:
         # the checker measures sup 4 against its budget eps = 2
         monkeypatch.setattr(
             maximal, "_strategy_hopf_abelian",
-            lambda channel, stacks, stops: [
-                Projection.identity(channel.algebra) for _ in stops])
+            lambda checker, stops: [
+                Projection.identity(checker.channel.algebra) for _ in stops])
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run_cli("certify", "--config", str(FIXTURES / "cycle4.json"),
                            "--out", str(tmp_path))

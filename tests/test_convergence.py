@@ -154,6 +154,35 @@ class TestWeightedTrajectory:
         assert set(report.cauchy) == {"inf", "L2", "measure"}
 
 
+def deviation_case(case):
+    """A trajectory to peel: the m2_unitary fixture's sign flip on M_2, a
+    random Kraus channel on MULTI, or that channel under a period-4
+    weight."""
+    if case == "m2_unitary":
+        algebra = AlgebraSpec(((2, 1.0),))
+        u = Operator(algebra, [np.diag([1.0, -1.0])])
+        x = Operator(algebra, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+        return trajectory(unitary_conjugation(u), x, 512, NORMS)
+    rng = stream(311, "conv")
+    channel = random_kraus_channel(MULTI, 3, rng)
+    x = random_operator(MULTI, rng)
+    if case == "random-kraus":
+        return trajectory(channel, x, 64, NORMS)
+    beta = WeightSequence("periodic", period=[1.0, 1j, -1.0, -1j])
+    return trajectory(channel, x, 32, NORMS, beta)
+
+
+def profile_per_n(report, e, mode):
+    """The profile measured once per scheduled n: the sup of the
+    compressed deviations over the tail points m >= n."""
+    tail_points = [n for n in report.schedule if n >= report.horizon // 2]
+    tail = report.limit.algebra.block_stacks(
+        [(report.limit - report.averages[n]).vec() for n in tail_points])
+    return [compressed_sup([s[sum(m < n for m in tail_points):]
+                            for s in tail], e, mode)
+            for n in report.schedule]
+
+
 class TestDeviationWitnesses:
     @pytest.mark.parametrize("build", [au_witness, bau_witness])
     def test_budget_and_profile(self, build):
@@ -169,6 +198,29 @@ class TestDeviationWitnesses:
         assert witness.schedule == report.schedule
         assert all(a >= b for a, b in zip(witness.profile,
                                           witness.profile[1:]))
+
+    @pytest.mark.parametrize("build", [au_witness, bau_witness])
+    @pytest.mark.parametrize("case", ["m2_unitary", "random-kraus",
+                                      "period-4"])
+    def test_profile_measures_each_tail_suffix_once(self, monkeypatch,
+                                                    build, case):
+        report = deviation_case(case)
+        mode = "one_sided" if build is au_witness else "two_sided"
+        measured = []
+        sup = convergence.compressed_sup
+
+        def measuring(stacks, e, mode):
+            measured.append(e)
+            return sup(stacks, e, mode)
+
+        monkeypatch.setattr(convergence, "compressed_sup", measuring)
+        witness = build(report, 1.0)  # peels a direction
+        monkeypatch.undo()
+        tail_points = [n for n in report.schedule
+                       if n >= report.horizon // 2]
+        assert len(measured) == len(tail_points) < len(report.schedule)
+        assert [v.hex() for v in witness.profile] == [
+            v.hex() for v in profile_per_n(report, witness.projection, mode)]
 
     def test_rejects_non_positive_eps(self):
         channel = random_kraus_channel(MULTI, 2, stream(302, "conv"))

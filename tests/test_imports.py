@@ -278,6 +278,13 @@ def test_recurrence_pass_only_in_checker_stacks():
     assert call_scopes(source, "ergodic_averages") == ["CheckerStacks.stacks"]
 
 
+def test_compressed_sup_only_in_checker_stacks():
+    # the strategies measure through the checker, so each (projection,
+    # mode) of its stacks is measured once, by one path
+    source = (PACKAGE / "maximal.py").read_text()
+    assert call_scopes(source, "compressed_sup") == ["CheckerStacks.sup"]
+
+
 def third_party_imports(source):
     """Top-level packages of the absolute imports that are not in the
     standard library."""

@@ -409,7 +409,8 @@ class TestLevelSet:
 
         outcomes = set()
         for channel, x in level_set_cases():
-            stacks = CheckerStacks(channel, x, 8).stacks
+            checker = CheckerStacks(channel, x, 8)
+            stacks = checker.stacks
             cuts = level_set_cuts(channel, stacks)
             defects = [c.defect() for c in cuts]
             sups = [compressed_sup(stacks, c) for c in cuts]
@@ -429,7 +430,7 @@ class TestLevelSet:
                                         "projection_where", counting)
                     built.clear()
                     [got] = maximal._strategy_level_set(
-                        channel, stacks, [(level, budget)])
+                        checker, [(level, budget)])
                     monkeypatch.undo()
                     bound = 2 * math.ceil(math.log2(len(cuts) + 1)) + 1
                     assert len(built) <= bound
@@ -441,7 +442,7 @@ class TestLevelSet:
                     outcomes.add((len(cuts), expected is None))
             # one call over every stop shares its cuts and gives the same
             for got, expected in zip(
-                    maximal._strategy_level_set(channel, stacks, stops),
+                    maximal._strategy_level_set(checker, stops),
                     expected_all):
                 assert (got is None) == (expected is None)
                 if got is not None:
@@ -922,7 +923,7 @@ class TestCheckerStacks:
         # on a positive x's checker stacks the candidates its inner search
         # has checked there; every candidate is still checked, but the
         # checker measures each (projection, mode) once.  The strategies
-        # measure on the same stacks, so only the checker's calls count.
+        # measure through the checker, so every call comes from its `sup`.
         channel, x, _, horizon = mix8(workloads, "random-positive")
         measured, checked = [], []
         sup, check = maximal.compressed_sup, maximal.check_witness
