@@ -388,20 +388,16 @@ def _top_eigenvalue_bound(h):
     return mean + np.sqrt(squares.sum(axis=(-2, -1)) * ((k - 1) / k))
 
 
-def screened_top(stack, exact, kind):
+def screened_top(stack, exact):
     """The exact top values of the matrices in `stack` that can reach the
     largest one, with the exact outputs that go with them.
 
     exact(sub) maps a sub-stack to a tuple of arrays whose first holds
-    the top value of each matrix a: sigma_max(a) (kind "singular"),
-    lambda_max(a) of a Hermitian a ("eigen"), or sqrt(lambda_max(a)) of
-    a Hermitian Gram matrix a ("gram").  Returns (index, outputs): the
-    indices of the matrices evaluated, in no set order, and
-    exact(stack[index]).
+    sigma_max(a) of each matrix a.  Returns (index, outputs): the indices
+    of the matrices evaluated, in no set order, and exact(stack[index]).
 
-    The screen bounds lambda_max of h = a* a ("singular") or h = a,
-    which is the square of the top value or ("eigen") the value itself,
-    by `_top_eigenvalue_bound`, on the stack scaled exactly by a power of
+    The screen bounds lambda_max(a* a), the square of sigma_max(a), by
+    `_top_eigenvalue_bound`, on the stack scaled exactly by a power of
     two that puts its largest real or imaginary part in [1/4, 1), where
     no square that matters underflows or overflows.  The
     SCREEN_FLOOR_COUNT matrices of largest bound are evaluated first;
@@ -424,11 +420,9 @@ def screened_top(stack, exact, kind):
         return every, exact(stack)
     # 2 half >= the exponent of the largest part; the scaling is exact
     half = -(-int(np.frexp(largest)[1]) // 2)
-    factor = 2.0 ** -half
-    scaled = stack * (factor * factor)
-    if kind == "singular":
-        scaled = scaled.conj().swapaxes(-1, -2) @ scaled
-    bound = _top_eigenvalue_bound(scaled)
+    scale = 2.0 ** (-2 * half)
+    scaled = stack * scale
+    bound = _top_eigenvalue_bound(scaled.conj().swapaxes(-1, -2) @ scaled)
     # repeated argmax, not numpy's sort code, which on first use adds
     # about 0.4 MiB to the peak resident memory of a certify run
     remaining = bound.copy()
@@ -437,10 +431,7 @@ def screened_top(stack, exact, kind):
         first[j] = np.argmax(remaining)
         remaining[first[j]] = -np.inf
     head = exact(stack[first])
-    best = float(head[0].max())
-    floor = {"singular": (best * factor * factor) ** 2,
-             "gram": (best * factor) ** 2,
-             "eigen": best * factor * factor}[kind]
+    floor = (float(head[0].max()) * scale) ** 2
     keep = ~(bound + SCREEN_SLACK < floor)  # a NaN floor keeps every one
     keep[first] = False
     rest = np.flatnonzero(keep)
@@ -449,6 +440,17 @@ def screened_top(stack, exact, kind):
     tail = exact(stack[rest])
     return (np.concatenate([first, rest]),
             tuple(np.concatenate([h, t]) for h, t in zip(head, tail)))
+
+
+def compress(stack, basis, mode):
+    """The compressions of a stack of operators a of one block to the
+    range of its orthonormal columns b: b* a b ("two_sided"), whose norm
+    is ||e a e||, or a b ("one_sided"), whose norm is ||a e||."""
+    if mode == "two_sided":
+        return basis.conj().T @ stack @ basis
+    if mode == "one_sided":
+        return stack @ basis
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _svd_top(c):
@@ -462,16 +464,12 @@ def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
     block, a batched SVD runs only on the compressions whose bound can
     reach the block's largest norm (`screened_top`), which gives the same
     float as an SVD of every compression.  Exactly zero for e = 0."""
-    if mode not in ("two_sided", "one_sided"):
-        raise ValueError(f"unknown mode {mode!r}")
     best = 0.0
     for i, stack in enumerate(stacks):
-        basis = e.block_basis(i)
-        if basis.shape[1] == 0 or len(stack) == 0:
+        c = compress(stack, e.block_basis(i), mode)
+        if c.size == 0:
             continue
-        c = (basis.conj().T @ stack @ basis if mode == "two_sided"
-             else stack @ basis)
-        _, (top,) = screened_top(c, _svd_top, "singular")
+        _, (top,) = screened_top(c, _svd_top)
         best = max(best, float(top.max()))
     return best
 

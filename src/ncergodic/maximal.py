@@ -6,9 +6,11 @@ bound on the compressed averages, e.g. sup_{n<=N} ||e M_n(x) e||.
 
 The averages M_0(x), ..., M_N(x) are held as stacks, one (N+1, d_i, d_i)
 array per block.  A supremum over n (`compressed_sup`) and a peeling step
-use only the largest top value in a block's stack, so each runs its
-batched SVD or eigh only on the matrices whose cheap certified bound can
-reach that value (`algebra.screened_top`), often a small share of them.
+both read the largest norm in a block's stack of compressions, e a e
+(two-sided) or a e (one-sided), as `algebra.compress` forms them: the sup
+is that norm, and the step removes its top singular direction.  So each
+runs its batched SVD only on the compressions whose cheap certified bound
+can reach that norm (`algebra.screened_top`), often a small share of them.
 The bound leaves out only matrices strictly below the largest value, and
 LAPACK treats every matrix of a batch alone, so the sup, the argmax and
 its vector are the bits an unscreened call gives.  Each search takes a
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Operator, Projection, compressed_sup,
+from .algebra import (Operator, Projection, compress, compressed_sup,
                       hermitian_decompose, screened_top)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
@@ -84,7 +86,6 @@ class WitnessReport:
     trace_budget: float
     sup_compression: float
     sup_budget: float
-    horizon: int
     method: str
     mode: str
     checker_passed: bool
@@ -189,8 +190,8 @@ def check_witness(checker: CheckerStacks, e: Projection, trace_budget: float,
     report = WitnessReport(
         projection=e, trace_defect=e.defect(), trace_budget=trace_budget,
         sup_compression=checker.sup(e, mode), sup_budget=sup_budget,
-        horizon=checker.horizon, method=method, mode=mode,
-        checker_passed=False, weight_bound=checker.weight_bound)
+        method=method, mode=mode, checker_passed=False,
+        weight_bound=checker.weight_bound)
     report.checker_passed = report.within_budgets(tol)
     return report
 
@@ -304,16 +305,6 @@ def _strategy_level_set(checker, stops):
     return [search(level, budget) for level, budget in stops]
 
 
-def _eigh_top(h):
-    lam, vecs = np.linalg.eigh(h)
-    return lam[:, -1], vecs[:, :, -1]
-
-
-def _gram_top(g):
-    lam, vecs = np.linalg.eigh(g)
-    return np.sqrt(np.maximum(lam[:, -1], 0.0)), vecs[:, :, -1]
-
-
 def _svd_top_vector(c):
     _, s, vh = np.linalg.svd(c)
     return s[:, 0], vh[:, 0].conj()
@@ -332,19 +323,17 @@ def peel(algebra, stacks, stops, mode):
     the projection is the best infeasible candidate when the budget ends
     the stop.
 
-    `mode` sets the value of a compressed block c = e a e: the top
-    eigenvalue of its Hermitian part ("hermitian"), its norm
-    ("two_sided"), or ||a e|| = sqrt(lambda_max(c_1* c_1)) with
-    c_1 = a e ("one_sided").  Per block, each step runs a batched eigh
-    or SVD only on the compressions whose bound can reach the block's
-    largest value (`screened_top`); the others stay -inf, below that
-    value, so the argmax and its direction are those of a call on every
-    compression.  Ties go to the first operator, then the first block.
-    Terminates because each step removes at least the smallest block
-    weight of trace, and an emptied algebra ends every stop.
+    `mode` sets the compression c of a block whose norm is the value:
+    c = e a e ("two_sided") or c = a e ("one_sided"), as `compress` forms
+    it; the direction removed is the top right singular vector of c.
+    Per block, each step runs a batched SVD only on the compressions
+    whose bound can reach the block's largest norm (`screened_top`); the
+    others stay -inf, below that norm, so the argmax and its direction
+    are those of an SVD of every compression.  Ties go to the first
+    operator, then the first block.  Terminates because each step
+    removes at least the smallest block weight of trace, and an emptied
+    algebra ends every stop.
     """
-    if mode not in ("hermitian", "two_sided", "one_sided"):
-        raise ValueError(f"unknown mode {mode!r}")
     bases = [np.eye(d, dtype=complex) for d in algebra.dims]
     weights = algebra.weights
     defect = 0.0
@@ -357,19 +346,8 @@ def peel(algebra, stacks, stops, mode):
         for i, (stack, basis) in enumerate(zip(stacks, bases)):
             if basis.shape[1] == 0:
                 continue
-            if mode == "one_sided":
-                block = stack @ basis
-                index, (tops, vecs) = screened_top(
-                    _hermitian(block.conj().swapaxes(1, 2) @ block),
-                    _gram_top, "gram")
-            elif mode == "two_sided":
-                index, (tops, vecs) = screened_top(
-                    basis.conj().T @ stack @ basis, _svd_top_vector,
-                    "singular")
-            else:
-                index, (tops, vecs) = screened_top(
-                    _hermitian(basis.conj().T @ stack @ basis), _eigh_top,
-                    "eigen")
+            index, (tops, vecs) = screened_top(
+                compress(stack, basis, mode), _svd_top_vector)
             values[index, i] = tops
             directions[i] = (index, vecs)
         top, step = -np.inf, 0.0  # nothing to measure ends every stop
@@ -397,7 +375,7 @@ def peel(algebra, stacks, stops, mode):
 
 def _strategy_peel(checker, stops):
     return [e for e, _ in peel(checker.channel.algebra, checker.stacks,
-                               stops, "hermitian")]
+                               stops, "two_sided")]
 
 
 _STRATEGY_TABLE = {

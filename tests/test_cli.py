@@ -807,7 +807,6 @@ class TestCertifyContract:
                 projection=Projection.identity(checker.channel.algebra),
                 trace_defect=0.0, trace_budget=1.0,
                 sup_compression=2.0 * eps, sup_budget=eps,
-                horizon=checker.horizon,
                 method="overclaiming", mode="two_sided",
                 checker_passed=True) for eps in eps_grid]
 

@@ -285,6 +285,16 @@ def test_compressed_sup_only_in_checker_stacks():
     assert call_scopes(source, "compressed_sup") == ["CheckerStacks.sup"]
 
 
+def test_one_compression_measure():
+    # a sup and a peeling step are the one measure of the package: the
+    # top singular value of a compression, behind the one screen
+    for name in ("compress", "screened_top"):
+        scopes = {f"{module[:-3]}.{scope}" for module in MODULES
+                  for scope in call_scopes((PACKAGE / module).read_text(),
+                                           name)}
+        assert scopes == {"algebra.compressed_sup", "maximal.peel"}, name
+
+
 def third_party_imports(source):
     """Top-level packages of the absolute imports that are not in the
     standard library."""

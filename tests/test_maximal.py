@@ -43,6 +43,12 @@ def stacks(ops):
     return MULTI.block_stacks([op.vec() for op in ops])
 
 
+def compression(block, basis, mode):
+    """b* a b ("two_sided") or a b ("one_sided") for one block a."""
+    return (basis.conj().T @ block @ basis if mode == "two_sided"
+            else block @ basis)
+
+
 def loop_norm(x, e, mode):
     """Per-block loop of ||e x e|| or ||x e|| with a 2-norm per block."""
     best = 0.0
@@ -50,14 +56,31 @@ def loop_norm(x, e, mode):
         basis = e.block_basis(i)
         if basis.shape[1] == 0:
             continue
-        c = (basis.conj().T @ x.block(i) @ basis if mode == "two_sided"
-             else x.block(i) @ basis)
+        c = compression(x.block(i), basis, mode)
         best = max(best, float(np.linalg.norm(c, 2)))
     return best
 
 
-def loop_peel(algebra, ops, level, budget, mode):
-    """Per-operator peeling loop: operators outer, blocks inner, strict >."""
+def svd_top(mode):
+    """(value, direction) of a block for `loop_peel`: the top singular
+    value and right singular vector of its compression."""
+    def top(block, basis):
+        _, s, vh = np.linalg.svd(compression(block, basis, mode))
+        return float(s[0]), vh[0].conj()
+    return top
+
+
+def hermitian_top(block, basis):
+    """(value, direction) by the top eigenpair of the Hermitian part of
+    b* a b, as peeling by lambda_max(Herm e a e) measures a block."""
+    c = compression(block, basis, "two_sided")
+    lam, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
+    return float(lam[-1]), vecs[:, -1]
+
+
+def loop_peel(algebra, ops, level, budget, top):
+    """Per-operator peeling loop: operators outer, blocks inner, strict >;
+    top(block, basis) gives each compressed block's value and direction."""
     bases = [np.eye(d, dtype=complex) for d in algebra.dims]
     defect = 0.0
     while True:
@@ -66,20 +89,7 @@ def loop_peel(algebra, ops, level, budget, mode):
             for i, basis in enumerate(bases):
                 if basis.shape[1] == 0:
                     continue
-                if mode == "one_sided":
-                    block = op.block(i) @ basis
-                    gram = block.conj().T @ block
-                    lam, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-                    value = float(np.sqrt(max(lam[-1], 0.0)))
-                    direction = vecs[:, -1]
-                elif mode == "two_sided":
-                    comp = basis.conj().T @ op.block(i) @ basis
-                    _, s, vh = np.linalg.svd(comp)
-                    value, direction = float(s[0]), vh[0].conj()
-                else:
-                    comp = basis.conj().T @ op.block(i) @ basis
-                    lam, vecs = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-                    value, direction = float(lam[-1]), vecs[:, -1]
+                value, direction = top(op.block(i), basis)
                 if value > worst_value:
                     worst_value, worst = value, (i, direction)
         if worst is None or worst_value <= level:
@@ -142,9 +152,6 @@ def diag_op(*diagonals):
                             for v in diagonals])
 
 
-PEEL_MODES = ("hermitian", "two_sided", "one_sided")
-
-
 class TestPeelAgainstLoop:
     def assert_same(self, ops, stops, mode):
         """One run over all stops equals, stop by stop, a one-stop run
@@ -154,19 +161,18 @@ class TestPeelAgainstLoop:
         for (e, defect), (level, budget) in zip(got, stops):
             [(e_one, defect_one)] = peel(MULTI, stacks(ops), [(level, budget)],
                                          mode)
-            e_loop, defect_loop = loop_peel(MULTI, ops, level, budget, mode)
+            e_loop, defect_loop = loop_peel(MULTI, ops, level, budget,
+                                            svd_top(mode))
             assert defect == defect_one == defect_loop
             assert np.array_equal(e.operator.vec(), e_one.operator.vec())
             assert np.array_equal(e.operator.vec(), e_loop.operator.vec())
         return got
 
-    @pytest.mark.parametrize("mode", PEEL_MODES)
+    @pytest.mark.parametrize("mode", MODES)
     def test_random_trajectories(self, mode):
         total = MULTI.identity().trace().real
         for seed in range(4):
             _, _, _, ops, _ = weighted_trajectory(410 + seed)
-            if mode == "hermitian":
-                ops = [op.hermitian_part() for op in ops]
             top = max(loop_norm(op, Projection.identity(MULTI), "two_sided")
                       for op in ops)
             # every direction removed, stopped by the level, and two
@@ -179,7 +185,7 @@ class TestPeelAgainstLoop:
             assert 0 < level_defect < total
             assert 0 < budget_defect <= 2.5
 
-    @pytest.mark.parametrize("mode", PEEL_MODES)
+    @pytest.mark.parametrize("mode", MODES)
     def test_tie_across_operators(self, mode):
         # equal top values in different directions; the budget allows one
         # removal, which must take the first operator's direction
@@ -189,7 +195,7 @@ class TestPeelAgainstLoop:
         assert defect == 1.0
         assert np.allclose(np.diag(e.operator.block(0)), [1, 0, 1])
 
-    @pytest.mark.parametrize("mode", PEEL_MODES)
+    @pytest.mark.parametrize("mode", MODES)
     def test_tie_across_blocks(self, mode):
         # block 0 (weight 1) and block 1 (weight 0.25) tie; block 0 goes
         # first, after which block 1 no longer fits the budget
@@ -198,7 +204,7 @@ class TestPeelAgainstLoop:
         assert defect == 1.0
         assert e.rank(0) == 2 and e.rank(1) == 2
 
-    @pytest.mark.parametrize("mode", PEEL_MODES)
+    @pytest.mark.parametrize("mode", MODES)
     def test_operator_order_before_block_order(self, mode):
         # the first operator's tie in block 1 beats the second operator's
         # in block 0; the block 0 removal then no longer fits the budget
@@ -209,10 +215,41 @@ class TestPeelAgainstLoop:
         assert e.rank(0) == 3 and e.rank(1) == 1
 
 
+class TestTwoSidedPeelOnPositiveTrajectories:
+    """On x >= 0 every average M_n(x) is positive, so each compression
+    c = e M_n(x) e has lambda_max(Herm c) = ||c||: the weak (1,1)
+    search's two-sided peel stops where peeling by the top eigenpair of
+    the Hermitian part stops, with the same projections."""
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: random_kraus_channel(MULTI, 3, rng),
+        lambda rng: random_unitary_mixture(MULTI, 2, rng)],
+        ids=["kraus", "unitary-mixture"])
+    def test_matches_hermitian_peel(self, build):
+        for seed in range(20):
+            rng = stream(seed, "positive-peel")
+            channel = build(rng)
+            x = random_operator(MULTI, rng, kind="positive")
+            ops = [Operator.from_vec(MULTI, vec)
+                   for _, vec in ergodic_averages(channel, x, 24)]
+            top = max(loop_norm(op, Projection.identity(MULTI), "two_sided")
+                      for op in ops)
+            stops = [(-np.inf, np.inf), (0.3 * top, np.inf),
+                     (0.1 * top, 2.5), (-np.inf, 2.5)]
+            got = peel(MULTI, stacks(ops), stops, "two_sided")
+            for (e, defect), (level, budget) in zip(got, stops):
+                e_herm, defect_herm = loop_peel(MULTI, ops, level, budget,
+                                                hermitian_top)
+                assert defect == defect_herm
+                assert np.allclose(e.operator.vec(), e_herm.operator.vec(),
+                                   rtol=0.0, atol=1e-10)
+
+
 class TestExactKernelsPerMatrix:
-    """The screen relies on LAPACK running on each matrix of a batch
-    alone: a sub-stack gives the same bits as the whole stack.  If numpy
-    ever batches differently, this fails before any reference drifts."""
+    """The screen and the floors rely on LAPACK running on each matrix of
+    a batch alone: a sub-stack gives the same bits as the whole stack.
+    If numpy ever batches differently, this fails before any reference
+    drifts."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (8, 8), (8, 3)])
     def test_sub_stack_equals_whole_stack(self, shape):
@@ -228,14 +265,16 @@ class TestExactKernelsPerMatrix:
         assert np.array_equal(s[sub], s_sub)
         assert np.array_equal(vh[sub], vh_sub)
         if shape[0] == shape[1]:
-            h = maximal._hermitian(stack)
-            lam, vecs = np.linalg.eigh(h)
-            lam_sub, vecs_sub = np.linalg.eigh(h[sub])
-            assert np.array_equal(lam[sub], lam_sub)
-            assert np.array_equal(vecs[sub], vecs_sub)
+            # `CheckerStacks.floors` takes eigvalsh of the Hermitian parts
+            # slice by slice
+            lam = np.linalg.eigvalsh(maximal._hermitian(stack))
+            assert np.array_equal(lam[sub], np.linalg.eigvalsh(
+                maximal._hermitian(stack[sub])))
+            assert np.array_equal(lam[40:80], np.linalg.eigvalsh(
+                maximal._hermitian(stack[40:80])))
 
 
-def unscreened(stack, exact, kind):
+def unscreened(stack, exact):
     """Oracle for `screened_top`: every matrix through the exact kernel,
     as `compressed_sup` and `peel` did before the screen."""
     return np.arange(len(stack)), exact(stack)
@@ -327,7 +366,7 @@ class TestScreenedTop:
                  (-np.inf, 1.0)]
         calls = ([(compressed_sup, stack, e, mode)
                   for e in projections for mode in MODES]
-                 + [(peel, MULTI, stack, stops, mode) for mode in PEEL_MODES])
+                 + [(peel, MULTI, stack, stops, mode) for mode in MODES])
         got = [outcome(*call) for call in calls]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("ncergodic.algebra.screened_top", unscreened)
@@ -452,13 +491,17 @@ class TestLevelSet:
         assert outcomes == {(24, True), (24, False), (4, True), (4, False)}
 
 
+CELL_HORIZON = 32
+
+
 def found_yeadon_cell():
-    """A seeded weak (1,1) cell whose witness is found and kills part of
-    the first block."""
+    """A seeded weak (1,1) cell at CELL_HORIZON whose witness is found and
+    kills part of the first block."""
     rng = stream(430, "checker")
     channel = random_kraus_channel(MULTI, 3, rng)
     x = random_operator(MULTI, rng, kind="positive", uniform_norm=1.0)
-    [report] = yeadon_witness_search(CheckerStacks(channel, x, 32), [0.5])
+    [report] = yeadon_witness_search(CheckerStacks(channel, x, CELL_HORIZON),
+                                     [0.5])
     assert report.found
     assert 0 < report.projection.rank(0) < MULTI.dims[0]
     return channel, x, report
@@ -476,7 +519,7 @@ class TestCheckerRejects:
         tampered = Projection.from_basis(MULTI, bases)
         assert tampered.defect() == pytest.approx(e.defect())
         # measured on the stacks that the found witness passed on
-        checker = CheckerStacks(channel, x, report.horizon)
+        checker = CheckerStacks(channel, x, CELL_HORIZON)
         assert check_witness(checker, e, report.trace_budget,
                              report.sup_budget, method="peel").checker_passed
         outcome = check_witness(checker, tampered, report.trace_budget,
@@ -487,8 +530,7 @@ class TestCheckerRejects:
 
     def test_budget_just_below_measurement_fails(self):
         channel, x, report = found_yeadon_cell()
-        e, checker = report.projection, CheckerStacks(channel, x,
-                                                      report.horizon)
+        e, checker = report.projection, CheckerStacks(channel, x, CELL_HORIZON)
         defect, sup = report.trace_defect, report.sup_compression
         exact = check_witness(checker, e, defect, sup, tol=0.0,
                               method="exact")
@@ -507,7 +549,7 @@ class TestCheckerRejects:
     def test_method_is_a_keyword(self):
         # a positional mode cannot be read as a method
         channel, x, report = found_yeadon_cell()
-        checker = CheckerStacks(channel, x, report.horizon)
+        checker = CheckerStacks(channel, x, CELL_HORIZON)
         with pytest.raises(TypeError):
             check_witness(checker, report.projection, report.trace_budget,
                           report.sup_budget, "two_sided", 0.0, "peel")
@@ -523,7 +565,7 @@ class TestCheckerRejects:
         # a weight identically one checks the plain averages, but its
         # reports keep its declared bound
         channel, x, report = found_yeadon_cell()
-        checker = CheckerStacks(channel, x, report.horizon, beta)
+        checker = CheckerStacks(channel, x, CELL_HORIZON, beta)
         assert (checker.beta is None) == (beta is None
                                           or beta.is_constant_one)
         checked = check_witness(checker, report.projection,
@@ -549,9 +591,9 @@ class TestWeakOneOneIsPlain:
         channel, x, report = found_yeadon_cell()
         with pytest.raises(ValueError, match="plain"):
             yeadon_witness_search(
-                CheckerStacks(channel, x, report.horizon, self.BETA), [0.5])
+                CheckerStacks(channel, x, CELL_HORIZON, self.BETA), [0.5])
         [unit] = yeadon_witness_search(
-            CheckerStacks(channel, x, report.horizon, UNIT), [0.5])
+            CheckerStacks(channel, x, CELL_HORIZON, UNIT), [0.5])
         same_result(unit, report)
 
     def test_hopf_refuses_weighted_checker(self):
@@ -902,7 +944,7 @@ class TestCheckerStacks:
     def test_zero_projection_needs_no_pass(self, monkeypatch):
         channel, x, report = found_yeadon_cell()
         passes = count_passes(monkeypatch)
-        checker = CheckerStacks(channel, x, report.horizon)
+        checker = CheckerStacks(channel, x, CELL_HORIZON)
         total_trace = sum(d * w for d, w in MULTI.blocks)
         zero = check_witness(checker, Projection(MULTI.zero()), total_trace,
                              0.0, tol=0.0, method="zero")
@@ -1038,7 +1080,7 @@ class TestFloorBound:
             if report.method != "floor":
                 continue
             [(e, _)] = peel(algebra, checker.stacks,
-                            [(eps, report.trace_budget)], "hermitian")
+                            [(eps, report.trace_budget)], "two_sided")
             assert e.rank() == 0
             peeled = check_witness(checker, e, report.trace_budget, eps,
                                    method="peel")
