@@ -238,35 +238,54 @@ def stack_of_one(mode):
     return lambda op, e: compressed_sup(stacks([op]), e, mode)
 
 
-MEASURES = {"two_sided": stack_of_one("two_sided"),
-            "one_sided": stack_of_one("one_sided")}
+def hermitian_top(op, e):
+    """Largest eigenvalue of the Hermitian part of e op e over blocks."""
+    best = -np.inf
+    for i in range(op.algebra.num_blocks):
+        basis = e.block_basis(i)
+        if basis.shape[1]:
+            c = basis.conj().T @ op.block(i) @ basis
+            best = max(best, np.linalg.eigvalsh((c + c.conj().T) / 2)[-1])
+    return best
+
+
+# case -> (mode of `peel`, measure of its result).  The "hermitian" case
+# measures the two-sided peel by lambda_max of the Hermitian part, the
+# measure of the deleted hermitian mode; the operators here are positive,
+# where the two agree.
+MEASURES = {"hermitian": ("two_sided", hermitian_top),
+            "two_sided": ("two_sided", stack_of_one("two_sided")),
+            "one_sided": ("one_sided", stack_of_one("one_sided"))}
 
 
 class TestPeel:
-    @pytest.mark.parametrize("mode", sorted(MEASURES))
-    def test_stops_at_level(self, mode):
-        rng = stream(303, "peel", mode)
+    @pytest.mark.parametrize("case", sorted(MEASURES))
+    def test_stops_at_level(self, case):
+        mode, measure = MEASURES[case]
+        rng = stream(303, "peel", case)
         ops = [random_operator(MULTI, rng, kind="positive")
                for _ in range(3)]
-        level = 0.5 * max(MEASURES[mode](op, Projection.identity(MULTI))
+        level = 0.5 * max(measure(op, Projection.identity(MULTI))
                           for op in ops)
         [(e, defect)] = peel(MULTI, stacks(ops), [(level, np.inf)], mode)
         assert 0 < defect == pytest.approx(e.defect())
-        assert max(MEASURES[mode](op, e) for op in ops) <= level
+        assert max(measure(op, e) for op in ops) <= level
 
-    @pytest.mark.parametrize("mode", sorted(MEASURES))
-    def test_stops_before_budget(self, mode):
-        rng = stream(304, "peel", mode)
+    @pytest.mark.parametrize("case", sorted(MEASURES))
+    def test_stops_before_budget(self, case):
+        mode, measure = MEASURES[case]
+        rng = stream(304, "peel", case)
         ops = [random_operator(MULTI, rng, kind="positive")]
         budget = 2.0  # below the weight 3.0 of the 1x1 block
         [(e, defect)] = peel(MULTI, stacks(ops), [(0.0, budget)], mode)
         assert defect <= budget
         assert defect == pytest.approx(e.defect())
         # the next removal would have passed the budget
-        assert max(MEASURES[mode](op, e) for op in ops) > 0.0
+        assert max(measure(op, e) for op in ops) > 0.0
 
-    @pytest.mark.parametrize("mode", sorted(MEASURES))
-    def test_emptied_blocks(self, mode):
+    @pytest.mark.parametrize("case", sorted(MEASURES))
+    def test_emptied_blocks(self, case):
+        mode, _ = MEASURES[case]
         # every direction of every block is peeled; emptied bases are
         # skipped and the loop ends with the zero projection
         [(e, defect)] = peel(MULTI, stacks([MULTI.identity()]),

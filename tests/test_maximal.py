@@ -152,65 +152,82 @@ def diag_op(*diagonals):
                             for v in diagonals])
 
 
+# case -> (mode of `peel`, top of `loop_peel`).  The "hermitian" case is
+# the deleted peel by lambda_max of the Hermitian part: on x >= 0 it is the
+# two-sided peel, so it runs on positive operators only.
+PEEL_CASES = {"two_sided": ("two_sided", svd_top("two_sided")),
+              "one_sided": ("one_sided", svd_top("one_sided")),
+              "hermitian": ("two_sided", hermitian_top)}
+
+
 class TestPeelAgainstLoop:
-    def assert_same(self, ops, stops, mode):
+    def assert_same(self, ops, stops, case):
         """One run over all stops equals, stop by stop, a one-stop run
-        and the per-operator loop, bit for bit."""
+        and the per-operator loop: bit for bit with the loop of its own
+        kernel, and within 1e-10 with the eigh loop of the "hermitian"
+        case."""
+        mode, top = PEEL_CASES[case]
         got = peel(MULTI, stacks(ops), stops, mode)
         assert len(got) == len(stops)
         for (e, defect), (level, budget) in zip(got, stops):
             [(e_one, defect_one)] = peel(MULTI, stacks(ops), [(level, budget)],
                                          mode)
-            e_loop, defect_loop = loop_peel(MULTI, ops, level, budget,
-                                            svd_top(mode))
+            e_loop, defect_loop = loop_peel(MULTI, ops, level, budget, top)
             assert defect == defect_one == defect_loop
             assert np.array_equal(e.operator.vec(), e_one.operator.vec())
-            assert np.array_equal(e.operator.vec(), e_loop.operator.vec())
+            if case == "hermitian":
+                assert np.allclose(e.operator.vec(), e_loop.operator.vec(),
+                                   rtol=0.0, atol=1e-10)
+            else:
+                assert np.array_equal(e.operator.vec(),
+                                      e_loop.operator.vec())
         return got
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_random_trajectories(self, mode):
+    @pytest.mark.parametrize("case", sorted(PEEL_CASES))
+    def test_random_trajectories(self, case):
         total = MULTI.identity().trace().real
         for seed in range(4):
             _, _, _, ops, _ = weighted_trajectory(410 + seed)
+            if case == "hermitian":
+                ops = [op.adjoint() @ op for op in ops]
             top = max(loop_norm(op, Projection.identity(MULTI), "two_sided")
                       for op in ops)
             # every direction removed, stopped by the level, and two
             # stops under a budget that the 1x1 block (weight 3) exceeds
             stops = [(-np.inf, np.inf), (0.3 * top, np.inf),
                      (0.1 * top, 2.5), (-np.inf, 2.5)]
-            got = self.assert_same(ops, stops, mode)
+            got = self.assert_same(ops, stops, case)
             (e_all, all_defect), (_, level_defect), _, (_, budget_defect) = got
             assert all_defect == total and e_all.rank() == 0
             assert 0 < level_defect < total
             assert 0 < budget_defect <= 2.5
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tie_across_operators(self, mode):
+    @pytest.mark.parametrize("case", sorted(PEEL_CASES))
+    def test_tie_across_operators(self, case):
         # equal top values in different directions; the budget allows one
         # removal, which must take the first operator's direction
         ops = [diag_op([0, 1, 0], [0, 0], [0]),
                diag_op([1, 0, 0], [0, 0], [0])]
-        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], case)
         assert defect == 1.0
         assert np.allclose(np.diag(e.operator.block(0)), [1, 0, 1])
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tie_across_blocks(self, mode):
+    @pytest.mark.parametrize("case", sorted(PEEL_CASES))
+    def test_tie_across_blocks(self, case):
         # block 0 (weight 1) and block 1 (weight 0.25) tie; block 0 goes
         # first, after which block 1 no longer fits the budget
         ops = [diag_op([1, 0, 0], [1, 0], [0])]
-        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], case)
         assert defect == 1.0
         assert e.rank(0) == 2 and e.rank(1) == 2
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_operator_order_before_block_order(self, mode):
+    @pytest.mark.parametrize("case", sorted(PEEL_CASES))
+    def test_operator_order_before_block_order(self, case):
         # the first operator's tie in block 1 beats the second operator's
         # in block 0; the block 0 removal then no longer fits the budget
         ops = [diag_op([0, 0, 0], [1, 0], [0]),
                diag_op([1, 0, 0], [0, 0], [0])]
-        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], mode)
+        [(e, defect)] = self.assert_same(ops, [(0.5, 1.0)], case)
         assert defect == 0.25
         assert e.rank(0) == 3 and e.rank(1) == 1
 
