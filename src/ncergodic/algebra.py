@@ -10,6 +10,7 @@ sets and the norms below are honest finite formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,14 +365,40 @@ class Projection:
         return float(self.operator.trace().real)
 
 
-# The screen of `screened_top`: how many matrices of largest bound set
-# the floor, and the slack, in units of the stack's largest entry, that
-# covers rounding in the bounds and in the exact values (of order
-# k^3 * 2^-52 in those units for k x k blocks, so for up to a few hundred
-# rows).
+# The screens of `screened_top` and `compressed_sup`: how many matrices
+# of largest bound set the floor, and the slack, in units of the stack's
+# largest entry, that covers rounding in the bounds and in the exact
+# values (of order k^3 * 2^-52 in those units for k x k blocks, so for up
+# to a few hundred rows).
 SCREEN_FLOOR_COUNT = 8
 SCREEN_SLACK = 1e-8
 _NORMAL_MIN = float(np.finfo(float).tiny)
+
+
+def _power_of_two_scale(stack):
+    """The power of two that puts the largest real or imaginary part of
+    the stack in [1/4, 1), where no square of an entry that matters
+    underflows or overflows; scaling by it is exact.  None where that
+    part is not a finite normal number (NaN, inf, zero, subnormal)."""
+    largest = max(float(np.abs(stack.real).max()),
+                  float(np.abs(stack.imag).max()))
+    if not _NORMAL_MIN <= largest < np.inf:
+        return None
+    # 2 half >= the exponent of the largest part
+    half = -(-int(np.frexp(largest)[1]) // 2)
+    return 2.0 ** (-2 * half)
+
+
+def _largest(values, count):
+    """Indices of the `count` largest values, largest first, by repeated
+    argmax, not numpy's sort code, which on first use adds about 0.4 MiB
+    to the peak resident memory of a certify run."""
+    remaining = np.array(values, dtype=float)
+    first = np.empty(count, dtype=np.intp)
+    for j in range(count):
+        first[j] = np.argmax(remaining)
+        remaining[first[j]] = -np.inf
+    return first
 
 
 def _top_eigenvalue_bound(h):
@@ -397,39 +424,27 @@ def screened_top(stack, exact):
     of the matrices evaluated, in no set order, and exact(stack[index]).
 
     The screen bounds lambda_max(a* a), the square of sigma_max(a), by
-    `_top_eigenvalue_bound`, on the stack scaled exactly by a power of
-    two that puts its largest real or imaginary part in [1/4, 1), where
-    no square that matters underflows or overflows.  The
-    SCREEN_FLOOR_COUNT matrices of largest bound are evaluated first;
+    `_top_eigenvalue_bound`, on the stack scaled by `_power_of_two_scale`.
+    The SCREEN_FLOOR_COUNT matrices of largest bound are evaluated first;
     the best of their values is the floor.  One more batched call
     evaluates the matrices whose bound plus SCREEN_SLACK reaches the
     floor.  A matrix left out has a value strictly below the floor, so it
     is neither the largest value nor tied with it.  LAPACK runs on each
     matrix of a batch alone, so every value and vector is bit-identical
     to a call on the whole stack.  A stack of at most SCREEN_FLOOR_COUNT
-    matrices, or one whose largest real or imaginary part is not finite,
-    zero or subnormal, is evaluated whole.
+    matrices, or one that `_power_of_two_scale` does not scale, is
+    evaluated whole.
     """
     m = len(stack)
     every = np.arange(m)
     if m <= SCREEN_FLOOR_COUNT:
         return every, exact(stack)
-    largest = max(float(np.abs(stack.real).max()),
-                  float(np.abs(stack.imag).max()))
-    if not _NORMAL_MIN <= largest < np.inf:
+    scale = _power_of_two_scale(stack)
+    if scale is None:
         return every, exact(stack)
-    # 2 half >= the exponent of the largest part; the scaling is exact
-    half = -(-int(np.frexp(largest)[1]) // 2)
-    scale = 2.0 ** (-2 * half)
     scaled = stack * scale
     bound = _top_eigenvalue_bound(scaled.conj().swapaxes(-1, -2) @ scaled)
-    # repeated argmax, not numpy's sort code, which on first use adds
-    # about 0.4 MiB to the peak resident memory of a certify run
-    remaining = bound.copy()
-    first = np.empty(SCREEN_FLOOR_COUNT, dtype=np.intp)
-    for j in range(SCREEN_FLOOR_COUNT):
-        first[j] = np.argmax(remaining)
-        remaining[first[j]] = -np.inf
+    first = _largest(bound, SCREEN_FLOOR_COUNT)
     head = exact(stack[first])
     floor = (float(head[0].max()) * scale) ** 2
     keep = ~(bound + SCREEN_SLACK < floor)  # a NaN floor keeps every one
@@ -440,6 +455,42 @@ def screened_top(stack, exact):
     tail = exact(stack[rest])
     return (np.concatenate([first, rest]),
             tuple(np.concatenate([h, t]) for h, t in zip(head, tail)))
+
+
+class SupScreen(NamedTuple):
+    """What `compressed_sup` knows of one block's stack a_0, ..., a_N
+    before it sees a projection, in the stack's own units.
+
+    distances[n] = ||a_n - a_N||_F.  reach = ||a_N||_F + max_n
+    distances[n] bounds ||a_n|| for every n, so it bounds every
+    compression of the block.  slack is SCREEN_SLACK in units of the
+    stack's largest real or imaginary part.  head holds N and then the
+    SCREEN_FLOOR_COUNT other n of largest distance, the averages that
+    `compressed_sup` measures first."""
+
+    distances: np.ndarray
+    reach: float
+    slack: float
+    head: np.ndarray
+
+
+def sup_screen(stack, rows):
+    """The `SupScreen` of one block's stack, or None where
+    `_power_of_two_scale` does not scale it.  The distances are taken on
+    the scaled stack, `rows` matrices at a time, so no second copy of a
+    large stack is held, and then scaled back exactly."""
+    scale = _power_of_two_scale(stack)
+    if scale is None:
+        return None
+    last = stack[-1] * scale
+    distances = np.concatenate([
+        np.linalg.norm(stack[n:n + rows] * scale - last, axis=(-2, -1))
+        for n in range(0, len(stack), rows)])
+    reach = (float(np.linalg.norm(last)) + float(distances.max())) / scale
+    others = distances[:-1]
+    head = np.append(len(stack) - 1,
+                     _largest(others, min(SCREEN_FLOOR_COUNT, len(others))))
+    return SupScreen(distances / scale, reach, SCREEN_SLACK / scale, head)
 
 
 def compress(stack, basis, mode):
@@ -457,20 +508,52 @@ def _svd_top(c):
     return (np.linalg.svd(c, compute_uv=False)[:, 0],)
 
 
-def compressed_sup(stacks, e: Projection, mode="two_sided") -> float:
+def compressed_sup(stacks, e: Projection, mode="two_sided",
+                   screens=None) -> float:
     """max over a stack of operators a of ||e a e|| ("two_sided") or
     ||a e|| ("one_sided"), computed on the range of e; `stacks` holds one
-    (m, d_i, d_i) array per block (see `AlgebraSpec.block_stacks`).  Per
-    block, a batched SVD runs only on the compressions whose bound can
-    reach the block's largest norm (`screened_top`), which gives the same
-    float as an SVD of every compression.  Exactly zero for e = 0."""
+    (m, d_i, d_i) array per block (see `AlgebraSpec.block_stacks`).
+    Exactly zero for e = 0.
+
+    Each block is measured through `screened_top`, which runs its batched
+    SVD only on the compressions whose bound can reach the block's
+    largest norm.  `screens`, one `sup_screen` per block, lets the sup
+    skip more.  A compression shrinks norms, so with r = a_N and
+    delta_n = ||a_n - r||_F, ||e a_n e|| <= ||e r e|| + delta_n and
+    ||a_n e|| <= ||r e|| + delta_n.  The blocks run in decreasing reach,
+    and a block whose reach plus slack is below the best value so far is
+    skipped.  In a block, N and the n of largest delta_n are measured
+    first; only the n whose bound plus slack reaches the best value are
+    compressed, and `screened_top` measures them.  Every n or block left
+    out lies strictly below the sup, and LAPACK treats each matrix of a
+    batch alone, so the float is the one an SVD of every compression
+    gives.  A block without a screen is compressed whole and never
+    skipped."""
+    screens = screens or (None,) * len(stacks)
+    # the unscreened blocks first, then in decreasing reach
+    order = sorted(range(len(stacks)), key=lambda i: -np.inf
+                   if screens[i] is None else -screens[i].reach)
     best = 0.0
-    for i, stack in enumerate(stacks):
-        c = compress(stack, e.block_basis(i), mode)
-        if c.size == 0:
+    for i in order:
+        stack, screen, basis = stacks[i], screens[i], e.block_basis(i)
+        if screen is None:
+            c = compress(stack, basis, mode)
+            if c.size:
+                _, (top,) = screened_top(c, _svd_top)
+                best = max(best, float(top.max()))
             continue
-        _, (top,) = screened_top(c, _svd_top)
-        best = max(best, float(top.max()))
+        if not basis.shape[1] or screen.reach + screen.slack < best:
+            continue
+        (head,) = _svd_top(compress(stack[screen.head], basis, mode))
+        best = max(best, float(head.max()))
+        # head[0] is the norm of the compressed reference a_N
+        keep = ~(head[0] + screen.distances + screen.slack < best)
+        keep[screen.head] = False
+        rest = np.flatnonzero(keep)
+        if rest.size:
+            _, (top,) = screened_top(compress(stack[rest], basis, mode),
+                                     _svd_top)
+            best = max(best, float(top.max()))
     return best
 
 

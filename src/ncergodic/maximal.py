@@ -11,18 +11,25 @@ both read the largest norm in a block's stack of compressions, e a e
 is that norm, and the step removes its top singular direction.  So each
 runs its batched SVD only on the compressions whose cheap certified bound
 can reach that norm (`algebra.screened_top`), often a small share of them.
-The bound leaves out only matrices strictly below the largest value, and
-LAPACK treats every matrix of a batch alone, so the sup, the argmax and
-its vector are the bits an unscreened call gives.  Each search takes a
-grid of eps and returns one result per eps: only a strategy's stopping
-test depends on the level and the trace budget, so one pass of the
-recurrence and one run of each strategy serve the whole grid.  That
-pass is the checker's: `CheckerStacks` holds one read-only pass per
-element and weight, from the raw channel, and a weak (1,1) search reads
-it as input.  The strategies measure through the checker, which measures
-each (projection, mode) once and checks every candidate against its
-budgets.  Each builder is handed a checker by its caller, which may
-share it between builders.
+A sup on the checker screens before it compresses: a compression shrinks
+norms, so ||M_n(x)_i - M_N(x)_i||_F, computed once per checker
+(`CheckerStacks.screens`), bounds how far each compressed average lies
+above the compressed last one.  Blocks and averages whose bound cannot
+reach the best value found are never compressed, so a sup on averages
+that settle often compresses only the last one and the few farthest from
+it.  Every bound leaves out only matrices strictly below the largest
+value, and LAPACK treats every matrix of a batch alone, so the sup, the
+argmax and its vector are the bits an unscreened call gives.
+
+Each search takes a grid of eps and returns one result per eps: only a
+strategy's stopping test depends on the level and the trace budget, so
+one pass of the recurrence and one run of each strategy serve the whole
+grid.  That pass is the checker's: `CheckerStacks` holds one read-only
+pass per element and weight, from the raw channel, and a weak (1,1)
+search reads it as input.  The strategies measure through the checker,
+which measures each (projection, mode) once and checks every candidate
+against its budgets.  Each builder is handed a checker by its caller,
+which may share it between builders.
 
 Every builder returns one `WitnessReport` per eps, and `check_witness`
 makes every report: the candidate, its defect and its sup measured by the
@@ -49,7 +56,11 @@ method "floor"; a stop that misses either margin, a tie included, runs
 the strategies as before, and `peel` is the fallback that gives each of
 them a candidate.  Where the bound fires, `peel` would remove every
 direction and return that same zero projection, so the report differs
-from the one `peel` gave only in its method label.
+from the one `peel` gave only in its method label.  The budget is tested
+first, and then min_i lambda_min(Herm M_N(x)_i) <= min_i f_i
+(`CheckerStacks.last_floor`), one matrix per block: on averages that
+settle, the floor sits at the last average, and this bound decides the
+test.  The full pass over every n runs only where it does not.
 """
 
 from __future__ import annotations
@@ -60,16 +71,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Operator, Projection, compress, compressed_sup,
-                      hermitian_decompose, screened_top)
+                      hermitian_decompose, screened_top, sup_screen)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
 from .spectral import eigh, positive_power, projection_meet_all
 from .util import DEFAULT_TOL
 
-# Most entries of a stack whose Hermitian parts `CheckerStacks.floors`
-# holds at once (16 bytes each).
+# Most entries of a stack whose Hermitian parts `CheckerStacks.floors`,
+# or whose differences from the last average `CheckerStacks.screens`,
+# hold at once (16 bytes each).
 FLOOR_SLICE = 2 ** 16
+
+
+def _slice_rows(stack):
+    """How many matrices of a block's stack make a slice of at most
+    FLOOR_SLICE entries."""
+    return max(1, FLOOR_SLICE // stack[0].size)
 
 
 @dataclass
@@ -125,6 +143,11 @@ class CheckerStacks:
     and a second check, as `weighted_witness` at p = 1 makes of its inner
     search's candidates, read the first measurement.  A weight is held as
     `checked_weight` gives it.
+
+    What the checker derives from its stacks is computed on first use and
+    freed with it: the `screens` that every sup reads, and the floors
+    (`last_floor`, then `floors` only where the first leaves a stop
+    open).
     """
 
     def __init__(self, channel: Channel, x: Operator, horizon: int,
@@ -165,11 +188,29 @@ class CheckerStacks:
         of a large stack; a smaller block is one call."""
         floors = []
         for stack in self.stacks:
-            step = max(1, FLOOR_SLICE // stack[0].size)
+            step = _slice_rows(stack)
             floors.append(np.max([
                 np.linalg.eigvalsh(_hermitian(stack[n:n + step]))[:, 0].max()
                 for n in range(0, len(stack), step)]))
         return np.array(floors)
+
+    @functools.cached_property
+    def last_floor(self):
+        """min_i lambda_min(Herm M_N(x)_i), from one matrix per block.
+
+        It is at most min_i f_i of `floors`, also as computed: LAPACK
+        treats each matrix of a batch alone, so the n = N term of f_i is
+        this value to the bit."""
+        return min(np.linalg.eigvalsh(_hermitian(stack[-1:]))[0, 0]
+                   for stack in self.stacks)
+
+    @functools.cached_property
+    def screens(self):
+        """The `sup_screen` of each block's stack, built on the first
+        sup and shared by every projection and mode the checker
+        measures."""
+        return tuple(sup_screen(stack, _slice_rows(stack))
+                     for stack in self.stacks)
 
     def sup(self, e: Projection, mode: str) -> float:
         """compressed_sup of e on these stacks, measured on first use.  A
@@ -178,7 +219,8 @@ class CheckerStacks:
             return 0.0
         key = (e, mode)
         if key not in self._sups:
-            self._sups[key] = compressed_sup(self.stacks, e, mode)
+            self._sups[key] = compressed_sup(self.stacks, e, mode,
+                                             self.screens)
         return self._sups[key]
 
 
@@ -418,23 +460,27 @@ def _yeadon_search(checker, eps_grid):
     budget >= tau(1) + DEFAULT_TOL the zero projection meets both
     budgets.  Where both hold, the stop is reported as the zero
     projection, built as `peel` builds it, with method "floor"; on a tie
-    it stays open.  The strategies then run on the open stops only, and
-    `peel` is the fallback that gives each of them a candidate."""
+    it stays open.  The budget is tested first, and the floor first
+    through `last_floor`, which is at most f to the bit, so `floors`
+    runs only where that leaves the test open.  The strategies then run
+    on the open stops only, and `peel` is the fallback that gives each of
+    them a candidate."""
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive")
     norm = lp_norm(checker.x, 1)
     stops = [(eps, norm / eps) for eps in eps_grid]
 
     results, best = [None] * len(stops), [None] * len(stops)
-    floor, zero = checker.floors.min(), None
     algebra = checker.channel.algebra
+    total, zero = float(algebra.identity().trace().real), None
     for k, (eps, trace_budget) in enumerate(stops):
-        if floor > eps + 2.0 * DEFAULT_TOL:
+        level = eps + 2.0 * DEFAULT_TOL
+        if trace_budget >= total + DEFAULT_TOL and (
+                checker.last_floor > level or checker.floors.min() > level):
             zero = zero or Projection.from_basis(algebra, [
                 np.zeros((d, 0)) for d in algebra.dims])
-            if trace_budget >= zero.defect() + DEFAULT_TOL:
-                results[k] = check_witness(checker, zero, trace_budget, eps,
-                                           method="floor")
+            results[k] = check_witness(checker, zero, trace_budget, eps,
+                                       method="floor")
     for name, strategy in _STRATEGY_TABLE.items():
         open_ = [k for k, r in enumerate(results) if r is None]
         if not open_:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -586,12 +587,17 @@ class TestMalformedConfig:
         assert not (tmp_path / "certify").exists()
 
 
-class TestCertifyContract:
-    # benchmark workloads at one seed class each: a full 8x8 block through
-    # all four methods on a 4-value eps grid, and yeadon next to hopf on
-    # 96 atoms
-    WORKLOAD_SEEDS = {"certify-mix8": 3, "certify-cycle96": 5}
+# the certify fixtures, and the benchmark's certify workloads at every
+# seed class: a full 8x8 block through all four methods on a 4-value eps
+# grid, and yeadon next to hopf on 96 atoms
+CERTIFY_RUNS = [pytest.param("cycle4", 0, id="cycle4"),
+                pytest.param("kraus8", 0, id="kraus8")] + [
+    pytest.param(name, seed_class, id=f"{name}-{seed_class}")
+    for name in ("certify-mix8", "certify-cycle96")
+    for seed_class in range(8)]
 
+
+class TestCertifyContract:
     def certify_args(self, tmp_path, workloads, name, seed_class):
         """The certify command line of a fixture, or of a workload at one
         seed class, and the reference CSV of that run."""
@@ -604,11 +610,11 @@ class TestCertifyContract:
         return (["--config", str(config), "--seed", str(seed)],
                 REFERENCE / name / f"seed{seed}.csv")
 
-    @pytest.mark.parametrize("name", ["cycle4", "kraus8", "certify-mix8",
-                                      "certify-cycle96"])
-    def test_fixture_matches_reference(self, tmp_path, workloads, name):
-        args, reference = self.certify_args(
-            tmp_path, workloads, name, self.WORKLOAD_SEEDS.get(name, 0))
+    @pytest.mark.parametrize("name,seed_class", CERTIFY_RUNS)
+    def test_fixture_matches_reference(self, tmp_path, workloads, name,
+                                       seed_class):
+        args, reference = self.certify_args(tmp_path, workloads, name,
+                                            seed_class)
         code = run_cli("certify", *args, "--out", str(tmp_path))
         assert code == 0
         assert ((tmp_path / "certify.csv").read_bytes()
@@ -663,9 +669,9 @@ class TestCertifyContract:
         measured = []  # holds the stacks and projections, so no id is reused
         sup = maximal.compressed_sup
 
-        def measuring(stacks, e, mode="two_sided"):
+        def measuring(stacks, e, mode="two_sided", screens=None):
             measured.append((stacks, e, mode))
-            return sup(stacks, e, mode)
+            return sup(stacks, e, mode, screens)
 
         monkeypatch.setattr(maximal, "compressed_sup", measuring)
         args, reference = self.certify_args(tmp_path, workloads, name, 0)
@@ -675,6 +681,30 @@ class TestCertifyContract:
                 == reference.read_bytes())
         keys = {(id(stacks), id(e), mode) for stacks, e, mode in measured}
         assert len(keys) == len(measured) == sups
+
+    def test_no_full_floor_pass_on_certify_mix8(self, tmp_path, monkeypatch,
+                                                workloads):
+        # at seed class 0 the last average decides every stop whose trace
+        # budget admits e = 0, the floor still closing two of them
+        passes = []
+        floors = maximal.CheckerStacks.floors.func
+
+        def counting(checker):
+            passes.append(checker)
+            return floors(checker)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(maximal.CheckerStacks, "floors")
+        monkeypatch.setattr(maximal.CheckerStacks, "floors", prop)
+        args, reference = self.certify_args(tmp_path, workloads,
+                                            "certify-mix8", 0)
+        code = run_cli("certify", *args, "--out", str(tmp_path))
+        assert code == 0
+        assert ((tmp_path / "certify.csv").read_bytes()
+                == reference.read_bytes())
+        summary = json.loads((tmp_path / "certify.json").read_text())
+        assert summary["summary"]["won_by"]["floor"] == 2
+        assert passes == []
 
     @pytest.mark.parametrize("name,checkers", [("kraus8", 6),
                                                ("certify-mix8", 2)])

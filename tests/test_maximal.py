@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncergodic import cli, maximal
-from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
-                              compressed_sup)
+from ncergodic.algebra import (SCREEN_FLOOR_COUNT, AlgebraSpec, Operator,
+                              Projection, compressed_sup, sup_screen)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, kraus_channel,
                                 random_kraus_channel,
                                 random_substochastic, random_unitary_mixture,
-                                scale_channel)
+                                scale_channel, substochastic)
 from ncergodic.maximal import (CheckerStacks, WitnessReport, check_witness,
                                hopf_witness_commutative, one_sided_witness,
                                peel, weighted_witness, yeadon_witness_search)
@@ -263,8 +263,9 @@ class TestTwoSidedPeelOnPositiveTrajectories:
 
 
 class TestExactKernelsPerMatrix:
-    """The screen and the floors rely on LAPACK running on each matrix of
-    a batch alone: a sub-stack gives the same bits as the whole stack.
+    """The screens and the floors rely on LAPACK and the batched matrix
+    product running on each matrix of a batch alone: a sub-stack gives
+    the same bits as the whole stack.
     If numpy ever batches differently, this fails before any reference
     drifts."""
 
@@ -290,11 +291,50 @@ class TestExactKernelsPerMatrix:
             assert np.array_equal(lam[40:80], np.linalg.eigvalsh(
                 maximal._hermitian(stack[40:80])))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_compressed_sub_stack_equals_whole_stack(self, mode):
+        # `compressed_sup` compresses sub-stacks of a block's view, whose
+        # matrices are not contiguous, and of a screen's head
+        algebra = AlgebraSpec(((8, 1.0), (5, 0.5), (1, 2.0)))
+        rng = np.random.default_rng(445)
+        vecs = (rng.standard_normal((257, algebra.vec_dim))
+                + 1j * rng.standard_normal((257, algebra.vec_dim)))
+        sub = np.sort(rng.choice(257, 40, replace=False))
+        for stack in algebra.block_stacks(vecs):
+            d = stack.shape[-1]
+            for rank in {1, max(1, d - 3), d}:
+                basis, _ = np.linalg.qr(rng.standard_normal((d, rank))
+                                        + 1j * rng.standard_normal((d, rank)))
+                whole = maximal.compress(stack, basis, mode)
+                assert np.array_equal(
+                    whole[sub], maximal.compress(stack[sub], basis, mode))
+                assert np.array_equal(
+                    whole[-1:], maximal.compress(stack[-1:], basis, mode))
+
 
 def unscreened(stack, exact):
     """Oracle for `screened_top`: every matrix through the exact kernel,
-    as `compressed_sup` and `peel` did before the screen."""
+    as `peel` did before the screen."""
     return np.arange(len(stack)), exact(stack)
+
+
+def svd_every_compression(stacks, e, mode):
+    """Oracle for `compressed_sup`: an SVD of every compression of every
+    block, in block order, as the sup was taken before any screen."""
+    best = 0.0
+    for i, stack in enumerate(stacks):
+        basis = e.block_basis(i)
+        if not len(stack) or not basis.shape[1]:
+            continue
+        values = np.linalg.svd(compression(stack, basis, mode),
+                               compute_uv=False)[:, 0]
+        best = max(best, float(values.max()))
+    return best
+
+
+def screens_of(stacks, rows):
+    """The checker's screens of stacks, `rows` matrices at a time."""
+    return tuple(sup_screen(stack, rows) for stack in stacks)
 
 
 def outcome(fn, *args):
@@ -318,6 +358,30 @@ def same_outcome(got, expected):
             assert defect == defect_want
             assert np.array_equal(e.operator.vec(), e_want.operator.vec(),
                                   equal_nan=True)
+
+
+def tied_blocks(count, rng):
+    """Per block of MULTI, a_N = t u u* and a_n = (t + c_n) u u* with
+    c_n within a few ulps of one c, for a random unit u per block: the
+    bounds ||e a_N e|| + ||a_n - a_N||_F and ||a_N||_F + max_n
+    ||a_n - a_N||_F are tight, so on e = 1 every value ties its bound
+    and the other blocks' values within rounding."""
+    t, c = rng.uniform(0.5, 2.0, size=2)
+    steps = 1.0 + rng.integers(0, 4, size=count) * 2.0 ** -50
+    blocks = []
+    for d in MULTI.dims:
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        top = t + c * steps
+        top[-1] = t
+        blocks.append(top[:, None, None] * np.outer(u, u.conj()))
+    return blocks
+
+
+# kinds of `screen_stacks`
+SCREEN_KINDS = ["random", "trajectory", "decoys", "equal", "zeros",
+                "indefinite", "negative", "nan", "ties", "spread", "inf",
+                "flat"]
 
 
 def screen_stacks(kind, count, scale, seed):
@@ -350,69 +414,123 @@ def screen_stacks(kind, count, scale, seed):
         vecs[rng.random(count) < 0.5] = 0.0
     elif kind == "nan":
         vecs[rng.integers(count), rng.integers(MULTI.vec_dim)] = np.nan
+    elif kind == "inf":
+        vecs[rng.integers(count), rng.integers(MULTI.vec_dim)] = np.inf
     blocks = [np.array(s) for s in MULTI.block_stacks(vecs)]
     if kind in ("indefinite", "negative"):
         blocks = [maximal._hermitian(b) for b in blocks]
     if kind == "negative":  # every top eigenvalue well below zero
         blocks = [b - 6.0 * np.eye(b.shape[-1]) for b in blocks]
+    if kind == "ties":
+        blocks = tied_blocks(count, rng)
+    if kind == "spread":  # the later blocks lie far below the first
+        blocks = [b * 10.0 ** (-4 * i) for i, b in enumerate(blocks)]
+    if kind == "flat":  # a zero block and a subnormal one
+        blocks[1] = blocks[1] * 0.0
+        blocks[2] = blocks[2] * 1e-310
     return tuple(scale * b for b in blocks)
 
 
-SCREEN_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+SCREEN_SETTINGS = settings(max_examples=160, deadline=None, derandomize=True)
 
 
 class TestScreenedTop:
-    """Screened `compressed_sup` and `peel` equal their unscreened forms
-    bit for bit."""
+    """Screened `compressed_sup` equals an SVD of every compression, and
+    screened `peel` its unscreened form, bit for bit."""
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @SCREEN_SETTINGS
-    @given(kind=st.sampled_from(["random", "trajectory", "decoys", "equal",
-                                 "zeros", "indefinite", "negative", "nan"]),
+    @given(kind=st.sampled_from(SCREEN_KINDS),
            count=st.integers(1, 40),
            scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
+           rows=st.sampled_from([1, 3, 64]),
            seed=st.integers(0, 2 ** 31))
-    def test_screened_equals_unscreened(self, kind, count, scale, seed):
+    def test_screened_equals_unscreened(self, kind, count, scale, rows,
+                                        seed):
         stack = screen_stacks(kind, count, scale, seed)
+        screens = screens_of(stack, rows)
         projections = [Projection.identity(MULTI),
                        random_projection(MULTI, stream(seed, "projection"))]
+        for e in projections:
+            for mode in MODES:
+                expected = outcome(svd_every_compression, stack, e, mode)
+                # the checker's sup, and the sup without screens
+                same_outcome(outcome(compressed_sup, stack, e, mode, screens),
+                             expected)
+                same_outcome(outcome(compressed_sup, stack, e, mode),
+                             expected)
         top = outcome(compressed_sup, stack, projections[0])
         top = top if isinstance(top, float) else 1.0
         # the last stop ends after the first removal, so it shows the
         # first choice of the greedy order
         stops = [(-np.inf, np.inf), (0.3 * top, np.inf), (0.1 * top, 2.5),
                  (-np.inf, 1.0)]
-        calls = ([(compressed_sup, stack, e, mode)
-                  for e in projections for mode in MODES]
-                 + [(peel, MULTI, stack, stops, mode) for mode in MODES])
+        calls = [(peel, MULTI, stack, stops, mode) for mode in MODES]
         got = [outcome(*call) for call in calls]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("ncergodic.algebra.screened_top", unscreened)
             patch.setattr(maximal, "screened_top", unscreened)
             expected = [outcome(*call) for call in calls]
         for g, e in zip(got, expected):
             same_outcome(g, e)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_within_rounding(self, mode):
+        # the values tie their bounds and each other within rounding, so
+        # only the slack keeps the n and blocks that hold the sup
+        e = Projection.identity(MULTI)
+        for seed in range(300):
+            stack = screen_stacks("ties", 24, 1.0, seed)
+            assert (compressed_sup(stack, e, mode, screens_of(stack, 64))
+                    == svd_every_compression(stack, e, mode))
+
+    def test_block_skip(self, monkeypatch):
+        # blocks far below the sup are skipped whole: no compression of
+        # them is formed, and the sup is the oracle's
+        compressed, compress = [], maximal.compress
+
+        def counting(stack, basis, mode):
+            compressed.append(stack.shape[-1])
+            return compress(stack, basis, mode)
+
+        monkeypatch.setattr("ncergodic.algebra.compress", counting)
+        for seed in range(20):
+            stack = screen_stacks("spread", 40, 1.0, seed)
+            e = Projection.identity(MULTI)
+            compressed.clear()
+            for mode in MODES:
+                assert (compressed_sup(stack, e, mode, screens_of(stack, 64))
+                        == svd_every_compression(stack, e, mode))
+            assert compressed and set(compressed) == {3}
+
     def test_screen_engages_on_certify_mix8(self, workloads, monkeypatch):
-        # one sup over the identity at the workload's horizon sends only
-        # a few of the 257 averages through the exact SVD
+        # one sup over the identity at the workload's horizon compresses
+        # a few of the 257 averages, and the exact SVD sees no others
         channel, x, _, _ = mix8(workloads, "random-positive")
         horizon = workloads.WORKLOADS["certify-mix8"][1]()["horizon"]
-        stacks = CheckerStacks(channel, x, horizon).stacks
+        checker = CheckerStacks(channel, x, horizon)
+        stacks, screens = checker.stacks, checker.screens
         e = Projection.identity(channel.algebra)
-        evaluated = []
-        svd = np.linalg.svd
+        compressed, evaluated = [], []
+        compress, svd = maximal.compress, np.linalg.svd
+
+        def compressing(stack, basis, mode):
+            compressed.append(len(stack))
+            return compress(stack, basis, mode)
 
         def counting(a, *args, **kwargs):
             evaluated.append(len(a))
             return svd(a, *args, **kwargs)
 
+        monkeypatch.setattr("ncergodic.algebra.compress", compressing)
         monkeypatch.setattr(np.linalg, "svd", counting)
-        sup = compressed_sup(stacks, e)
-        screened = sum(evaluated)
-        monkeypatch.setattr("ncergodic.algebra.screened_top", unscreened)
+        sup = compressed_sup(stacks, e, "two_sided", screens)
+        assert 1 + SCREEN_FLOOR_COUNT <= sum(compressed) < (horizon + 1) / 4
+        assert sum(evaluated) <= sum(compressed)
+        # the sup without screens compresses every average
+        compressed.clear()
         assert compressed_sup(stacks, e) == sup
-        assert sum(evaluated) - screened == horizon + 1
-        assert screened < horizon + 1
+        assert sum(compressed) == horizon + 1
+        assert svd_every_compression(stacks, e, "two_sided") == sup
 
 
 def level_set_cuts(channel, stacks):
@@ -987,11 +1105,11 @@ class TestCheckerStacks:
         measured, checked = [], []
         sup, check = maximal.compressed_sup, maximal.check_witness
 
-        def measuring(stacks, e, mode="two_sided"):
+        def measuring(stacks, e, mode="two_sided", screens=None):
             if inspect.currentframe().f_back.f_code is \
                     CheckerStacks.sup.__code__:
                 measured.append((stacks, e, mode))
-            return sup(stacks, e, mode)
+            return sup(stacks, e, mode, screens)
 
         def checking(checker, e, *args, **kwargs):
             checked.append((checker, e))
@@ -1159,21 +1277,68 @@ class TestFloorBound:
         assert report.trace_budget < 2.0
         assert report.method != "floor" and not report.found
 
-    def test_one_eigvalsh_per_block_however_many_searches(self, workloads,
-                                                          monkeypatch):
+    def test_at_most_one_full_pass_per_checker(self, workloads,
+                                               monkeypatch):
+        # the last average decides every certify-mix8 stop whose budget
+        # admits e = 0: one matrix per block, read once per checker
         channel, x, _, horizon = mix8(workloads, "random-positive")
         calls = eigvalsh_calls(monkeypatch)
         checker = CheckerStacks(channel, x, horizon)
         yeadon_witness_search(checker, MIX8_GRID)
         weighted_witness(checker, 1.0, MIX8_GRID)
         yeadon_witness_search(checker, [0.05])
-        assert calls == [(horizon + 1, 8, 8)]
+        assert calls == [(1, 8, 8)]
+        # three searches over a spread of eps: the last floors once and
+        # at most one full pass, per block; MULTI's blocks differ in
+        # size, so no shape repeats
         rng = stream(7, "floor")
         multi = CheckerStacks(random_kraus_channel(MULTI, 2, rng),
                               random_operator(MULTI, rng, kind="positive"), 8)
-        yeadon_witness_search(multi, [0.1, 1.0])
-        yeadon_witness_search(multi, [0.5])
-        assert calls[1:] == [(9, d, d) for d in MULTI.dims]
+        calls.clear()
+        for grid in ([1e-3, 0.1, 1.0], [0.5], [0.2, 0.3]):
+            yeadon_witness_search(multi, grid)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= {(n, d, d) for n in (1, 9) for d in MULTI.dims}
+
+    def test_one_full_pass_where_the_last_average_leaves_it_open(
+            self, monkeypatch):
+        # the swap of two atoms on x = (1, 0) at horizon 2: M_2 = (2/3,
+        # 1/3), so the last average gives 1/3, while the floors are
+        # (1, 1/2); at eps = 0.4 only the full pass closes the stop
+        algebra = AlgebraSpec(((1, 1.0), (1, 1.0)))
+        channel = substochastic(algebra, [[0, 1], [1, 0]])
+        checker = CheckerStacks(channel, algebra.diagonal([1.0, 0.0]), 2)
+        calls = eigvalsh_calls(monkeypatch)
+        [report] = yeadon_witness_search(checker, [0.4])
+        assert report.method == "floor" and report.found
+        assert checker.last_floor == pytest.approx(1 / 3)
+        assert checker.floors.tolist() == [1.0, 0.5]
+        assert calls == [(1, 1, 1), (1, 1, 1), (3, 1, 1), (3, 1, 1)]
+
+    @FLOOR_SETTINGS
+    @given(algebra=FLOOR_ALGEBRAS, seed=st.integers(0, 2 ** 31),
+           mixture=st.booleans(), horizon=st.sampled_from([2, 8, 32]))
+    def test_lazy_floor_equals_full_pass(self, algebra, seed, mixture,
+                                         horizon):
+        rng = stream(seed, "lazy-floor")
+        channel = (random_unitary_mixture(algebra, 2, rng) if mixture
+                   else random_kraus_channel(algebra, 1 + seed % 3, rng))
+        x = random_operator(algebra, rng, kind="positive", uniform_norm=1.0)
+        probe = CheckerStacks(channel, x, horizon)
+        floor, last = probe.floors.min(), probe.last_floor
+        assert last <= floor
+        # eps at the floor and at the last floor, exact ties of the test
+        # floor > eps + 2 DEFAULT_TOL, and values between and beyond
+        ties = [floor, last, floor - 2 * DEFAULT_TOL, last - 2 * DEFAULT_TOL,
+                (floor + last) / 2, floor / 2, last / 2, 2 * floor]
+        grid = [eps for eps in ties if eps > 0]
+        lazy = CheckerStacks(channel, x, horizon)
+        forced = CheckerStacks(channel, x, horizon)
+        forced.last_floor = -np.inf  # the full pass decides every stop
+        for got, expected in zip(yeadon_witness_search(lazy, grid),
+                                 yeadon_witness_search(forced, grid),
+                                 strict=True):
+            same_result(got, expected)
 
     def test_slices_hold_no_copy_of_the_stack(self, workloads, monkeypatch):
         # slices of at most FLOOR_SLICE entries give the floors of one
