@@ -365,11 +365,11 @@ class Projection:
         return float(self.operator.trace().real)
 
 
-# The screens of `screened_top` and `compressed_sup`: how many matrices
-# of largest bound set the floor, and the slack, in units of the stack's
-# largest entry, that covers rounding in the bounds and in the exact
-# values (of order k^3 * 2^-52 in those units for k x k blocks, so for up
-# to a few hundred rows).
+# The screen of `compressed_sup`: how many averages besides the last one
+# its head measures first, those farthest from the last, and the slack,
+# in units of the stack's largest entry, that covers rounding in the
+# bounds and in the exact values (of order k^3 * 2^-52 in those units
+# for k x k blocks, so for up to a few hundred rows).
 SCREEN_FLOOR_COUNT = 8
 SCREEN_SLACK = 1e-8
 _NORMAL_MIN = float(np.finfo(float).tiny)
@@ -399,62 +399,6 @@ def _largest(values, count):
         first[j] = np.argmax(remaining)
         remaining[first[j]] = -np.inf
     return first
-
-
-def _top_eigenvalue_bound(h):
-    """Upper bound on lambda_max of each Hermitian matrix in the stack h:
-    m + ||h - m 1||_F sqrt((k-1)/k) with m = tr(h)/k (Wolkowicz and
-    Styan, Linear Algebra Appl. 29, 1980); it is at most ||h||_F.  The
-    spread is summed from the entries of h - m 1, so it does not cancel."""
-    k = h.shape[-1]
-    diagonal = np.arange(k)
-    diag = h[:, diagonal, diagonal].real
-    mean = diag.mean(axis=-1)
-    squares = h.real ** 2 + h.imag ** 2
-    squares[:, diagonal, diagonal] = (diag - mean[:, None]) ** 2
-    return mean + np.sqrt(squares.sum(axis=(-2, -1)) * ((k - 1) / k))
-
-
-def screened_top(stack, exact):
-    """The exact top values of the matrices in `stack` that can reach the
-    largest one, with the exact outputs that go with them.
-
-    exact(sub) maps a sub-stack to a tuple of arrays whose first holds
-    sigma_max(a) of each matrix a.  Returns (index, outputs): the indices
-    of the matrices evaluated, in no set order, and exact(stack[index]).
-
-    The screen bounds lambda_max(a* a), the square of sigma_max(a), by
-    `_top_eigenvalue_bound`, on the stack scaled by `_power_of_two_scale`.
-    The SCREEN_FLOOR_COUNT matrices of largest bound are evaluated first;
-    the best of their values is the floor.  One more batched call
-    evaluates the matrices whose bound plus SCREEN_SLACK reaches the
-    floor.  A matrix left out has a value strictly below the floor, so it
-    is neither the largest value nor tied with it.  LAPACK runs on each
-    matrix of a batch alone, so every value and vector is bit-identical
-    to a call on the whole stack.  A stack of at most SCREEN_FLOOR_COUNT
-    matrices, or one that `_power_of_two_scale` does not scale, is
-    evaluated whole.
-    """
-    m = len(stack)
-    every = np.arange(m)
-    if m <= SCREEN_FLOOR_COUNT:
-        return every, exact(stack)
-    scale = _power_of_two_scale(stack)
-    if scale is None:
-        return every, exact(stack)
-    scaled = stack * scale
-    bound = _top_eigenvalue_bound(scaled.conj().swapaxes(-1, -2) @ scaled)
-    first = _largest(bound, SCREEN_FLOOR_COUNT)
-    head = exact(stack[first])
-    floor = (float(head[0].max()) * scale) ** 2
-    keep = ~(bound + SCREEN_SLACK < floor)  # a NaN floor keeps every one
-    keep[first] = False
-    rest = np.flatnonzero(keep)
-    if rest.size == 0:
-        return first, head
-    tail = exact(stack[rest])
-    return (np.concatenate([first, rest]),
-            tuple(np.concatenate([h, t]) for h, t in zip(head, tail)))
 
 
 class SupScreen(NamedTuple):
@@ -505,7 +449,7 @@ def compress(stack, basis, mode):
 
 
 def _svd_top(c):
-    return (np.linalg.svd(c, compute_uv=False)[:, 0],)
+    return np.linalg.svd(c, compute_uv=False)[:, 0]
 
 
 def compressed_sup(stacks, e: Projection, mode="two_sided",
@@ -515,20 +459,18 @@ def compressed_sup(stacks, e: Projection, mode="two_sided",
     (m, d_i, d_i) array per block (see `AlgebraSpec.block_stacks`).
     Exactly zero for e = 0.
 
-    Each block is measured through `screened_top`, which runs its batched
-    SVD only on the compressions whose bound can reach the block's
-    largest norm.  `screens`, one `sup_screen` per block, lets the sup
-    skip more.  A compression shrinks norms, so with r = a_N and
-    delta_n = ||a_n - r||_F, ||e a_n e|| <= ||e r e|| + delta_n and
-    ||a_n e|| <= ||r e|| + delta_n.  The blocks run in decreasing reach,
-    and a block whose reach plus slack is below the best value so far is
-    skipped.  In a block, N and the n of largest delta_n are measured
-    first; only the n whose bound plus slack reaches the best value are
-    compressed, and `screened_top` measures them.  Every n or block left
-    out lies strictly below the sup, and LAPACK treats each matrix of a
-    batch alone, so the float is the one an SVD of every compression
-    gives.  A block without a screen is compressed whole and never
-    skipped."""
+    `screens`, one `sup_screen` per block, lets the sup leave out the
+    averages that cannot reach it.  A compression shrinks norms, so with
+    r = a_N and delta_n = ||a_n - r||_F, ||e a_n e|| <= ||e r e|| + delta_n
+    and ||a_n e|| <= ||r e|| + delta_n.  The blocks run in decreasing
+    reach, and a block whose reach plus slack is below the best value so
+    far is skipped.  In a block, the screen's head (N and the n of
+    largest delta_n) is measured first; then one batched SVD measures
+    the other n whose bound plus slack reaches the best value.  Every n
+    or block left out lies strictly below the sup, and LAPACK treats each
+    matrix of a batch alone, so the float is the one an SVD of every
+    compression gives.  A block without a screen is compressed and
+    measured whole, and never skipped."""
     screens = screens or (None,) * len(stacks)
     # the unscreened blocks first, then in decreasing reach
     order = sorted(range(len(stacks)), key=lambda i: -np.inf
@@ -539,20 +481,18 @@ def compressed_sup(stacks, e: Projection, mode="two_sided",
         if screen is None:
             c = compress(stack, basis, mode)
             if c.size:
-                _, (top,) = screened_top(c, _svd_top)
-                best = max(best, float(top.max()))
+                best = max(best, float(_svd_top(c).max()))
             continue
         if not basis.shape[1] or screen.reach + screen.slack < best:
             continue
-        (head,) = _svd_top(compress(stack[screen.head], basis, mode))
+        head = _svd_top(compress(stack[screen.head], basis, mode))
         best = max(best, float(head.max()))
         # head[0] is the norm of the compressed reference a_N
         keep = ~(head[0] + screen.distances + screen.slack < best)
         keep[screen.head] = False
         rest = np.flatnonzero(keep)
         if rest.size:
-            _, (top,) = screened_top(compress(stack[rest], basis, mode),
-                                     _svd_top)
+            top = _svd_top(compress(stack[rest], basis, mode))
             best = max(best, float(top.max()))
     return best
 

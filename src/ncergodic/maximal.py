@@ -8,18 +8,17 @@ The averages M_0(x), ..., M_N(x) are held as stacks, one (N+1, d_i, d_i)
 array per block.  A supremum over n (`compressed_sup`) and a peeling step
 both read the largest norm in a block's stack of compressions, e a e
 (two-sided) or a e (one-sided), as `algebra.compress` forms them: the sup
-is that norm, and the step removes its top singular direction.  So each
-runs its batched SVD only on the compressions whose cheap certified bound
-can reach that norm (`algebra.screened_top`), often a small share of them.
-A sup on the checker screens before it compresses: a compression shrinks
-norms, so ||M_n(x)_i - M_N(x)_i||_F, computed once per checker
+is that norm, and the step removes its top singular direction.  A peeling
+step takes the SVD of every compression.  A sup on the checker screens
+before it compresses: a compression shrinks norms, so
+||M_n(x)_i - M_N(x)_i||_F, computed once per checker
 (`CheckerStacks.screens`), bounds how far each compressed average lies
 above the compressed last one.  Blocks and averages whose bound cannot
 reach the best value found are never compressed, so a sup on averages
 that settle often compresses only the last one and the few farthest from
-it.  Every bound leaves out only matrices strictly below the largest
-value, and LAPACK treats every matrix of a batch alone, so the sup, the
-argmax and its vector are the bits an unscreened call gives.
+it.  The screen leaves out only matrices strictly below the largest
+value, and LAPACK treats every matrix of a batch alone, so the sup has
+the bits an SVD of every compression gives.
 
 Each search takes a grid of eps and returns one result per eps: only a
 strategy's stopping test depends on the level and the trace budget, so
@@ -71,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Operator, Projection, compress, compressed_sup,
-                      hermitian_decompose, screened_top, sup_screen)
+                      hermitian_decompose, sup_screen)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
@@ -348,6 +347,8 @@ def _strategy_level_set(checker, stops):
 
 
 def _svd_top_vector(c):
+    """sigma_max and the top right singular vector of each matrix in the
+    stack c."""
     _, s, vh = np.linalg.svd(c)
     return s[:, 0], vh[:, 0].conj()
 
@@ -368,13 +369,10 @@ def peel(algebra, stacks, stops, mode):
     `mode` sets the compression c of a block whose norm is the value:
     c = e a e ("two_sided") or c = a e ("one_sided"), as `compress` forms
     it; the direction removed is the top right singular vector of c.
-    Per block, each step runs a batched SVD only on the compressions
-    whose bound can reach the block's largest norm (`screened_top`); the
-    others stay -inf, below that norm, so the argmax and its direction
-    are those of an SVD of every compression.  Ties go to the first
-    operator, then the first block.  Terminates because each step
-    removes at least the smallest block weight of trace, and an emptied
-    algebra ends every stop.
+    Each step runs one batched SVD over every compression of every block
+    that is not empty.  Ties go to the first operator, then the first
+    block.  Terminates because each step removes at least the smallest
+    block weight of trace, and an emptied algebra ends every stop.
     """
     bases = [np.eye(d, dtype=complex) for d in algebra.dims]
     weights = algebra.weights
@@ -384,14 +382,12 @@ def peel(algebra, stacks, stops, mode):
         # values[op, block]; argmax in C order keeps the first maximum
         # with operators outer, as a strict > over the loops would
         values = np.full((len(stacks[0]), len(bases)), -np.inf)
-        directions = [None] * len(bases)  # (operator indices, vectors)
+        directions = [None] * len(bases)
         for i, (stack, basis) in enumerate(zip(stacks, bases)):
             if basis.shape[1] == 0:
                 continue
-            index, (tops, vecs) = screened_top(
-                compress(stack, basis, mode), _svd_top_vector)
-            values[index, i] = tops
-            directions[i] = (index, vecs)
+            values[:, i], directions[i] = _svd_top_vector(
+                compress(stack, basis, mode))
         top, step = -np.inf, 0.0  # nothing to measure ends every stop
         if values.size:
             op, i = np.unravel_index(np.argmax(values), values.shape)
@@ -403,8 +399,7 @@ def peel(algebra, stacks, stops, mode):
                 results[k] = (e, defect)
         if all(r is not None for r in results):
             return results
-        index, vecs = directions[i]
-        direction = vecs[np.flatnonzero(index == op)[0]]
+        direction = directions[i][op]
         # orthonormal complement of the offending direction inside block i
         basis = bases[i]
         r = basis.shape[1]

@@ -104,13 +104,20 @@ class TestConvergeContract:
         header = csv_path.read_text().splitlines()[0]
         assert "spectrum" not in header and "spectral" not in header
 
-    def test_fixture_matches_reference(self, tmp_path):
+    def test_fixture_matches_reference(self, tmp_path, bench_check):
         # a map with a 2-dimensional fixed space, so the limit goes
-        # through the projection and not the k = 0 shortcut
-        code, csv_path, _ = converge(FIXTURES / "m2_unitary.json", tmp_path)
+        # through the projection and not the k = 0 shortcut; the summary
+        # holds the a.u. and b.a.u. profiles that `peel` writes
+        code, csv_path, json_path = converge(FIXTURES / "m2_unitary.json",
+                                             tmp_path)
         assert code == 0
         assert (csv_path.read_bytes()
                 == (REFERENCE / "fixtures" / "m2_unitary.csv").read_bytes())
+        summary = json.loads(json_path.read_text())
+        want = json.loads(
+            (REFERENCE / "fixtures" / "m2_unitary.json").read_text())
+        assert bench_check.compare_summary(summary["summary"],
+                                           want["summary"]) == []
 
     def test_missing_section_exits_1(self, tmp_path):
         with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -897,11 +904,13 @@ class TestCertifyContract:
 
 
 class TestWorkloadReferences:
-    # one seed class each of the benchmark workloads outside certify: the
+    # every seed class of the benchmark workloads outside certify: the
     # exact limits of a 28x28 Kraus channel, and weighted averages with
-    # rotated limits on unequal block weights
-    @pytest.mark.parametrize("name,seed", [("converge-kraus28", 2),
-                                           ("besicovitch-3block", 5)])
+    # rotated limits on unequal block weights; their summaries hold the
+    # a.u. and b.a.u. profiles that `peel` writes
+    @pytest.mark.parametrize("name,seed", [
+        (name, seed) for name in ("converge-kraus28", "besicovitch-3block")
+        for seed in range(8)])
     def test_workload_matches_reference(self, tmp_path, workloads,
                                         bench_check, name, seed):
         subcommand, build = workloads.WORKLOADS[name]

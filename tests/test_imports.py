@@ -287,12 +287,15 @@ def test_compressed_sup_only_in_checker_stacks():
 
 def test_one_compression_measure():
     # a sup and a peeling step are the one measure of the package: the
-    # top singular value of a compression, behind the one screen
-    for name in ("compress", "screened_top"):
+    # top singular value of a compression, each through one SVD helper
+    pinned = {"compress": {"algebra.compressed_sup", "maximal.peel"},
+              "_svd_top": {"algebra.compressed_sup"},
+              "_svd_top_vector": {"maximal.peel"}}
+    for name, expected in pinned.items():
         scopes = {f"{module[:-3]}.{scope}" for module in MODULES
                   for scope in call_scopes((PACKAGE / module).read_text(),
                                            name)}
-        assert scopes == {"algebra.compressed_sup", "maximal.peel"}, name
+        assert scopes == expected, name
 
 
 def third_party_imports(source):

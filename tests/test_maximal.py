@@ -312,12 +312,6 @@ class TestExactKernelsPerMatrix:
                     whole[-1:], maximal.compress(stack[-1:], basis, mode))
 
 
-def unscreened(stack, exact):
-    """Oracle for `screened_top`: every matrix through the exact kernel,
-    as `peel` did before the screen."""
-    return np.arange(len(stack)), exact(stack)
-
-
 def svd_every_compression(stacks, e, mode):
     """Oracle for `compressed_sup`: an SVD of every compression of every
     block, in block order, as the sup was taken before any screen."""
@@ -434,9 +428,18 @@ def screen_stacks(kind, count, scale, seed):
 SCREEN_SETTINGS = settings(max_examples=160, deadline=None, derandomize=True)
 
 
-class TestScreenedTop:
-    """Screened `compressed_sup` equals an SVD of every compression, and
-    screened `peel` its unscreened form, bit for bit."""
+def loop_peel_stops(stack, stops, mode):
+    """`loop_peel` of the `PEEL_CASES` kernel of mode on per-block
+    stacks, one run per stop, as `peel` returns them."""
+    ops = [Operator(MULTI, blocks) for blocks in zip(*stack)]
+    top = PEEL_CASES[mode][1]
+    return [loop_peel(MULTI, ops, level, budget, top)
+            for level, budget in stops]
+
+
+class TestSupScreen:
+    """The screened `compressed_sup` equals an SVD of every compression,
+    and `peel` the per-operator loop, bit for bit."""
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @SCREEN_SETTINGS
@@ -445,8 +448,8 @@ class TestScreenedTop:
            scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
            rows=st.sampled_from([1, 3, 64]),
            seed=st.integers(0, 2 ** 31))
-    def test_screened_equals_unscreened(self, kind, count, scale, rows,
-                                        seed):
+    def test_sup_and_peel_equal_their_oracles(self, kind, count, scale,
+                                              rows, seed):
         stack = screen_stacks(kind, count, scale, seed)
         screens = screens_of(stack, rows)
         projections = [Projection.identity(MULTI),
@@ -465,13 +468,11 @@ class TestScreenedTop:
         # first choice of the greedy order
         stops = [(-np.inf, np.inf), (0.3 * top, np.inf), (0.1 * top, 2.5),
                  (-np.inf, 1.0)]
-        calls = [(peel, MULTI, stack, stops, mode) for mode in MODES]
-        got = [outcome(*call) for call in calls]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(maximal, "screened_top", unscreened)
-            expected = [outcome(*call) for call in calls]
-        for g, e in zip(got, expected):
-            same_outcome(g, e)
+        for mode in MODES:
+            expected = outcome(loop_peel_stops, stack, stops, mode)
+            same_outcome(outcome(peel, MULTI, stack, stops, mode), expected)
+            if kind == "nan":
+                assert expected is np.linalg.LinAlgError
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ties_within_rounding(self, mode):
