@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (AlgebraMismatchError, NotHermitianError,
                      ProjectionCertificateError)
-from .util import DEFAULT_TOL, short_hash
+from .util import DEFAULT_TOL, row_slices, short_hash
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ class Projection:
 # in units of the stack's largest entry, that covers rounding in the
 # bounds and in the exact values (of order k^3 * 2^-52 in those units
 # for k x k blocks, so for up to a few hundred rows).
-SCREEN_FLOOR_COUNT = 8
+SCREEN_HEAD_COUNT = 8
 SCREEN_SLACK = 1e-8
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
@@ -409,7 +409,7 @@ class SupScreen(NamedTuple):
     distances[n] bounds ||a_n|| for every n, so it bounds every
     compression of the block.  slack is SCREEN_SLACK in units of the
     stack's largest real or imaginary part.  head holds N and then the
-    SCREEN_FLOOR_COUNT other n of largest distance, the averages that
+    SCREEN_HEAD_COUNT other n of largest distance, the averages that
     `compressed_sup` measures first."""
 
     distances: np.ndarray
@@ -418,22 +418,22 @@ class SupScreen(NamedTuple):
     head: np.ndarray
 
 
-def sup_screen(stack, rows):
+def sup_screen(stack):
     """The `SupScreen` of one block's stack, or None where
     `_power_of_two_scale` does not scale it.  The distances are taken on
-    the scaled stack, `rows` matrices at a time, so no second copy of a
-    large stack is held, and then scaled back exactly."""
+    the scaled stack in `row_slices`, so no second copy of a large stack
+    is held, and then scaled back exactly."""
     scale = _power_of_two_scale(stack)
     if scale is None:
         return None
     last = stack[-1] * scale
     distances = np.concatenate([
-        np.linalg.norm(stack[n:n + rows] * scale - last, axis=(-2, -1))
-        for n in range(0, len(stack), rows)])
+        np.linalg.norm(stack[rows] * scale - last, axis=(-2, -1))
+        for rows in row_slices(len(stack), last.size)])
     reach = (float(np.linalg.norm(last)) + float(distances.max())) / scale
     others = distances[:-1]
     head = np.append(len(stack) - 1,
-                     _largest(others, min(SCREEN_FLOOR_COUNT, len(others))))
+                     _largest(others, min(SCREEN_HEAD_COUNT, len(others))))
     return SupScreen(distances / scale, reach, SCREEN_SLACK / scale, head)
 
 

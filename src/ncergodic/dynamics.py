@@ -64,7 +64,7 @@ import numpy as np
 from .algebra import AlgebraSpec, Operator
 from .errors import ChannelConstructionError, SemisimplicityError
 from .rng import random_operator, random_unitary_operator, stream
-from .util import DEFAULT_TOL, EIG_CLUSTER_TOL
+from .util import DEFAULT_TOL, EIG_CLUSTER_TOL, row_slices
 
 # Krylov dimension and restart budget of `_krylov_spectral_radius`;
 # a run stops once the top Ritz value's residual is within
@@ -122,14 +122,19 @@ class Channel:
 
         A map with T(x*) = T(x)* has a real matrix in Hermitian
         coordinates (`_hermitian_superop`), with the same spectrum, and
-        real `eigvals` takes about a quarter of the complex flops.  Any
-        other map (a complex multiple) keeps `eigvals` of the complex
-        superoperator.
+        real `eigvals` takes about a quarter of the complex flops.
+        `verify_ds` has decided which maps these are: those with Kraus
+        data and those that pass the Hermitian test of their Choi
+        matrices.  Any other map (a complex multiple) keeps `eigvals` of
+        the complex superoperator.
         """
         if self._eigenvalues is None:
-            real = _hermitian_superop(self.algebra, self.superop)
+            report = self.verification
+            hermitian = (report.evidence == "kraus"
+                         or report.choi_min_eigenvalue is not None)
             eigs = np.asarray(np.linalg.eigvals(
-                self.superop if real is None else real), dtype=complex)
+                _hermitian_superop(self.algebra, self.superop) if hermitian
+                else self.superop), dtype=complex)
             eigs.flags.writeable = False
             self._eigenvalues = eigs
         return self._eigenvalues
@@ -236,30 +241,17 @@ def _krylov_spectral_radius(superop, start):
     return None
 
 
-# Rows of a dense n x n result built per step (`_hermitian_superop`,
-# `convex_combine`): their temporaries stay a small fraction of the
-# superoperator.
-_CHUNK_ROWS = 64
-
-
-def _row_chunks(n):
-    """Slices of at most _CHUNK_ROWS rows covering range(n) in order."""
-    return [slice(start, start + _CHUNK_ROWS)
-            for start in range(0, n, _CHUNK_ROWS)]
-
-
 def _hermitian_superop(algebra: AlgebraSpec, superop):
-    """Q* S Q as a float64 matrix, or None when S does not preserve
-    Hermiticity.
+    """Q* S Q as a float64 matrix, for a map S with T(x*) = T(x)*: these
+    are exactly the maps for which Q* S Q is real, so the imaginary part
+    dropped is rounding (`Channel.eigenvalues` decides which maps).
 
     Q is the per-block unitary change from the row-major vectorization
     to the Hermitian basis {E_ii, (E_ij + E_ji)/sqrt 2,
     i(E_ij - E_ji)/sqrt 2 : i < j}.  Column a of Q is
     u_a e_{p_a} + v_a e_{q_a}, so each row of Q* S Q combines two rows
     and two columns of S, and Q is never formed.  The rows are built in
-    chunks into one float64 output.  T(x*) = T(x)* exactly when Q* S Q
-    is real; its imaginary part counts as rounding while it stays
-    within n eps max|S|.
+    `row_slices` into one float64 output.
     """
     p, q, u, v = [], [], [], []
     r = np.sqrt(0.5)
@@ -276,16 +268,10 @@ def _hermitian_superop(algebra: AlgebraSpec, superop):
     u, v = np.concatenate(u), np.concatenate(v)
     n = p.size
     out = np.empty((n, n))
-    max_imag = max_entry = 0.0
-    for rows in _row_chunks(n):
+    for rows in row_slices(n, n):
         left = (u[rows, None].conj() * superop[p[rows]]
                 + v[rows, None].conj() * superop[q[rows]])
-        chunk = left[:, p] * u + left[:, q] * v
-        out[rows] = chunk.real
-        max_imag = max(max_imag, float(np.abs(chunk.imag).max()))
-        max_entry = max(max_entry, float(np.abs(superop[rows]).max()))
-    if max_imag > n * np.finfo(float).eps * max_entry:
-        return None
+        out[rows] = (left[:, p] * u + left[:, q] * v).real
     return out
 
 
@@ -298,7 +284,7 @@ def _choi_min_eigenvalue(algebra: AlgebraSpec, superop):
     S_ij[(a,b),(c,e)], S_ij its block of the superoperator.  So every
     C_ij is Hermitian exactly when S[(a,b),(c,e)] = conj S[(b,a),(e,c)]
     throughout, T(x*) = T(x)*; that is tested on the superoperator in
-    row chunks, entry for entry the differences of C - C^H, without a
+    `row_slices`, entry for entry the differences of C - C^H, without a
     full-size temporary.  The pairs of equal (d_i, d_j) then form one
     stack, gathered by one fancy index straight into Choi order and
     handed to one batched `eigvalsh` before the next stack is gathered.
@@ -306,7 +292,7 @@ def _choi_min_eigenvalue(algebra: AlgebraSpec, superop):
     offsets = algebra.block_offsets()
     swap = np.concatenate([off + np.arange(d * d).reshape(d, d).T.ravel()
                            for off, d in zip(offsets, algebra.dims)])
-    for rows in _row_chunks(swap.size):
+    for rows in row_slices(swap.size, swap.size):
         mirror = superop[swap[rows]][:, swap]
         if np.abs(superop[rows] - mirror.conj()).max() > DEFAULT_TOL:
             return None
@@ -409,9 +395,10 @@ def _kraus_superop(algebra: AlgebraSpec, ops) -> np.ndarray:
     kron(a_k, conj(a_k)) in the order of ops, returned read-only.
 
     Row (r, k) of kron(a, conj(a)) holds a[r, j] conj(a)[k, l] at
-    column (j, l), so each Kraus term is added one r at a time into the
-    block's (d, d, d, d) view of the output, with the products and the
-    additions of `np.kron`: no d^2 x d^2 temporary is built.
+    column (j, l), so each Kraus term is added into the block's
+    (d, d, d, d) view of the output over the r of one `row_slices` slice
+    at a time, with the products and the additions of `np.kron`: no
+    d^2 x d^2 temporary is built.
     """
     n = algebra.vec_dim
     out = np.zeros((n, n), dtype=complex)
@@ -420,9 +407,10 @@ def _kraus_superop(algebra: AlgebraSpec, ops) -> np.ndarray:
         view = out[sl, sl].reshape(d, d, d, d)
         for a in ops:
             blk = a.block(i)
-            conj = blk.conj()[:, None, :]
-            for r in range(d):
-                view[r] += np.multiply(blk[r][None, :, None], conj)
+            # the operand shapes of np.kron's product, which fix its bits
+            conj = blk.conj()[None, :, None, :]
+            for r in row_slices(d, d ** 3):
+                view[r] += np.multiply(blk[r, None, :, None], conj)
     return _frozen(out)
 
 
@@ -524,8 +512,8 @@ def convex_combine(channels, probabilities) -> Channel:
 
     `channels` may be any iterable, a generator included, and is read
     one channel at a time: p_k S_k is added into one zeroed accumulator
-    in row chunks, so that the accumulator, the current channel and one
-    chunk are alive, and no channel is kept once it is added.  The sums
+    in `row_slices`, so that the accumulator, the current channel and one
+    slice are alive, and no channel is kept once it is added.  The sums
     are those of sum(p_k S_k), 0 + p_0 S_0 + p_1 S_1 + ..., bit for bit.
     """
     probabilities = np.asarray(probabilities, dtype=float)
@@ -546,7 +534,7 @@ def convex_combine(channels, probabilities) -> Channel:
         elif ch.algebra != algebra:
             raise ChannelConstructionError("channels on different algebras")
         p = probabilities[count]
-        for rows in _row_chunks(n):
+        for rows in row_slices(n, n):
             superop[rows] += p * ch.superop[rows]
         if kraus is not None and ch.kraus:
             kraus.extend(a * np.sqrt(p) for a in ch.kraus)

@@ -75,18 +75,7 @@ from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
 from .spectral import eigh, positive_power, projection_meet_all
-from .util import DEFAULT_TOL
-
-# Most entries of a stack whose Hermitian parts `CheckerStacks.floors`,
-# or whose differences from the last average `CheckerStacks.screens`,
-# hold at once (16 bytes each).
-FLOOR_SLICE = 2 ** 16
-
-
-def _slice_rows(stack):
-    """How many matrices of a block's stack make a slice of at most
-    FLOOR_SLICE entries."""
-    return max(1, FLOOR_SLICE // stack[0].size)
+from .util import DEFAULT_TOL, row_slices
 
 
 @dataclass
@@ -181,16 +170,14 @@ class CheckerStacks:
         """f_i = max_n lambda_min(Herm M_n(x)_i) per block i: every
         projection e with e_i != 0 has sup_n ||e M_n(x) e|| >= f_i.
 
-        One batched eigvalsh per block over these stacks, shared by every
-        search on the checker.  The Hermitian parts are formed in slices
-        of at most FLOOR_SLICE entries, so the floors hold no second copy
-        of a large stack; a smaller block is one call."""
+        One batched eigvalsh per `row_slices` slice of each block's
+        stack, shared by every search on the checker: the floors hold no
+        second copy of a large stack, and a smaller block is one call."""
         floors = []
         for stack in self.stacks:
-            step = _slice_rows(stack)
             floors.append(np.max([
-                np.linalg.eigvalsh(_hermitian(stack[n:n + step]))[:, 0].max()
-                for n in range(0, len(stack), step)]))
+                np.linalg.eigvalsh(_hermitian(stack[rows]))[:, 0].max()
+                for rows in row_slices(len(stack), stack[0].size)]))
         return np.array(floors)
 
     @functools.cached_property
@@ -208,8 +195,7 @@ class CheckerStacks:
         """The `sup_screen` of each block's stack, built on the first
         sup and shared by every projection and mode the checker
         measures."""
-        return tuple(sup_screen(stack, _slice_rows(stack))
-                     for stack in self.stacks)
+        return tuple(sup_screen(stack) for stack in self.stacks)
 
     def sup(self, e: Projection, mode: str) -> float:
         """compressed_sup of e on these stacks, measured on first use.  A

@@ -20,6 +20,19 @@ EIG_CLUSTER_TOL = 1e-8
 # Kernel threshold used when intersecting projection ranges.
 MEET_KERNEL_TOL = 1e-8
 
+# Most entries (16 bytes each, complex) that one slice of a sliced pass
+# over a superoperator or a stack of averages holds at once.
+SLICE_ENTRIES = 2 ** 14
+
+
+def row_slices(rows, row_size):
+    """Slices covering range(rows) in order, each of at least one row
+    and, where a row fits, at most SLICE_ENTRIES entries of row_size.
+    A pass that works per row, per element or per matrix gives the same
+    bits in slices as whole."""
+    step = max(1, SLICE_ENTRIES // row_size)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
 
 def dyadic_schedule(n_max):
     """Evaluation points 1, 2, 4, ... up to and including n_max."""

@@ -62,6 +62,52 @@ def converge(config_path, out):
     return code, out / "converge.csv", out / "converge.json"
 
 
+def greedy_witness(report, eps, mode):
+    """Trace defect and profile of the a.u. ("one_sided") or b.a.u.
+    ("two_sided") witness of `report` by a per-operator greedy loop, the
+    oracle of `peel`: over the tail deviations x_hat - M_m, m >= horizon/2,
+    operators outer and blocks inner with strict >, remove the top right
+    singular vector of the worst compression until its norm is at most
+    PEEL_FLOOR or the next removal would pass eps.  The profile at n is
+    the largest compressed norm over the tail m >= n."""
+    algebra = report.limit.algebra
+    tail = {m: report.limit - report.averages[m] for m in report.schedule
+            if m >= report.horizon // 2}
+    bases = [np.eye(d, dtype=complex) for d in algebra.dims]
+
+    def top(op, i):
+        c = op.block(i)
+        if mode == "two_sided":
+            c = bases[i].conj().T @ c
+        _, values, vh = np.linalg.svd(c @ bases[i])
+        return values[0], vh[0].conj()
+
+    defect = 0.0
+    while True:
+        worst, removal = -np.inf, None
+        for op in tail.values():
+            for i in range(algebra.num_blocks):
+                if bases[i].shape[1]:
+                    value, direction = top(op, i)
+                    if value > worst:
+                        worst, removal = value, (i, direction)
+        if removal is None or worst <= convergence.PEEL_FLOOR:
+            break
+        i, direction = removal
+        if defect + algebra.weights[i] > eps:
+            break
+        r = bases[i].shape[1]
+        complement = np.linalg.eigh(np.eye(r) - np.outer(
+            direction, direction.conj()))[1][:, 1:]
+        bases[i] = bases[i] @ complement
+        defect += algebra.weights[i]
+    norms = {m: max([top(op, i)[0] for i in range(algebra.num_blocks)
+                     if bases[i].shape[1]], default=0.0)
+             for m, op in tail.items()}
+    return defect, [max(v for m, v in norms.items() if m >= n)
+                    for n in report.schedule]
+
+
 class TestConvergeContract:
     def test_fixture_runs_and_reports_spectrum(self, tmp_path):
         path = FIXTURES / "m2_unitary.json"
@@ -118,6 +164,44 @@ class TestConvergeContract:
             (REFERENCE / "fixtures" / "m2_unitary.json").read_text())
         assert bench_check.compare_summary(summary["summary"],
                                            want["summary"]) == []
+
+    def test_witnesses_that_peel_match_a_greedy_loop(self, tmp_path):
+        # block weights below eps, so the a.u. and b.a.u. witnesses
+        # remove directions, which no recorded reference run does.  The
+        # two tail deviations x_hat - M_32 and x_hat - M_64 of a fast
+        # mixing channel are nearly parallel; at this seed their top
+        # directions differ enough that a peel removing the other
+        # operator's moves a profile by up to 2e-7, while the loop agrees
+        # with `peel` to 1e-17
+        config = {"seed": 28, "horizon": 64,
+                  "algebra": {"blocks": [[3, 0.01], [2, 0.02]]},
+                  "channel": {"kind": "random-kraus", "seed": 1},
+                  "converge": {"element": {"kind": "random",
+                                           "uniform_norm": 1.0},
+                               "norms": [{"kind": "uniform"}],
+                               "eps": 0.05, "num_seeds": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, json_path = converge(path, tmp_path / "out")
+        assert code == 0
+        cells = json.loads(json_path.read_text())["summary"]["cells"]
+        algebra = AlgebraSpec.from_json(config["algebra"])
+        section = config["converge"]
+        assert len(cells) == 2
+        for seed_idx, cell in enumerate(cells):
+            channel = channel_from_spec(
+                algebra, config["channel"],
+                run_seed=derive_seed(config["seed"], "cell", seed_idx))
+            x = cli.element_from_spec(
+                algebra, section["element"],
+                stream(config["seed"], "element", seed_idx))
+            report = convergence.trajectory(channel, x, config["horizon"],
+                                            [NormSpec("uniform")])
+            for key, mode in (("au", "one_sided"), ("bau", "two_sided")):
+                defect, profile = greedy_witness(report, section["eps"], mode)
+                assert cell[key]["trace_defect"] == defect > 0
+                assert cell[key]["profile"] == pytest.approx(
+                    profile, rel=0, abs=1e-12)
 
     def test_missing_section_exits_1(self, tmp_path):
         with contextlib.redirect_stderr(io.StringIO()) as err:

@@ -208,10 +208,10 @@ def test_no_unused_parameters(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
 
 
-def call_scopes(source, name):
-    """The scope of each call of `name(`, bare or as an attribute: the
-    dotted names of the classes and functions that hold it, "" at module
-    level."""
+def call_scopes(source, name, args=None):
+    """The scope of each call of `name(`, bare or as an attribute, with
+    `args` positional arguments where `args` is set: the dotted names of
+    the classes and functions that hold it, "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -221,7 +221,8 @@ def call_scopes(source, name):
                 continue
             if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+                    getattr(child.func, "attr", None)) and args in (
+                    None, len(child.args)):
                 found.append(scope)
             visit(child, scope)
 
@@ -241,6 +242,15 @@ def test_finds_checker_constructions():
               "            return [CheckerStacks(self, 0, 1)]\n"
               "        return g\n")
     assert call_scopes(source, "CheckerStacks") == ["", "f", "A.m.g"]
+
+
+def test_finds_stepped_ranges():
+    source = ("def f(n):\n"
+              "    return range(0, n, 4), range(n), range(1, n)\n"
+              "class A:\n"
+              "    def m(self, n):\n"
+              "        return [range(1, n, 2)]\n")
+    assert call_scopes(source, "range", 3) == ["f", "A.m"]
 
 
 # Where the package may build a CheckerStacks besides the CLI, which
@@ -296,6 +306,22 @@ def test_one_compression_measure():
                   for scope in call_scopes((PACKAGE / module).read_text(),
                                            name)}
         assert scopes == expected, name
+
+
+def test_one_slicing_rule():
+    # the size of a sliced pass's temporaries is one decision: the only
+    # stepped range of the package is that of `util.row_slices`, and its
+    # callers are the six passes that slice a superoperator or a stack
+    def scopes(name, args=None):
+        return {f"{module[:-3]}.{scope}" for module in MODULES
+                for scope in call_scopes((PACKAGE / module).read_text(),
+                                         name, args)}
+
+    assert scopes("range", 3) == {"util.row_slices"}
+    assert scopes("row_slices") == {
+        "dynamics._kraus_superop", "dynamics._hermitian_superop",
+        "dynamics._choi_min_eigenvalue", "dynamics.convex_combine",
+        "maximal.CheckerStacks.floors", "algebra.sup_screen"}
 
 
 def third_party_imports(source):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncergodic import cli, maximal
-from ncergodic.algebra import (SCREEN_FLOOR_COUNT, AlgebraSpec, Operator,
+from ncergodic import cli, maximal, util
+from ncergodic.algebra import (SCREEN_HEAD_COUNT, AlgebraSpec, Operator,
                               Projection, compressed_sup, sup_screen)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, kraus_channel,
@@ -326,9 +326,9 @@ def svd_every_compression(stacks, e, mode):
     return best
 
 
-def screens_of(stacks, rows):
-    """The checker's screens of stacks, `rows` matrices at a time."""
-    return tuple(sup_screen(stack, rows) for stack in stacks)
+def screens_of(stacks):
+    """The checker's screens of stacks."""
+    return tuple(sup_screen(stack) for stack in stacks)
 
 
 def outcome(fn, *args):
@@ -446,12 +446,11 @@ class TestSupScreen:
     @given(kind=st.sampled_from(SCREEN_KINDS),
            count=st.integers(1, 40),
            scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]),
-           rows=st.sampled_from([1, 3, 64]),
            seed=st.integers(0, 2 ** 31))
     def test_sup_and_peel_equal_their_oracles(self, kind, count, scale,
-                                              rows, seed):
+                                              seed):
         stack = screen_stacks(kind, count, scale, seed)
-        screens = screens_of(stack, rows)
+        screens = screens_of(stack)
         projections = [Projection.identity(MULTI),
                        random_projection(MULTI, stream(seed, "projection"))]
         for e in projections:
@@ -481,7 +480,7 @@ class TestSupScreen:
         e = Projection.identity(MULTI)
         for seed in range(300):
             stack = screen_stacks("ties", 24, 1.0, seed)
-            assert (compressed_sup(stack, e, mode, screens_of(stack, 64))
+            assert (compressed_sup(stack, e, mode, screens_of(stack))
                     == svd_every_compression(stack, e, mode))
 
     def test_block_skip(self, monkeypatch):
@@ -499,7 +498,7 @@ class TestSupScreen:
             e = Projection.identity(MULTI)
             compressed.clear()
             for mode in MODES:
-                assert (compressed_sup(stack, e, mode, screens_of(stack, 64))
+                assert (compressed_sup(stack, e, mode, screens_of(stack))
                         == svd_every_compression(stack, e, mode))
             assert compressed and set(compressed) == {3}
 
@@ -525,7 +524,7 @@ class TestSupScreen:
         monkeypatch.setattr("ncergodic.algebra.compress", compressing)
         monkeypatch.setattr(np.linalg, "svd", counting)
         sup = compressed_sup(stacks, e, "two_sided", screens)
-        assert 1 + SCREEN_FLOOR_COUNT <= sum(compressed) < (horizon + 1) / 4
+        assert 1 + SCREEN_HEAD_COUNT <= sum(compressed) < (horizon + 1) / 4
         assert sum(evaluated) <= sum(compressed)
         # the sup without screens compresses every average
         compressed.clear()
@@ -1342,15 +1341,19 @@ class TestFloorBound:
             same_result(got, expected)
 
     def test_slices_hold_no_copy_of_the_stack(self, workloads, monkeypatch):
-        # slices of at most FLOOR_SLICE entries give the floors of one
-        # whole-stack call
-        channel, x, _, horizon = mix8(workloads, "random-positive")
-        whole = CheckerStacks(channel, x, horizon).floors
-        monkeypatch.setattr(maximal, "FLOOR_SLICE", 200)
+        # the 257 averages of 64 entries of certify-mix8 at its horizon
+        # exceed one slice: slices of at most SLICE_ENTRIES entries give
+        # the floors of one whole-stack call
+        channel, x, _, _ = mix8(workloads, "random-positive")
+        horizon = workloads.WORKLOADS["certify-mix8"][1]()["horizon"]
+        checker = CheckerStacks(channel, x, horizon)
+        whole = [np.linalg.eigvalsh(maximal._hermitian(stack))[:, 0].max()
+                 for stack in checker.stacks]
         calls = eigvalsh_calls(monkeypatch)
-        sliced = CheckerStacks(channel, x, horizon).floors
-        assert np.array_equal(sliced, whole)
-        assert [n for n, _, _ in calls] == [3] * (horizon // 3) + [2]
+        assert np.array_equal(checker.floors, whole)
+        assert len(calls) > 1
+        assert sum(n for n, _, _ in calls) == horizon + 1
+        assert all(n * d * d <= util.SLICE_ENTRIES for n, d, _ in calls)
 
 
 def hopf_cut_defect(checker, u):
