@@ -713,6 +713,7 @@ def run_besicovitch(config):
         "final_residuals": {label: residuals[-1] for label, residuals
                             in report.trajectory.residuals.items()},
         "mean_convergence": report.trajectory.verdicts,
+        "spectrum": channel.spectrum,
     }
     return header, rows, summary, 0
 

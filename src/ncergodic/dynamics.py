@@ -53,6 +53,20 @@ Perron-Frobenius theorem (Evans and Hoegh-Krohn, J. London Math. Soc.
 eigenvector psi of T*; the start has overlap tau(psi) > 0 with it, so
 the Krylov space reaches rho(T).  A run that does not converge within
 its restart budget falls back to the dense spectrum.
+
+A map with Kraus data whose bound r does not settle a cluster count,
+a unital or trace-preserving one with r = 1, can still settle the
+count 0 without its spectrum.  Its superoperator is block diagonal,
+one block S_i per block of the algebra, and every eigenvalue mu of a
+matrix A lies in its numerical range {v* A v : |v| = 1}
+(Toeplitz-Hausdorff; Horn and Johnson, Topics in Matrix Analysis, 1991,
+ch. 1), so Re mu <= lambda_max(Herm A) with Herm A = (A + A*)/2.  When
+(1 - EIG_CLUSTER_TOL) I - Herm(phase S_i) has a Cholesky factor for
+every block, Re(phase lambda) < 1 - EIG_CLUSTER_TOL for every
+eigenvalue lambda of T, and the cluster of phase*T at 1 is empty.  One
+factorization of a d_i^2 x d_i^2 matrix per block costs a fraction of
+the dense spectrum; the first one that fails hands this and every later
+count to the dense spectrum.
 """
 
 from __future__ import annotations
@@ -86,7 +100,7 @@ class Channel:
     """
 
     __slots__ = ("algebra", "superop", "kraus", "kind", "verification",
-                 "_eigenvalues")
+                 "_eigenvalues", "_numerical_range")
 
     def __init__(self, algebra: AlgebraSpec, superop, kraus=None,
                  kind="custom"):
@@ -108,6 +122,7 @@ class Channel:
         self.kraus = tuple(kraus) if kraus else None
         self.kind = kind
         self._eigenvalues = None
+        self._numerical_range = False  # a count was settled without eigvals
         self.verification = verify_ds(self)
 
     # -- application ------------------------------------------------------
@@ -156,9 +171,14 @@ class Channel:
     @property
     def spectrum(self) -> str:
         """"certified-contraction" when the cluster counts come from the
-        bound r and no dense spectrum has been computed, else "dense"."""
-        if self._eigenvalues is None and self._strict_contraction():
-            return "certified-contraction"
+        bound r, "numerical-range" when every count asked came from
+        `_numerical_range_excludes`, and "dense" otherwise or once the
+        dense spectrum has been computed."""
+        if self._eigenvalues is None:
+            if self._strict_contraction():
+                return "certified-contraction"
+            if self._numerical_range:
+                return "numerical-range"
         return "dense"
 
     def eigenspace_dim(self, phase=1.0) -> int:
@@ -166,12 +186,54 @@ class Channel:
 
         0 without a spectrum when r = `spectral_radius_bound` is below
         1 - EIG_CLUSTER_TOL: every eigenvalue has |lambda| <= r, so
-        |phase lambda - 1| >= 1 - r > EIG_CLUSTER_TOL.
+        |phase lambda - 1| >= 1 - r > EIG_CLUSTER_TOL.  Otherwise, while
+        no dense spectrum is cached, 0 when the numerical range of
+        phase*T stays left of 1 - EIG_CLUSTER_TOL, which one Cholesky
+        factorization per block proves (`_numerical_range_excludes`):
+        every eigenvalue lies in the numerical range, so
+        |phase lambda - 1| >= 1 - Re(phase lambda) > EIG_CLUSTER_TOL.
+        Any other count is read from the dense spectrum.
         """
         if self._strict_contraction():
             return 0
+        if self._eigenvalues is None and self._numerical_range_excludes(phase):
+            self._numerical_range = True
+            return 0
         return int(np.count_nonzero(
             np.abs(phase * self.eigenvalues() - 1.0) <= EIG_CLUSTER_TOL))
+
+    def _numerical_range_excludes(self, phase) -> bool:
+        """True when (1 - EIG_CLUSTER_TOL) I - Herm(phase S_i) factors by
+        Cholesky for every diagonal block S_i of the superoperator; False
+        at the first block that does not, and for a map without Kraus data,
+        whose superoperator need not be block diagonal.
+
+        A block is refuted without a factorization when the unit vector
+        vec(1)/sqrt(d_i) already reaches the bound, as it does at phase 1
+        for a unital or trace-preserving map.  Otherwise its shifted
+        Hermitian part is built in `row_slices` into one array, exactly
+        Hermitian: entry (a, b) negates (phase S[a, b] + conj(phase
+        S[b, a])) / 2.
+        """
+        if not self.kraus:
+            return False
+        for off, d in zip(self.algebra.block_offsets(), self.algebra.dims):
+            m = d * d
+            block = self.superop[off:off + m, off:off + m]
+            unit = np.arange(d) * (d + 1)  # the entries of vec(1) in block
+            if ((phase * block[np.ix_(unit, unit)].sum()).real / d
+                    >= 1.0 - EIG_CLUSTER_TOL):
+                return False
+            shifted = np.empty((m, m), dtype=complex)
+            for rows in row_slices(m, m):
+                shifted[rows] = -0.5 * (phase * block[rows]
+                                        + (phase * block[:, rows]).conj().T)
+            shifted.flat[::m + 1] += 1.0 - EIG_CLUSTER_TOL
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                return False
+        return True
 
     def spectral_gap(self) -> float:
         """1 minus the largest |eigenvalue| outside the cluster at 1.

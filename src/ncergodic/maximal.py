@@ -122,11 +122,13 @@ class CheckerStacks:
     (horizon+1, d_i, d_i) array per block, for one element and weight.
 
     They come from one fresh pass of the recurrence on the raw channel,
-    run on first use: an element whose candidates are all zero
-    projections costs no pass.  A builder measures every candidate of its
-    element on the checker it is handed, which lives as long as its caller
-    holds it, across builder calls; a weak (1,1) search reads these stacks
-    as its input and measures through `sup`.  Each sup of a (projection,
+    run on first use and written average by average into one
+    (horizon+1, vec_dim) array, whose block views they are: an element
+    whose candidates are all zero projections costs no pass.  A builder
+    measures every candidate of its element on the checker it is
+    handed, which lives as long as its caller holds it, across builder
+    calls; a weak (1,1) search reads these stacks as its input and
+    measures through `sup`.  Each sup of a (projection,
     mode) is measured once and kept: the check of a strategy's candidate,
     and a second check, as `weighted_witness` at p = 1 makes of its inner
     search's candidates, read the first measurement.  A weight is held as
@@ -160,8 +162,11 @@ class CheckerStacks:
 
     @functools.cached_property
     def stacks(self):
-        vecs = np.array([vec for _, vec in ergodic_averages(
-            self.channel, self.x, self.horizon, self.beta)])
+        vecs = np.empty((self.horizon + 1, self.channel.algebra.vec_dim),
+                        dtype=complex)
+        for n, vec in ergodic_averages(self.channel, self.x, self.horizon,
+                                       self.beta):
+            vecs[n] = vec
         vecs.flags.writeable = False  # the block views inherit it
         return self.channel.algebra.block_stacks(vecs)
 

@@ -1015,6 +1015,29 @@ class TestWorkloadReferences:
         assert bench_check.compare_summary(summary["summary"],
                                            want["summary"]) == []
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_besicovitch_limits_need_no_dense_spectrum(
+            self, tmp_path, monkeypatch, workloads, seed):
+        # the unitary mixture has r = 1; its rotated limits at i, -1 and
+        # -i are all 0, proved by the numerical range of each block
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense spectrum computed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        subcommand, build = workloads.WORKLOADS["besicovitch-3block"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(build()))
+        cli_seed = workloads.cli_seed("besicovitch-3block", seed)
+        reference = REFERENCE / "besicovitch-3block" / f"seed{cli_seed}"
+        out = tmp_path / "out"
+        code = run_cli(subcommand, "--config", str(config), "--out",
+                       str(out), "--seed", str(cli_seed))
+        assert code == 0
+        assert ((out / f"{subcommand}.csv").read_bytes()
+                == reference.with_suffix(".csv").read_bytes())
+        summary = json.loads((out / f"{subcommand}.json").read_text())
+        assert summary["summary"]["spectrum"] == "numerical-range"
+
 
 class TestNormsAndBoyd:
     TARGETS = [{"kind": "lp", "p": 2}, {"kind": "lp", "p": 1.5},

@@ -947,6 +947,110 @@ class TestCertifiedContraction:
         assert zero.spectral_gap() == 1.0
 
 
+# the block sizes of the besicovitch benchmark workload
+BLOCKS_16_8_4 = AlgebraSpec(((16, 1.0), (8, 0.5), (4, 2.0)))
+# the 8th roots of unity and two irrational angles
+RANGE_PHASES = tuple(np.exp(2j * np.pi * k / 8) for k in range(8)) + (
+    np.exp(1j), np.exp(1j * np.sqrt(2)))
+KRAUS_CASES = [(kind, algebra) for algebra in (MULTI, BLOCKS_16_8_4)
+               for kind in CHANNEL_KINDS if "substochastic" not in kind]
+
+
+def recording_range_check(monkeypatch):
+    """Record (phase, verdict) of every numerical-range check."""
+    seen = []
+    check = Channel._numerical_range_excludes
+
+    def recording(self, phase):
+        seen.append((phase, check(self, phase)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(Channel, "_numerical_range_excludes", recording)
+    return seen
+
+
+class TestNumericalRange:
+    @pytest.mark.parametrize("kind,algebra", KRAUS_CASES)
+    def test_never_contradicts_the_dense_count(self, kind, algebra):
+        # a cleared phase has count 0; on this corpus the converse holds
+        # too, so every count 0 is proved without the spectrum
+        ch = channel_from_spec(algebra, kind_spec(kind, algebra,
+                                                  stream(107, kind)))
+        assert ch.kraus
+        eigs = np.linalg.eigvals(ch.superop)
+        want = [int(np.count_nonzero(np.abs(phase * eigs - 1.0)
+                                     <= EIG_CLUSTER_TOL))
+                for phase in RANGE_PHASES]
+        cleared = [ch._numerical_range_excludes(phase)
+                   for phase in RANGE_PHASES]
+        assert cleared == [count == 0 for count in want]
+        assert [ch.eigenspace_dim(phase) for phase in RANGE_PHASES] == want
+
+    def test_unital_mixture_proves_empty_clusters_without_eigvals(
+            self, monkeypatch):
+        ch = random_unitary_mixture(MULTI, 2, stream(108, "range"))
+        x = random_operator(MULTI, stream(109, "range"))
+        assert ch.spectral_radius_bound >= 1.0 - EIG_CLUSTER_TOL
+        forbid_eigvals(monkeypatch)
+        for phase in (1j, -1.0, -1j):
+            assert ch.eigenspace_dim(phase) == 0
+            assert rotated_fixed_point(ch, x, phase).uniform_norm() == 0.0
+        assert ch.spectrum == "numerical-range"
+
+    @pytest.mark.parametrize("case", ["unitary", "mixture"])
+    def test_a_refuted_phase_takes_eigvals_once(self, case, monkeypatch):
+        rng = stream(110, "fallback", case)
+        if case == "unitary":
+            # phase*T has eigenvalue 1 at the conjugate of T's eigenvalue
+            # farthest from 1; a factorization fails
+            ch = unitary_conjugation(random_unitary_operator(MULTI, rng))
+            eigs = np.linalg.eigvals(ch.superop)
+            lam = eigs[np.argmax(np.abs(eigs - 1.0))]
+            phase = np.conj(lam) / abs(lam)
+        else:
+            # T(1) = 1: vec(1) refutes every block before a factorization
+            ch = random_unitary_mixture(MULTI, 2, rng)
+            eigs = np.linalg.eigvals(ch.superop)
+            phase = 1.0
+        assert ch.spectral_radius_bound >= 1.0 - EIG_CLUSTER_TOL
+        seen = recording_range_check(monkeypatch)
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        calls = counting_eigvals(monkeypatch)
+        assert ch.eigenspace_dim(phase) == np.count_nonzero(
+            np.abs(phase * eigs - 1.0) <= EIG_CLUSTER_TOL) >= 1
+        assert seen == [(phase, False)]
+        assert bool(factored) == (case == "unitary")
+        assert calls == [(MULTI.vec_dim, MULTI.vec_dim)]
+        # the dense spectrum answers every later phase
+        for later in PHASES:
+            ch.eigenspace_dim(later)
+        assert len(seen) == 1 and len(calls) == 1
+        assert ch.spectrum == "dense"
+
+    def test_substochastic_map_never_factors(self, monkeypatch):
+        # the identity matrix: r = 1, and no Kraus data
+        ch = substochastic(DIAG3, np.eye(3))
+        assert ch.kraus is None
+        assert ch.spectral_radius_bound == pytest.approx(1.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Cholesky factorization computed")
+
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        calls = counting_eigvals(monkeypatch)
+        assert ch.eigenspace_dim(-1.0) == 0
+        assert ch.eigenspace_dim(1.0) == 3
+        assert calls == [(DIAG3.vec_dim, DIAG3.vec_dim)]
+        assert ch.spectrum == "dense"
+
+
 class TestTrajectoryOracle:
     @pytest.mark.parametrize("family", ["certified", "unital"])
     def test_final_residual_matches_schur_oracle(self, family):

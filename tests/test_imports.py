@@ -311,7 +311,7 @@ def test_one_compression_measure():
 def test_one_slicing_rule():
     # the size of a sliced pass's temporaries is one decision: the only
     # stepped range of the package is that of `util.row_slices`, and its
-    # callers are the six passes that slice a superoperator or a stack
+    # callers are the seven passes that slice a superoperator or a stack
     def scopes(name, args=None):
         return {f"{module[:-3]}.{scope}" for module in MODULES
                 for scope in call_scopes((PACKAGE / module).read_text(),
@@ -321,6 +321,7 @@ def test_one_slicing_rule():
     assert scopes("row_slices") == {
         "dynamics._kraus_superop", "dynamics._hermitian_superop",
         "dynamics._choi_min_eigenvalue", "dynamics.convex_combine",
+        "dynamics.Channel._numerical_range_excludes",
         "maximal.CheckerStacks.floors", "algebra.sup_screen"}
 
 

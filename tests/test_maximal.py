@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1123,6 +1124,24 @@ class TestCheckerStacks:
         assert keys and len(set(keys)) == len(keys)
         rechecked = [(id(c), id(e)) for c, e in checked if e.rank()]
         assert len(set(rechecked)) < len(rechecked)
+
+    def test_pass_holds_one_array_of_the_averages(self):
+        # the averages go into one preallocated array, so the pass peaks
+        # near the stacks' own bytes
+        channel, x, _ = found_yeadon_cell()
+        horizon = 1024
+        checker = CheckerStacks(channel, x, horizon)
+        tracemalloc.start()
+        try:
+            stacks = checker.stacks
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (horizon + 1) * MULTI.vec_dim * 16
+        assert stacks[0].base.nbytes == size
+        assert peak < 1.25 * size
+        for stack, fresh in zip(stacks, fresh_stacks(checker), strict=True):
+            assert stack.tobytes() == fresh.tobytes()
 
     def test_negative_horizon_is_refused(self):
         channel, x, _ = found_yeadon_cell()
