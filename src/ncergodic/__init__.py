@@ -18,7 +18,6 @@ from .maximal import (CheckerStacks, WitnessReport, check_witness,
                       hopf_witness_commutative, one_sided_witness,
                       weighted_witness, yeadon_witness_search)
 from .ncnorms import (SingularFunction, lorentz_norm, lp_norm,
-                      measure_distance, projection_lorentz_norm,
-                      singular_function)
+                      projection_lorentz_norm, singular_function)
 from .spectral import SpectralDecomposition, eigh, projection_meet
 from .weights import TrigPolynomial, WeightSequence, besicovitch_deviation

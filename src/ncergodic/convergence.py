@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Operator, Projection, compressed_sup
 from .dynamics import (Channel, ergodic_averages, fixed_point,
                        rotated_fixed_point)
 from .errors import UnsupportedNormError
 from .maximal import peel
-from .ncnorms import lorentz_norm, lp_norm, measure_distance, projection_lorentz_norm
+from .ncnorms import lp_norm, projection_lorentz_norm, singular_function
 from .util import dyadic_schedule
 
 # Peeling stops once the compressed deviation is this small.
@@ -47,23 +49,42 @@ class NormSpec:
             return f"L({self.p:g},{self.q:g})"
         return "measure"
 
-    def value(self, x: Operator) -> float:
-        if self.kind == "uniform":
-            return x.uniform_norm()
-        if self.kind == "lp":
-            return lp_norm(x, self.p)
-        if self.kind == "lorentz":
-            return lorentz_norm(x, self.p, self.q)
-        raise UnsupportedNormError("the measure metric has no norm value")
-
-    def distance(self, a: Operator, b: Operator) -> float:
-        if self.kind == "measure":
-            return measure_distance(a, b)
-        return self.value(a - b)
-
     @classmethod
     def from_json(cls, data) -> "NormSpec":
         return cls(data["kind"], data.get("p"), data.get("q"))
+
+
+def gauge_values(specs, operators) -> dict:
+    """label -> the gauge of each of `operators`, for every gauge of
+    `specs` (one per label).
+
+    L_p reads x by its own route, `lp_norm`.  Every other gauge reads
+    one `singular_function` of x, taken once per operator and only when
+    such a gauge is asked for: the uniform norm is its top value, a
+    Lorentz norm its closed form and the measure metric its crossing
+    point, the distance of x from 0.  So a distance d(a, b) is measured
+    on the one difference a - b that the caller passes.
+    """
+    specs = {spec.label: spec for spec in specs}
+    values = {label: [] for label in specs}
+    for x in operators:
+        sf = None
+        for label, spec in specs.items():
+            if spec.kind == "lp":
+                values[label].append(lp_norm(x, spec.p))
+                continue
+            if sf is None:
+                sf = singular_function(x)
+            if spec.kind == "uniform":
+                value = sf.lp_norm(np.inf)
+            elif spec.kind == "lorentz":
+                value = sf.lorentz_norm(spec.p, spec.q)
+            elif spec.kind == "measure":
+                value = sf.crossing()
+            else:
+                raise UnsupportedNormError(f"unknown gauge {spec.kind!r}")
+            values[label].append(value)
+    return values
 
 
 @dataclass
@@ -97,12 +118,13 @@ def trajectory(channel: Channel, x: Operator, horizon: int, norms,
     part, where P_lambda is the phase-twisted Cesaro limit; a 1/(k+1)
     decay tail averages to zero.  Every requested gauge is evaluated at
     n in {1, 2, 4, ..., horizon}, from a single pass of
-    `ergodic_averages`.  Every norm, but not the measure metric, also
-    gets its mean convergence verdict: converged when the final residual
-    is at most 0.3 times the residual at the third point from the end of
-    the schedule (the quarter horizon) or the floor 1e-12 max(||x||_E,
-    1), whichever is larger; decay_ratio is the quotient of the two
-    residuals.
+    `ergodic_averages`, each residual limit - M_n formed once and its
+    gauges read from one singular function (`gauge_values`).  Every
+    norm, but not the measure metric, also gets its mean convergence
+    verdict: converged when the final residual is at most 0.3 times the
+    residual at the third point from the end of the schedule (the
+    quarter horizon) or the floor 1e-12 max(||x||_E, 1), whichever is
+    larger; decay_ratio is the quotient of the two residuals.
     """
     if beta is None:
         limit = fixed_point(channel, x)
@@ -117,11 +139,11 @@ def trajectory(channel: Channel, x: Operator, horizon: int, norms,
                 for n, vec in ergodic_averages(channel, x, horizon, beta)
                 if n in wanted}
     schedule = list(averages)
-    residuals = {spec.label: [spec.distance(limit, averages[n])
-                              for n in schedule] for spec in norms}
-    verdicts = {spec.label: _verdict(residuals[spec.label],
-                                     1e-12 * max(spec.value(x), 1.0))
-                for spec in norms if spec.kind != "measure"}
+    residuals = gauge_values(norms, (limit - averages[n] for n in schedule))
+    scales = gauge_values([spec for spec in norms if spec.kind != "measure"],
+                          [x])
+    verdicts = {label: _verdict(residuals[label], 1e-12 * max(scale, 1.0))
+                for label, [scale] in scales.items()}
     return TrajectoryReport(limit, schedule, residuals, horizon, averages,
                             verdicts)
 
@@ -231,10 +253,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
     certificate_ok = beta.besicovitch_certificate()
     report = trajectory(channel, x, horizon, norms, beta)
     averages = list(report.averages.values())
-    gauges = {spec.label: spec for spec in norms}
-    gauges.setdefault("measure", NormSpec("measure"))
-    cauchy = {label: [spec.distance(a, b)
-                      for a, b in zip(averages, averages[1:])]
-              for label, spec in gauges.items()}
+    cauchy = gauge_values(norms + [NormSpec("measure")],
+                          (a - b for a, b in zip(averages, averages[1:])))
     return BesicovitchReport(report, cauchy, bau_witness(report, 0.05),
                              certificate_ok)

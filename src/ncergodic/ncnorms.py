@@ -5,7 +5,8 @@ The singular-number function of x is the right-continuous non-increasing
 step function mu_t(x) = inf{ lam > 0 : tau(e_lam_perp) <= t } built from
 the singular values of x weighted by the trace, stored by its steps in
 `SingularFunction`.  Every norm here is an exact closed-form integral
-over the steps; no quadrature is used.
+over the steps, and the measure metric d(x, y) is the crossing point of
+mu(x - y) with the identity; no quadrature is used.
 """
 
 from __future__ import annotations
@@ -80,6 +81,21 @@ class SingularFunction:
         total = float(np.dot(self.values ** q, increments) * (p / q))
         return total ** (1.0 / q)
 
+    def crossing(self) -> float:
+        """inf{eps > 0 : mu_eps <= eps}: for the singular function of
+        x - y, the measure-topology metric d(x, y).
+
+        mu is a non-increasing step function and the identity is strictly
+        increasing, so the crossing point is found exactly by scanning
+        the steps.
+        """
+        best = self.total_support  # on [t_m, inf) mu = 0 <= eps always
+        for k in range(self.values.size):
+            left, right, v = self.bounds[k], self.bounds[k + 1], self.values[k]
+            if v < right:  # feasible inside [left, right)
+                best = min(best, max(left, v))
+        return float(best)
+
     def __repr__(self):
         return (f"SingularFunction(steps={self.values.size}, "
                 f"support={self.total_support:.6g})")
@@ -146,20 +162,3 @@ def projection_lorentz_norm(trace_value: float, p: float, q: float) -> float:
         return 0.0
     return (p / q) ** (1.0 / q) * trace_value ** (1.0 / p)
 
-
-def measure_distance(x: Operator, y: Operator) -> float:
-    """Measure-topology metric d(x, y) = inf{eps > 0 : mu_eps(x-y) <= eps}.
-
-    mu is a non-increasing step function and the identity is strictly
-    increasing, so the crossing point is found exactly by scanning the
-    steps.
-    """
-    sf = singular_function(x - y)
-    if sf.values.size == 0:
-        return 0.0
-    best = sf.total_support  # on [t_m, inf) mu = 0 <= eps always
-    for k in range(sf.values.size):
-        left, right, v = sf.bounds[k], sf.bounds[k + 1], sf.values[k]
-        if v < right:  # feasible inside [left, right)
-            best = min(best, max(left, v))
-    return float(best)

@@ -69,14 +69,32 @@ class TrigPolynomial:
         For period m the frequencies are the m-th roots of unity and the
         coefficients the inverse DFT of one period, so P(k) reproduces
         the sequence exactly for every k.
+
+        A coefficient whose modulus lies below m 2^-52 B, B = max|beta|,
+        is stored as exactly 0.  That is the rounding bound of the mean:
+        its m terms beta_k omega^(-jk) have modulus at most B, and taken
+        exact to a few units of u = 2^-53 they sum with an error of at
+        most (m - 1) u m B, which the mean divides by m.  So, to first
+        order, a coefficient that is exactly 0 comes out with modulus at
+        most about (m + a few) u B <= 2 m u B = m 2^-52 B.  The bound
+        does not cover the error of the powers themselves: they are
+        taken at exponents up to (m - 1)^2, and their error grows with
+        the exponent, so for a long period a coefficient that is exactly
+        0 can come out above the bound.  It is then kept as computed,
+        which costs one rotated limit that is 0 and changes no value.
+        The period [1, i, -1, -i] has one nonzero coefficient, at i,
+        where the rounded DFT leaves about 1e-16 at -1 and -i, and its
+        limit takes one rotated Cesaro limit, not three.
         """
         values = np.asarray(values, dtype=complex)
         m = values.size
         if m == 0:
             raise ValueError("period must be non-empty")
         omega = np.exp(2j * np.pi / m)
+        rounding = m * 2.0 ** -52 * float(np.abs(values).max())
         coeffs = [complex(np.mean(values * omega ** (-j * np.arange(m))))
                   for j in range(m)]
+        coeffs = [c if abs(c) >= rounding else 0j for c in coeffs]
         freqs = [omega ** j for j in range(m)]
         return cls(tuple(coeffs), tuple(freqs))
 

@@ -15,10 +15,11 @@ import pytest
 from ncergodic import cli, convergence, maximal
 from ncergodic.algebra import AlgebraSpec, Operator, Projection
 from ncergodic.convergence import NormSpec
-from ncergodic.dynamics import (CHANNEL_KINDS, channel_from_spec,
+from ncergodic.dynamics import (CHANNEL_KINDS, Channel, channel_from_spec,
                                 ergodic_averages)
 from ncergodic.funcspace import BOYD_LIMIT_SCALES
 from ncergodic.maximal import WitnessReport
+from ncergodic.ncnorms import singular_function
 from ncergodic.rng import derive_seed, stream
 from ncergodic.util import DEFAULT_TOL, dyadic_schedule
 from ncergodic.weights import WeightSequence
@@ -270,12 +271,13 @@ class TestBesicovitchContract:
                     if n in schedule]
         assert [int(row[header.index("n")]) for row in rows] == schedule
         for column in cauchy:
-            spec = NormSpec("uniform" if column == "cauchy_inf"
-                            else "measure")
             cells = [row[header.index(column)] for row in rows]
             assert cells[0] == ""
+            # the uniform norm by its own route, np.linalg.norm(b, 2)
             assert [float(c) for c in cells[1:]] == [
-                spec.distance(a, b) for a, b in zip(averages, averages[1:])]
+                (a - b).uniform_norm() if column == "cauchy_inf"
+                else singular_function(a - b).crossing()
+                for a, b in zip(averages, averages[1:])]
 
 
 class TestChannelKinds:
@@ -1018,12 +1020,21 @@ class TestWorkloadReferences:
     @pytest.mark.parametrize("seed", range(8))
     def test_besicovitch_limits_need_no_dense_spectrum(
             self, tmp_path, monkeypatch, workloads, seed):
-        # the unitary mixture has r = 1; its rotated limits at i, -1 and
-        # -i are all 0, proved by the numerical range of each block
+        # the unitary mixture has r = 1; the period [1, i, -1, -i] has
+        # one nonzero coefficient, at i, and the one rotated limit there
+        # is 0, proved by the numerical range of each block
         def forbidden(*args, **kwargs):
             raise AssertionError("dense spectrum computed")
 
+        check = Channel._numerical_range_excludes
+        phases = []
+
+        def recording(channel, phase):
+            phases.append(phase)
+            return check(channel, phase)
+
         monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(Channel, "_numerical_range_excludes", recording)
         subcommand, build = workloads.WORKLOADS["besicovitch-3block"]
         config = tmp_path / "config.json"
         config.write_text(json.dumps(build()))
@@ -1037,6 +1048,7 @@ class TestWorkloadReferences:
                 == reference.with_suffix(".csv").read_bytes())
         summary = json.loads((out / f"{subcommand}.json").read_text())
         assert summary["summary"]["spectrum"] == "numerical-range"
+        assert phases == [pytest.approx(1j)]
 
 
 class TestNormsAndBoyd:

@@ -919,7 +919,7 @@ class TestCertifiedContraction:
         monkeypatch.setattr(dynamics, "_KRYLOV_DIM", 2)
         monkeypatch.setattr(dynamics, "_KRYLOV_RESTARTS", 1)
         assert dynamics._krylov_spectral_radius(
-            ch.superop, MULTI.identity().vec()) is None
+            ch._matvec(), MULTI.identity().vec()) is None
         calls = counting_eigvals(monkeypatch)
         assert abs(ch.spectral_gap() - want) <= 1e-12
         assert ch.spectral_gap() == dense_gap(ch.eigenvalues())
@@ -1051,6 +1051,53 @@ class TestNumericalRange:
         assert ch.spectrum == "dense"
 
 
+class TestKrausForm:
+    """`dynamics._kraus_product` against the dense superoperator, and the
+    spectral gap's Arnoldi on it."""
+
+    @pytest.mark.parametrize("algebra", [
+        MULTI, BLOCKS_16_8_4, AlgebraSpec(((2, 1.0), (2, 0.5)) * 3)])
+    def test_product_equals_the_dense_product(self, algebra):
+        rng = stream(104, "kraus-form", algebra.dims)
+        kraus = random_kraus_channel(algebra, 3, rng)
+        mixture = random_unitary_mixture(algebra, 3, rng)
+        channels = [kraus, mixture, compose(kraus, mixture),
+                    scale_channel(mixture, 0.5)]
+        for ch in channels:
+            product = dynamics._kraus_product(ch.algebra, ch.kraus)
+            for _ in range(3):
+                v = random_operator(algebra, rng).vec()
+                want = ch.superop @ v
+                assert (np.linalg.norm(product(v) - want)
+                        <= 1e-13 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("algebra,dense", [
+        (AlgebraSpec(((20, 1.0),)), False), (BLOCKS_16_8_4, True),
+        (MULTI, True), (AlgebraSpec(((1, 1.0),) * 96), True)])
+    def test_certified_gap_takes_the_cheaper_product(self, algebra, dense,
+                                                     monkeypatch):
+        # 3 Kraus operators cost 2 * 3 * 20^3 multiply-adds and one
+        # block's fixed cost against 400^2 dense on one 20x20 block; on
+        # blocks (16, 8, 4) the fixed cost of three blocks, on MULTI the
+        # 6 * 36 multiply-adds alone and on 96 blocks of size 1 the fixed
+        # costs outweigh 336^2, 14^2 and 96^2
+        class Counting(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counting.products += 1
+                return np.asarray(self) @ other
+
+        ch = random_kraus_channel(algebra, 3, stream(105, "kraus-form"),
+                                  margin=0.05)
+        want = dense_gap(np.linalg.eigvals(ch.superop))
+        ch.superop = ch.superop.view(Counting)
+        forbid_eigvals(monkeypatch)
+        assert ch.spectrum == "certified-contraction"
+        assert abs(ch.spectral_gap() - want) <= 1e-12
+        assert (Counting.products > 0) == dense
+
+
 class TestTrajectoryOracle:
     @pytest.mark.parametrize("family", ["certified", "unital"])
     def test_final_residual_matches_schur_oracle(self, family):
@@ -1069,10 +1116,13 @@ class TestTrajectoryOracle:
         limit = Operator.from_vec(MULTI, proj @ x.vec())
         final = average(ch, x, horizon)
         assert report.schedule[-1] == horizon
-        for spec in norms:
-            want = spec.distance(limit, final)
-            assert report.residuals[spec.label][-1] == pytest.approx(
-                want, rel=1e-9, abs=1e-12)
+        diff = limit - final
+        want = {"inf": diff.uniform_norm(), "L2": lp_norm(diff, 2.0),
+                "L(3,2)": lorentz_norm(diff, 3.0, 2.0)}
+        assert set(want) == {spec.label for spec in norms}
+        for label, value in want.items():
+            assert report.residuals[label][-1] == pytest.approx(
+                value, rel=1e-9, abs=1e-12)
 
 
 def kron_superop(algebra, ops):

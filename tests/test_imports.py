@@ -3,9 +3,11 @@ module-level private name is read somewhere in the package, every
 function reads each parameter it takes, no module imports anything
 outside the standard library and its runtime dependencies, none reads
 the environment, only the CLI and `maximal._weak_pp` build a
-`CheckerStacks`, and inside `maximal.py` only `CheckerStacks.stacks`
-runs the recurrence (parsed with `ast`, so no linter is needed).  The
-names that the benchmark's tracer binds exist."""
+`CheckerStacks`, inside `maximal.py` only `CheckerStacks.stacks`
+runs the recurrence, and the spectral gap's Arnoldi reads no dense
+superoperator while the recurrence steps with it (parsed with `ast`, so
+no linter is needed).  The names that the benchmark's tracer binds
+exist."""
 
 import ast
 import importlib
@@ -323,6 +325,45 @@ def test_one_slicing_rule():
         "dynamics._choi_min_eigenvalue", "dynamics.convex_combine",
         "dynamics.Channel._numerical_range_excludes",
         "maximal.CheckerStacks.floors", "algebra.sup_screen"}
+
+
+def function_node(source, name):
+    return next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def names_read(node):
+    """Every name and attribute that appears inside `node`."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def matmul_left_operands(node):
+    return {ast.unparse(n.left) for n in ast.walk(node)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)}
+
+
+def test_finds_superop_reads_and_products():
+    source = ("def f(channel, v):\n"
+              "    superop = channel.superop\n"
+              "    return superop @ v, v @ v\n"
+              "def g(matvec, v):\n"
+              "    return matvec(v)\n")
+    assert "superop" in names_read(function_node(source, "f"))
+    assert "superop" not in names_read(function_node(source, "g"))
+    assert matmul_left_operands(function_node(source, "f")) == {
+        "superop", "v"}
+
+
+def test_gap_arnoldi_reads_no_superop_and_recurrence_does():
+    # the Arnoldi takes its product as a function, so a Kraus map's gap
+    # runs in Kraus form; the recurrence, whose every step the reference
+    # CSVs record, keeps the dense product until they are re-recorded
+    source = (PACKAGE / "dynamics.py").read_text()
+    assert "superop" not in names_read(
+        function_node(source, "_krylov_spectral_radius"))
+    assert "superop" in matmul_left_operands(
+        function_node(source, "ergodic_averages"))
 
 
 def third_party_imports(source):

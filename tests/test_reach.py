@@ -71,6 +71,14 @@ def runs():
     yield "converge", {**_MIX2, "channel": {"kind": "random-kraus", "seed": 2},
                        "converge": {"element": {"kind": "random"},
                                     "norms": _NORMS, "num_seeds": 2}}
+    # one Kraus operator on a 16x16 block costs 2 * 16^3 multiply-adds
+    # and one block's fixed cost against 256^2 for the dense product, so
+    # the spectral gap's Arnoldi runs in Kraus form
+    yield "converge", {**_MIX2, "algebra": {"blocks": [[16, 1.0]]},
+                       "channel": {"kind": "random-kraus", "seed": 2,
+                                   "num_ops": 1},
+                       "converge": {"element": {"kind": "random"},
+                                    "norms": [{"kind": "uniform"}]}}
     assert set(WEIGHTS) == set(WEIGHT_KINDS)
     for weights in WEIGHTS.values():
         yield "besicovitch", {**_MIX2, "besicovitch": {

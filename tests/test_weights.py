@@ -36,6 +36,16 @@ class TestTrigPolynomial:
         assert p.eval(np.arange(12)) == pytest.approx(
             np.resize(values, 12), abs=1e-12)
 
+    def test_rounding_coefficients_are_zero(self):
+        # the rounded DFT of i^k leaves about 1e-16 at -1 and -i, below
+        # its bound 4 * 2^-52, so those are stored as 0, as is the exact
+        # 0 at 1
+        p = TrigPolynomial.from_periodic([1, 1j, -1, -1j])
+        assert p.coefficients.count(0) == 3
+        assert p.coefficients[1] == pytest.approx(1.0, abs=1e-15)
+        assert p.eval(np.arange(8)) == pytest.approx(
+            [1j ** k for k in range(8)], abs=1e-15)
+
 
 class TestWeightSequence:
     def test_periodic_lookup(self):
