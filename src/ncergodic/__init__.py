@@ -4,8 +4,8 @@ finite tracial matrix algebras."""
 __version__ = "0.1.0"
 
 from .algebra import AlgebraSpec, Operator, Projection, hermitian_decompose
-from .convergence import (NormSpec, au_witness, bau_witness,
-                          besicovitch_experiment, condition_iii, trajectory)
+from .convergence import (au_witness, bau_witness, besicovitch_experiment,
+                          condition_iii, trajectory)
 from .dynamics import (Channel, channel_from_spec, compose, convex_combine,
                        ergodic_averages, fixed_point,
                        identity_channel, kraus_channel,
@@ -17,7 +17,8 @@ from .funcspace import boyd_estimate
 from .maximal import (CheckerStacks, WitnessReport, check_witness,
                       hopf_witness_commutative, one_sided_witness,
                       weighted_witness, yeadon_witness_search)
-from .ncnorms import (SingularFunction, lorentz_norm, lp_norm,
-                      projection_lorentz_norm, singular_function)
+from .ncnorms import (NORM_KINDS, Lorentz, Lp, Measure, SingularFunction,
+                      SymmetricNorm, Uniform, lp_norm, norm_from_json,
+                      singular_function)
 from .spectral import SpectralDecomposition, eigh, projection_meet
 from .weights import TrigPolynomial, WeightSequence, besicovitch_deviation

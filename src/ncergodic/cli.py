@@ -29,15 +29,15 @@ import collections
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebra import AlgebraSpec, Operator
-from .convergence import (NormSpec, au_witness, bau_witness,
-                          besicovitch_experiment, condition_iii, trajectory)
+from .convergence import (au_witness, bau_witness, besicovitch_experiment,
+                          condition_iii, trajectory)
 from .dynamics import CHANNEL_KINDS, channel_from_spec
 from .errors import (AlgebraMismatchError, ChannelConstructionError,
                      ConfigError, NotPositiveError)
@@ -46,8 +46,8 @@ from .funcspace import (BOYD_LIMIT_SCALES, boyd_estimate,
 from .maximal import (CheckerStacks, hopf_witness_commutative,
                       one_sided_witness, weighted_witness,
                       yeadon_witness_search)
-from .ncnorms import (lorentz_norm, lp_norm, projection_lorentz_norm,
-                      singular_function)
+from .ncnorms import (NORM_KINDS, Lorentz, SymmetricNorm, lp_norm,
+                      norm_from_json, singular_function)
 from .rng import derive_seed, random_operator, random_projection, stream
 from .util import DEFAULT_TOL, fmt_cell, short_hash
 from .weights import WEIGHT_KINDS, WeightSequence
@@ -128,18 +128,16 @@ _NORM_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["uniform", "lp", "lorentz", "measure"]},
+        "kind": {"enum": list(NORM_KINDS)},
         "p": {"type": "number", "minimum": 1},
         "q": {"type": "number", "minimum": 1},
     },
-    "allOf": [
-        _kind_needs("lp", "p"),
-        _kind_needs("lorentz", "p", "q"),
-        # L_{1,q} with q > 1 is outside the supported Lorentz family
-        {"if": {"properties": {"kind": {"const": "lorentz"},
+    # each kind's fields, and the Lorentz check that L_{1,q} needs q = 1
+    "allOf": [_kind_needs(kind, *(field.name for field in fields(norm)))
+              for kind, norm in NORM_KINDS.items()] + [
+        {"if": {"properties": {"kind": {"const": Lorentz.kind},
                                "p": {"const": 1}}},
-         "then": {"properties": {"q": {"maximum": 1}}}},
-    ],
+         "then": {"properties": {"q": {"maximum": 1}}}}],
 }
 
 _EXPONENT = {"type": "number", "minimum": 1}
@@ -255,10 +253,12 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["targets"],
             "properties": {
-                # Boyd indices of the L_p and Lorentz norms only
+                # Boyd indices of the fully symmetric kinds only
                 "targets": {"type": "array", "items": {
                     "allOf": [_NORM_SCHEMA],
-                    "properties": {"kind": {"enum": ["lp", "lorentz"]}}}},
+                    "properties": {"kind": {"enum": [
+                        kind for kind, norm in NORM_KINDS.items()
+                        if issubclass(norm, SymmetricNorm)]}}}},
                 # factors on both sides of 1, unless empty (the default)
                 "s_grid": {"type": "array",
                            "items": {"type": "number",
@@ -475,7 +475,7 @@ def element_from_spec(algebra: AlgebraSpec, spec, rng) -> Operator:
 def _norm_specs(items):
     """The gauges of a norms list; a label keys both the residuals and
     the CSV column, so no label may repeat."""
-    specs = [NormSpec.from_json(item) for item in items]
+    specs = [norm_from_json(item) for item in items]
     labels = [spec.label for spec in specs]
     for label in labels:
         if labels.count(label) > 1:
@@ -678,10 +678,10 @@ def run_converge(config):
     header = _BASE_COLUMNS + ["cell", "n"] + \
         [f"res_{spec.label}" for spec in norms]
     # condition (iii) depends on the norm only, not on the cell
-    reports = {spec.label: condition_iii(spec) for spec in norms}
     summary = {"cells": cell_summaries, "eps": eps,
-               "condition_iii": {label: asdict(r) for label, r
-                                 in reports.items() if r is not None}}
+               "condition_iii": {spec.label: condition_iii(spec)
+                                 for spec in norms
+                                 if isinstance(spec, SymmetricNorm)}}
     return header, rows, summary, 0
 
 
@@ -749,13 +749,13 @@ def run_norms(config):
 
             for p in p_grid:
                 emit("lp_trace_vs_mu", lp_norm(x, p), sf.lp_norm(p), p=p)
-                emit("lorentz_pp_vs_lp", lorentz_norm(x, p, p),
+                emit("lorentz_pp_vs_lp", Lorentz(p, p).value(sf),
                      lp_norm(x, p), p=p, q=p)
             for p, q in pq_grid:
                 e = random_projection(algebra, rng)
-                emit("projection_closed_form",
-                     projection_lorentz_norm(e.trace(), p, q),
-                     lorentz_norm(e.operator, p, q), p=p, q=q)
+                norm = Lorentz(p, q)
+                emit("projection_closed_form", norm.fundamental(e.trace()),
+                     norm.value(singular_function(e.operator)), p=p, q=q)
             emit("adjoint_invariance", lp_norm(x, 2),
                  lp_norm(x.adjoint(), 2), p=2)
     summary = {"all_green": all_green, "rows": len(rows)}
@@ -767,21 +767,21 @@ def run_boyd(config):
     s_grid = section.get("s_grid")
     header = _BASE_COLUMNS + ["target", "s", "dilation_norm",
                               "p_estimate", "q_estimate", "within_5pct"]
+    grid = sorted(float(s) for s in (s_grid or BOYD_LIMIT_SCALES))
     rows = []
     results = []
     for target in section["targets"]:
-        spec = NormSpec.from_json(target)
-        p, q = spec.p, spec.q
-        grid = sorted(float(s) for s in (s_grid or BOYD_LIMIT_SCALES))
+        norm = norm_from_json(target)
+        base = _base(config, None, "", **asdict(norm))
         for s in grid:
-            rows.append(_base(config, None, "", p=p, q=q or "")
-                        + [spec.label, s, dilation_norm_estimate(s, p, q),
-                           "", "", ""])
-        p_est, q_est = boyd_estimate(p, q, grid)
-        ok = abs(p_est - p) <= 0.05 * p and abs(q_est - p) <= 0.05 * p
-        rows.append(_base(config, None, "", p=p, q=q or "")
-                    + [spec.label, "", "", p_est, q_est, ok])
-        results.append({"target": spec.label, "p_estimate": p_est,
+            rows.append(base + [norm.label, s, dilation_norm_estimate(s, norm),
+                                "", "", ""])
+        p_est, q_est = boyd_estimate(norm, grid)
+        # each estimate against the kind's own closed-form index
+        ok = all(abs(est - index) <= 0.05 * index
+                 for est, index in zip((p_est, q_est), norm.boyd))
+        rows.append(base + [norm.label, "", "", p_est, q_est, ok])
+        results.append({"target": norm.label, "p_estimate": p_est,
                         "q_estimate": q_est, "within_5pct": ok})
     summary = {"targets": results}
     return header, rows, summary, 0

@@ -5,21 +5,19 @@ dyadic schedule against their exact (rotated) limit, with the mean
 convergence verdict of each norm.  Almost-uniform witnesses peeled from
 a trajectory's deviations under a trace budget; Besicovitch experiments,
 a weighted trajectory with the Cauchy distances of its averages; and
-condition (iii) of the mean ergodic theorem for L_p and Lorentz norms.
+condition (iii) of the mean ergodic theorem for the fully symmetric kinds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import Operator, Projection, compressed_sup
 from .dynamics import (Channel, ergodic_averages, fixed_point,
                        rotated_fixed_point)
-from .errors import UnsupportedNormError
 from .maximal import peel
-from .ncnorms import lp_norm, projection_lorentz_norm, singular_function
+from .ncnorms import Measure, SymmetricNorm, singular_function
 from .util import dyadic_schedule
 
 # Peeling stops once the compressed deviation is this small.
@@ -30,74 +28,37 @@ PEEL_FLOOR = 1e-12
 CONDITION_III_TRACES = (1.0, 10.0, 100.0, 1000.0)
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """A residual gauge: uniform, L_p, Lorentz (p,q), or the measure
-    metric."""
-
-    kind: str
-    p: float | None = None
-    q: float | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "uniform":
-            return "inf"
-        if self.kind == "lp":
-            return f"L{self.p:g}"
-        if self.kind == "lorentz":
-            return f"L({self.p:g},{self.q:g})"
-        return "measure"
-
-    @classmethod
-    def from_json(cls, data) -> "NormSpec":
-        return cls(data["kind"], data.get("p"), data.get("q"))
-
-
 def gauge_values(specs, operators) -> dict:
     """label -> the gauge of each of `operators`, for every gauge of
     `specs` (one per label).
 
-    L_p reads x by its own route, `lp_norm`.  Every other gauge reads
-    one `singular_function` of x, taken once per operator and only when
-    such a gauge is asked for: the uniform norm is its top value, a
-    Lorentz norm its closed form and the measure metric its crossing
-    point, the distance of x from 0.  So a distance d(a, b) is measured
-    on the one difference a - b that the caller passes.
+    Each gauge reads x by `spec.of`, which is handed one lazy
+    `singular_function` of x, taken once per operator and only when a
+    gauge asks for it (L_p reads x by its own route, `lp_norm`).  So a
+    distance d(a, b) is measured on the one difference a - b that the
+    caller passes.
     """
     specs = {spec.label: spec for spec in specs}
     values = {label: [] for label in specs}
     for x in operators:
-        sf = None
+        singular = functools.cache(functools.partial(singular_function, x))
         for label, spec in specs.items():
-            if spec.kind == "lp":
-                values[label].append(lp_norm(x, spec.p))
-                continue
-            if sf is None:
-                sf = singular_function(x)
-            if spec.kind == "uniform":
-                value = sf.lp_norm(np.inf)
-            elif spec.kind == "lorentz":
-                value = sf.lorentz_norm(spec.p, spec.q)
-            elif spec.kind == "measure":
-                value = sf.crossing()
-            else:
-                raise UnsupportedNormError(f"unknown gauge {spec.kind!r}")
-            values[label].append(value)
+            values[label].append(spec.of(x, singular))
     return values
 
 
 @dataclass
 class TrajectoryReport:
     """Residuals ||x_hat - M_{beta,n}(x)|| along the dyadic schedule,
-    with the sampled averages they were measured on and the verdicts of
-    `trajectory`."""
+    with the sampled averages they were measured on, the tail deviations
+    that the witnesses peel and the verdicts of `trajectory`."""
 
     limit: Operator
     schedule: list
     residuals: dict   # norm label -> list of floats
     horizon: int
     averages: dict    # n -> M_n(x) for n in schedule
+    tail: dict        # n -> x_hat - M_n(x) for scheduled n >= horizon/2
     verdicts: dict    # norm label -> {"decay_ratio", "converged"}
 
 
@@ -118,13 +79,14 @@ def trajectory(channel: Channel, x: Operator, horizon: int, norms,
     part, where P_lambda is the phase-twisted Cesaro limit; a 1/(k+1)
     decay tail averages to zero.  Every requested gauge is evaluated at
     n in {1, 2, 4, ..., horizon}, from a single pass of
-    `ergodic_averages`, each residual limit - M_n formed once and its
-    gauges read from one singular function (`gauge_values`).  Every
-    norm, but not the measure metric, also gets its mean convergence
-    verdict: converged when the final residual is at most 0.3 times the
-    residual at the third point from the end of the schedule (the
-    quarter horizon) or the floor 1e-12 max(||x||_E, 1), whichever is
-    larger; decay_ratio is the quotient of the two residuals.
+    `ergodic_averages`, each residual limit - M_n formed once, its
+    gauges read by `gauge_values` and, for n >= horizon/2, kept for the
+    witnesses as the report's `tail`.  Every norm, but not the measure
+    metric, also gets its mean convergence verdict: converged when the
+    final residual is at most 0.3 times the residual at the third point
+    from the end of the schedule (the quarter horizon) or the floor
+    1e-12 max(||x||_E, 1), whichever is larger; decay_ratio is the
+    quotient of the two residuals.
     """
     if beta is None:
         limit = fixed_point(channel, x)
@@ -139,13 +101,15 @@ def trajectory(channel: Channel, x: Operator, horizon: int, norms,
                 for n, vec in ergodic_averages(channel, x, horizon, beta)
                 if n in wanted}
     schedule = list(averages)
-    residuals = gauge_values(norms, (limit - averages[n] for n in schedule))
-    scales = gauge_values([spec for spec in norms if spec.kind != "measure"],
-                          [x])
+    deviations = {n: limit - averages[n] for n in schedule}
+    residuals = gauge_values(norms, deviations.values())
+    scales = gauge_values([spec for spec in norms
+                           if not isinstance(spec, Measure)], [x])
     verdicts = {label: _verdict(residuals[label], 1e-12 * max(scale, 1.0))
                 for label, [scale] in scales.items()}
+    tail = {n: d for n, d in deviations.items() if n >= horizon // 2}
     return TrajectoryReport(limit, schedule, residuals, horizon, averages,
-                            verdicts)
+                            tail, verdicts)
 
 
 # ---------------------------------------------------------------------
@@ -172,9 +136,8 @@ def _deviation_witness(report: TrajectoryReport, eps: float,
         raise ValueError("eps must be positive")
     algebra = report.limit.algebra
     schedule = report.schedule
-    tail_points = [n for n in schedule if n >= report.horizon // 2]
-    tail = algebra.block_stacks([(report.limit - report.averages[n]).vec()
-                                 for n in tail_points])
+    tail_points = list(report.tail)
+    tail = algebra.block_stacks([d.vec() for d in report.tail.values()])
     [(e, defect)] = peel(algebra, tail, [(PEEL_FLOOR, eps)], mode)
 
     # each suffix of the tail measured once; n reads that of the m >= n
@@ -200,30 +163,14 @@ def bau_witness(report: TrajectoryReport, eps: float) -> ConvergenceWitness:
 # Condition (iii) of the mean ergodic theorem.
 # ---------------------------------------------------------------------
 
-@dataclass
-class ConditionIIIReport:
-    """Growth of ||e||_E / tau(e) for projections of increasing trace.
-
-    For the Lorentz norms the ratio is (p/q)^(1/q) tau^(1/p - 1) in
-    closed form, which vanishes as tau -> infinity exactly when p > 1.
-    """
-
-    traces: tuple
-    ratios: tuple
-    vanishes_at_infinity: bool
-
-
-def condition_iii(norm: NormSpec) -> ConditionIIIReport | None:
-    """||e||_E / tau(e) on CONDITION_III_TRACES for the L_p and Lorentz
-    norms; None for the other gauges."""
-    if norm.kind == "lorentz":
-        ratios = tuple(projection_lorentz_norm(t, norm.p, norm.q) / t
-                       for t in CONDITION_III_TRACES)
-    elif norm.kind == "lp":
-        ratios = tuple(t ** (1.0 / norm.p) / t for t in CONDITION_III_TRACES)
-    else:
-        return None
-    return ConditionIIIReport(CONDITION_III_TRACES, ratios, norm.p > 1)
+def condition_iii(norm: SymmetricNorm) -> dict:
+    """||e||_E / tau(e) = phi_E(t) / t for projections e of trace t on
+    CONDITION_III_TRACES.  It vanishes as t -> infinity exactly when the
+    lower Boyd index exceeds 1."""
+    return {"traces": CONDITION_III_TRACES,
+            "ratios": tuple(norm.fundamental(t) / t
+                            for t in CONDITION_III_TRACES),
+            "vanishes_at_infinity": norm.boyd[0] > 1}
 
 
 # ---------------------------------------------------------------------
@@ -253,7 +200,7 @@ def besicovitch_experiment(channel: Channel, x: Operator, beta,
     certificate_ok = beta.besicovitch_certificate()
     report = trajectory(channel, x, horizon, norms, beta)
     averages = list(report.averages.values())
-    cauchy = gauge_values(norms + [NormSpec("measure")],
+    cauchy = gauge_values(norms + [Measure()],
                           (a - b for a, b in zip(averages, averages[1:])))
     return BesicovitchReport(report, cauchy, bau_witness(report, 0.05),
                              certificate_ok)

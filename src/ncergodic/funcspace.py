@@ -1,4 +1,4 @@
-"""Dilation norms and Boyd indices of the L_p and Lorentz norms.
+"""Dilation norms and Boyd indices of the fully symmetric kinds.
 
 A rearrangement-invariant norm sees a function only through its
 non-increasing rearrangement, which on the operator side is the
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedNormError
-from .ncnorms import SingularFunction, _check_lorentz_params
+from .ncnorms import SingularFunction, SymmetricNorm
 
 # Test family used to estimate dilation-operator norms: indicators of
 # [0, 2^k).  Rearrangement-invariant (p, q) norms attain their dilation
@@ -22,12 +21,8 @@ DILATION_TEST_EXPONENTS = tuple(range(-10, 11))
 BOYD_LIMIT_SCALES = (2.0 ** -16, 2.0 ** 16)
 
 
-def _norm_value(f: SingularFunction, p: float, q=None) -> float:
-    return f.lp_norm(p) if q is None else f.lorentz_norm(p, q)
-
-
-def dilation_norm_estimate(s: float, p: float, q=None) -> float:
-    """Lower estimate of ||D_s|| on the (p, q) norm.
+def dilation_norm_estimate(s: float, norm: SymmetricNorm) -> float:
+    """Lower estimate of ||D_s|| on the kind `norm`.
 
     Maximizes ||D_s f|| / ||f|| over indicators of [0, 2^k); for the
     L_{p,q} family this family is extremal and the estimate is exact
@@ -38,16 +33,16 @@ def dilation_norm_estimate(s: float, p: float, q=None) -> float:
     best = 0.0
     for k in DILATION_TEST_EXPONENTS:
         length = 2.0 ** k
-        denominator = _norm_value(SingularFunction([1.0], [length]), p, q)
+        denominator = norm.value(SingularFunction([1.0], [length]))
         if denominator == 0:
             continue
         dilated = SingularFunction([1.0], [length * s])
-        best = max(best, _norm_value(dilated, p, q) / denominator)
+        best = max(best, norm.value(dilated) / denominator)
     return best
 
 
-def boyd_estimate(p: float, q=None, s_grid=None):
-    """Estimate the two Boyd indices of L_p or L_{p,q}.
+def boyd_estimate(norm: SymmetricNorm, s_grid=None):
+    """Estimate the two Boyd indices of the kind `norm`.
 
     The lower index is log s / log ||D_s|| read at the largest grid
     point, the upper index the same expression at the smallest; the
@@ -55,10 +50,6 @@ def boyd_estimate(p: float, q=None, s_grid=None):
 
     Returns (lower_estimate, upper_estimate).
     """
-    if q is not None:
-        _check_lorentz_params(p, q)
-    elif p < 1:
-        raise UnsupportedNormError("p must be >= 1")
     if s_grid is None:
         s_grid = BOYD_LIMIT_SCALES
     s_grid = sorted(float(s) for s in s_grid)
@@ -68,8 +59,8 @@ def boyd_estimate(p: float, q=None, s_grid=None):
         raise ValueError("s_grid must contain values below and above 1")
 
     s_hi, s_lo = s_grid[-1], s_grid[0]
-    norm_hi = dilation_norm_estimate(s_hi, p, q)
-    norm_lo = dilation_norm_estimate(s_lo, p, q)
+    norm_hi = dilation_norm_estimate(s_hi, norm)
+    norm_lo = dilation_norm_estimate(s_lo, norm)
     lower = np.log(s_hi) / np.log(norm_hi)
     upper = np.log(s_lo) / np.log(norm_lo)
     return float(lower), float(upper)

@@ -1,15 +1,19 @@
-"""Generalized singular numbers, L_p and Lorentz norms and the measure
-metric.
+"""Generalized singular numbers and the gauge kinds: the uniform norm,
+the fully symmetric kinds and the measure metric.
 
 The singular-number function of x is the right-continuous non-increasing
 step function mu_t(x) = inf{ lam > 0 : tau(e_lam_perp) <= t } built from
 the singular values of x weighted by the trace, stored by its steps in
-`SingularFunction`.  Every norm here is an exact closed-form integral
-over the steps, and the measure metric d(x, y) is the crossing point of
-mu(x - y) with the identity; no quadrature is used.
+`SingularFunction`.  Each gauge kind is one frozen type, which
+`NORM_KINDS` keys by its config `kind`.  Every norm here is an exact
+closed-form integral over the steps, and the measure metric d(x, y) is
+the crossing point of mu(x - y) with the identity; no quadrature is
+used.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,35 +71,6 @@ class SingularFunction:
         lengths = np.diff(self.bounds)
         return float(np.dot(self.values ** p, lengths) ** (1.0 / p))
 
-    def lorentz_norm(self, p: float, q: float) -> float:
-        """Closed-form (integral (t^(1/p) mu(t))^q dt/t)^(1/q).
-
-        Per step [a, b) with value v the integrand contributes
-        v^q (p/q) (b^(q/p) - a^(q/p)); the pieces are summed exactly.
-        """
-        _check_lorentz_params(p, q)
-        if self.values.size == 0:
-            return 0.0
-        e = q / p
-        increments = self.bounds[1:] ** e - self.bounds[:-1] ** e
-        total = float(np.dot(self.values ** q, increments) * (p / q))
-        return total ** (1.0 / q)
-
-    def crossing(self) -> float:
-        """inf{eps > 0 : mu_eps <= eps}: for the singular function of
-        x - y, the measure-topology metric d(x, y).
-
-        mu is a non-increasing step function and the identity is strictly
-        increasing, so the crossing point is found exactly by scanning
-        the steps.
-        """
-        best = self.total_support  # on [t_m, inf) mu = 0 <= eps always
-        for k in range(self.values.size):
-            left, right, v = self.bounds[k], self.bounds[k + 1], self.values[k]
-            if v < right:  # feasible inside [left, right)
-                best = min(best, max(left, v))
-        return float(best)
-
     def __repr__(self):
         return (f"SingularFunction(steps={self.values.size}, "
                 f"support={self.total_support:.6g})")
@@ -132,33 +107,117 @@ def lp_norm(x: Operator, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _check_lorentz_params(p, q):
-    if not np.isfinite(p) or not np.isfinite(q):
-        raise UnsupportedNormError("p and q must be finite")
-    if q < 1:
-        raise UnsupportedNormError("q must be >= 1")
-    if p < 1:
-        raise UnsupportedNormError("p must be >= 1")
-    if p == 1 and q > 1:
-        raise UnsupportedNormError("(p=1, q>1) is outside the supported region")
+class Gauge:
+    """A residual gauge: a norm, or the measure metric read as the
+    distance from 0.  Each kind reads a singular function by `value`."""
+
+    def of(self, _x, singular) -> float:
+        """The gauge of the operator x; `singular()` returns the singular
+        function of x, taken once for all the gauges of x."""
+        return self.value(singular())
 
 
-def lorentz_norm(x: Operator, p: float, q: float) -> float:
-    """Lorentz (quasi-)norm ||x||_{p,q}.
-
-    For q <= p this is a genuine fully symmetric norm; for p < q it is
-    the quasi-norm only.
-    """
-    _check_lorentz_params(p, q)
-    return singular_function(x).lorentz_norm(p, q)
+class SymmetricNorm(Gauge):
+    """A fully symmetric kind E.  It adds `fundamental(t)`, the norm
+    phi_E(t) of a projection of trace t, and `boyd`, its (lower, upper)
+    Boyd indices, both in closed form."""
 
 
-def projection_lorentz_norm(trace_value: float, p: float, q: float) -> float:
-    """Closed form ||e||_{p,q} = (p/q)^(1/q) tau(e)^(1/p) for projections."""
-    _check_lorentz_params(p, q)
-    if trace_value < 0:
-        raise ValueError("projection trace must be non-negative")
-    if trace_value == 0:
-        return 0.0
-    return (p / q) ** (1.0 / q) * trace_value ** (1.0 / p)
+@dataclass(frozen=True)
+class Uniform(Gauge):
+    """The uniform norm ||x||_inf, the top value of mu(x)."""
 
+    kind = "uniform"
+    label = "inf"
+
+    def value(self, sf: SingularFunction) -> float:
+        return sf.lp_norm(np.inf)
+
+
+@dataclass(frozen=True)
+class Lp(SymmetricNorm):
+    """The L_p norm; p < 1 is refused when a value is read."""
+
+    p: float
+    kind = "lp"
+
+    @property
+    def label(self) -> str:
+        return f"L{self.p:g}"
+
+    @property
+    def boyd(self) -> tuple:
+        return self.p, self.p
+
+    def value(self, sf: SingularFunction) -> float:
+        return sf.lp_norm(self.p)
+
+    def of(self, x, _singular) -> float:
+        # the spectrum of x* x (`lp_norm`), not mu(x): the two routes
+        # differ in the last bits, and the recorded residuals hold these
+        return lp_norm(x, self.p)
+
+    def fundamental(self, t: float) -> float:
+        return t ** (1.0 / self.p)
+
+
+@dataclass(frozen=True)
+class Lorentz(SymmetricNorm):
+    """The Lorentz kind L_{p,q}, p and q finite and >= 1, with q = 1 when
+    p = 1: a norm for q <= p, a quasi-norm for p < q."""
+
+    p: float
+    q: float
+    kind = "lorentz"
+
+    def __post_init__(self):
+        if not (np.isfinite(self.p) and np.isfinite(self.q)
+                and self.p >= 1 and self.q >= 1):
+            raise UnsupportedNormError("p and q must be finite and >= 1")
+        if self.p == 1 and self.q > 1:
+            raise UnsupportedNormError("p = 1 is supported with q = 1 only")
+
+    @property
+    def label(self) -> str:
+        return f"L({self.p:g},{self.q:g})"
+
+    @property
+    def boyd(self) -> tuple:
+        return self.p, self.p
+
+    def value(self, sf: SingularFunction) -> float:
+        """(integral (t^(1/p) mu(t))^q dt/t)^(1/q) in closed form: a step
+        [a, b) of value v adds v^q (p/q) (b^(q/p) - a^(q/p))."""
+        p, q = self.p, self.q
+        increments = sf.bounds[1:] ** (q / p) - sf.bounds[:-1] ** (q / p)
+        total = float(np.dot(sf.values ** q, increments) * (p / q))
+        return total ** (1.0 / q)
+
+    def fundamental(self, t: float) -> float:
+        return (self.p / self.q) ** (1.0 / self.q) * t ** (1.0 / self.p)
+
+
+@dataclass(frozen=True)
+class Measure(Gauge):
+    """The measure-topology metric, read as the distance d(x, 0)."""
+
+    kind = label = "measure"
+
+    def value(self, sf: SingularFunction) -> float:
+        """inf{eps > 0 : mu_eps <= eps}, found exactly by scanning the
+        steps: mu is non-increasing and the identity increasing."""
+        best = sf.total_support  # on [t_m, inf) mu = 0 <= eps always
+        for k in range(sf.values.size):
+            left, right, v = sf.bounds[k], sf.bounds[k + 1], sf.values[k]
+            if v < right:  # feasible inside [left, right)
+                best = min(best, max(left, v))
+        return float(best)
+
+
+NORM_KINDS = {norm.kind: norm for norm in (Uniform, Lp, Lorentz, Measure)}
+
+
+def norm_from_json(data) -> Gauge:
+    """The gauge of a config object, from its kind's own fields only."""
+    norm = NORM_KINDS[data["kind"]]
+    return norm(**{field.name: data[field.name] for field in fields(norm)})

@@ -14,12 +14,11 @@ import pytest
 
 from ncergodic import cli, convergence, maximal
 from ncergodic.algebra import AlgebraSpec, Operator, Projection
-from ncergodic.convergence import NormSpec
 from ncergodic.dynamics import (CHANNEL_KINDS, Channel, channel_from_spec,
                                 ergodic_averages)
 from ncergodic.funcspace import BOYD_LIMIT_SCALES
 from ncergodic.maximal import WitnessReport
-from ncergodic.ncnorms import singular_function
+from ncergodic.ncnorms import Measure, Uniform, singular_function
 from ncergodic.rng import derive_seed, stream
 from ncergodic.util import DEFAULT_TOL, dyadic_schedule
 from ncergodic.weights import WeightSequence
@@ -197,7 +196,7 @@ class TestConvergeContract:
                 algebra, section["element"],
                 stream(config["seed"], "element", seed_idx))
             report = convergence.trajectory(channel, x, config["horizon"],
-                                            [NormSpec("uniform")])
+                                            [Uniform()])
             for key, mode in (("au", "one_sided"), ("bau", "two_sided")):
                 defect, profile = greedy_witness(report, section["eps"], mode)
                 assert cell[key]["trace_defect"] == defect > 0
@@ -276,7 +275,7 @@ class TestBesicovitchContract:
             # the uniform norm by its own route, np.linalg.norm(b, 2)
             assert [float(c) for c in cells[1:]] == [
                 (a - b).uniform_norm() if column == "cauchy_inf"
-                else singular_function(a - b).crossing()
+                else Measure().value(singular_function(a - b))
                 for a, b in zip(averages, averages[1:])]
 
 
@@ -1087,6 +1086,19 @@ class TestNormsAndBoyd:
                 expected = float(row["s"]) ** (1.0 / float(row["p"]))
                 assert float(row["dilation_norm"]) == pytest.approx(
                     expected, rel=1e-12, abs=0.0)
+
+    def test_boyd_target_reads_its_own_kind_fields(self, tmp_path):
+        # an L_p target with a stray q is the L_p norm: the rows of
+        # {"kind": "lp", "p": 2, "q": 3} are those of {"kind": "lp", "p": 2},
+        # with an empty q column, and not the Lorentz norm L(2,3)
+        code, rows, summary = self.run(tmp_path, "boyd", {"targets": [
+            {"kind": "lp", "p": 2, "q": 3}, {"kind": "lp", "p": 2}]})
+        assert code == 0
+        half = len(rows) // 2
+        assert rows[:half] == rows[half:]
+        assert all(row["target"] == "L2" and row["p"] == "2"
+                   and row["q"] == "" for row in rows)
+        assert summary["targets"][0] == summary["targets"][1]
 
     def test_norms_runs(self, tmp_path):
         section = {"num_operators": 3, "p_grid": [1, 2, 3.5],

@@ -9,18 +9,19 @@ import pytest
 from ncergodic import cli, convergence
 from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
                               compressed_sup)
-from ncergodic.convergence import (CONDITION_III_TRACES, NormSpec,
-                                   au_witness, bau_witness,
-                                   besicovitch_experiment, condition_iii,
-                                   trajectory)
+from ncergodic.convergence import (CONDITION_III_TRACES, au_witness,
+                                   bau_witness, besicovitch_experiment,
+                                   condition_iii, trajectory)
 from ncergodic.dynamics import random_kraus_channel, unitary_conjugation
 from ncergodic.maximal import peel
+from ncergodic.ncnorms import Lorentz, Lp, Measure, Uniform
 from ncergodic.rng import random_operator, stream
+from ncergodic.util import dyadic_schedule
 from ncergodic.weights import WeightSequence
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
-NORMS = (NormSpec("uniform"), NormSpec("lp", 2.0))
+NORMS = (Uniform(), Lp(2.0))
 
 
 @pytest.fixture
@@ -50,6 +51,26 @@ class TestOnePassPerCell:
                              "--out", str(tmp_path)])
         assert code == 0
         assert len(apply_calls) == json.loads(path.read_text())["horizon"]
+
+    def test_converge_cell_forms_each_residual_once(self, tmp_path,
+                                                    monkeypatch):
+        # the witnesses stack the tail deviations that the trajectory
+        # kept, so a cell subtracts limit - M_n once per scheduled n
+        calls = []
+        subtract = Operator.__sub__
+
+        def counting_subtract(a, b):
+            calls.append(1)
+            return subtract(a, b)
+
+        monkeypatch.setattr(Operator, "__sub__", counting_subtract)
+        path = FIXTURES / "m2_unitary.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["converge", "--config", str(path),
+                             "--out", str(tmp_path)])
+        assert code == 0
+        horizon = json.loads(path.read_text())["horizon"]
+        assert len(calls) == len(dyadic_schedule(horizon))
 
     def test_besicovitch_applies_horizon_times(self, apply_calls):
         rng = stream(300, "conv")
@@ -90,21 +111,19 @@ class TestMeanConvergence:
         assert lorentz["ratios"] == pytest.approx(
             [1.22474487, 0.26386328, 0.05684762, 0.01224745], rel=1e-6)
         for p, q in [(3, 2), (2, 1), (1.5, 1), (2, 3), (1, 1)]:
-            report = condition_iii(NormSpec("lorentz", p, q))
-            assert report.traces == CONDITION_III_TRACES
-            assert report.ratios == pytest.approx(
+            report = condition_iii(Lorentz(p, q))
+            assert report["traces"] == CONDITION_III_TRACES
+            assert report["ratios"] == pytest.approx(
                 [(p / q) ** (1 / q) * t ** (1 / p - 1)
                  for t in CONDITION_III_TRACES], rel=1e-12)
-            assert report.vanishes_at_infinity == (p > 1)
-        assert condition_iii(NormSpec("lp", 2.0)).ratios == pytest.approx(
+            assert report["vanishes_at_infinity"] == (p > 1)
+        assert condition_iii(Lp(2.0))["ratios"] == pytest.approx(
             [t ** -0.5 for t in CONDITION_III_TRACES], rel=1e-12)
-        assert condition_iii(NormSpec("uniform")) is None
-        assert condition_iii(NormSpec("measure")) is None
 
     def test_measure_gets_no_verdict(self):
         channel = random_kraus_channel(MULTI, 2, stream(305, "conv"))
         x = random_operator(MULTI, stream(306, "conv"))
-        norms = (NormSpec("uniform"), NormSpec("measure"))
+        norms = (Uniform(), Measure())
         report = trajectory(channel, x, 16, norms)
         assert set(report.residuals) == {"inf", "measure"}
         assert set(report.verdicts) == {"inf"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncergodic import dynamics
 from ncergodic.algebra import AlgebraSpec, Operator
-from ncergodic.convergence import NormSpec, trajectory
+from ncergodic.convergence import trajectory
 from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
                                 channel_from_spec, compose,
                                 convex_combine, ergodic_averages,
@@ -21,7 +21,8 @@ from ncergodic.dynamics import (CHANNEL_KINDS, Channel, _hermitian_superop,
                                 substochastic, unitary_conjugation,
                                 verify_ds)
 from ncergodic.errors import ChannelConstructionError, SemisimplicityError
-from ncergodic.ncnorms import lorentz_norm, lp_norm
+from ncergodic.ncnorms import (Lorentz, Lp, Uniform, lp_norm,
+                               singular_function)
 from ncergodic.rng import random_operator, random_unitary_operator, stream
 from ncergodic.util import DEFAULT_TOL, EIG_CLUSTER_TOL
 from ncergodic.weights import WeightSequence
@@ -335,10 +336,11 @@ class TestWeightedAverage:
         for _ in range(5):
             ch = random_kraus_channel(M4, 3, rng)
             x = random_operator(M4, rng)
-            bound = 6 * c * lorentz_norm(x, p, q)
+            norm = Lorentz(p, q)
+            bound = 6 * c * norm.value(singular_function(x))
             for n in (1, 8, 32):
-                assert lorentz_norm(average(ch, x, n, beta),
-                                    p, q) <= bound + 1e-9
+                assert norm.value(singular_function(
+                    average(ch, x, n, beta))) <= bound + 1e-9
 
     def test_bound_violation_rejected(self):
         beta = WeightSequence("periodic", period=[1.0, 3.0])
@@ -1108,8 +1110,7 @@ class TestTrajectoryOracle:
             ch = random_unitary_mixture(MULTI, 2, rng)
         x = random_operator(MULTI, rng)
         horizon = 64
-        norms = (NormSpec("uniform"), NormSpec("lp", 2.0),
-                 NormSpec("lorentz", 3.0, 2.0))
+        norms = (Uniform(), Lp(2.0), Lorentz(3.0, 2.0))
         report = trajectory(ch, x, horizon, norms)
         proj = schur_projection(ch.superop)
         assert np.any(proj) == (family == "unital")
@@ -1118,7 +1119,7 @@ class TestTrajectoryOracle:
         assert report.schedule[-1] == horizon
         diff = limit - final
         want = {"inf": diff.uniform_norm(), "L2": lp_norm(diff, 2.0),
-                "L(3,2)": lorentz_norm(diff, 3.0, 2.0)}
+                "L(3,2)": Lorentz(3.0, 2.0).value(singular_function(diff))}
         assert set(want) == {spec.label for spec in norms}
         for label, value in want.items():
             assert report.residuals[label][-1] == pytest.approx(

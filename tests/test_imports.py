@@ -5,8 +5,10 @@ outside the standard library and its runtime dependencies, none reads
 the environment, only the CLI and `maximal._weak_pp` build a
 `CheckerStacks`, inside `maximal.py` only `CheckerStacks.stacks`
 runs the recurrence, and the spectral gap's Arnoldi reads no dense
-superoperator while the recurrence steps with it (parsed with `ast`, so
-no linter is needed).  The names that the benchmark's tracer binds
+superoperator while the recurrence steps with it, no module but
+`ncnorms` compares a value with a norm-kind string and the CLI schema
+lists the norm kinds from `NORM_KINDS` (parsed with `ast`, so no linter
+is needed).  The names that the benchmark's tracer binds
 exist."""
 
 import ast
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ncergodic.ncnorms import NORM_KINDS, SymmetricNorm
 
 PACKAGE = Path(__file__).parents[1] / "src" / "ncergodic"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
@@ -415,6 +419,79 @@ def test_finds_environment_reads():
 def test_no_environment_reads(module):
     # results depend only on the config and the command line
     assert environment_reads((PACKAGE / module).read_text()) == []
+
+
+def norm_kind_comparisons(source):
+    """Lines that compare a value with a norm-kind string: a comparison
+    that has one as an operand or in a tuple, list or set operand, or a
+    `case` on one."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            items = []
+            for operand in [node.left, *node.comparators]:
+                items += operand.elts if isinstance(
+                    operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+        elif isinstance(node, ast.MatchValue):
+            items = [node.value]
+        else:
+            continue
+        if any(isinstance(item, ast.Constant) and item.value in NORM_KINDS
+               for item in items):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_norm_kind_comparisons():
+    source = ("def f(spec, kind):\n"
+              "    if spec.kind == 'lp':\n"
+              "        return 1\n"
+              "    if kind not in ('uniform', 'measure'):\n"
+              "        return 2\n"
+              "    match kind:\n"
+              "        case 'lorentz':\n"
+              "            return 3\n"
+              "    return {'lp': 4}.get(kind, kind != 'warp')\n")
+    assert norm_kind_comparisons(source) == [2, 4, 7]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ncnorms.py"])
+def test_no_norm_kind_comparisons_outside_ncnorms(module):
+    # which gauge a kind is, and what it reads, is decided by its type
+    assert norm_kind_comparisons((PACKAGE / module).read_text()) == []
+
+
+def literal_enum_values(source):
+    """The constants that an `"enum": [...]` written out as a literal
+    lists."""
+    values = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "enum" \
+                        and isinstance(value, (ast.List, ast.Tuple)):
+                    values |= {item.value for item in value.elts
+                               if isinstance(item, ast.Constant)}
+    return values
+
+
+def test_finds_literal_enum_values():
+    source = ("A = {'enum': ['lp', 2, *B]}\n"
+              "C = {'kind': {'enum': list(D)}, 'x': ['uniform']}\n")
+    assert literal_enum_values(source) == {"lp", 2}
+
+
+def test_norm_schema_enums_built_from_norm_kinds():
+    # the norms' and the boyd targets' kind enums follow the registry,
+    # and neither is written out in cli.py
+    cli = importlib.import_module("ncergodic.cli")
+    boyd = cli.CONFIG_SCHEMA["properties"]["boyd"]["properties"]["targets"]
+    assert cli._NORM_SCHEMA["properties"]["kind"]["enum"] == list(NORM_KINDS)
+    assert boyd["items"]["properties"]["kind"]["enum"] == [
+        kind for kind, norm in NORM_KINDS.items()
+        if issubclass(norm, SymmetricNorm)]
+    assert not literal_enum_values((PACKAGE / "cli.py").read_text()) \
+        & set(NORM_KINDS)
 
 
 def test_benchmark_tracer_bindings_exist():

@@ -4,8 +4,9 @@ from scipy.integrate import quad
 
 from ncergodic.algebra import AlgebraSpec, Operator
 from ncergodic.errors import UnsupportedNormError
-from ncergodic.ncnorms import (SingularFunction, lorentz_norm, lp_norm,
-                               projection_lorentz_norm, singular_function)
+from ncergodic.ncnorms import (NORM_KINDS, Lorentz, Lp, Measure,
+                               SingularFunction, Uniform, lp_norm,
+                               norm_from_json, singular_function)
 from ncergodic.rng import random_operator, stream
 
 M2 = AlgebraSpec(((2, 1.0),))
@@ -15,6 +16,10 @@ MIXED = AlgebraSpec(((3, 1.0), (2, 0.5)))
 
 def diag(values, algebra=M2):
     return Operator(algebra, [np.diag(np.asarray(values, dtype=complex))])
+
+
+def lorentz_norm(x, p, q):
+    return Lorentz(p, q).value(singular_function(x))
 
 
 def cumulative(sf: SingularFunction, s):
@@ -204,13 +209,15 @@ class TestLorentzNorm:
             expected = (p / q) ** (1.0 / q) * t0 ** (1.0 / p)
             assert lorentz_norm(e, p, q) == pytest.approx(expected,
                                                           abs=1e-10)
-            assert projection_lorentz_norm(t0, p, q) == pytest.approx(
+            assert Lorentz(p, q).fundamental(t0) == pytest.approx(
                 expected, abs=1e-12)
 
-    @pytest.mark.parametrize("p,q", [(1, 2), (1, 1.5)])
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 1.5), (0.5, 1), (2, 0.5),
+                                     (np.inf, 1), (2, np.nan)])
     def test_rejects_unsupported_region(self, p, q):
+        # refused once, when the kind is built
         with pytest.raises(UnsupportedNormError):
-            lorentz_norm(M2.identity(), p, q)
+            Lorentz(p, q)
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
     def test_pp_equals_lp_random(self, p):
@@ -255,7 +262,7 @@ class TestSubmajorization:
 
 
 def measure_distance(x, y):
-    return singular_function(x - y).crossing()
+    return Measure().value(singular_function(x - y))
 
 
 class TestMeasureMetric:
@@ -282,3 +289,35 @@ class TestMeasureMetric:
         # a huge difference saturates at the support length, not the norm
         x = diag([100.0, 50.0])
         assert measure_distance(x, M2.zero()) == pytest.approx(2.0)
+
+
+class TestKinds:
+    def test_from_json_reads_only_the_kinds_own_fields(self):
+        assert norm_from_json({"kind": "uniform", "p": 2}) == Uniform()
+        assert norm_from_json({"kind": "lp", "p": 2, "q": 3}) == Lp(2)
+        assert norm_from_json({"kind": "lorentz", "p": 3, "q": 2}) \
+            == Lorentz(3, 2)
+        assert norm_from_json({"kind": "measure", "q": 1}) == Measure()
+        assert set(NORM_KINDS) == {"uniform", "lp", "lorentz", "measure"}
+
+    def test_labels(self):
+        kinds = (Uniform(), Lp(2), Lp(1.5), Lorentz(3, 2), Measure())
+        assert [kind.label for kind in kinds] == [
+            "inf", "L2", "L1.5", "L(3,2)", "measure"]
+
+    def test_of_reads_the_shared_singular_function_but_for_lp(self):
+        x = random_operator(MIXED, stream(53, "kinds"))
+        sf = singular_function(x)
+        calls = []
+
+        def singular():
+            calls.append(1)
+            return sf
+
+        assert Lp(2).of(x, singular) == lp_norm(x, 2)
+        assert calls == []
+        for kind in (Uniform(), Lorentz(3, 2), Measure()):
+            assert kind.of(x, singular) == kind.value(sf)
+        assert len(calls) == 3
+        assert Uniform().value(sf) == pytest.approx(x.uniform_norm(),
+                                                    rel=1e-12)

@@ -2,10 +2,10 @@
 a short allow-list.
 
 `cli.main` runs in-process under `sys.setprofile` on small configs that
-cover every subcommand, channel kind, weight kind, element kind and
-certify method.  Each called code object is mapped to its function by
-(file, first line) against an `ast` walk of the package (`co_qualname`
-needs Python 3.11).  The same pass sums the certify runs' `won_by`, so
+cover every subcommand, channel kind, weight kind, norm kind, element
+kind and certify method.  Each called code object is mapped to its
+function by (file, first line) against an `ast` walk of the package
+(`co_qualname` needs Python 3.11).  The same pass sums the certify runs' `won_by`, so
 a weak (1,1) strategy that wins no check there fails a test.
 """
 
@@ -22,6 +22,7 @@ import pytest
 
 from ncergodic import cli, maximal
 from ncergodic.dynamics import CHANNEL_KINDS
+from ncergodic.ncnorms import NORM_KINDS
 from ncergodic.weights import WEIGHT_KINDS
 from test_cli import DIAG2, MINIMAL_SPECS
 
@@ -68,6 +69,7 @@ def runs():
     yield "verify-channel", {"seed": 3, "algebra": {"blocks": [[2, 1.0]]},
                              "channel": {"kind": "scaled", "factor": [0, 0.5],
                                          "child": {"kind": "identity"}}}
+    assert {norm["kind"] for norm in _NORMS} == set(NORM_KINDS)
     yield "converge", {**_MIX2, "channel": {"kind": "random-kraus", "seed": 2},
                        "converge": {"element": {"kind": "random"},
                                     "norms": _NORMS, "num_seeds": 2}}
