@@ -5,6 +5,9 @@ M_{d_1} (+) ... (+) M_{d_r} carrying the weighted trace
 tau(x) = sum_i w_i * tr(x_i) with strictly positive weights w_i.  Every
 element is bounded, so all the L_p spaces coincide with the algebra as
 sets and the norms below are honest finite formulas.
+
+The module holds the Hermitian part (`hermitian`), the defect test
+(`defect_norm`) and the spectral map (`spectral_map`) of the package.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AlgebraMismatchError, NotHermitianError,
-                     ProjectionCertificateError)
+from .errors import AlgebraMismatchError, ProjectionCertificateError
 from .util import DEFAULT_TOL, row_slices, short_hash
 
 
@@ -188,7 +190,7 @@ class Operator:
     # -- certificates ---------------------------------------------------
 
     def is_hermitian(self) -> bool:
-        return all(np.linalg.norm(b - b.conj().T, 2) <= DEFAULT_TOL
+        return all(defect_norm(b - b.conj().T) <= DEFAULT_TOL
                    for b in self._blocks)
 
     def is_positive(self) -> bool:
@@ -246,6 +248,38 @@ class Operator:
         return f"Operator(dims={self.algebra.dims})"
 
 
+def hermitian(a):
+    """(a + a*)/2 of one block or of a stack of blocks."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def defect_norm(a) -> float:
+    """||a||_2 where it may exceed DEFAULT_TOL, else an upper bound on it:
+    the package's one test of a defect against DEFAULT_TOL.
+
+    The Frobenius norm is at least the 2-norm, so one of at most
+    DEFAULT_TOL/2 stands in for it: the half-tol margin covers the rounding
+    of both norms, so a test against DEFAULT_TOL gives the 2-norm's verdict
+    without its SVD, and an exactly Hermitian block needs none.  A larger
+    defect is the 2-norm itself, as an error message prints it."""
+    frobenius = float(np.linalg.norm(a))
+    if frobenius <= DEFAULT_TOL / 2:
+        return frobenius
+    return float(np.linalg.norm(a, 2))
+
+
+def spectral_map(x: Operator, *functions):
+    """f(h) for each f, h the Hermitian part of x: one `eigh` of h per
+    block, shared by the functions, and per function the operator
+    (v * f(lam)) v* of each block's eigenvalues lam and vectors v."""
+    mapped = [[] for _ in functions]
+    for b in x.blocks:
+        lam, vecs = np.linalg.eigh(hermitian(b))
+        for blocks, f in zip(mapped, functions):
+            blocks.append((vecs * f(lam)) @ vecs.conj().T)
+    return tuple(Operator(x.algebra, blocks) for blocks in mapped)
+
+
 def hermitian_decompose(x: Operator):
     """Split x into four positive operators with
     x = (x1 - x2) + i(x3 - x4).
@@ -255,32 +289,10 @@ def hermitian_decompose(x: Operator):
     mu(part) <= mu(component) pointwise, hence contracts every
     symmetric norm of x.
     """
-    parts = []
-    for comp in (x.hermitian_part(), x.skew_part()):
-        pos_blocks, neg_blocks = [], []
-        for b in comp.blocks:
-            lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-            pos = (vecs * np.clip(lam, 0.0, None)) @ vecs.conj().T
-            neg = (vecs * np.clip(-lam, 0.0, None)) @ vecs.conj().T
-            pos_blocks.append(pos)
-            neg_blocks.append(neg)
-        parts.append(Operator(x.algebra, pos_blocks))
-        parts.append(Operator(x.algebra, neg_blocks))
-    return tuple(parts)
-
-
-def _defect_norm(a) -> float:
-    """||a||_2 where it may exceed DEFAULT_TOL, else an upper bound on it.
-
-    The Frobenius norm is at least the 2-norm, so one of at most
-    DEFAULT_TOL/2 stands in for it: the half-tol margin covers the rounding
-    of both norms, so a test against DEFAULT_TOL gives the 2-norm's verdict
-    without its SVD.  A larger defect is the 2-norm itself, as an error
-    message prints it."""
-    frobenius = float(np.linalg.norm(a))
-    if frobenius <= DEFAULT_TOL / 2:
-        return frobenius
-    return float(np.linalg.norm(a, 2))
+    def split(comp):
+        return spectral_map(comp, lambda lam: np.clip(lam, 0.0, None),
+                            lambda lam: np.clip(-lam, 0.0, None))
+    return split(x.hermitian_part()) + split(x.skew_part())
 
 
 class Projection:
@@ -297,15 +309,15 @@ class Projection:
         bases = []
         clean_blocks = []
         for b in op.blocks:
-            herm_defect = _defect_norm(b - b.conj().T)
-            idem_defect = _defect_norm(b @ b - b)
+            herm_defect = defect_norm(b - b.conj().T)
+            idem_defect = defect_norm(b @ b - b)
             if herm_defect > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"not self-adjoint (defect {herm_defect:.2e})")
             if idem_defect > DEFAULT_TOL:
                 raise ProjectionCertificateError(
                     f"not idempotent (defect {idem_defect:.2e})")
-            lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
+            lam, vecs = np.linalg.eigh(hermitian(b))
             dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
             if lam.size and float(dist.max()) > DEFAULT_TOL:
                 raise ProjectionCertificateError(
@@ -495,8 +507,3 @@ def compressed_sup(stacks, e: Projection, mode="two_sided",
             top = _svd_top(compress(stack[rest], basis, mode))
             best = max(best, float(top.max()))
     return best
-
-
-def require_hermitian(x: Operator, what="operator"):
-    if not x.is_hermitian():
-        raise NotHermitianError(f"{what} is not self-adjoint within tolerance")

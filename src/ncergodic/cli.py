@@ -67,10 +67,11 @@ _OPERATOR_SCHEMA = {
 }
 
 
-def _kind_needs(kind, *fields):
-    """Schema clause: an object of this kind must carry these fields."""
+def _kind_needs(kind, *fields, **properties):
+    """Schema clause: an object of this kind must carry these fields, and
+    the named properties must meet the given subschemas."""
     return {"if": {"properties": {"kind": {"const": kind}}},
-            "then": {"required": list(fields)}}
+            "then": {"required": list(fields), "properties": properties}}
 
 
 _CHANNEL_REF = {"$ref": "#/$defs/channel"}
@@ -95,8 +96,7 @@ _CHANNEL_SCHEMA = {
     # the fields `channel_from_spec` reads for each kind
     "allOf": [_kind_needs("pinching", "labels"),
               # `substochastic` reads a real "matrix", `unitary` an operator
-              {"if": {"properties": {"kind": {"const": "unitary"}}},
-               "then": {"properties": {"matrix": _OPERATOR_SCHEMA}}},
+              _kind_needs("unitary", matrix=_OPERATOR_SCHEMA),
               _kind_needs("schur", "matrices"),
               _kind_needs("substochastic", "matrix"),
               _kind_needs("kraus", "operators"),
@@ -124,6 +124,11 @@ _ELEMENT_SCHEMA = {
         "properties": {"kind": {"enum": list(_RANDOM_ELEMENTS)}}}},
 }
 
+_NORM_FIELDS = {kind: [field.name for field in fields(norm)]
+                for kind, norm in NORM_KINDS.items()}
+# the subschema of a field that no value meets: the error of `false`
+# would sit at its object's path in jsonschema, this one at the field's
+_NO_VALUE = {"enum": []}
 _NORM_SCHEMA = {
     "type": "object",
     "required": ["kind"],
@@ -132,9 +137,11 @@ _NORM_SCHEMA = {
         "p": {"type": "number", "minimum": 1},
         "q": {"type": "number", "minimum": 1},
     },
-    # each kind's fields, and the Lorentz check that L_{1,q} needs q = 1
-    "allOf": [_kind_needs(kind, *(field.name for field in fields(norm)))
-              for kind, norm in NORM_KINDS.items()] + [
+    # each kind's fields and none of p and q that it does not read, and
+    # the Lorentz check that L_{1,q} needs q = 1
+    "allOf": [_kind_needs(kind, *own, **{
+                  name: _NO_VALUE for name in ("p", "q") if name not in own})
+              for kind, own in _NORM_FIELDS.items()] + [
         {"if": {"properties": {"kind": {"const": Lorentz.kind},
                                "p": {"const": 1}}},
          "then": {"properties": {"q": {"maximum": 1}}}}],
@@ -158,8 +165,7 @@ _WEIGHTS_SCHEMA = {
     "allOf": [_kind_needs(kind, field)
               for kind, field in WEIGHT_KINDS.items()] + [
         # a constant weight is a period of one entry
-        {"if": {"properties": {"kind": {"const": "constant"}}},
-         "then": {"properties": {"period": {"maxItems": 1}}}}],
+        _kind_needs("constant", period={"maxItems": 1})],
 }
 
 _ALGEBRA_SCHEMA = {

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Operator
+from .algebra import AlgebraSpec, Operator, defect_norm, hermitian
 from .errors import ChannelConstructionError, SemisimplicityError
 from .rng import random_operator, random_unitary_operator, stream
 from .util import DEFAULT_TOL, EIG_CLUSTER_TOL, row_slices
@@ -551,8 +551,8 @@ def identity_channel(algebra: AlgebraSpec) -> Channel:
 def unitary_conjugation(u: Operator) -> Channel:
     """x -> u* x u for a block unitary u."""
     algebra = u.algebra
-    defect = max(float(np.linalg.norm(
-        b.conj().T @ b - np.eye(b.shape[0]), 2)) for b in u.blocks)
+    defect = max(defect_norm(b.conj().T @ b - np.eye(b.shape[0]))
+                 for b in u.blocks)
     if defect > DEFAULT_TOL:
         raise ChannelConstructionError(f"not unitary (defect {defect:.2e})")
     return kraus_channel(algebra, [u.adjoint()], kind="unitary")
@@ -594,15 +594,13 @@ def schur_multiplier(algebra: AlgebraSpec, mats) -> Channel:
     for i, (d, m) in enumerate(zip(algebra.dims, mats)):
         if m.shape != (d, d):
             raise ChannelConstructionError("multiplier shape mismatch")
-        if np.linalg.norm(m - m.conj().T, 2) > DEFAULT_TOL:
+        if defect_norm(m - m.conj().T) > DEFAULT_TOL:
             raise ChannelConstructionError("multiplier must be Hermitian")
-        lam, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+        lam, vecs = np.linalg.eigh(hermitian(m))
         if lam[0] < -DEFAULT_TOL:
             raise ChannelConstructionError(
                 f"multiplier not PSD (min eig {lam[0]:.2e})")
-        for k in range(d):
-            if lam[k] <= 0:
-                continue
+        for k in np.flatnonzero(lam > 0):
             col = np.zeros(total, dtype=complex)
             col[offsets[i]:offsets[i] + d] = np.sqrt(lam[k]) * vecs[:, k]
             ops.append(algebra.diagonal(col))

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Operator, Projection, compress, compressed_sup,
-                      hermitian_decompose, sup_screen)
+                      hermitian, hermitian_decompose, sup_screen)
 from .dynamics import Channel, ergodic_averages
 from .errors import NotPositiveError
 from .ncnorms import lp_norm
@@ -181,7 +181,7 @@ class CheckerStacks:
         floors = []
         for stack in self.stacks:
             floors.append(np.max([
-                np.linalg.eigvalsh(_hermitian(stack[rows]))[:, 0].max()
+                np.linalg.eigvalsh(hermitian(stack[rows]))[:, 0].max()
                 for rows in row_slices(len(stack), stack[0].size)]))
         return np.array(floors)
 
@@ -192,7 +192,7 @@ class CheckerStacks:
         It is at most min_i f_i of `floors`, also as computed: LAPACK
         treats each matrix of a batch alone, so the n = N term of f_i is
         this value to the bit."""
-        return min(np.linalg.eigvalsh(_hermitian(stack[-1:]))[0, 0]
+        return min(np.linalg.eigvalsh(hermitian(stack[-1:]))[0, 0]
                    for stack in self.stacks)
 
     @functools.cached_property
@@ -257,10 +257,6 @@ def hopf_witness_commutative(checker: CheckerStacks, eps_grid) -> list:
             for e, eps in zip(cuts, eps_grid)]
 
 
-def _hermitian(stack):
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
-
-
 # A strategy maps (checker, stops) to one candidate projection or None
 # per (level, budget) stop; its level-free work runs once.  It measures
 # through `checker.sup`, once per (projection, mode), as the check does.
@@ -301,7 +297,7 @@ def _strategy_level_set(checker, stops):
     # pair the terms differently), and symmetrised as `eigh` does it, so
     # the bits stay and its Hermitian check passes at any scale of x
     mean = Operator(checker.channel.algebra,
-                    [_hermitian(scale * np.cumsum(stack, axis=0)[-1])
+                    [hermitian(scale * np.cumsum(stack, axis=0)[-1])
                      for stack in checker.stacks])
     dec = eigh(mean)
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Operator, Projection
+from .algebra import AlgebraSpec, Operator, Projection, hermitian
 
 
 def stream(seed, *key) -> np.random.Generator:
@@ -51,7 +51,7 @@ def random_operator(algebra: AlgebraSpec, rng, kind="general",
     for dim, _ in algebra.blocks:
         g = _ginibre(rng, dim)
         if kind == "hermitian":
-            g = (g + g.conj().T) / 2.0
+            g = hermitian(g)
         elif kind == "positive":
             g = g @ g.conj().T
         elif kind != "general":

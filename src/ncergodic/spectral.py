@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Operator, Projection, require_hermitian
+from .algebra import (AlgebraSpec, Operator, Projection, hermitian,
+                      spectral_map)
+from .errors import NotHermitianError
 from .util import EIG_CLUSTER_TOL, MEET_KERNEL_TOL
 
 
@@ -30,11 +32,9 @@ class SpectralDecomposition:
         for i, d in enumerate(self.algebra.dims):
             cols = [p.block_basis(i) for lam, p in
                     zip(self.eigenvalues, self.projections)
-                    if predicate(float(lam)) and p.block_basis(i).shape[1]]
-            if cols:
-                bases.append(np.concatenate(cols, axis=1))
-            else:
-                bases.append(np.zeros((d, 0), dtype=complex))
+                    if predicate(float(lam))]
+            bases.append(np.concatenate(
+                [np.zeros((d, 0), dtype=complex), *cols], axis=1))
         return Projection.from_basis(self.algebra, bases)
 
 
@@ -46,12 +46,13 @@ def eigh(x: Operator) -> SpectralDecomposition:
     eigenprojection.  Merging keeps meets and interval projections
     stable at degenerate eigenvalues.
     """
-    require_hermitian(x, "eigh input")
+    if not x.is_hermitian():
+        raise NotHermitianError(
+            "eigh input is not self-adjoint within tolerance")
     entries = []  # (eigenvalue, block index, eigenvector column)
     for i, b in enumerate(x.blocks):
-        lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        for k in range(lam.size):
-            entries.append((float(lam[k]), i, vecs[:, k]))
+        lam, vecs = np.linalg.eigh(hermitian(b))
+        entries += [(float(v), i, col) for v, col in zip(lam, vecs.T)]
     entries.sort(key=lambda t: t[0])
 
     clusters = []
@@ -68,10 +69,8 @@ def eigh(x: Operator) -> SpectralDecomposition:
         bases = []
         for i, d in enumerate(x.algebra.dims):
             cols = [t[2].reshape(d, 1) for t in cluster if t[1] == i]
-            if cols:
-                bases.append(np.concatenate(cols, axis=1))
-            else:
-                bases.append(np.zeros((d, 0), dtype=complex))
+            bases.append(np.concatenate(
+                [np.zeros((d, 0), dtype=complex), *cols], axis=1))
         projections.append(Projection.from_basis(x.algebra, bases))
     return SpectralDecomposition(x.algebra, np.array(eigenvalues), projections)
 
@@ -81,12 +80,7 @@ def positive_power(x: Operator, p: float) -> Operator:
     eigenvalues from roundoff are clipped to zero).  x >= 0 is not tested
     here: its one caller, `maximal._weak_pp`, is given an x that
     `weighted_witness` has tested or that is positive by construction."""
-    blocks = []
-    for b in x.blocks:
-        lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        lam = np.clip(lam, 0.0, None)
-        blocks.append((vecs * lam ** p) @ vecs.conj().T)
-    return Operator(x.algebra, blocks)
+    return spectral_map(x, lambda lam: np.clip(lam, 0.0, None) ** p)[0]
 
 
 def projection_meet(e: Projection, f: Projection) -> Projection:
@@ -100,9 +94,8 @@ def projection_meet(e: Projection, f: Projection) -> Projection:
         raise ValueError("projections live in different algebras")
     obstruction = e.complement().operator + f.complement().operator
     bases = []
-    for i in range(e.algebra.num_blocks):
-        b = obstruction.block(i)
-        lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
+    for b in obstruction.blocks:
+        lam, vecs = np.linalg.eigh(hermitian(b))
         keep = lam <= MEET_KERNEL_TOL
         bases.append(vecs[:, keep])
     return Projection.from_basis(e.algebra, bases)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncergodic.algebra import (AlgebraSpec, Operator, Projection,
-                               hermitian_decompose)
+from ncergodic.algebra import (AlgebraSpec, Operator, Projection, defect_norm,
+                               hermitian, hermitian_decompose, spectral_map)
 from ncergodic.errors import (AlgebraMismatchError,
                               ProjectionCertificateError)
 from ncergodic.ncnorms import lp_norm
 from ncergodic.rng import random_operator, random_projection, stream
+from ncergodic.spectral import positive_power
 from ncergodic.util import DEFAULT_TOL
 
 M2 = AlgebraSpec(((2, 1.0),))
 WEIGHTED = AlgebraSpec(((1, 0.5), (1, 1.5)))
+MULTI = AlgebraSpec(((3, 1.0), (2, 0.25), (1, 3.0)))
 
 
 def op(blocks, algebra=M2):
@@ -211,6 +215,18 @@ class TestProjection:
         assert e.defect() == pytest.approx(0.5)
 
 
+def recording_norm_orders(monkeypatch):
+    """The `ord` of every np.linalg.norm call made from here on."""
+    orders, norm = [], np.linalg.norm
+
+    def recording(a, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    return orders
+
+
 def two_norm_verdict(b):
     """The certificate's error message for block b as two 2-norms decide
     it, or None where it accepts b."""
@@ -260,15 +276,116 @@ class TestProjectionDefectScreen:
             assert str(info.value) == expected
 
     def test_clean_projection_takes_no_svd(self, monkeypatch):
-        orders, norm = [], np.linalg.norm
-
-        def recording(a, ord=None, *args, **kwargs):
-            orders.append(ord)
-            return norm(a, ord, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", recording)
+        orders = recording_norm_orders(monkeypatch)
         Projection.from_basis(WEIGHTED, [np.ones((1, 1)), np.zeros((1, 0))])
         e = random_projection(AlgebraSpec(((5, 1.0), (3, 2.0))),
                               stream(3, "projection"))
         assert e.rank() > 0
         assert orders and 2 not in orders
+
+
+def ginibre(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+# a defect of c * g, g a Ginibre matrix, with c from 1e-12 to 1e-6: the
+# 2-norm crosses DEFAULT_TOL inside this range for every size below
+SCALES = st.floats(-12.0, -6.0).map(lambda exponent: 10.0 ** exponent)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+class TestDefectNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(scale=SCALES, seed=SEEDS, d=st.integers(1, 6))
+    def test_verdict_and_value_of_the_two_norm(self, scale, seed, d):
+        a = scale * ginibre(stream(seed, "defect-norm"), d)
+        value, two_norm = defect_norm(a), float(np.linalg.norm(a, 2))
+        assert (value <= DEFAULT_TOL) == (two_norm <= DEFAULT_TOL)
+        if value > DEFAULT_TOL:
+            assert value == two_norm
+
+    @settings(max_examples=150, deadline=None)
+    @given(scale=SCALES, seed=SEEDS)
+    def test_is_hermitian_gives_the_two_norm_verdict(self, scale, seed):
+        rng = stream(seed, "is-hermitian")
+        x = random_operator(MULTI, rng, kind="hermitian")
+        y = Operator(MULTI, [b + scale * ginibre(rng, b.shape[0])
+                             for b in x.blocks])
+        assert y.is_hermitian() == all(
+            np.linalg.norm(b - b.conj().T, 2) <= DEFAULT_TOL
+            for b in y.blocks)
+
+    def test_exactly_hermitian_takes_no_svd(self, monkeypatch):
+        x = random_operator(MULTI, stream(5, "is-hermitian"),
+                            kind="hermitian")
+        orders = recording_norm_orders(monkeypatch)
+        assert x.is_hermitian()
+        assert orders == [None] * MULTI.num_blocks
+
+
+def decompose_per_block(x):
+    """hermitian_decompose as a per-block eigh loop."""
+    parts = []
+    for comp in (x.hermitian_part(), x.skew_part()):
+        pos_blocks, neg_blocks = [], []
+        for b in comp.blocks:
+            lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
+            pos_blocks.append((vecs * np.clip(lam, 0.0, None))
+                              @ vecs.conj().T)
+            neg_blocks.append((vecs * np.clip(-lam, 0.0, None))
+                              @ vecs.conj().T)
+        parts += [pos_blocks, neg_blocks]
+    return parts
+
+
+def power_per_block(x, p):
+    """positive_power as a per-block eigh loop."""
+    blocks = []
+    for b in x.blocks:
+        lam, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
+        lam = np.clip(lam, 0.0, None)
+        blocks.append((vecs * lam ** p) @ vecs.conj().T)
+    return blocks
+
+
+def same_bits(x, blocks):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(x.blocks, blocks))
+
+
+class TestSpectralMap:
+    def test_hermitian_part_of_a_stack_is_that_of_each_block(self):
+        stack = np.stack([ginibre(stream(6, "stack", k), 4)
+                          for k in range(5)])
+        h = hermitian(stack)
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+        assert all(h[k].tobytes() == hermitian(stack[k]).tobytes()
+                   for k in range(len(stack)))
+
+    @pytest.mark.parametrize("kind", ["general", "hermitian", "positive"])
+    def test_decompose_is_the_per_block_loop_bit_for_bit(self, kind):
+        rng = stream(7, "decompose-bits")
+        for _ in range(5):
+            x = random_operator(MULTI, rng, kind=kind)
+            parts = hermitian_decompose(x)
+            assert len(parts) == 4
+            assert all(same_bits(part, blocks) for part, blocks
+                       in zip(parts, decompose_per_block(x)))
+
+    @pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3])
+    def test_positive_power_is_the_per_block_loop_bit_for_bit(self, p):
+        rng = stream(8, "power-bits")
+        for kind in ("positive", "hermitian"):
+            x = random_operator(MULTI, rng, kind=kind)
+            assert same_bits(positive_power(x, p), power_per_block(x, p))
+
+    def test_one_eigh_per_block_for_all_functions(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        x = random_operator(MULTI, stream(9, "map"), kind="hermitian")
+        identity, square, unit = spectral_map(
+            x, lambda lam: lam, np.square, np.ones_like)
+        assert calls == [(d, d) for d in MULTI.dims]
+        assert identity.allclose(x)
+        assert square.allclose(x @ x, tol=1e-10)
+        assert unit.allclose(MULTI.identity())

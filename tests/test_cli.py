@@ -387,6 +387,19 @@ MALFORMED = {
         **_CONVERGE, "norms": [{"kind": "lorentz", "p": 2, "q": 0.5}]}}),
     "boyd-uniform-target": ("boyd", {"boyd": {
         "targets": [{"kind": "uniform"}]}}),
+    # a norm field that its kind does not read
+    "lp-norm-stray-q-converge": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "lp", "p": 2, "q": 3}]}}),
+    "uniform-norm-stray-p-converge": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "uniform", "p": 2}]}}),
+    "measure-norm-stray-q-converge": ("converge", {"converge": {
+        **_CONVERGE, "norms": [{"kind": "measure", "q": 2}]}}),
+    "lp-norm-stray-q-boyd": ("boyd", {"boyd": {
+        "targets": [{"kind": "lp", "p": 2, "q": 3}]}}),
+    "uniform-norm-stray-p-boyd": ("boyd", {"boyd": {
+        "targets": [{"kind": "uniform", "p": 2}]}}),
+    "measure-norm-stray-q-boyd": ("boyd", {"boyd": {
+        "targets": [{"kind": "measure", "q": 2}]}}),
     "explicit-element-no-operator": ("converge", {"converge": {
         **_CONVERGE, "element": {"kind": "explicit"}}}),
     "one-sided-p-below-2": ("certify", {"certify": {
@@ -549,6 +562,15 @@ NAMED_IN_ERROR = {"yeadon-element-not-positive": "method 'yeadon'",
                       "$.channel.min_gap: ",
                   "random-kraus-margin-above-1": "$.channel.margin: ",
                   "pinching-labels-not-integers": "$.channel.labels[",
+                  "lp-norm-stray-q-converge":
+                      "$.converge.norms[0].q: ",
+                  "uniform-norm-stray-p-converge":
+                      "$.converge.norms[0].p: ",
+                  "measure-norm-stray-q-converge":
+                      "$.converge.norms[0].q: ",
+                  "lp-norm-stray-q-boyd": "$.boyd.targets[0].q: ",
+                  "uniform-norm-stray-p-boyd": "$.boyd.targets[0].p: ",
+                  "measure-norm-stray-q-boyd": "$.boyd.targets[0].q: ",
                   "norms-label-repeated-converge":
                       "norms: the label 'inf' is listed twice",
                   "norms-label-repeated-besicovitch":
@@ -1088,17 +1110,20 @@ class TestNormsAndBoyd:
                     expected, rel=1e-12, abs=0.0)
 
     def test_boyd_target_reads_its_own_kind_fields(self, tmp_path):
-        # an L_p target with a stray q is the L_p norm: the rows of
-        # {"kind": "lp", "p": 2, "q": 3} are those of {"kind": "lp", "p": 2},
-        # with an empty q column, and not the Lorentz norm L(2,3)
-        code, rows, summary = self.run(tmp_path, "boyd", {"targets": [
-            {"kind": "lp", "p": 2, "q": 3}, {"kind": "lp", "p": 2}]})
-        assert code == 0
-        half = len(rows) // 2
-        assert rows[:half] == rows[half:]
-        assert all(row["target"] == "L2" and row["p"] == "2"
-                   and row["q"] == "" for row in rows)
-        assert summary["targets"][0] == summary["targets"][1]
+        # an L_p target with a stray q is refused at load, not run as the
+        # L_p norm with q dropped, nor as the Lorentz norm L(2,3)
+        config = {"seed": 7, "algebra": {"blocks": [[2, 1.0], [3, 0.5]]},
+                  "boyd": {"targets": [{"kind": "lp", "p": 2, "q": 3}]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_cli("boyd", "--config", str(path),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.getvalue() == (
+            "error: config does not validate at $.boyd.targets[0].q: "
+            "3 is not one of []\n")
+        assert not (tmp_path / "out").exists()
 
     def test_norms_runs(self, tmp_path):
         section = {"num_operators": 3, "p_grid": [1, 2, 3.5],

@@ -7,8 +7,9 @@ the environment, only the CLI and `maximal._weak_pp` build a
 runs the recurrence, and the spectral gap's Arnoldi reads no dense
 superoperator while the recurrence steps with it, no module but
 `ncnorms` compares a value with a norm-kind string and the CLI schema
-lists the norm kinds from `NORM_KINDS` (parsed with `ast`, so no linter
-is needed).  The names that the benchmark's tracer binds
+lists the norm kinds from `NORM_KINDS`, only `algebra.hermitian` halves
+a matrix plus its conjugate transpose, and only `defect_norm` and the
+uniform norm take a 2-norm (parsed with `ast`, so no linter is needed).  The names that the benchmark's tracer binds
 exist."""
 
 import ast
@@ -214,9 +215,8 @@ def test_no_unused_parameters(module):
     assert unused_parameters((PACKAGE / module).read_text()) == []
 
 
-def call_scopes(source, name, args=None):
-    """The scope of each call of `name(`, bare or as an attribute, with
-    `args` positional arguments where `args` is set: the dotted names of
+def node_scopes(source, match):
+    """The scope of each node that `match` accepts: the dotted names of
     the classes and functions that hold it, "" at module level."""
     found = []
 
@@ -225,15 +225,21 @@ def call_scopes(source, name, args=None):
             if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)) and args in (
-                    None, len(child.args)):
+            if match(child):
                 found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def call_scopes(source, name, args=None):
+    """The scope of each call of `name(`, bare or as an attribute, with
+    `args` positional arguments where `args` is set."""
+    return node_scopes(source, lambda node: isinstance(node, ast.Call)
+                       and name in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))
+                       and args in (None, len(node.args)))
 
 
 def test_finds_checker_constructions():
@@ -492,6 +498,106 @@ def test_norm_schema_enums_built_from_norm_kinds():
         if issubclass(norm, SymmetricNorm)]
     assert not literal_enum_values((PACKAGE / "cli.py").read_text()) \
         & set(NORM_KINDS)
+
+
+def package_scopes(match):
+    """{module.scope} of each node of the package that `match` accepts."""
+    return {f"{module[:-3]}.{scope}" for module in MODULES
+            for scope in node_scopes((PACKAGE / module).read_text(), match)}
+
+
+def conjugate_transpose_of(node):
+    """The source of a where `node` is a conjugate transpose of it
+    (a.conj().T, a.T.conj(), np.conj(a).T, a.conj().swapaxes(-1, -2),
+    ...), else None."""
+    conjugated = transposed = False
+    while True:
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Attribute) and node.attr == "T":
+            transposed, node = True, node.value
+        elif isinstance(func, ast.Attribute) and func.attr == "swapaxes":
+            transposed, node = True, func.value
+        elif isinstance(func, ast.Attribute) \
+                and func.attr in ("conj", "conjugate"):
+            conjugated = True
+            node = node.args[0] if node.args else func.value
+        else:
+            break
+    return ast.unparse(node) if conjugated and transposed else None
+
+
+def is_hermitian_sum(node):
+    """a + a* or a* + a, a* a conjugate transpose of a."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
+        conjugate_transpose_of(node.right) == ast.unparse(node.left)
+        or conjugate_transpose_of(node.left) == ast.unparse(node.right))
+
+
+def is_halved_hermitian_sum(node):
+    """(a + a*) / 2, or a + a* times 0.5 on either side."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Div):
+        pairs = [(node.left, node.right, 2)]
+    elif isinstance(node.op, ast.Mult):
+        pairs = [(node.left, node.right, 0.5), (node.right, node.left, 0.5)]
+    else:
+        return False
+    return any(is_hermitian_sum(total) and isinstance(half, ast.Constant)
+               and half.value == value for total, half, value in pairs)
+
+
+def test_finds_halved_hermitian_sums():
+    source = ("def f(b, s, x):\n"
+              "    h = (b + b.conj().T) / 2.0\n"
+              "    k = 0.5 * (s.conj().swapaxes(-1, -2) + s)\n"
+              "    m = (b + np.conj(b).T) / 2\n"
+              "    n = (b + b.T.conj()) * 0.5\n"
+              "class A:\n"
+              "    def g(self, b, c):\n"
+              "        keep = [(b + c.conj().T) / 2, (b + b.T) / 2,\n"
+              "                (b + b.conj()) / 2, (b + b.conj().T) / 3,\n"
+              "                (b - b.conj().T) / 2, (x + x.adjoint()) / 2]\n"
+              "        return (b + b.conj().T) / 2.0\n")
+    assert node_scopes(source, is_halved_hermitian_sum) == [
+        "f", "f", "f", "f", "A.g"]
+
+
+def test_one_hermitian_part():
+    # `algebra.hermitian` is the one place a matrix or a stack is added to
+    # its conjugate transpose and halved; an Operator's `hermitian_part`
+    # and `verify_ds` halve x + x.adjoint() by a complex 0.5, whose
+    # arithmetic the recorded outputs hold
+    assert package_scopes(is_halved_hermitian_sum) == {"algebra.hermitian"}
+
+
+def is_two_norm_call(node):
+    """A call of `norm` (np.linalg.norm) with ord 2, by position or by
+    keyword: one SVD."""
+    if not isinstance(node, ast.Call) or "norm" not in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        return False
+    orders = node.args[1:2] + [k.value for k in node.keywords
+                               if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in orders)
+
+
+def test_finds_two_norm_calls():
+    source = ("def f(a):\n"
+              "    return np.linalg.norm(a, 2), norm(a, ord=2)\n"
+              "class A:\n"
+              "    def g(self, a):\n"
+              "        return [np.linalg.norm(a), np.linalg.norm(a, 'fro'),\n"
+              "                np.linalg.norm(a, axis=(-2, -1)), lp_norm(a, 2),\n"
+              "                np.linalg.norm(a, 1), np.linalg.norm(a, 2)]\n")
+    assert node_scopes(source, is_two_norm_call) == ["f", "f", "A.g"]
+
+
+def test_two_norms_only_in_the_defect_test_and_the_uniform_norm():
+    # every other defect is tested through `defect_norm`, whose Frobenius
+    # screen spares the SVD of a defect far below DEFAULT_TOL
+    assert package_scopes(is_two_norm_call) == {
+        "algebra.defect_norm", "algebra.Operator.uniform_norm"}
 
 
 def test_benchmark_tracer_bindings_exist():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from ncergodic import cli, maximal, util
 from ncergodic.algebra import (SCREEN_HEAD_COUNT, AlgebraSpec, Operator,
-                              Projection, compressed_sup, sup_screen)
+                              Projection, compressed_sup, hermitian,
+                              sup_screen)
 from ncergodic.dynamics import (channel_from_spec, ergodic_averages,
                                 identity_channel, kraus_channel,
                                 random_kraus_channel,
@@ -286,11 +287,11 @@ class TestExactKernelsPerMatrix:
         if shape[0] == shape[1]:
             # `CheckerStacks.floors` takes eigvalsh of the Hermitian parts
             # slice by slice
-            lam = np.linalg.eigvalsh(maximal._hermitian(stack))
+            lam = np.linalg.eigvalsh(hermitian(stack))
             assert np.array_equal(lam[sub], np.linalg.eigvalsh(
-                maximal._hermitian(stack[sub])))
+                hermitian(stack[sub])))
             assert np.array_equal(lam[40:80], np.linalg.eigvalsh(
-                maximal._hermitian(stack[40:80])))
+                hermitian(stack[40:80])))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_compressed_sub_stack_equals_whole_stack(self, mode):
@@ -413,7 +414,7 @@ def screen_stacks(kind, count, scale, seed):
         vecs[rng.integers(count), rng.integers(MULTI.vec_dim)] = np.inf
     blocks = [np.array(s) for s in MULTI.block_stacks(vecs)]
     if kind in ("indefinite", "negative"):
-        blocks = [maximal._hermitian(b) for b in blocks]
+        blocks = [hermitian(b) for b in blocks]
     if kind == "negative":  # every top eigenvalue well below zero
         blocks = [b - 6.0 * np.eye(b.shape[-1]) for b in blocks]
     if kind == "ties":
@@ -1366,7 +1367,7 @@ class TestFloorBound:
         channel, x, _, _ = mix8(workloads, "random-positive")
         horizon = workloads.WORKLOADS["certify-mix8"][1]()["horizon"]
         checker = CheckerStacks(channel, x, horizon)
-        whole = [np.linalg.eigvalsh(maximal._hermitian(stack))[:, 0].max()
+        whole = [np.linalg.eigvalsh(hermitian(stack))[:, 0].max()
                  for stack in checker.stacks]
         calls = eigvalsh_calls(monkeypatch)
         assert np.array_equal(checker.floors, whole)
